@@ -2,7 +2,8 @@
 """Sweep embedding dimension on a real dataset file and report AP/AUC.
 
 Expects the combined edge-list format (t src dst [weight]); the final slice
-is held out for evaluation. Example:
+is held out for evaluation. Every option not set here takes the default of
+the ``dynten`` command line. Example:
 
     python scripts/run_dataset.py data/school.edges --methods dynacpd adj_last \
         --dims 8 16 32 64 128 --pre gaussian --sigma 8
@@ -11,10 +12,9 @@ is held out for evaluation. Example:
 import argparse
 import time
 
-from dynten.cli import compute_embedding
-from dynten.graphs import DynamicNetwork
+from dynten.cli import compute_embedding, resolve_config
 from dynten.io import load_dynamic_network
-from dynten.linkpred import evaluate_link_prediction
+from dynten.linkpred import evaluate_link_prediction, holdout_split
 
 
 def main():
@@ -34,21 +34,15 @@ def main():
 
     net = load_dynamic_network(args.data, directed=args.directed)
     print(f"{args.data}: n={net.n} tau={net.tau}")
-    train = DynamicNetwork(labels=net.labels, snapshots=net.snapshots[:-1],
-                           directed=net.directed)
-    target = net.tau - 1
-    edges = {(min(i, j), max(i, j))
-             for i, j, _ in net.snapshots[target].edge_list() if i != j}
-    n_pos = min(args.n_pos, len(edges))
+    train, target, n_links = holdout_split(net)
+    n_pos = min(args.n_pos, n_links)
 
     print(f"{'method':10s} {'d':>4s} {'AP':>7s} {'AUC':>7s} {'secs':>7s}")
     for method in args.methods:
         for d in args.dims:
-            cfg = {"method": method, "d": d, "rank": 0, "pre": args.pre,
-                   "alpha": args.alpha, "sigma": args.sigma, "post": "",
-                   "post_alpha": 0.0, "post_sigma": 0.0, "variant": "raw",
-                   "omega": 0.0, "teleport": 1e-3, "sweeps": 200,
-                   "tol": 1e-10, "normalize": False, "seed": args.seed}
+            cfg = resolve_config({"method": method, "d": d, "pre": args.pre,
+                                  "alpha": args.alpha, "sigma": args.sigma,
+                                  "seed": args.seed})
             t0 = time.perf_counter()
             emb, _ = compute_embedding(train, cfg)
             rep = evaluate_link_prediction(net, target, emb, args.metric,

@@ -3,32 +3,34 @@
 
 Embeds slices 1..tau-1, predicts the held-out final slice, and prints an
 AP/AUC table for both separation metrics, plus a density-matched
-resampled-ER control row that should sit at chance level.
+resampled-ER control row that should sit at chance level. Every embedding
+option not set here takes the default of the ``dynten`` command line.
 """
 
 import argparse
 import time
 
-from dynten.embed import (DynEmbedConfig, adj_last_embedding, adj_wt_embedding,
-                          dynacpd_embed, dynaocpd_embed, make_weights,
-                          res_last_embedding, res_wt_embedding)
-from dynten.graphs import DynamicNetwork
-from dynten.linkpred import evaluate_link_prediction
+from dynten.cli import METHODS, compute_embedding, resolve_config
+from dynten.linkpred import evaluate_link_prediction, holdout_split
 from dynten.synth import dynamic_sbm, sbm_matched_er
 
 
-def evaluate(net, emb, n_pos, seed):
-    target = net.tau - 1
+def evaluate(net, method, args):
+    """Embed slices 1..tau-1 with one method; {metric: (AP, AUC)} on the last."""
+    train, target, n_links = holdout_split(net)
+    cfg = resolve_config({"method": method, "d": args.d, "pre": "exponential",
+                          "alpha": args.alpha})
+    emb, _ = compute_embedding(train, cfg)
     row = {}
     for metric in ("l2", "hadamard"):
-        rep = evaluate_link_prediction(net, target, emb, metric, n_pos, seed)
+        rep = evaluate_link_prediction(net, target, emb, metric, min(400, n_links), seed=7)
         row[metric] = (rep["AP"], rep["AUC"])
     return row
 
 
-def held_out_edges(net):
-    snap = net.snapshots[-1]
-    return len({(min(i, j), max(i, j)) for i, j, _ in snap.edge_list() if i != j})
+def format_row(name, row):
+    return (f"{name:12s} {row['l2'][0]:7.4f} {row['l2'][1]:7.4f} "
+            f"{row['hadamard'][0]:7.4f} {row['hadamard'][1]:8.4f}")
 
 
 def main():
@@ -47,42 +49,18 @@ def main():
 
     net, _ = dynamic_sbm(args.n, args.tau, args.blocks, args.p_in, args.p_out,
                          args.drift, seed=args.seed)
-    train = DynamicNetwork(labels=net.labels, snapshots=net.snapshots[:-1],
-                           directed=False)
-    w = make_weights("exponential", train.tau, alpha=args.alpha)
-    n_pos = min(400, held_out_edges(net))
-
-    methods = {
-        "dynacpd": lambda: dynacpd_embed(
-            train, DynEmbedConfig(d=args.d, pre_weights=w, seed=0)),
-        "dynaocpd": lambda: dynaocpd_embed(
-            train, DynEmbedConfig(d=args.d, pre_weights=w, seed=0)),
-        "adj_last": lambda: adj_last_embedding(train, args.d),
-        "res_last": lambda: res_last_embedding(train, args.d),
-        "adj_wt": lambda: adj_wt_embedding(train, w, args.d),
-        "res_wt": lambda: res_wt_embedding(train, w, args.d),
-    }
-
     print(f"block model: n={args.n} tau={args.tau} blocks={args.blocks} "
           f"p_in={args.p_in} p_out={args.p_out} drift={args.drift} d={args.d}")
     print(f"{'method':12s} {'L2 AP':>7s} {'L2 AUC':>7s} {'Had AP':>7s} "
           f"{'Had AUC':>8s} {'secs':>6s}")
-    for name, build in methods.items():
+    for method in METHODS:
         t0 = time.perf_counter()
-        emb = build()
-        row = evaluate(net, emb, n_pos, seed=7)
-        dt = time.perf_counter() - t0
-        print(f"{name:12s} {row['l2'][0]:7.4f} {row['l2'][1]:7.4f} "
-              f"{row['hadamard'][0]:7.4f} {row['hadamard'][1]:8.4f} {dt:6.2f}")
+        row = evaluate(net, method, args)
+        print(f"{format_row(method, row)} {time.perf_counter() - t0:6.2f}")
 
     control = sbm_matched_er(args.n, args.tau, args.blocks, args.p_in,
                              args.p_out, seed=args.seed + 1)
-    ctrain = DynamicNetwork(labels=control.labels,
-                            snapshots=control.snapshots[:-1], directed=False)
-    emb = dynacpd_embed(ctrain, DynEmbedConfig(d=args.d, pre_weights=w, seed=0))
-    row = evaluate(control, emb, min(400, held_out_edges(control)), seed=7)
-    print(f"{'er-control':12s} {row['l2'][0]:7.4f} {row['l2'][1]:7.4f} "
-          f"{row['hadamard'][0]:7.4f} {row['hadamard'][1]:8.4f}")
+    print(format_row("er-control", evaluate(control, "dynacpd", args)))
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from .io import (load_cp_model, load_dynamic_network, load_embedding_csv,
                  save_cp_model, write_dynamic_network, write_embedding_csv)
 from .linkpred import (EdgeSample, LogisticModel, auc_roc, average_precision,
                        evaluate_link_prediction, fit_logistic_l1,
-                       hadamard_separation, l2_separation, predict_scores,
-                       sample_training_set)
+                       hadamard_separation, holdout_split, l2_separation,
+                       predict_scores, sample_training_set)
 from .spectral import (EigenPairs, adjacency_embedding, bottom_k_eigs,
                        effective_resistance, resistance_embedding, top_k_eigs)
 from .synth import dynamic_er, dynamic_sbm, sbm_matched_er

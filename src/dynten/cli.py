@@ -50,16 +50,6 @@ _EMBED_OPTS = [
 ]
 
 
-def _weights(scheme, tau, alpha, sigma):
-    if scheme == "uniform":
-        return embed.make_weights("uniform", tau)
-    if scheme == "exponential":
-        return embed.make_weights("exponential", tau, alpha=alpha)
-    if scheme == "gaussian":
-        return embed.make_weights("gaussian", tau, sigma=sigma)
-    raise ValueError(f"unknown weight scheme {scheme!r}")
-
-
 def _load_net(cfg) -> DynamicNetwork:
     if not cfg.get("data"):
         raise ValueError("--data is required")
@@ -68,21 +58,17 @@ def _load_net(cfg) -> DynamicNetwork:
 
 def compute_embedding(net: DynamicNetwork, cfg: dict):
     """Run the configured method; returns (embedding, diagnostics dict)."""
-    tau = net.tau
-    pre = _weights(cfg["pre"], tau, cfg["alpha"], cfg["sigma"])
-    post_scheme = cfg["post"] or cfg["pre"]
-    post = _weights(post_scheme, tau, cfg["post_alpha"] or cfg["alpha"],
-                    cfg["post_sigma"] or cfg["sigma"])
+    pre = embed.make_weights(cfg["pre"], net.tau, alpha=cfg["alpha"], sigma=cfg["sigma"])
+    post = embed.make_weights(cfg["post"] or cfg["pre"], net.tau,
+                              alpha=cfg["post_alpha"] or cfg["alpha"],
+                              sigma=cfg["post_sigma"] or cfg["sigma"])
     method = cfg["method"]
     diag = {"method": method, "pre_weights": [repr(float(x)) for x in pre.values],
             "post_weights": [repr(float(x)) for x in post.values]}
     if method in ("dynacpd", "dynaocpd"):
         decomposition = "cpd" if method == "dynacpd" else "ocpd"
-        rank_cap = net.n if decomposition == "ocpd" else min(net.n * tau, net.n ** 2)
-        rank = cfg["rank"] or min(2 * cfg["d"], rank_cap)
-        als = AlsConfig(rank=rank, max_sweeps=cfg["sweeps"], rel_tol=cfg["tol"],
-                        seed=cfg["seed"],
-                        orthogonality="node_factor" if decomposition == "ocpd" else "none")
+        als = AlsConfig(rank=cfg["rank"] or embed.default_rank(net, cfg["d"], decomposition),
+                        max_sweeps=cfg["sweeps"], rel_tol=cfg["tol"], seed=cfg["seed"])
         dcfg = embed.DynEmbedConfig(
             d=cfg["d"], pre_weights=pre, post_weights=post,
             decomposition=decomposition, adjacency_variant=cfg["variant"],
@@ -90,7 +76,7 @@ def compute_embedding(net: DynamicNetwork, cfg: dict):
             seed=cfg["seed"])
         res = embed.dynamic_embedding(net, dcfg)
         matrix = res.embedding
-        diag.update(rank=rank, fit=repr(float(res.model.fit)),
+        diag.update(rank=res.model.rank, fit=repr(float(res.model.fit)),
                     sweeps=res.model.sweeps,
                     sigmas=[repr(float(x)) for x in res.sigmas],
                     selected=[int(k) for k in res.selected])
@@ -136,17 +122,10 @@ def cmd_embed(cfg) -> int:
 
 def cmd_linkpred(cfg) -> int:
     net = _load_net(cfg)
-    if net.tau < 2:
-        raise ValueError("link prediction needs tau >= 2 (one slice is held out)")
-    train = DynamicNetwork(labels=net.labels, snapshots=net.snapshots[:-1],
-                           directed=net.directed)
+    train, target, n_links = linkpred.holdout_split(net)
     t0 = time.perf_counter()
     matrix, diag = compute_embedding(train, cfg)
-    target = net.tau - 1
-    snap = net.snapshots[target]
-    n_edges = len({(min(i, j), max(i, j)) if not net.directed else (i, j)
-                   for i, j, _ in snap.edge_list() if i != j})
-    n_pos = min(cfg["n_pos"], n_edges) if cfg["n_pos"] else n_edges
+    n_pos = min(cfg["n_pos"], n_links) if cfg["n_pos"] else n_links
     report = linkpred.evaluate_link_prediction(
         net, target, matrix, cfg["metric"], n_pos, cfg["seed"], folds=cfg["folds"])
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -262,16 +241,21 @@ def _add_opts(parser, opts):
                                 help=f"{help_text} (default: {default})")
 
 
-def _resolve(args, opts) -> dict:
+def resolve_config(values, opts=_EMBED_OPTS) -> dict:
+    """Full run configuration from a plain ``{key: value}`` mapping: defaults
+    fill missing keys, unknown keys raise, values are coerced to each
+    option's type. ``opts`` defaults to the options every embedding run has."""
     cfg = {name: default for name, _typ, default, _h in opts}
     types = {name: typ for name, typ, _d, _h in opts}
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = read_config_file(args.config)
-    for key, val in file_cfg.items():
+    for key, val in values.items():
         if key not in cfg:
             raise ValueError(f"unknown config key {key!r}")
         cfg[key] = _coerce(val, types[key])
+    return cfg
+
+
+def _resolve(args, opts) -> dict:
+    cfg = resolve_config(read_config_file(args.config) if args.config else {}, opts)
     for key, val in vars(args).items():
         if key in cfg:
             cfg[key] = val

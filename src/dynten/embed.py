@@ -19,7 +19,7 @@ from scipy import sparse
 from .graphs import (DynamicNetwork, Snapshot, adjacency_matrix, katz_adjacency,
                      laplacian, symmetrized_adjacency)
 from .spectral import adjacency_embedding, resistance_embedding
-from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, ocp_als
+from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_als
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class DynEmbedConfig:
     adjacency_variant: str = "raw"               # raw | symmetrized | katz
     katz_omega: float = 0.0
     teleport: float | None = 1e-3
-    als: AlsConfig | None = None                 # None = rank min(2d, n)
+    als: AlsConfig | None = None                 # None = rank default_rank()
     seed: int = 0
 
     def __post_init__(self):
@@ -188,6 +188,13 @@ def _variant_slices(net: DynamicNetwork, cfg: DynEmbedConfig):
     return [katz_adjacency(A, cfg.katz_omega) for A in mats]
 
 
+def default_rank(net: DynamicNetwork, d: int, decomposition: str = "cpd") -> int:
+    """Decomposition rank used when none is given: min(2 d, cap), with the cap
+    the largest rank the ALS accepts (n for ocpd, min(n tau, n^2) for cpd)."""
+    dims = (net.n, net.n, net.tau)
+    return min(2 * d, max_rank(dims, orthogonal_b=decomposition == "ocpd"))
+
+
 def dynamic_embedding(net: DynamicNetwork, cfg: DynEmbedConfig) -> DynEmbedResult:
     """Run the full pipeline and keep the decomposition diagnostics."""
     tau = net.tau
@@ -199,11 +206,8 @@ def dynamic_embedding(net: DynamicNetwork, cfg: DynEmbedConfig) -> DynEmbedResul
     conditioned = precondition(net, pre)
     Z = SparseTensor3.from_slices(_variant_slices(conditioned, cfg))
 
-    rank_cap = net.n if cfg.decomposition == "ocpd" else min(net.n * tau, net.n * net.n)
-    als = cfg.als
-    if als is None:
-        als = AlsConfig(rank=min(2 * cfg.d, rank_cap), seed=cfg.seed,
-                        orthogonality="node_factor" if cfg.decomposition == "ocpd" else "none")
+    als = cfg.als or AlsConfig(rank=default_rank(net, cfg.d, cfg.decomposition),
+                               seed=cfg.seed)
     if als.rank < cfg.d:
         raise ValueError(f"decomposition rank {als.rank} is below d={cfg.d}")
     model = ocp_als(Z, als) if cfg.decomposition == "ocpd" else cp_als(Z, als)

@@ -76,14 +76,30 @@ def separation_values(emb, pairs, metric: str) -> np.ndarray:
     raise ValueError(f"unknown separation metric {metric!r}")
 
 
+def _pair_key(i: int, j: int, directed: bool):
+    return (i, j) if directed else (min(i, j), max(i, j))
+
+
 def _edge_key_set(net: DynamicNetwork, t: int):
+    """Links of slice t as the sampler sees them: no self-loops, unordered
+    pairs unless the network is directed."""
     snap = net.snapshots[t]
-    keys = set()
-    for i, j in zip(snap.src, snap.dst):
-        if i == j:
-            continue
-        keys.add((int(i), int(j)) if net.directed else (min(int(i), int(j)), max(int(i), int(j))))
-    return keys
+    return {_pair_key(int(i), int(j), net.directed)
+            for i, j in zip(snap.src, snap.dst) if i != j}
+
+
+def holdout_split(net: DynamicNetwork):
+    """Hold out the final slice: ``(train, target_slice, n_links)``, with
+    ``train`` the slices 1..tau-1 and ``n_links`` counted as the sampler does."""
+    if net.tau < 2:
+        raise ValueError("link prediction needs tau >= 2 (one slice is held out)")
+    target = net.tau - 1
+    n_links = len(_edge_key_set(net, target))
+    if n_links == 0:
+        raise ValueError(f"held-out slice {target} has no links (self-loops do not count)")
+    train = DynamicNetwork(labels=net.labels, snapshots=net.snapshots[:-1],
+                           directed=net.directed)
+    return train, target, n_links
 
 
 def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
@@ -117,7 +133,7 @@ def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
         j = int(rng.integers(n))
         if i == j:
             continue
-        key = (i, j) if net.directed else (min(i, j), max(i, j))
+        key = _pair_key(i, j, net.directed)
         if key in edge_set or key in seen:
             continue
         seen.add(key)

@@ -1,8 +1,9 @@
 """Sparse 3-tensors and CP / orthogonality-constrained CP decomposition by ALS.
 
-The tensor is stored in coordinate form and never densified: the ALS inner
-kernel is a matricized-tensor-times-Khatri-Rao product (MTTKRP) computed as a
-sparse unfolding times a dense Khatri-Rao factor. The orthogonal variant
+The tensor is stored in coordinate form, but the ALS inner kernel, a
+matricized-tensor-times-Khatri-Rao product (MTTKRP), multiplies a sparse
+unfolding by a dense Khatri-Rao operand of up to n^2 x rank entries (256 MB
+at n = 1 000, rank 32; ROADMAP item 2). The orthogonal variant
 replaces the node-factor least-squares update with the orthogonal Procrustes
 solution (polar factor of the MTTKRP matrix), which keeps that factor's
 columns exactly orthonormal while every accepted sweep still decreases the
@@ -126,7 +127,8 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 
     ``factors`` is the triple (A, B, C); the factor of the requested mode is
-    ignored. Z is used in unfolded sparse form and never densified.
+    ignored. Z stays sparse, but the Khatri-Rao operand is dense: (n1 n3) x
+    rank for modes 1 and 2, (n1 n2) x rank for mode 3.
     """
     A, B, C = factors
     n1, n2, n3 = Z.dims
@@ -159,7 +161,6 @@ class AlsConfig:
     max_sweeps: int = 200
     rel_tol: float = 1e-10
     init: str = "auto"  # auto | spectral | random
-    orthogonality: str = "none"  # none | node_factor
     seed: int = 0
     prox: float = 1e-3
 
@@ -172,8 +173,6 @@ class AlsConfig:
             raise ValueError("proximal weight must be >= 0")
         if self.init not in ("auto", "spectral", "random"):
             raise ValueError(f"unknown init scheme {self.init!r}")
-        if self.orthogonality not in ("none", "node_factor"):
-            raise ValueError(f"unknown orthogonality mode {self.orthogonality!r}")
 
 
 @dataclass(frozen=True)
@@ -220,6 +219,10 @@ def submodel(model: CPModel, indices) -> CPModel:
 # ALS internals
 
 
+# the spectral start takes a dense n x n eigendecomposition
+SPECTRAL_INIT_MAX_N = 4096
+
+
 def _aggregate_slice(Z: SparseTensor3) -> np.ndarray:
     n1, n2, _ = Z.dims
     S = np.zeros((n1, n2))
@@ -227,15 +230,23 @@ def _aggregate_slice(Z: SparseTensor3) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
+def initial_factors(Z: SparseTensor3, cfg: AlsConfig, *, orthogonal_b: bool = False):
     """Warm-start factors: node factors from eigenvectors of the time-summed
     symmetrized slice, time factor constant 1/sqrt(n3) per column (exact in
-    the identical-slices limit); random columns fill beyond the node count."""
+    the identical-slices limit); random columns fill beyond the node count.
+    Outside square slices with n <= SPECTRAL_INIT_MAX_N, "auto" starts random
+    and "spectral" raises. ``orthogonal_b`` orthonormalizes a random B.
+    """
     n1, n2, n3 = Z.dims
     r = cfg.rank
     rng = derived_rng(cfg.seed, "als-init")
-    use_spectral = cfg.init in ("auto", "spectral") and n1 == n2 and n1 <= 4096
-    if use_spectral:
+    spectral_ok = n1 == n2 and n1 <= SPECTRAL_INIT_MAX_N
+    if cfg.init == "spectral" and not spectral_ok:
+        raise ValueError(
+            f"spectral init needs square slices with n <= {SPECTRAL_INIT_MAX_N}, "
+            f"got dims {Z.dims}; use init='auto' or 'random'")
+    if cfg.init != "random" and spectral_ok:
+        C = np.full((n3, r), 1.0 / np.sqrt(n3))
         vals, vecs = np.linalg.eigh(_aggregate_slice(Z))
         order = np.argsort(-np.abs(vals), kind="stable")
         k = min(r, n1)
@@ -251,13 +262,10 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
         B = rng.uniform(-1.0, 1.0, size=(n2, r))
         A /= np.maximum(np.linalg.norm(A, axis=0), 1e-300)
         B /= np.maximum(np.linalg.norm(B, axis=0), 1e-300)
-        if cfg.orthogonality == "node_factor":
+        if orthogonal_b:
             B = np.linalg.qr(B)[0]
             if B.shape[1] < r:
                 raise DecompositionError("cannot orthonormalize node factor: rank > n")
-    if use_spectral:
-        C = np.full((n3, r), 1.0 / np.sqrt(n3))
-    else:
         C = rng.uniform(-1.0, 1.0, size=(n3, r))
         C /= np.maximum(np.linalg.norm(C, axis=0), 1e-300)
     return A, B, C
@@ -317,20 +325,25 @@ def _normalize_columns(F, fallback):
     return out, norms
 
 
+def max_rank(dims, orthogonal_b: bool = False) -> int:
+    """Largest rank ALS accepts: min(n1 n3, n1 n2), and at most n2 with an
+    orthonormal node factor."""
+    n1, n2, n3 = dims
+    return min(n1 * n3, n2 if orthogonal_b else n1 * n2)
+
+
 # fit values at this scale are dominated by cancellation noise in the
 # norm-difference formula; sweeping further cannot improve anything real
 _FIT_FLOOR = 1e-8
 
 
 def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
-    n1, n2, n3 = Z.dims
     r = cfg.rank
-    if orthogonal_b and r > n2:
-        raise ValueError(f"orthogonal decomposition needs rank <= {n2}")
-    if r > min(n1 * n3, n1 * n2):
-        raise ValueError(f"rank {r} above practical cap {min(n1 * n3, n1 * n2)}")
+    cap = max_rank(Z.dims, orthogonal_b)
+    if r > cap:
+        raise ValueError(f"rank {r} above the cap {cap} for a {Z.dims} tensor")
 
-    A, B, C = initial_factors(Z, cfg)
+    A, B, C = initial_factors(Z, cfg, orthogonal_b=orthogonal_b)
     norm_z = Z.norm()
     if norm_z == 0.0:
         lam = np.zeros(r)

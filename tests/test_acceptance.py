@@ -11,11 +11,10 @@ import pytest
 import scipy.sparse as sp
 
 from dynten.embed import DynEmbedConfig, dynacpd_embed, make_weights
-from dynten.graphs import (DynamicNetwork, katz_adjacency, laplacian,
-                           spectral_radius)
+from dynten.graphs import katz_adjacency, laplacian, spectral_radius
 from dynten.io import load_dynamic_network
 from dynten.linkpred import (auc_roc, average_precision,
-                             evaluate_link_prediction)
+                             evaluate_link_prediction, holdout_split)
 from dynten.clustering import ClusterState, streaming_update
 from dynten.spectral import effective_resistance, resistance_embedding
 from dynten.synth import dynamic_sbm, sbm_matched_er
@@ -129,8 +128,7 @@ def test_c05_ocpd_orthogonality():
             if Z.nnz == 0:
                 continue
             rank = int(rng.integers(2, min(n, 10) + 1))
-            model = ocp_als(Z, AlsConfig(rank=rank, seed=trial,
-                                         orthogonality="node_factor"))
+            model = ocp_als(Z, AlsConfig(rank=rank, seed=trial))
             G = model.factor_b.T @ model.factor_b
             assert np.abs(G - np.eye(rank)).max() < 1e-8
             h = model.fit_history
@@ -167,22 +165,17 @@ def test_c07_two_vector_tensor():
               + 3 * np.einsum("i,j,t->ijt", b, b, b)
               + np.einsum("i,j,t->ijt", a, a, a))
         model = ocp_als(SparseTensor3.from_dense(Z1),
-                        AlsConfig(rank=3, max_sweeps=500,
-                                  orthogonality="node_factor"))
+                        AlsConfig(rank=3, max_sweeps=500))
         assert model.fit < 1e-6
 
 
 def _linkpred_run(net, d, seed):
-    train = DynamicNetwork(labels=net.labels, snapshots=net.snapshots[:-1],
-                           directed=net.directed)
+    train, target, n_links = holdout_split(net)
     tau = train.tau
     cfg = DynEmbedConfig(d=d, pre_weights=make_weights("exponential", tau, alpha=1.0),
                          seed=seed)
     emb = dynacpd_embed(train, cfg)
-    target = net.tau - 1
-    edges = {(min(i, j), max(i, j))
-             for i, j, _ in net.snapshots[target].edge_list() if i != j}
-    n_pos = min(400, len(edges))
+    n_pos = min(400, n_links)
     out = {}
     for metric in ("l2", "hadamard"):
         rep = evaluate_link_prediction(net, target, emb, metric, n_pos, seed=7)
@@ -265,12 +258,8 @@ def test_c11_school_dataset_directional():
     with criterion(11, 1800.0, "School: pipeline runs and orders methods"):
         from dynten.embed import adj_last_embedding
         net = load_dynamic_network(SCHOOL_PATH)
-        target = net.tau - 1
-        train = DynamicNetwork(labels=net.labels, snapshots=net.snapshots[:-1],
-                               directed=net.directed)
-        edges = {(min(i, j), max(i, j))
-                 for i, j, _ in net.snapshots[target].edge_list() if i != j}
-        n_pos = min(1000, len(edges))
+        train, target, n_links = holdout_split(net)
+        n_pos = min(1000, n_links)
         for d in (32, 128):
             cfg = DynEmbedConfig(
                 d=d, pre_weights=make_weights("gaussian", train.tau, sigma=8.0),

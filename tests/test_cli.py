@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dynten.cli import main
+from dynten.cli import main, resolve_config
 from dynten.io import load_dynamic_network, load_embedding_csv
 
 
@@ -96,6 +96,37 @@ def test_linkpred_needs_two_slices(tmp_path):
     path.write_text("0 a b\n")
     rc = main(["linkpred", "--data", str(path), "--d", "1", "--out", str(tmp_path / "o")])
     assert rc == 1
+
+
+def test_linkpred_empty_held_out_slice_fails_before_embedding(tmp_path, capsys):
+    path = tmp_path / "x.edges"
+    path.write_text("0 a b\n0 b c\n0 c d\n1 a c\n1 b d\n2 a a\n")
+    out = tmp_path / "o"
+    rc = main(["linkpred", "--data", str(path), "--method", "adj_last",
+               "--d", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "held-out slice 2" in err and "no links" in err
+    assert not out.exists()
+
+
+def test_resolve_config_fills_defaults_and_coerces():
+    cfg = resolve_config({"method": "dynaocpd", "d": "8", "normalize": "true",
+                          "alpha": 2})
+    assert cfg["method"] == "dynaocpd"
+    assert cfg["d"] == 8 and cfg["normalize"] is True
+    assert cfg["alpha"] == 2.0 and isinstance(cfg["alpha"], float)
+    assert cfg["rank"] == 0 and cfg["pre"] == "uniform" and cfg["sweeps"] == 200
+    assert resolve_config({}) == resolve_config({"d": 32})
+
+
+def test_resolve_config_rejects_unknown_and_bad_values():
+    with pytest.raises(ValueError, match="unknown config key"):
+        resolve_config({"no_such_option": 1})
+    with pytest.raises(ValueError, match="not a boolean"):
+        resolve_config({"directed": "maybe"})
+    with pytest.raises(ValueError):
+        resolve_config({"d": "eight"})
 
 
 def test_invalid_katz_omega_fails_with_bound(dataset, tmp_path, capsys):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from dynten.graphs import align_snapshots
 from dynten.linkpred import (EdgeSample, auc_roc, average_precision,
                              cross_validated_scores, fit_logistic_l1,
-                             hadamard_separation, l2_separation, loss_value,
-                             predict_scores, sample_training_set,
+                             hadamard_separation, holdout_split, l2_separation,
+                             loss_value, predict_scores, sample_training_set,
                              separation_values)
 from dynten.synth import dynamic_sbm
 
@@ -52,6 +52,47 @@ def toy_network():
         [("a", "b"), ("c", "d")],
         [("a", "b"), ("b", "c"), ("d", "e")],
     ])
+
+
+class TestHoldoutSplit:
+    def reciprocal_network(self, directed):
+        # final slice: a reciprocal pair a<->b, one link b->c and a self-loop
+        # c-c; d and e leave room for non-links
+        return align_snapshots([
+            [("a", "b"), ("d", "e")],
+            [("a", "b"), ("b", "a"), ("b", "c"), ("c", "c")],
+        ], directed=directed)
+
+    def test_undirected_counts_reciprocal_pair_once(self):
+        net = self.reciprocal_network(directed=False)
+        train, target, n_links = holdout_split(net)
+        assert (target, n_links) == (1, 2)
+        assert train.tau == 1 and train.directed is False
+        assert train.labels == net.labels
+        assert train.snapshots == net.snapshots[:1]
+
+    def test_directed_counts_reciprocal_pair_twice(self):
+        train, target, n_links = holdout_split(self.reciprocal_network(directed=True))
+        assert (target, n_links) == (1, 3)
+        assert train.directed is True
+
+    def test_count_is_what_the_sampler_accepts(self):
+        for directed in (False, True):
+            net = self.reciprocal_network(directed)
+            _, target, n_links = holdout_split(net)
+            emb = np.zeros((net.n, 2))
+            sample_training_set(net, target, emb, "l2", n_links, seed=0)
+            with pytest.raises(ValueError, match="links < n_pos"):
+                sample_training_set(net, target, emb, "l2", n_links + 1, seed=0)
+
+    def test_single_slice_rejected(self):
+        with pytest.raises(ValueError, match="tau >= 2"):
+            holdout_split(align_snapshots([[("a", "b")]]))
+
+    def test_self_loops_only_rejected(self):
+        net = align_snapshots([[("a", "b")], [("a", "a"), ("b", "b")]])
+        with pytest.raises(ValueError, match="held-out slice 1 has no links"):
+            holdout_split(net)
 
 
 class TestSampler:

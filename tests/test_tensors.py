@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dynten.tensors import (AlsConfig, CPModel, SparseTensor3, cp_als,
-                            from_snapshots, initial_factors, mttkrp, ocp_als,
+from dynten.tensors import (SPECTRAL_INIT_MAX_N, AlsConfig, CPModel,
+                            SparseTensor3, cp_als, from_snapshots,
+                            initial_factors, max_rank, mttkrp, ocp_als,
                             reconstruct_error, submodel)
 
 
@@ -141,7 +142,7 @@ class TestOcpAls:
               + 3 * np.einsum("i,j,t->ijt", b, b, b)
               + np.einsum("i,j,t->ijt", a, a, a))
         model = ocp_als(SparseTensor3.from_dense(Z1),
-                        AlsConfig(rank=3, max_sweeps=500, orthogonality="node_factor"))
+                        AlsConfig(rank=3, max_sweeps=500))
         assert model.fit < 1e-6
         G = model.factor_b.T @ model.factor_b
         assert np.abs(G - np.eye(3)).max() < 1e-8
@@ -153,7 +154,7 @@ class TestOcpAls:
         mu = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         A = Q @ np.diag(mu) @ Q.T
         Z = SparseTensor3.from_dense(np.repeat(A[:, :, None], tau, axis=2))
-        model = ocp_als(Z, AlsConfig(rank=n, orthogonality="node_factor"))
+        model = ocp_als(Z, AlsConfig(rank=n))
         for k in range(n):
             col = model.factor_b[:, k]
             ref = Q[:, k]
@@ -162,13 +163,13 @@ class TestOcpAls:
     def test_rank_one_exact(self):
         dense = dense_rank_k(5, 5, 3, [2.0], seed=12)
         model = ocp_als(SparseTensor3.from_dense(dense),
-                        AlsConfig(rank=1, orthogonality="node_factor"))
+                        AlsConfig(rank=1))
         assert model.fit < 1e-8
 
     def test_orthogonality_and_monotone_on_random(self):
         for seed in range(6):
             Z, _ = sparse_random_tensor((10, 10, 6), 0.3, 100 + seed)
-            model = ocp_als(Z, AlsConfig(rank=5, seed=seed, orthogonality="node_factor"))
+            model = ocp_als(Z, AlsConfig(rank=5, seed=seed))
             G = model.factor_b.T @ model.factor_b
             assert np.abs(G - np.eye(5)).max() < 1e-8
             h = model.fit_history
@@ -176,7 +177,7 @@ class TestOcpAls:
 
     def test_summand_frobenius_orthogonality(self):
         Z, _ = sparse_random_tensor((8, 8, 4), 0.4, 13)
-        m = ocp_als(Z, AlsConfig(rank=4, orthogonality="node_factor"))
+        m = ocp_als(Z, AlsConfig(rank=4))
         for i in range(4):
             for j in range(i + 1, 4):
                 inner = (m.factor_a[:, i] @ m.factor_a[:, j]) \
@@ -187,7 +188,44 @@ class TestOcpAls:
     def test_rank_above_n_rejected(self):
         Z, _ = sparse_random_tensor((3, 3, 2), 0.5, 14)
         with pytest.raises(ValueError):
-            ocp_als(Z, AlsConfig(rank=4, orthogonality="node_factor"))
+            ocp_als(Z, AlsConfig(rank=4))
+
+
+class TestInitAndRankRules:
+    def test_explicit_spectral_init_rejects_non_square(self):
+        Z, _ = sparse_random_tensor((4, 5, 3), 0.5, 30)
+        with pytest.raises(ValueError, match=f"square slices with n <= {SPECTRAL_INIT_MAX_N}"):
+            initial_factors(Z, AlsConfig(rank=2, init="spectral"))
+        with pytest.raises(ValueError, match="spectral init"):
+            cp_als(Z, AlsConfig(rank=2, init="spectral"))
+
+    def test_auto_init_falls_back_to_random_on_non_square(self):
+        Z, _ = sparse_random_tensor((4, 5, 3), 0.5, 30)
+        auto = initial_factors(Z, AlsConfig(rank=2, init="auto", seed=3))
+        rand = initial_factors(Z, AlsConfig(rank=2, init="random", seed=3))
+        for a, r in zip(auto, rand):
+            assert np.array_equal(a, r)
+
+    def test_orthogonal_random_start_only_when_asked(self):
+        Z, _ = sparse_random_tensor((6, 6, 3), 0.5, 31)
+        cfg = AlsConfig(rank=3, init="random", seed=2)
+        _, B, _ = initial_factors(Z, cfg)
+        assert np.abs(B.T @ B - np.eye(3)).max() > 1e-3
+        _, B, _ = initial_factors(Z, cfg, orthogonal_b=True)
+        assert np.abs(B.T @ B - np.eye(3)).max() < 1e-12
+
+    def test_orthogonality_is_chosen_by_the_solver_not_the_config(self):
+        with pytest.raises(TypeError):
+            AlsConfig(rank=2, orthogonality="node_factor")
+
+    def test_max_rank(self):
+        assert max_rank((5, 5, 3)) == 15
+        assert max_rank((5, 5, 8)) == 25
+        assert max_rank((5, 5, 3), orthogonal_b=True) == 5
+        assert max_rank((1, 5, 1), orthogonal_b=True) == 1
+        Z, _ = sparse_random_tensor((3, 3, 2), 0.5, 32)
+        with pytest.raises(ValueError, match="cap 6 "):
+            cp_als(Z, AlsConfig(rank=7))
 
 
 class TestReconstructError:
