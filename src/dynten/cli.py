@@ -2,8 +2,9 @@
 
 Options resolve in three layers: built-in defaults, then a flat ``key = value``
 config file (``--config``), then explicit command-line flags. Every run writes
-a manifest echoing the fully resolved configuration; with a fixed seed the
-CSV/JSON outputs are byte-identical across runs except for the measured
+a manifest echoing the fully resolved configuration except the output
+directory; with a fixed seed the CSV/JSON outputs are byte-identical across
+runs, into the same or another ``--out``, except for the measured
 ``timing_ms`` field of link-prediction reports.
 """
 
@@ -32,7 +33,7 @@ _EMBED_OPTS = [
     ("directed", bool, False, "treat edges as directed"),
     ("method", str, "dynacpd", f"one of {', '.join(METHODS)}"),
     ("d", int, 32, "embedding dimension"),
-    ("rank", int, 0, "decomposition rank (0 = min(2 d, n))"),
+    ("rank", int, 0, "decomposition rank (0 = min(2 d, cap): n for dynaocpd, n*tau for dynacpd)"),
     ("pre", str, "uniform", "pre-conditioning weights: uniform|exponential|gaussian"),
     ("alpha", float, 1.0, "exponential decay rate"),
     ("sigma", float, 8.0, "gaussian width"),
@@ -96,11 +97,17 @@ def compute_embedding(net: DynamicNetwork, cfg: dict):
     return matrix, diag
 
 
+def _echoed_config(cfg: dict) -> dict:
+    """The resolved configuration a manifest records: everything but ``out``,
+    so where a run writes does not change what it writes."""
+    return {k: v for k, v in sorted(cfg.items()) if k != "out"}
+
+
 def _write_manifest(outdir: Path, command: str, cfg: dict, net, diag) -> None:
     manifest = {
         "command": command,
         "version": __version__,
-        "config": {k: v for k, v in sorted(cfg.items())},
+        "config": _echoed_config(cfg),
         "n": net.n,
         "tau": net.tau,
         "diagnostics": diag,
@@ -184,7 +191,7 @@ def cmd_cluster(cfg, name="clusters.csv") -> int:
     (outdir / name).write_text("\n".join(lines) + "\n")
     meta = {"command": name.split(".")[0], "k": cfg["k"], "threshold": repr(float(threshold)),
             "seed": cfg["seed"], "version": __version__,
-            "config": {k: v for k, v in sorted(cfg.items())}}
+            "config": _echoed_config(cfg)}
     (outdir / "manifest.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"k={cfg['k']} threshold={threshold:.6g} anomalous={int(flags.sum())}")
     return 0

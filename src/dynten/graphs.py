@@ -93,22 +93,17 @@ class Snapshot:
         if undirected and src.size:
             lo, hi = np.minimum(src, dst), np.maximum(src, dst)
             flat = lo * node_count + hi
-            uniq, inverse = np.unique(flat, return_inverse=True)
-            # keep one weight per unordered pair; duplicate orientations must agree
-            w_u = np.zeros(uniq.size)
-            seen = np.zeros(uniq.size, dtype=bool)
-            for k in range(flat.size):
-                u = inverse[k]
-                if seen[u] and w_u[u] != wgt[k]:
-                    raise ValueError("conflicting weights for undirected edge")
-                w_u[u] = wgt[k]
-                seen[u] = True
-            lo_u, hi_u = uniq // node_count, uniq % node_count
-            loop = lo_u == hi_u
-            mirrored = [(int(a), int(b), float(w)) for a, b, w in zip(lo_u, hi_u, w_u)]
-            mirrored += [(int(b), int(a), float(w))
-                         for a, b, w in zip(lo_u[~loop], hi_u[~loop], w_u[~loop])]
-            src, dst, wgt = _canonical_edges(node_count, mirrored)
+            # keep the first weight per unordered pair; both orientations must agree
+            _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+            w_u = wgt[first]
+            if np.any(wgt != w_u[inverse]):
+                raise ValueError("conflicting weights for undirected edge")
+            lo_u, hi_u = lo[first], hi[first]
+            off = lo_u != hi_u
+            src, dst, wgt = _canonicalize(node_count,
+                                          np.concatenate([lo_u, hi_u[off]]),
+                                          np.concatenate([hi_u, lo_u[off]]),
+                                          np.concatenate([w_u, w_u[off]]))
         snap = cls(node_count=int(node_count), src=src, dst=dst, weight=wgt)
         return snap
 

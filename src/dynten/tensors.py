@@ -1,13 +1,14 @@
 """Sparse 3-tensors and CP / orthogonality-constrained CP decomposition by ALS.
 
-The tensor is stored in coordinate form, but the ALS inner kernel, a
-matricized-tensor-times-Khatri-Rao product (MTTKRP), multiplies a sparse
-unfolding by a dense Khatri-Rao operand of up to n^2 x rank entries (256 MB
-at n = 1 000, rank 32; ROADMAP item 2). The orthogonal variant
-replaces the node-factor least-squares update with the orthogonal Procrustes
-solution (polar factor of the MTTKRP matrix), which keeps that factor's
-columns exactly orthonormal while every accepted sweep still decreases the
-residual.
+The tensor is stored in coordinate form plus one cached layout: its frontal
+slices stacked as a sparse (n3 n1) x n2 matrix, and their transposes as
+(n3 n2) x n1. The ALS inner kernel, a matricized-tensor-times-Khatri-Rao
+product (MTTKRP), is one sparse-times-dense product on that layout plus one
+small contraction: O(nnz rank + n tau rank) time and O(n tau rank) scratch,
+with no n^2 operand. The orthogonal variant replaces the node-factor
+least-squares update with the orthogonal Procrustes solution (polar factor of
+the MTTKRP matrix), which keeps that factor's columns exactly orthonormal
+while every accepted sweep still decreases the residual.
 """
 
 from __future__ import annotations
@@ -101,15 +102,15 @@ class SparseTensor3:
         return float(np.linalg.norm(self.vals))
 
     @cached_property
-    def _unfoldings(self):
+    def _stacked_slices(self):
+        """Frontal slices Z[:, :, t] stacked as (n3 n1) x n2 CSR, and their
+        transposes stacked as (n3 n2) x n1."""
         n1, n2, n3 = self.dims
-        u1 = sparse.csr_array(
-            (self.vals, (self.i, self.j + self.t * n2)), shape=(n1, n2 * n3))
-        u2 = sparse.csr_array(
-            (self.vals, (self.j, self.i + self.t * n1)), shape=(n2, n1 * n3))
-        u3 = sparse.csr_array(
-            (self.vals, (self.t, self.i + self.j * n1)), shape=(n3, n1 * n2))
-        return (u1, u2, u3)
+        rows = sparse.csr_array(
+            (self.vals, (self.t * n1 + self.i, self.j)), shape=(n3 * n1, n2))
+        cols = sparse.csr_array(
+            (self.vals, (self.t * n2 + self.j, self.i)), shape=(n3 * n2, n1))
+        return rows, cols
 
 
 def from_snapshots(slices: Sequence) -> SparseTensor3:
@@ -117,33 +118,28 @@ def from_snapshots(slices: Sequence) -> SparseTensor3:
     return SparseTensor3.from_slices(slices)
 
 
-def _khatri_rao(X, Y):
-    # rows indexed (x_row * len(Y) + y_row), i.e. the Y index varies fastest
-    r = X.shape[1]
-    return (X[:, None, :] * Y[None, :, :]).reshape(-1, r)
-
-
 def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 
     ``factors`` is the triple (A, B, C); the factor of the requested mode is
-    ignored. Z stays sparse, but the Khatri-Rao operand is dense: (n1 n3) x
-    rank for modes 1 and 2, (n1 n2) x rank for mode 3.
+    ignored. Each mode multiplies the stacked slices by one node factor and
+    contracts the (n3, n, rank) result with the other factor:
+    O(nnz rank + n3 n rank) time and O(n3 n rank) scratch.
     """
+    if mode not in (1, 2, 3):
+        raise ValueError("mode must be 1, 2 or 3")
     A, B, C = factors
     n1, n2, n3 = Z.dims
     r = {1: B, 2: A, 3: A}[mode].shape[1]
     for M, n in ((A, n1), (B, n2), (C, n3)):
         if M.shape != (n, r):
             raise ValueError(f"factor shape {M.shape} inconsistent with dims {Z.dims} rank {r}")
-    u1, u2, u3 = Z._unfoldings
+    rows, cols = Z._stacked_slices
     if mode == 1:
-        return u1 @ _khatri_rao(C, B)
+        return np.einsum("tir,tr->ir", (rows @ B).reshape(n3, n1, r), C)
     if mode == 2:
-        return u2 @ _khatri_rao(C, A)
-    if mode == 3:
-        return u3 @ _khatri_rao(B, A)
-    raise ValueError("mode must be 1, 2 or 3")
+        return np.einsum("tjr,tr->jr", (cols @ A).reshape(n3, n2, r), C)
+    return np.einsum("tir,ir->tr", (rows @ B).reshape(n3, n1, r), A)
 
 
 @dataclass(frozen=True)
@@ -301,14 +297,10 @@ def _model_norm_sq(lambdas, A, B, C):
     return float(lambdas @ G @ lambdas)
 
 
-def _inner_with_tensor(Z, lambdas, A, B, C):
-    prod = A[Z.i] * B[Z.j] * C[Z.t]
-    return float(Z.vals @ (prod @ lambdas))
-
-
-def _relative_error(Z, norm_z, lambdas, A, B, C):
-    err2 = norm_z ** 2 - 2.0 * _inner_with_tensor(Z, lambdas, A, B, C) \
-        + _model_norm_sq(lambdas, A, B, C)
+def _relative_error(norm_z, inner, lambdas, A, B, C):
+    """||Z - M|| / ||Z|| from ||Z||, <Z, M> and the factors of M (absolute
+    error when ||Z|| = 0)."""
+    err2 = norm_z ** 2 - 2.0 * inner + _model_norm_sq(lambdas, A, B, C)
     err = np.sqrt(max(err2, 0.0))
     return err / norm_z if norm_z > 0 else err
 
@@ -349,74 +341,55 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
         lam = np.zeros(r)
         return CPModel(lam, A, B, C, fit=0.0, sweeps=0, fit_history=(0.0,))
 
+    def step(units, lam):
+        *raw, inner = _sweep(Z, *units, lam, orthogonal_b, cfg.prox)
+        (A, na), (B, nb), (C, nc) = map(_normalize_columns, raw, units)
+        lam = na * nb * nc
+        return (A, B, C), lam, _relative_error(norm_z, inner, lam, A, B, C)
+
     fits = []
     prev_fit = np.inf
     units = (A, B, C)
     lam_prev = np.ones(r)
-    accepted_state = None
-    sweeps_done = 0
     for sweep in range(cfg.max_sweeps):
-        prev_units = units
-        newA, newB, newC = _sweep(Z, *units, lam_prev, orthogonal_b, cfg.prox)
-        A, na = _normalize_columns(newA, prev_units[0])
-        B, nb = _normalize_columns(newB, prev_units[1])
-        C, nc = _normalize_columns(newC, prev_units[2])
-        lam = na * nb * nc
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))
-                and np.all(np.isfinite(C)) and np.all(np.isfinite(lam))):
+        new, lam, fit = step(units, lam_prev)
+        if not all(np.all(np.isfinite(x)) for x in (*new, lam)):
             raise DecompositionError(
                 f"non-finite factor entries at sweep {sweep + 1}; "
                 "input scaling or rank is pathological")
-        fit = _relative_error(Z, norm_z, lam, A, B, C)
-
         if orthogonal_b and fit > prev_fit + 1e-12:
             # retraction overshoot: reject the sweep, retry damped
-            accepted = False
-            blend = 0.5
-            for _ in range(3):
-                A_d = prev_units[0] + blend * (A - prev_units[0])
-                C_d = prev_units[2] + blend * (C - prev_units[2])
-                A_d, _ = _normalize_columns(A_d, prev_units[0])
-                C_d, _ = _normalize_columns(C_d, prev_units[2])
-                B_d = _polar(prev_units[1] + blend * (B - prev_units[1]))
-                nA, nB, nC = _sweep(Z, A_d, B_d, C_d, lam_prev, orthogonal_b, cfg.prox)
-                A_c, na = _normalize_columns(nA, A_d)
-                B_c, nb = _normalize_columns(nB, B_d)
-                C_c, nc = _normalize_columns(nC, C_d)
-                lam_c = na * nb * nc
-                fit_c = _relative_error(Z, norm_z, lam_c, A_c, B_c, C_c)
-                if fit_c <= prev_fit + 1e-12:
-                    A, B, C, lam, fit = A_c, B_c, C_c, lam_c, fit_c
-                    accepted = True
+            A, B, C = new
+            A0, B0, C0 = units
+            for blend in (0.5, 0.25, 0.125):
+                damped = (_normalize_columns(A0 + blend * (A - A0), A0)[0],
+                          _polar(B0 + blend * (B - B0)),
+                          _normalize_columns(C0 + blend * (C - C0), C0)[0])
+                new, lam, fit = step(damped, lam_prev)
+                if fit <= prev_fit + 1e-12:
                     break
-                blend *= 0.5
-            if not accepted:
+            else:
                 break  # keep the last accepted state
 
-        units = (A, B, C)
-        lam_prev = lam
-        accepted_state = (lam, A, B, C)
+        units, lam_prev = new, lam
         fits.append(fit)
-        sweeps_done = sweep + 1
         if fit <= _FIT_FLOOR or abs(prev_fit - fit) <= cfg.rel_tol:
             break
         prev_fit = fit
 
-    if accepted_state is None:  # every sweep rejected: report the start
-        lam = np.zeros(r)
-        A, B, C = units
-        fits = [_relative_error(Z, norm_z, lam, A, B, C)]
-    else:
-        lam, A, B, C = accepted_state
+    # the first sweep is never rejected (prev_fit is inf), so one was accepted
+    lam, (A, B, C) = lam_prev, units
 
     order = np.argsort(-lam, kind="stable")
     model = CPModel(lambdas=lam[order], factor_a=A[:, order], factor_b=B[:, order],
-                    factor_c=C[:, order], fit=fits[-1], sweeps=sweeps_done,
+                    factor_c=C[:, order], fit=fits[-1], sweeps=len(fits),
                     fit_history=tuple(fits))
     return model
 
 
 def _sweep(Z, A, B, C, lam, orthogonal_b, prox):
+    """One ALS sweep; also returns <Z, [[A, B, C]]>, read off the mode-3
+    product that the C update computes."""
     # the first solve re-absorbs the component scale, so its proximal anchor
     # is the scaled previous factor; the later solves stay near unit norm
     A = _gram_solve((B.T @ B) * (C.T @ C), mttkrp(Z, (A, B, C), 1),
@@ -428,8 +401,9 @@ def _sweep(Z, A, B, C, lam, orthogonal_b, prox):
         B = _polar(M)
     else:
         B = _gram_solve((A.T @ A) * (C.T @ C), mttkrp(Z, (A, B, C), 2), prox, B)
-    C = _gram_solve((A.T @ A) * (B.T @ B), mttkrp(Z, (A, B, C), 3), prox, C)
-    return A, B, C
+    M3 = mttkrp(Z, (A, B, C), 3)
+    C = _gram_solve((A.T @ A) * (B.T @ B), M3, prox, C)
+    return A, B, C, float(np.sum(M3 * C))
 
 
 def cp_als(Z: SparseTensor3, cfg: AlsConfig) -> CPModel:
@@ -468,25 +442,21 @@ def reconstruct_error(Z: SparseTensor3, model: CPModel,
     n1, n2, n3 = Z.dims
     if model.dims != (n1, n2, n3):
         raise ValueError(f"model dims {model.dims} do not match tensor {Z.dims}")
-    C = model.factor_c
-    vals = Z.vals
+    lam, A, B = model.lambdas, model.factor_a, model.factor_b
+    w = np.ones(n3)
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64).ravel()
         if w.size != n3:
             raise ValueError(f"need {n3} slice weights, got {w.size}")
         if np.any(w <= 0):
             raise ValueError("slice weights must be positive")
-        root = np.sqrt(w)
-        C = C * root[:, None]
-        vals = vals * root[Z.t]
-    norm_z = float(np.linalg.norm(vals))
-    prod = model.factor_a[Z.i] * model.factor_b[Z.j] * C[Z.t]
-    inner = float(vals @ (prod @ model.lambdas))
-    err2 = norm_z ** 2 - 2.0 * inner \
-        + _model_norm_sq(model.lambdas, model.factor_a, model.factor_b, C)
-    err = float(np.sqrt(max(err2, 0.0)))
+    root = np.sqrt(w)
+    C = model.factor_c * root[:, None]
+    norm_z = float(np.linalg.norm(Z.vals * root[Z.t]))
+    M3 = mttkrp(Z, (A, B, model.factor_c), 3)
+    inner = float(np.sum(lam * w[:, None] * model.factor_c * M3))
+    err = float(_relative_error(norm_z, inner, lam, A, B, C))
     if norm_z == 0.0:
         warnings.warn("zero tensor: returning absolute reconstruction error",
                       RuntimeWarning, stacklevel=2)
-        return err
-    return err / norm_z
+    return err

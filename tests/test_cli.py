@@ -74,6 +74,15 @@ def test_deterministic_outputs(dataset, tmp_path):
     assert main(args) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+    other = tmp_path / "other"
+    assert main(args[:-1] + [str(other)]) == 0
+    third = {p.name: p.read_bytes() for p in other.iterdir()}
+    assert first == third
+    for name in ("c1", "c2"):
+        assert main(["anomaly", "--embedding", str(out / "embedding.csv"), "--k", "2",
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "c1" / "manifest.json").read_bytes() == \
+        (tmp_path / "c2" / "manifest.json").read_bytes()
 
 
 def test_linkpred_report(dataset, tmp_path, capsys):

@@ -58,6 +58,17 @@ class TestMatrices:
         A = adjacency_matrix(s).toarray()
         assert A[0, 1] == A[1, 0] == 1.0
 
+    def test_undirected_both_orientations(self):
+        with pytest.raises(ValueError, match="conflicting weights"):
+            Snapshot.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)], undirected=True)
+        s = Snapshot.from_edges(3, [(2, 1, 3.0), (1, 2, 3.0), (0, 0, 1.5)],
+                                undirected=True)
+        assert s.edge_list() == [(0, 0, 1.5), (1, 2, 3.0), (2, 1, 3.0)]
+        # duplicates are summed per orientation before the check
+        s = Snapshot.from_edges(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 0, 2.0)],
+                                undirected=True)
+        assert s.edge_list() == [(0, 1, 2.0), (1, 0, 2.0)]
+
     def test_empty_snapshot(self):
         A = adjacency_matrix(Snapshot.from_edges(3, []))
         assert A.nnz == 0 and A.shape == (3, 3)
@@ -261,3 +272,29 @@ def test_katz_nonnegative_and_symmetric(seed, n):
     K = katz_adjacency(A, omega)
     assert K.nnz == 0 or K.data.min() >= -1e-12
     assert abs(K - K.T).max() <= 1e-12
+
+
+def undirected_reference(n, edges):
+    """Per-pair loop over the canonical directed edges: the first weight of an
+    unordered pair is kept, a differing one raises, off-diagonal pairs are
+    mirrored."""
+    pair = {}
+    for i, j, w in Snapshot.from_edges(n, edges).edge_list():
+        if pair.setdefault((min(i, j), max(i, j)), w) != w:
+            raise ValueError("conflicting weights for undirected edge")
+    return sorted([(a, b, w) for (a, b), w in pair.items()]
+                  + [(b, a, w) for (a, b), w in pair.items() if a != b])
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                          st.sampled_from([1.0, 2.0, -1.0, 0.5])), max_size=12))
+def test_undirected_edges_match_loop_reference(edges):
+    try:
+        want = undirected_reference(5, edges)
+    except ValueError:
+        with pytest.raises(ValueError, match="conflicting weights"):
+            Snapshot.from_edges(5, edges, undirected=True)
+        return
+    got = Snapshot.from_edges(5, edges, undirected=True)
+    assert got.edge_list() == want
+    assert got.src.dtype == np.int64 and got.weight.dtype == np.float64

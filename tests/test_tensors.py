@@ -1,8 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dynten import tensors
 from dynten.tensors import (SPECTRAL_INIT_MAX_N, AlsConfig, CPModel,
                             SparseTensor3, cp_als, from_snapshots,
                             initial_factors, max_rank, mttkrp, ocp_als,
@@ -50,11 +54,11 @@ class TestTensorType:
 
 
 class TestMttkrp:
-    def test_matches_dense_oracle(self):
-        Z, dense = sparse_random_tensor((4, 4, 3), 0.5, 0)
+    @pytest.mark.parametrize("dims", [(4, 4, 3), (5, 3, 2)], ids=["4x4x3", "5x3x2"])
+    def test_matches_dense_oracle(self, dims):
+        Z, dense = sparse_random_tensor(dims, 0.5, 0)
         rng = np.random.default_rng(1)
-        A, B, C = (rng.standard_normal((4, 3)), rng.standard_normal((4, 3)),
-                   rng.standard_normal((3, 3)))
+        A, B, C = (rng.standard_normal((n, 3)) for n in dims)
         o1 = np.einsum("ijt,jr,tr->ir", dense, B, C)
         o2 = np.einsum("ijt,ir,tr->jr", dense, A, C)
         o3 = np.einsum("ijt,ir,jr->tr", dense, A, B)
@@ -85,6 +89,9 @@ class TestMttkrp:
         bad = (np.zeros((4, 2)), np.zeros((5, 2)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             mttkrp(Z, bad, 1)
+        good = (np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="mode must be"):
+            mttkrp(Z, good, 4)
 
 
 class TestCpAls:
@@ -189,6 +196,39 @@ class TestOcpAls:
         Z, _ = sparse_random_tensor((3, 3, 2), 0.5, 14)
         with pytest.raises(ValueError):
             ocp_als(Z, AlsConfig(rank=4))
+
+    @pytest.mark.parametrize("n_bad", [1, 2, 3, 4])
+    def test_damped_retry_outcomes(self, n_bad, monkeypatch):
+        """Doubling the C update of sweep k overshoots the fit. The damped
+        retries at blend 0.5, 0.25 and 0.125 each take one more sweep call;
+        ``n_bad`` doubled calls make the retry accept at blend 0.5 ** n_bad,
+        or, after all three, stop with the state of sweep k - 1."""
+        Z, _ = sparse_random_tensor((6, 6, 4), 0.5, 15)
+        k = 4
+        cfg = AlsConfig(rank=3, max_sweeps=k, rel_tol=1e-300)
+        real, calls = tensors._sweep, []
+
+        def overshoot(*args):
+            calls.append(args)
+            A, B, C, inner = real(*args)
+            if k <= len(calls) < k + n_bad:
+                return A, B, 2 * C, 2 * inner
+            return A, B, C, inner
+
+        monkeypatch.setattr(tensors, "_sweep", overshoot)
+        model = ocp_als(Z, cfg)
+        h = model.fit_history
+        assert all(h[s + 1] <= h[s] + 1e-12 for s in range(len(h) - 1))
+        assert len(calls) == k + min(n_bad, 3)
+        if n_bad <= 3:
+            assert model.sweeps == k
+        else:
+            monkeypatch.setattr(tensors, "_sweep", real)
+            ref = ocp_als(Z, replace(cfg, max_sweeps=k - 1))
+            assert model.sweeps == k - 1 and h == ref.fit_history
+            for F, G in zip((model.lambdas, model.factor_a, model.factor_b, model.factor_c),
+                            (ref.lambdas, ref.factor_a, ref.factor_b, ref.factor_c)):
+                assert np.array_equal(F, G)
 
 
 class TestInitAndRankRules:
@@ -357,3 +397,22 @@ def test_als_normalization_property(seed):
     for F in (model.factor_a, model.factor_b, model.factor_c):
         if live.any():
             assert np.abs(np.linalg.norm(F[:, live], axis=0) - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("solver", [cp_als, ocp_als])
+def test_als_memory_is_linear(solver):
+    """Peak traced memory of a few ALS sweeps stays within a constant times
+    the nonzeros plus the n x tau x rank MTTKRP scratch; an n^2 x rank
+    Khatri-Rao operand alone would be about 300 times that sum."""
+    n, tau, rank = 2000, 4, 8
+    rng = np.random.default_rng(23)
+    Z = from_snapshots([sp.random(n, n, density=5 / n, random_state=rng, format="csr")
+                        for _ in range(tau)])
+    cfg = AlsConfig(rank=rank, max_sweeps=3, init="random")
+    tracemalloc.start()
+    try:
+        solver(Z, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (Z.nnz + n * tau * rank) * 8
