@@ -13,6 +13,7 @@ while every accepted sweep still decreases the residual.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -22,6 +23,8 @@ import numpy as np
 from scipy import sparse
 
 from .seeding import derived_rng
+
+log = logging.getLogger("dynten")
 
 
 class DecompositionError(RuntimeError):
@@ -231,7 +234,8 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig, *, orthogonal_b: bool = Fa
     symmetrized slice, time factor constant 1/sqrt(n3) per column (exact in
     the identical-slices limit); random columns fill beyond the node count.
     Outside square slices with n <= SPECTRAL_INIT_MAX_N, "auto" starts random
-    and "spectral" raises. ``orthogonal_b`` orthonormalizes a random B.
+    and logs one info line, and "spectral" raises. ``orthogonal_b``
+    orthonormalizes a random B.
     """
     n1, n2, n3 = Z.dims
     r = cfg.rank
@@ -241,6 +245,9 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig, *, orthogonal_b: bool = Fa
         raise ValueError(
             f"spectral init needs square slices with n <= {SPECTRAL_INIT_MAX_N}, "
             f"got dims {Z.dims}; use init='auto' or 'random'")
+    if cfg.init == "auto" and not spectral_ok:
+        log.info("init 'auto' starts from random factors: dims %s are outside spectral "
+                 "init (square slices with n <= %d)", Z.dims, SPECTRAL_INIT_MAX_N)
     if cfg.init != "random" and spectral_ok:
         C = np.full((n3, r), 1.0 / np.sqrt(n3))
         vals, vecs = np.linalg.eigh(_aggregate_slice(Z))

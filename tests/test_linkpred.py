@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
+from scipy.special import expit
 
-from dynten.graphs import align_snapshots
+import dynten
+from dynten import linkpred
+from dynten.graphs import ConvergenceError, align_snapshots
 from dynten.linkpred import (EdgeSample, auc_roc, average_precision,
                              cross_validated_scores, fit_logistic_l1,
                              hadamard_separation, holdout_split, l2_separation,
@@ -176,6 +185,103 @@ class TestLogistic:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="class"):
             fit_logistic_l1(make_sample(np.ones(4), np.ones(4, dtype=int)))
+
+
+def brent_fit_reference(x, y):
+    """The classifier's earlier solver: a bounded Brent search over w, each
+    step of which runs a bounded Brent search over c, plus a w = 0 candidate."""
+    def data_loss(w, c):
+        return 10.0 * float(np.logaddexp(0.0, -y * (x * w + c)).sum())
+
+    def best_c(w):
+        return float(minimize_scalar(lambda c: data_loss(w, c), bounds=(-60.0, 60.0),
+                                     method="bounded", options={"xatol": 1e-12}).x)
+
+    scale = float(np.abs(x - np.median(x)).max())
+    w_bound = 1e3 if scale == 0.0 else min(1e9, 600.0 / scale)
+    res = minimize_scalar(lambda w: abs(w) + data_loss(w, best_c(w)),
+                          bounds=(-w_bound, w_bound), method="bounded",
+                          options={"xatol": 1e-10})
+    fits = [(w, best_c(w)) for w in (0.0, float(res.x))]
+    return min(fits, key=lambda wc: loss_value(wc[0], wc[1], x, y))
+
+
+def kkt_violation(w, c, x, y):
+    """How far (w, c) is from the optimality conditions of
+    |w| + 10 sum log(1 + exp(-y (x w + c))), each relative to the summed
+    magnitude of its gradient terms."""
+    p = expit(-y * (x * w + c))
+    g_w, g_c = -10.0 * float((y * p) @ x), -10.0 * float((y * p).sum())
+    size_w, size_c = 10.0 * float(np.abs(x) @ p), 10.0 * float(p.sum())
+    if w == 0.0:
+        slope = max(0.0, abs(g_w) - 1.0) / (1.0 + size_w)
+    else:
+        slope = abs(g_w + np.sign(w)) / (1.0 + size_w)
+    return slope, abs(g_c) / size_c
+
+
+def classifier_data(seed, kind, scale, n_pos, n_neg):
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
+    rng.shuffle(y)
+    if kind == "constant":
+        x = np.full(y.size, rng.standard_normal())
+    elif kind == "separable":
+        x = rng.uniform(0.1, 1.0, y.size) * y + rng.standard_normal()
+    else:
+        x = rng.standard_normal(y.size) + rng.uniform(-2.0, 2.0) * (y > 0)
+    return x * scale, y
+
+
+class TestNewtonFit:
+    @given(seed=st.integers(0, 10 ** 6),
+           kind=st.sampled_from(["overlapping", "separable", "constant"]),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           n_pos=st.integers(1, 60), n_neg=st.integers(1, 400))
+    def test_kkt_conditions(self, seed, kind, scale, n_pos, n_neg):
+        x, y = classifier_data(seed, kind, scale, n_pos, n_neg)
+        w, c = linkpred._fit_wc(x, y)
+        slope, intercept = kkt_violation(w, c, x, y)
+        # the fit stops on the Newton decrement, a bound on the loss gap; on
+        # the flat loss of separable data that leaves gradients near 1e-8
+        assert slope <= 1e-6 and intercept <= 1e-6
+
+    @given(seed=st.integers(0, 10 ** 6),
+           kind=st.sampled_from(["overlapping", "separable"]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           n_pos=st.integers(2, 40), n_neg=st.integers(2, 120))
+    @settings(max_examples=25)
+    def test_no_worse_than_nested_brent(self, seed, kind, scale, n_pos, n_neg):
+        x, y = classifier_data(seed, kind, scale, n_pos, n_neg)
+        w, c = linkpred._fit_wc(x, y)
+        ref = loss_value(*brent_fit_reference(x, y), x, y)
+        assert loss_value(w, c, x, y) <= ref * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("value", [0.0, 2.5, -1e6])
+    @pytest.mark.parametrize("n_pos,n_neg", [(9, 3), (1, 50), (20, 20)])
+    def test_constant_feature_closed_form(self, value, n_pos, n_neg):
+        y = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
+        w, c = linkpred._fit_wc(np.full(y.size, value), y)
+        assert w == 0.0
+        assert c == np.log(n_pos / n_neg)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        x, y = classifier_data(3, "overlapping", 1.0, 30, 30)
+        assert linkpred._fit_wc(x, y)[0] != 0.0  # the Newton path runs
+        monkeypatch.setattr(linkpred, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="gradient norm") as err:
+            linkpred._fit_wc(x, y)
+        assert err.value.residual > 0.0
+
+
+def test_cli_import_skips_scipy_stats_and_optimize():
+    src = str(Path(dynten.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, dynten.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def brute_auc(scores, labels):

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -243,6 +244,21 @@ class TestInitAndRankRules:
         Z, _ = sparse_random_tensor((4, 5, 3), 0.5, 30)
         auto = initial_factors(Z, AlsConfig(rank=2, init="auto", seed=3))
         rand = initial_factors(Z, AlsConfig(rank=2, init="random", seed=3))
+        for a, r in zip(auto, rand):
+            assert np.array_equal(a, r)
+
+    def test_auto_init_fallback_is_logged(self, caplog):
+        n = SPECTRAL_INIT_MAX_N + 1
+        rows, cols = np.array([0, 5, 17, 4000]), np.array([3, 9, 4096, 2])
+        S = sp.coo_array((np.ones(4), (rows, cols)), shape=(n, n))
+        Z = SparseTensor3.from_slices([S, S.T])
+        caplog.set_level(logging.INFO, logger="dynten")
+        rand = initial_factors(Z, AlsConfig(rank=2, init="random", seed=3))
+        assert caplog.records == []
+        auto = initial_factors(Z, AlsConfig(rank=2, init="auto", seed=3))
+        assert len(caplog.records) == 1
+        assert "random factors" in caplog.records[0].getMessage()
+        assert str(n) in caplog.records[0].getMessage()
         for a, r in zip(auto, rand):
             assert np.array_equal(a, r)
 
