@@ -44,7 +44,7 @@ _EMBED_OPTS = [
     ("omega", float, 0.0, "katz damping (checked against the spectral bound)"),
     ("teleport", float, 1e-3, "teleport epsilon for the symmetrized variant"),
     ("sweeps", int, 200, "ALS sweep budget"),
-    ("tol", float, 1e-10, "ALS relative fit tolerance"),
+    ("tol", float, 1e-10, "ALS stops once the relative error changes by at most tol"),
     ("normalize", bool, False, "scale embedding rows to unit norm"),
     ("seed", int, 0, "master seed for all derived random streams"),
     ("out", str, "out", "output directory"),

@@ -157,7 +157,7 @@ def save_cp_model(directory, model: CPModel, config: AlsConfig | None = None) ->
     if config is not None:
         meta["config"] = {
             "rank": config.rank, "max_sweeps": config.max_sweeps,
-            "rel_tol": config.rel_tol, "init": config.init, "seed": config.seed,
+            "rel_tol": config.rel_tol, "seed": config.seed,
         }
     (directory / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     _write_matrix_csv(directory / "factor_a.csv", model.factor_a)

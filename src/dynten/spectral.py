@@ -1,14 +1,16 @@
 """Symmetric eigensolvers and the static spectral embeddings.
 
-The k algebraically largest or smallest eigenpairs come from one of two
-library routines, chosen by size: LAPACK's dense ``eigh`` for small matrices
-(and whenever k is at least half of n, where ARPACK's Lanczos basis would be
-as large as the dense matrix), and ARPACK's implicitly restarted Lanczos
-(``eigsh``) on the sparse matrix otherwise, started from a seeded vector so
-the result is reproducible. Whichever routine ran, every returned pair is
-checked against the residual contract before it is handed out. The check
-cannot see a missed copy of a repeated eigenvalue: Lanczos from one start
-vector can skip copies that sit in disconnected blocks, which is why
+The k algebraically largest, algebraically smallest or largest-magnitude
+eigenpairs come from one of two library routines, chosen by size: LAPACK's
+dense ``eigh`` for small matrices (and whenever k is at least half of n, where
+ARPACK's Lanczos basis would be as large as the dense matrix), and ARPACK's
+implicitly restarted Lanczos (``eigsh``) on the sparse matrix otherwise,
+started from a seeded vector so the result is reproducible. Whichever routine
+ran, every returned pair must meet the residual bound tol * max(1, s), where
+the largest absolute row sum s bounds every |lambda| and, like a
+backward-stable solver's residual, scales with the matrix. The check cannot
+see a missed copy of a repeated eigenvalue: Lanczos from one start vector can
+skip copies that sit in disconnected blocks, which is why
 ``resistance_embedding`` solves each connected component separately.
 """
 
@@ -55,10 +57,10 @@ def _fix_sign(v):
 
 
 def _extreme_pairs(M, k, which, tol, max_iter, seed) -> EigenPairs:
-    """The k largest (``which="LA"``, descending) or smallest (``"SA"``,
-    ascending) eigenpairs of a symmetric matrix, residual-checked and in the
-    sign gauge. The bound is relative, tol * max(1, |lambda|), for the
-    largest pairs and absolute, tol, for the smallest."""
+    """The k largest (``which="LA"``, descending), smallest (``"SA"``,
+    ascending) or largest-magnitude (``"LM"``, by descending |lambda|)
+    eigenpairs of a symmetric matrix, residual-checked against
+    tol * max(1, largest absolute row sum) and in the sign gauge."""
     M = sparse.csr_array(M, dtype=np.float64)
     n = M.shape[0]
     if not 1 <= k <= n:
@@ -66,7 +68,8 @@ def _extreme_pairs(M, k, which, tol, max_iter, seed) -> EigenPairs:
     _check_symmetric(M)
     if n <= DENSE_MAX_N or 2 * k >= n:
         values, vectors = np.linalg.eigh(M.toarray())
-        keep = slice(n - k, n) if which == "LA" else slice(0, k)
+        keep = {"LA": slice(n - k, n), "SA": slice(0, k),
+                "LM": np.argsort(-np.abs(values), kind="stable")[:k]}[which]
         values, vectors = values[keep], vectors[:, keep]
     elif not M.count_nonzero():
         # ARPACK cannot start on the zero operator; any basis is an eigenbasis
@@ -79,14 +82,15 @@ def _extreme_pairs(M, k, which, tol, max_iter, seed) -> EigenPairs:
             raise ConvergenceError(
                 f"ARPACK converged {len(exc.eigenvalues)} of {k} eigenpairs in "
                 f"{max_iter} restarts", float("inf")) from exc
-    order = np.argsort(-values if which == "LA" else values, kind="stable")
+    key = {"LA": -values, "SA": values, "LM": -np.abs(values)}[which]
+    order = np.argsort(key, kind="stable")
     values, vectors = values[order], vectors[:, order]
     residuals = np.linalg.norm(M @ vectors - vectors * values[None, :], axis=0)
-    bounds = tol * np.maximum(1.0, np.abs(values)) if which == "LA" else tol
-    bad = np.flatnonzero(residuals > bounds)
+    bound = tol * max(1.0, float(abs(M).sum(axis=1).max()))
+    bad = np.flatnonzero(residuals > bound)
     if bad.size:
         raise ConvergenceError(
-            f"eigenpairs {bad.tolist()} of {k} miss the residual bound "
+            f"eigenpairs {bad.tolist()} of {k} miss the residual bound {bound:g} "
             f"(residuals {residuals[bad]})", float(residuals[bad].max()))
     vectors = np.column_stack([_fix_sign(v) for v in vectors.T])
     return EigenPairs(values=values, vectors=vectors)
@@ -99,9 +103,10 @@ def top_k_eigs(M, k: int, tol: float = 1e-10, max_iter: int = 5000,
 
     Dense LAPACK ``eigh`` for n <= DENSE_MAX_N or 2k >= n, ARPACK ``eigsh``
     (at most ``max_iter`` restarts, start vector drawn from ``seed``)
-    otherwise. Each returned pair satisfies
-    ||M v - lambda v|| <= tol * max(1, |lambda|), and its largest-magnitude
-    entry is positive; ConvergenceError is raised otherwise.
+    otherwise. Each returned pair satisfies ||M v - lambda v|| <= tol * max(1, s),
+    where s is the largest absolute row sum of M (an upper bound on every
+    |lambda|, so the bound scales with M), and its largest-magnitude entry is
+    positive; ConvergenceError is raised otherwise.
     """
     return _extreme_pairs(M, k, "LA", tol, max_iter, seed)
 
@@ -111,9 +116,9 @@ def bottom_k_eigs(M, k: int, tol: float = 1e-10, max_iter: int = 5000,
     """The k algebraically smallest eigenpairs of a symmetric matrix, in
     ascending order.
 
-    Same solver choice and sign gauge as ``top_k_eigs``; the residual bound
-    is the absolute form ||M v - lambda v|| <= tol, which implies the
-    relative one. ConvergenceError is raised when a pair misses it.
+    Same solver choice, residual bound ||M v - lambda v|| <= tol * max(1, s)
+    and sign gauge as ``top_k_eigs``; ConvergenceError is raised when a pair
+    misses the bound.
     """
     return _extreme_pairs(M, k, "SA", tol, max_iter, seed)
 

@@ -13,7 +13,6 @@ while every accepted sweep still decreases the residual.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -23,8 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .seeding import derived_rng
-
-log = logging.getLogger("dynten")
+from .spectral import _extreme_pairs
 
 
 class DecompositionError(RuntimeError):
@@ -159,7 +157,6 @@ class AlsConfig:
     rank: int
     max_sweeps: int = 200
     rel_tol: float = 1e-10
-    init: str = "auto"  # auto | spectral | random
     seed: int = 0
     prox: float = 1e-3
 
@@ -170,8 +167,6 @@ class AlsConfig:
             raise ValueError("tolerances and sweep budget must be positive")
         if self.prox < 0:
             raise ValueError("proximal weight must be >= 0")
-        if self.init not in ("auto", "spectral", "random"):
-            raise ValueError(f"unknown init scheme {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -218,42 +213,27 @@ def submodel(model: CPModel, indices) -> CPModel:
 # ALS internals
 
 
-# the spectral start takes a dense n x n eigendecomposition
-SPECTRAL_INIT_MAX_N = 4096
-
-
-def _aggregate_slice(Z: SparseTensor3) -> np.ndarray:
-    n1, n2, _ = Z.dims
-    S = np.zeros((n1, n2))
-    np.add.at(S, (Z.i, Z.j), Z.vals)
-    return 0.5 * (S + S.T)
-
-
 def initial_factors(Z: SparseTensor3, cfg: AlsConfig, *, orthogonal_b: bool = False):
-    """Warm-start factors: node factors from eigenvectors of the time-summed
-    symmetrized slice, time factor constant 1/sqrt(n3) per column (exact in
-    the identical-slices limit); random columns fill beyond the node count.
-    Outside square slices with n <= SPECTRAL_INIT_MAX_N, "auto" starts random
-    and logs one info line, and "spectral" raises. ``orthogonal_b``
-    orthonormalizes a random B.
+    """Warm-start factors.
+
+    Square slices: both node factors start from the ``rank`` largest-magnitude
+    eigenvectors of the sparse symmetrized time-summed slice 0.5 (S + S^T),
+    S = sum_t Z[:, :, t], and the time factor is constant 1/sqrt(n3) per
+    column (exact in the identical-slices limit); seeded random unit columns
+    fill beyond the node count. Other shapes start from seeded random unit
+    columns, with B orthonormalized when ``orthogonal_b``. The eigenpairs come
+    from the shared residual-checked eigensolver, so the start costs
+    O(nnz + n rank) memory and no n x n array.
     """
     n1, n2, n3 = Z.dims
     r = cfg.rank
     rng = derived_rng(cfg.seed, "als-init")
-    spectral_ok = n1 == n2 and n1 <= SPECTRAL_INIT_MAX_N
-    if cfg.init == "spectral" and not spectral_ok:
-        raise ValueError(
-            f"spectral init needs square slices with n <= {SPECTRAL_INIT_MAX_N}, "
-            f"got dims {Z.dims}; use init='auto' or 'random'")
-    if cfg.init == "auto" and not spectral_ok:
-        log.info("init 'auto' starts from random factors: dims %s are outside spectral "
-                 "init (square slices with n <= %d)", Z.dims, SPECTRAL_INIT_MAX_N)
-    if cfg.init != "random" and spectral_ok:
+    if n1 == n2:
         C = np.full((n3, r), 1.0 / np.sqrt(n3))
-        vals, vecs = np.linalg.eigh(_aggregate_slice(Z))
-        order = np.argsort(-np.abs(vals), kind="stable")
+        S = sparse.csr_array((Z.vals, (Z.i, Z.j)), shape=(n1, n2))
+        S = 0.5 * (S + S.T)
         k = min(r, n1)
-        lead = vecs[:, order[:k]]
+        lead = _extreme_pairs(S, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
         if r > k:
             extra = rng.uniform(-1.0, 1.0, size=(n1, r - k))
             extra /= np.maximum(np.linalg.norm(extra, axis=0), 1e-300)

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dynten.graphs import ConvergenceError, laplacian
-from dynten.spectral import (DENSE_MAX_N, adjacency_embedding, bottom_k_eigs,
-                             effective_resistance, resistance_embedding,
-                             top_k_eigs)
+from dynten.spectral import (DENSE_MAX_N, _extreme_pairs, adjacency_embedding,
+                             bottom_k_eigs, effective_resistance,
+                             resistance_embedding, top_k_eigs)
 
 from conftest import random_connected_graph
 
@@ -150,6 +150,47 @@ class TestSparsePath:
         with pytest.raises(ConvergenceError) as info:
             top_k_eigs(self.graph(), 8, max_iter=1)
         assert info.value.residual > 1e-10
+
+
+SCALES = (1e-6, 1.0, 1e6, 1e9)
+
+
+@pytest.mark.parametrize("n", [300, 600])
+@pytest.mark.parametrize("which", ["LA", "SA", "LM"])
+def test_eigenpairs_scale_with_the_matrix(n, which):
+    """The residual bound grows with the matrix, so c M yields the pairs of M
+    with the values times c, on the dense (n = 300) and ARPACK (n = 600)
+    branches; with an absolute bound the smallest pairs failed at c = 1e6."""
+    A = random_connected_graph(n, np.random.default_rng(41), weighted=True)
+    M = laplacian(A) if which == "SA" else A
+    base = _extreme_pairs(M, 8, which, 1e-10, 5000, 0)
+    for c in SCALES:
+        pairs = _extreme_pairs(c * M, 8, which, 1e-10, 5000, 0)
+        assert np.abs(pairs.vectors - base.vectors).max() < 1e-8
+        assert np.abs(pairs.values / c - base.values).max() < 1e-10 * np.abs(base.values).max()
+
+
+def test_largest_magnitude_order():
+    M = csr(np.diag([1.0, -3.0, 2.0, -0.5]))
+    pairs = _extreme_pairs(M, 3, "LM", 1e-10, 5000, 0)
+    assert np.array_equal(pairs.values, [-3.0, 2.0, 1.0])
+    assert np.array_equal(np.abs(pairs.vectors), np.eye(4)[:, [1, 2, 0]])
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_embeddings_scale_with_the_matrix(c):
+    """Both embeddings of c A are those of A scaled by c (adjacency) and
+    1/sqrt(c) (resistance), also where most eigenvalues are zero."""
+    rng = np.random.default_rng(43)
+    A = random_connected_graph(1000, rng, weighted=True)
+    ref = resistance_embedding(laplacian(A), 16)
+    emb = resistance_embedding(laplacian(c * A), 16)
+    assert np.abs(emb * np.sqrt(c) - ref).max() < 1e-8 * np.abs(ref).max()
+    core = sp.coo_array(random_connected_graph(10, rng, weighted=True))
+    sparse_core = sp.csr_array((core.data, (core.row, core.col)), shape=(1000, 1000))
+    ref = adjacency_embedding(sparse_core, 32)
+    emb = adjacency_embedding(c * sparse_core, 32)
+    assert np.abs(emb / c - ref).max() < 1e-8 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("embed, matrix", [(adjacency_embedding, lambda A: A),

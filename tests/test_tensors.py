@@ -8,10 +8,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dynten import tensors
-from dynten.tensors import (SPECTRAL_INIT_MAX_N, AlsConfig, CPModel,
-                            SparseTensor3, cp_als, from_snapshots,
-                            initial_factors, max_rank, mttkrp, ocp_als,
-                            reconstruct_error, submodel)
+from dynten.spectral import DENSE_MAX_N
+from dynten.tensors import (AlsConfig, CPModel, SparseTensor3, cp_als,
+                            from_snapshots, initial_factors, max_rank, mttkrp,
+                            ocp_als, reconstruct_error, submodel)
 
 
 def dense_rank_k(n1, n2, n3, lambdas, seed, orthogonal=True):
@@ -232,43 +232,98 @@ class TestOcpAls:
                 assert np.array_equal(F, G)
 
 
+def planted_slices(n, seed):
+    """Two sparse non-symmetric slices whose symmetrized sum has the planted
+    eigenvalues -9, 8, -7, 6.5, -6, 5.5, -5, 4.5 (eigenvectors spread over
+    2 % of the nodes) on top of a weak sparse background: the dominant
+    eigenvalue is negative, so the largest-magnitude order differs from the
+    algebraic one."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(n, max(16, n // 50), replace=False)
+    V = np.linalg.qr(rng.standard_normal((support.size, 8)))[0]
+    block = sp.coo_array((V * [-9, 8, -7, 6.5, -6, 5.5, -5, 4.5]) @ V.T)
+    planted = sp.csr_array((block.data, (support[block.row], support[block.col])),
+                           shape=(n, n))
+    noise = sp.random(n, n, density=3 / n, random_state=rng, format="csr")
+    M = planted + 0.1 * (noise + noise.T)
+    return [sp.triu(M, format="csr"), sp.tril(M, -1, format="csr")], M
+
+
+def assert_leading_eigenvectors(F, M, k):
+    """The first k columns of F are the k largest-|lambda| eigenvectors of the
+    dense symmetric M, up to sign."""
+    vals, vecs = np.linalg.eigh(M)
+    lead = vecs[:, np.argsort(-np.abs(vals), kind="stable")[:k]]
+    sign = np.sign(np.sum(F[:, :k] * lead, axis=0))
+    assert np.abs(F[:, :k] - lead * sign).max() < 1e-8
+
+
 class TestInitAndRankRules:
-    def test_explicit_spectral_init_rejects_non_square(self):
-        Z, _ = sparse_random_tensor((4, 5, 3), 0.5, 30)
-        with pytest.raises(ValueError, match=f"square slices with n <= {SPECTRAL_INIT_MAX_N}"):
-            initial_factors(Z, AlsConfig(rank=2, init="spectral"))
-        with pytest.raises(ValueError, match="spectral init"):
-            cp_als(Z, AlsConfig(rank=2, init="spectral"))
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_square_start_is_top_magnitude_eigenvectors(self, n):
+        # n = 300 takes the dense branch of the eigensolver, n = 600 ARPACK
+        slices, _ = planted_slices(n, seed=n)
+        Z = SparseTensor3.from_slices(slices + [slices[0]])
+        A, B, C = initial_factors(Z, AlsConfig(rank=8, seed=1))
+        assert (n <= DENSE_MAX_N) == (n == 300)
+        assert np.array_equal(A, B)
+        dense = Z.to_dense().sum(axis=2)
+        assert_leading_eigenvectors(A, 0.5 * (dense + dense.T), 8)
+        assert np.array_equal(C, np.full((3, 8), 1 / np.sqrt(3)))
+
+    def test_start_above_old_dense_cap_is_spectral(self, caplog):
+        n = 4097
+        slices, M = planted_slices(n, seed=5)
+        Z = SparseTensor3.from_slices(slices)
+        caplog.set_level(logging.INFO, logger="dynten")
+        A, B, C = initial_factors(Z, AlsConfig(rank=4, seed=3))
+        assert caplog.records == []
+        assert np.array_equal(A, B)
+        rayleigh = np.einsum("ir,ir->r", A, M @ A)
+        assert np.allclose(rayleigh, [-9, 8, -7, 6.5], atol=0.05)
+        assert np.abs(M @ A - A * rayleigh).max() < 1e-8
+        assert np.abs(A.T @ A - np.eye(4)).max() < 1e-10
+
+    def test_start_fills_beyond_the_node_count(self):
+        Z, _ = sparse_random_tensor((3, 3, 4), 0.8, 32)
+        A, B, _ = initial_factors(Z, AlsConfig(rank=5, seed=4))
+        assert np.array_equal(A, B) and A.shape == (3, 5)
+        dense = Z.to_dense().sum(axis=2)
+        assert_leading_eigenvectors(A, 0.5 * (dense + dense.T), 3)
+        assert np.allclose(np.linalg.norm(A, axis=0), 1.0)
 
     def test_auto_init_falls_back_to_random_on_non_square(self):
         Z, _ = sparse_random_tensor((4, 5, 3), 0.5, 30)
-        auto = initial_factors(Z, AlsConfig(rank=2, init="auto", seed=3))
-        rand = initial_factors(Z, AlsConfig(rank=2, init="random", seed=3))
-        for a, r in zip(auto, rand):
-            assert np.array_equal(a, r)
-
-    def test_auto_init_fallback_is_logged(self, caplog):
-        n = SPECTRAL_INIT_MAX_N + 1
-        rows, cols = np.array([0, 5, 17, 4000]), np.array([3, 9, 4096, 2])
-        S = sp.coo_array((np.ones(4), (rows, cols)), shape=(n, n))
-        Z = SparseTensor3.from_slices([S, S.T])
-        caplog.set_level(logging.INFO, logger="dynten")
-        rand = initial_factors(Z, AlsConfig(rank=2, init="random", seed=3))
-        assert caplog.records == []
-        auto = initial_factors(Z, AlsConfig(rank=2, init="auto", seed=3))
-        assert len(caplog.records) == 1
-        assert "random factors" in caplog.records[0].getMessage()
-        assert str(n) in caplog.records[0].getMessage()
-        for a, r in zip(auto, rand):
-            assert np.array_equal(a, r)
+        first = initial_factors(Z, AlsConfig(rank=2, seed=3))
+        again = initial_factors(Z, AlsConfig(rank=2, seed=3))
+        other = initial_factors(Z, AlsConfig(rank=2, seed=4))
+        for a, b, c in zip(first, again, other):
+            assert np.array_equal(a, b) and not np.array_equal(a, c)
+            assert np.allclose(np.linalg.norm(a, axis=0), 1.0)
 
     def test_orthogonal_random_start_only_when_asked(self):
-        Z, _ = sparse_random_tensor((6, 6, 3), 0.5, 31)
-        cfg = AlsConfig(rank=3, init="random", seed=2)
+        Z, _ = sparse_random_tensor((6, 7, 3), 0.5, 31)
+        cfg = AlsConfig(rank=3, seed=2)
         _, B, _ = initial_factors(Z, cfg)
         assert np.abs(B.T @ B - np.eye(3)).max() > 1e-3
         _, B, _ = initial_factors(Z, cfg, orthogonal_b=True)
         assert np.abs(B.T @ B - np.eye(3)).max() < 1e-12
+
+    def test_start_memory_is_linear(self):
+        """Peak traced memory of the start at n = 10 000 stays within a
+        constant times the nonzeros plus the n x rank factors; a dense n x n
+        summed slice alone would be about six times that bound."""
+        n, tau, rank = 10000, 8, 32
+        rng = np.random.default_rng(24)
+        Z = from_snapshots([sp.random(n, n, density=10 / n, random_state=rng, format="csr")
+                            for _ in range(tau)])
+        tracemalloc.start()
+        try:
+            initial_factors(Z, AlsConfig(rank=rank))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (Z.nnz + n * rank) * 8
 
     def test_orthogonality_is_chosen_by_the_solver_not_the_config(self):
         with pytest.raises(TypeError):
@@ -424,7 +479,7 @@ def test_als_memory_is_linear(solver):
     rng = np.random.default_rng(23)
     Z = from_snapshots([sp.random(n, n, density=5 / n, random_state=rng, format="csr")
                         for _ in range(tau)])
-    cfg = AlsConfig(rank=rank, max_sweeps=3, init="random")
+    cfg = AlsConfig(rank=rank, max_sweeps=3)
     tracemalloc.start()
     try:
         solver(Z, cfg)
