@@ -9,8 +9,8 @@ from .embed import (DynEmbedConfig, DynEmbedResult, TemporalWeights,
                     make_weights, precondition, res_last_embedding,
                     res_wt_embedding, weighted_modes)
 from .graphs import (ConvergenceError, DynamicNetwork, ReducibleChainError,
-                     Snapshot, adjacency_matrix, align_snapshots,
-                     degree_matrix, katz_adjacency, katz_omega_bound,
+                     adjacency_from_edges, align_snapshots, degree_matrix,
+                     katz_adjacency, katz_omega_bound,
                      laplacian, normalized_laplacian, spectral_radius,
                      stationary_vector, symmetric_directed_laplacian,
                      symmetrized_adjacency, transition_matrix)
@@ -24,7 +24,7 @@ from .spectral import (EigenPairs, adjacency_embedding, bottom_k_eigs,
                        effective_resistance, resistance_embedding, top_k_eigs)
 from .synth import dynamic_er, dynamic_sbm, sbm_matched_er
 from .tensors import (AlsConfig, CPModel, DecompositionError, SparseTensor3,
-                      cp_als, from_snapshots, mttkrp, ocp_als,
+                      cp_als, mttkrp, ocp_als,
                       reconstruct_error, submodel)
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .graphs import (DynamicNetwork, Snapshot, adjacency_matrix, katz_adjacency,
-                     laplacian, symmetrized_adjacency)
+from .graphs import (DynamicNetwork, _compact, katz_adjacency, laplacian,
+                     symmetrized_adjacency)
 from .spectral import adjacency_embedding, resistance_embedding
 from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_als
 
@@ -91,13 +91,13 @@ def precondition(net: DynamicNetwork, w: TemporalWeights) -> DynamicNetwork:
     """
     if len(w) != net.tau:
         raise ValueError(f"need {net.tau} weights, got {len(w)}")
-    mats = [adjacency_matrix(s) for s in net.snapshots]
+    mats = net.snapshots
     out = [None] * net.tau
     out[-1] = w.values[-1] * mats[-1]
     for t in range(net.tau - 2, -1, -1):
         out[t] = w.values[t] * mats[t] + (1.0 - w.values[t]) * out[t + 1]
-    snaps = tuple(Snapshot.from_matrix(M) for M in out)
-    return DynamicNetwork(labels=net.labels, snapshots=snaps, directed=net.directed)
+    return DynamicNetwork(labels=net.labels, snapshots=tuple(_compact(M) for M in out),
+                          directed=net.directed)
 
 
 def convolve_snapshots(net: DynamicNetwork, w: TemporalWeights,
@@ -110,9 +110,9 @@ def convolve_snapshots(net: DynamicNetwork, w: TemporalWeights,
     if total <= 0:
         raise ValueError("weights sum to zero")
     if kind == "adjacency":
-        mats = [adjacency_matrix(s) for s in net.snapshots]
+        mats = net.snapshots
     elif kind == "laplacian":
-        mats = [laplacian(adjacency_matrix(s)) for s in net.snapshots]
+        mats = [laplacian(A) for A in net.snapshots]
     else:
         raise ValueError(f"unknown convolution kind {kind!r}")
     acc = w.values[0] * mats[0]
@@ -180,7 +180,7 @@ def mode_orientations(model: CPModel) -> np.ndarray:
 
 
 def _variant_slices(net: DynamicNetwork, cfg: DynEmbedConfig):
-    mats = [adjacency_matrix(s) for s in net.snapshots]
+    mats = net.snapshots
     if cfg.adjacency_variant == "raw":
         return mats
     if cfg.adjacency_variant == "symmetrized":
@@ -239,10 +239,6 @@ def dynaocpd_embed(net: DynamicNetwork, cfg: DynEmbedConfig) -> np.ndarray:
 # static baselines
 
 
-def _symmetric_adjacency(M) -> sparse.csr_array:
-    return sparse.csr_array(0.5 * (M + M.T))
-
-
 def _as_undirected(net: DynamicNetwork) -> DynamicNetwork:
     """Plain (A + A^T)/2 symmetrization of every slice; identity when the
     network is already undirected. The spectral baselines need symmetric
@@ -250,8 +246,7 @@ def _as_undirected(net: DynamicNetwork) -> DynamicNetwork:
     not positive semi-definite."""
     if not net.directed:
         return net
-    snaps = tuple(Snapshot.from_matrix(_symmetric_adjacency(adjacency_matrix(s)))
-                  for s in net.snapshots)
+    snaps = tuple(_compact(0.5 * (A + A.T)) for A in net.snapshots)
     return DynamicNetwork(labels=net.labels, snapshots=snaps, directed=False)
 
 

@@ -1,19 +1,26 @@
 """Dynamic-network data model and generalized adjacency/Laplacian constructions.
 
-A dynamic network is an ordered sequence of weighted digraph snapshots over a
-shared, label-aligned node set. All matrix builders return
-``scipy.sparse.csr_array`` with canonical entries (duplicates summed, explicit
-zeros dropped).
+A dynamic network is an ordered sequence of snapshots over a shared,
+label-aligned node set, and each snapshot is stored as its weighted n x n
+adjacency matrix: a canonical ``scipy.sparse.csr_array`` (float64, duplicates
+summed, no explicit zeros, sorted indices) with A[i, j] the weight of the
+link i -> j. An undirected snapshot stores both orientations of every link
+with equal weight. :func:`adjacency_from_edges` builds one from index arrays,
+and every matrix builder here returns the same canonical form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+
+# katz_adjacency's output is dense whenever the graph is connected, so it is
+# refused above this many nodes instead of filling every slice with n^2 entries
+KATZ_MAX_NODES = 2048
 
 
 class ConvergenceError(RuntimeError):
@@ -35,6 +42,8 @@ def _canonicalize(node_count, src, dst, wgt):
     src = np.asarray(src, dtype=np.int64).ravel()
     dst = np.asarray(dst, dtype=np.int64).ravel()
     wgt = np.asarray(wgt, dtype=np.float64).ravel()
+    if not src.size == dst.size == wgt.size:
+        raise ValueError("src, dst and weight must have equal length")
     if src.size == 0:
         return src, dst, wgt
     if src.min() < 0 or dst.min() < 0 or \
@@ -51,84 +60,46 @@ def _canonicalize(node_count, src, dst, wgt):
     return uniq // node_count, uniq % node_count, summed
 
 
-def _canonical_edges(node_count, edges):
-    src, dst, wgt = [], [], []
-    for e in edges:
-        if len(e) == 2:
-            i, j = e
-            w = 1.0
-        else:
-            i, j, w = e
-        src.append(i)
-        dst.append(j)
-        wgt.append(w)
-    return _canonicalize(node_count, src, dst, wgt)
+def adjacency_from_edges(node_count: int, src, dst, weight,
+                         undirected: bool = False) -> sparse.csr_array:
+    """Canonical ``node_count`` x ``node_count`` adjacency of the edges
+    src[k] -> dst[k] with weight[k].
 
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One time slice: ``node_count`` nodes and directed weighted edges.
-
-    Edges are stored canonically: duplicate (src, dst) pairs summed, zero
-    weights dropped, sorted by (src, dst). An undirected slice stores both
-    orientations with equal weight (see :meth:`from_edges`).
+    Duplicate (src, dst) pairs are summed in input order and zero sums are
+    dropped. With ``undirected=True`` every off-diagonal edge is mirrored so
+    both orientations carry the weight; duplicates are summed per orientation
+    first, and a pair listed in both orientations must agree in weight.
     """
-
-    node_count: int
-    src: np.ndarray = field(repr=False)
-    dst: np.ndarray = field(repr=False)
-    weight: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_edges(cls, node_count: int, edges: Iterable, undirected: bool = False) -> "Snapshot":
-        """Build a snapshot from (src, dst[, weight]) tuples.
-
-        With ``undirected=True`` every off-diagonal edge is mirrored so both
-        orientations carry the weight; duplicates are summed per orientation
-        first, and a pair listed in both orientations must agree in weight.
-        """
-        if node_count < 0:
-            raise ValueError("node_count must be >= 0")
-        src, dst, wgt = _canonical_edges(node_count, edges)
-        if undirected and src.size:
-            lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-            flat = lo * node_count + hi
-            # keep the first weight per unordered pair; both orientations must agree
-            _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-            w_u = wgt[first]
-            if np.any(wgt != w_u[inverse]):
-                raise ValueError("conflicting weights for undirected edge")
-            lo_u, hi_u = lo[first], hi[first]
-            off = lo_u != hi_u
-            src, dst, wgt = _canonicalize(node_count,
-                                          np.concatenate([lo_u, hi_u[off]]),
-                                          np.concatenate([hi_u, lo_u[off]]),
-                                          np.concatenate([w_u, w_u[off]]))
-        snap = cls(node_count=int(node_count), src=src, dst=dst, weight=wgt)
-        return snap
-
-    @classmethod
-    def from_matrix(cls, M) -> "Snapshot":
-        """Build a snapshot directly from a square sparse/dense weight matrix."""
-        M = sparse.coo_array(M)
-        if M.shape[0] != M.shape[1]:
-            raise ValueError("weight matrix must be square")
-        n = M.shape[0]
-        src, dst, wgt = _canonicalize(n, M.row, M.col, M.data)
-        return cls(node_count=n, src=src, dst=dst, weight=wgt)
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.src.size)
-
-    def edge_list(self):
-        """Edges as a list of (src, dst, weight) tuples."""
-        return [(int(i), int(j), float(w)) for i, j, w in zip(self.src, self.dst, self.weight)]
+    if node_count < 0:
+        raise ValueError("node_count must be >= 0")
+    src, dst, wgt = _canonicalize(node_count, src, dst, weight)
+    if undirected and src.size:
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        flat = lo * node_count + hi
+        # keep the first weight per unordered pair; both orientations must agree
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        w_u = wgt[first]
+        if np.any(wgt != w_u[inverse]):
+            raise ValueError("conflicting weights for undirected edge")
+        lo_u, hi_u = lo[first], hi[first]
+        off = lo_u != hi_u
+        src, dst, wgt = _canonicalize(node_count,
+                                      np.concatenate([lo_u, hi_u[off]]),
+                                      np.concatenate([hi_u, lo_u[off]]),
+                                      np.concatenate([w_u, w_u[off]]))
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return sparse.csr_array((wgt, dst, indptr), shape=(node_count, node_count))
 
 
 @dataclass(frozen=True)
 class DynamicNetwork:
-    """Aligned snapshot sequence over a common labeled node set."""
+    """Aligned snapshot sequence over a common labeled node set.
+
+    ``snapshots[t]`` is slice t's canonical n x n adjacency ``csr_array``
+    (see the module docstring); the matrices are shared, not copied, so
+    callers must not modify them in place.
+    """
 
     labels: tuple
     snapshots: tuple
@@ -140,9 +111,13 @@ class DynamicNetwork:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("node labels must be unique")
-        for s in self.snapshots:
-            if s.node_count != n:
-                raise ValueError("snapshot node_count does not match label count")
+        for t, A in enumerate(self.snapshots):
+            if not (isinstance(A, sparse.csr_array) and A.shape == (n, n)
+                    and A.dtype == np.float64 and A.has_canonical_format
+                    and np.all(A.data != 0.0)):
+                raise ValueError(
+                    f"snapshot {t} is not a canonical {n} x {n} float64 csr_array "
+                    "(duplicates summed, no explicit zeros, sorted indices)")
 
     @property
     def n(self) -> int:
@@ -153,7 +128,7 @@ class DynamicNetwork:
         return len(self.snapshots)
 
     def adjacency(self, t: int) -> sparse.csr_array:
-        return adjacency_matrix(self.snapshots[t])
+        return self.snapshots[t]
 
     def index_of(self, label) -> int:
         try:
@@ -165,13 +140,14 @@ class DynamicNetwork:
 def align_snapshots(snapshot_edges: Sequence[Sequence], *,
                     snapshot_labels: Sequence[Sequence] | None = None,
                     directed: bool = False) -> DynamicNetwork:
-    """Align raw labelled edge lists onto the union node set.
+    """Align labelled edge columns onto the union node set.
 
-    ``snapshot_edges[t]`` lists (src_label, dst_label[, weight]) for slice t.
-    ``snapshot_labels[t]``, when given, declares nodes present at t even if
-    isolated; a label repeated within one slice's declaration is rejected.
-    Every slice is padded with isolated nodes to the full union label set,
-    and the label -> index map (sorted label order) is shared by all slices.
+    ``snapshot_edges[t]`` is a ``(src_labels, dst_labels, weights)`` triple of
+    equal-length sequences for slice t. ``snapshot_labels[t]``, when given,
+    declares nodes present at t even if isolated; a label repeated within one
+    slice's declaration is rejected. Every slice is padded with isolated nodes
+    to the full union label set, and the label -> index map (sorted label
+    order) is shared by all slices.
     """
     if len(snapshot_edges) == 0:
         raise ValueError("need at least one snapshot")
@@ -179,7 +155,7 @@ def align_snapshots(snapshot_edges: Sequence[Sequence], *,
         raise ValueError("snapshot_labels length must match snapshot_edges")
 
     union: set = set()
-    for t, edges in enumerate(snapshot_edges):
+    for t, (src, dst, _) in enumerate(snapshot_edges):
         if snapshot_labels is not None:
             seen_t: set = set()
             for lab in snapshot_labels[t]:
@@ -187,22 +163,20 @@ def align_snapshots(snapshot_edges: Sequence[Sequence], *,
                     raise ValueError(f"duplicate label {lab!r} in snapshot {t}")
                 seen_t.add(lab)
             union |= seen_t
-        for e in edges:
-            union.add(e[0])
-            union.add(e[1])
+        union.update(src)
+        union.update(dst)
 
     labels = tuple(sorted(union, key=str))
-    index = {lab: i for i, lab in enumerate(labels)}
+    index = {lab: i for i, lab in enumerate(labels)}.__getitem__
     n = len(labels)
 
-    snaps = []
-    for edges in snapshot_edges:
-        indexed = []
-        for e in edges:
-            w = float(e[2]) if len(e) > 2 else 1.0
-            indexed.append((index[e[0]], index[e[1]], w))
-        snaps.append(Snapshot.from_edges(n, indexed, undirected=not directed))
-    return DynamicNetwork(labels=labels, snapshots=tuple(snaps), directed=directed)
+    def indexed(column):
+        return np.fromiter(map(index, column), dtype=np.int64, count=len(column))
+
+    snaps = tuple(adjacency_from_edges(n, indexed(src), indexed(dst), wgt,
+                                       undirected=not directed)
+                  for src, dst, wgt in snapshot_edges)
+    return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +188,6 @@ def _compact(M) -> sparse.csr_array:
     M.sum_duplicates()
     M.eliminate_zeros()
     return M
-
-
-def adjacency_matrix(s: Snapshot) -> sparse.csr_array:
-    """Weighted adjacency A with A[i, j] = w_ij."""
-    n = s.node_count
-    return _compact(sparse.coo_array((s.weight, (s.src, s.dst)), shape=(n, n)))
 
 
 def degree_matrix(A, direction: str = "out") -> sparse.csr_array:
@@ -424,14 +392,19 @@ def katz_adjacency(A, omega: float, max_terms: int = 50, *,
     The truncated power series (with a geometric tail bound) is used while
     nnz * max_terms stays small, otherwise (I - w A) X = A is solved with a
     sparse LU factorization; ``method`` forces one route. omega = 0 returns
-    A itself.
+    A itself. The kernel of a connected graph is dense, so omega > 0 is
+    refused above ``KATZ_MAX_NODES`` nodes.
     """
-    A = _compact(sparse.csr_array(A, dtype=np.float64))
-    n = A.shape[0]
     if omega < 0:
         raise ValueError("omega must be nonnegative")
     if method not in ("auto", "series", "solve"):
         raise ValueError(f"unknown katz method {method!r}")
+    n = np.shape(A)[0]
+    if omega > 0.0 and n > KATZ_MAX_NODES:
+        raise ValueError(
+            f"Katz kernel on n={n} nodes exceeds the limit of {KATZ_MAX_NODES}: "
+            "its output is dense, with up to n^2 nonzeros per slice")
+    A = _compact(sparse.csr_array(A, dtype=np.float64))
     if omega == 0.0:
         return A.copy()
     bound = katz_omega_bound(A)

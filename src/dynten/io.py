@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .graphs import DynamicNetwork, align_snapshots
 from .tensors import AlsConfig, CPModel
@@ -25,62 +27,64 @@ _NODES_DIRECTIVE = "# nodes:"
 
 
 def _parse_lines(lines, with_time, where):
-    rows = []
-    declared = []
+    """Edge columns ``(src, dst, weights)`` per slice, and the labels of the
+    ``# nodes:`` directives. Without a time column all lines form one slice;
+    with one, a new slice starts wherever the time token changes."""
+    slices, declared = [], []
+    want = (3, 4) if with_time else (2, 3)
+    first = 1 if with_time else 0  # column of the source label
+    prev = None
+    if not with_time:
+        src, dst, wgt = [], [], []
+        slices.append((src, dst, wgt))
     for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line.startswith(_NODES_DIRECTIVE):
-            declared.extend(line[len(_NODES_DIRECTIVE):].split())
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            line = raw.strip()
+            if line.startswith(_NODES_DIRECTIVE):
+                declared.extend(line[len(_NODES_DIRECTIVE):].split())
             continue
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        want = (3, 4) if with_time else (2, 3)
         if len(parts) not in want:
             raise ValueError(f"{where}:{ln}: expected {want} fields, got {len(parts)}")
         try:
             w = float(parts[-1]) if len(parts) == want[1] else 1.0
         except ValueError:
             raise ValueError(f"{where}:{ln}: bad weight {parts[-1]!r}") from None
-        if with_time:
-            rows.append((parts[0], parts[1], parts[2], w))
-        else:
-            rows.append((parts[0], parts[1], w))
-    return rows, declared
+        if with_time and parts[0] != prev:
+            t = parts[0]
+            if prev is not None and _time_key(t) < _time_key(prev):
+                raise ValueError(f"{where}: time column must be non-decreasing "
+                                 f"({t!r} after {prev!r})")
+            prev = t
+            src, dst, wgt = [], [], []
+            slices.append((src, dst, wgt))
+        src.append(parts[first])
+        dst.append(parts[first + 1])
+        wgt.append(w)
+    return slices, declared
 
 
 def load_dynamic_network(path, directed: bool = False) -> DynamicNetwork:
     """Load a combined edge-list file, or a directory of per-snapshot files
-    (snapshot order = sorted file names)."""
+    (snapshot order = sorted file names). A file's ``# nodes:`` directive
+    declares labels for its own snapshot, or for the first one in a
+    combined file."""
     path = Path(path)
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.is_file())
         if not files:
             raise ValueError(f"no snapshot files in {path}")
-        per_slice = []
-        declared = []
+        per_slice, labels = [], []
         for f in files:
-            rows, extra = _parse_lines(f.read_text().splitlines(), False, str(f))
-            per_slice.append([(s, d, w) for s, d, w in rows])
-            declared.extend(extra)
+            (edges,), declared = _parse_lines(f.read_text().splitlines(), False, str(f))
+            per_slice.append(edges)
+            labels.append(declared)
     else:
-        rows, declared = _parse_lines(path.read_text().splitlines(), True, str(path))
-        if not rows and not declared:
+        per_slice, declared = _parse_lines(path.read_text().splitlines(), True, str(path))
+        if not per_slice and not declared:
             raise ValueError(f"{path}: empty dataset")
-        slices_keys = []
-        per_key = {}
-        prev = None
-        for t, s, d, w in rows:
-            if prev is not None and _time_key(t) < _time_key(prev):
-                raise ValueError(f"{path}: time column must be non-decreasing "
-                                 f"({t!r} after {prev!r})")
-            prev = t
-            if t not in per_key:
-                per_key[t] = []
-                slices_keys.append(t)
-            per_key[t].append((s, d, w))
-        per_slice = [per_key[k] for k in slices_keys] or [[]]
-    labels = [declared] + [[] for _ in per_slice[1:]] if declared else None
+        per_slice = per_slice or [([], [], [])]
+        labels = [declared] + [[]] * (len(per_slice) - 1)
     return align_snapshots(per_slice, snapshot_labels=labels, directed=directed)
 
 
@@ -93,17 +97,14 @@ def _time_key(token: str):
 
 def write_dynamic_network(path, net: DynamicNetwork) -> None:
     """Write a combined edge-list file (with a node-list directive so globally
-    isolated nodes survive a round trip)."""
-    lines = [_NODES_DIRECTIVE + " " + " ".join(str(l) for l in net.labels)]
-    for t, snap in enumerate(net.snapshots):
-        seen = set()
-        for i, j, w in snap.edge_list():
-            if not net.directed:
-                key = (min(i, j), max(i, j))
-                if key in seen:
-                    continue
-                seen.add(key)
-            lines.append(f"{t} {net.labels[i]} {net.labels[j]} {w!r}")
+    isolated nodes survive a round trip). An undirected network writes each
+    link once, from the upper triangle of its symmetric slices."""
+    labels = np.array([str(lab) for lab in net.labels], dtype=object)
+    lines = [_NODES_DIRECTIVE + " " + " ".join(labels)]
+    for t, A in enumerate(net.snapshots):
+        E = sparse.coo_array(A if net.directed else sparse.triu(A))
+        lines.extend(map(" ".join, zip(repeat(str(t)), labels[E.row], labels[E.col],
+                                       map(repr, E.data.tolist()))))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -84,9 +84,9 @@ def _pair_key(i: int, j: int, directed: bool):
 def _edge_key_set(net: DynamicNetwork, t: int):
     """Links of slice t as the sampler sees them: no self-loops, unordered
     pairs unless the network is directed."""
-    snap = net.snapshots[t]
-    return {_pair_key(int(i), int(j), net.directed)
-            for i, j in zip(snap.src, snap.dst) if i != j}
+    A = net.adjacency(t).tocoo()
+    return {_pair_key(i, j, net.directed)
+            for i, j in zip(A.row.tolist(), A.col.tolist()) if i != j}
 
 
 def holdout_split(net: DynamicNetwork):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import DynamicNetwork, Snapshot
+from .graphs import DynamicNetwork, adjacency_from_edges
 from .seeding import derived_rng
 
 
@@ -14,11 +14,9 @@ def _labels(n):
     return tuple(f"v{i:0{width}d}" for i in range(n))
 
 
-def _undirected_snapshot(n, iu, ju, keep, weights=None):
+def _undirected_snapshot(n, iu, ju, keep):
     i, j = iu[keep], ju[keep]
-    w = np.ones(i.size) if weights is None else weights[keep]
-    edges = list(zip(i.tolist(), j.tolist(), w.tolist()))
-    return Snapshot.from_edges(n, edges, undirected=True)
+    return adjacency_from_edges(n, i, j, np.ones(i.size), undirected=True)
 
 
 def dynamic_sbm(n: int, tau: int, blocks: int = 2, p_in: float = 0.2,

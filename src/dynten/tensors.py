@@ -114,11 +114,6 @@ class SparseTensor3:
         return rows, cols
 
 
-def from_snapshots(slices: Sequence) -> SparseTensor3:
-    """Alias of :meth:`SparseTensor3.from_slices` for adjacency-slice stacks."""
-    return SparseTensor3.from_slices(slices)
-
-
 def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 

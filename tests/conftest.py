@@ -2,6 +2,8 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import settings
 
+from dynten.graphs import align_snapshots
+
 settings.register_profile("suite", max_examples=40, deadline=None)
 settings.load_profile("suite")
 
@@ -57,3 +59,17 @@ def bfs_component_count(A):
                     seen[v] = True
                     stack.append(int(v))
     return comps
+
+
+def align_edge_lists(edge_lists, **kwargs):
+    """:func:`align_snapshots` on per-slice lists of (src, dst[, weight]) tuples."""
+    columns = [([e[0] for e in edges], [e[1] for e in edges],
+                [float(e[2]) if len(e) > 2 else 1.0 for e in edges])
+               for edges in edge_lists]
+    return align_snapshots(columns, **kwargs)
+
+
+def entries(A):
+    """Stored (row, col, value) triples of a sparse matrix in row-major order."""
+    C = sp.coo_array(A)
+    return list(zip(C.row.tolist(), C.col.tolist(), C.data.tolist()))

@@ -7,15 +7,15 @@ from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
                           convolve_snapshots, dynamic_embedding, dynacpd_embed,
                           make_weights, mode_orientations, precondition,
                           weighted_modes)
-from dynten.graphs import DynamicNetwork, Snapshot, adjacency_matrix
+from dynten.graphs import DynamicNetwork
 from dynten.spectral import adjacency_embedding
 from dynten.synth import dynamic_sbm
 from dynten.tensors import AlsConfig, SparseTensor3, reconstruct_error, submodel
 
 
 def net_from_matrices(mats, directed=False):
-    snaps = tuple(Snapshot.from_matrix(sp.csr_array(np.asarray(M, float))) for M in mats)
-    labels = tuple(f"n{i}" for i in range(snaps[0].node_count))
+    snaps = tuple(sp.csr_array(np.asarray(M, float)) for M in mats)
+    labels = tuple(f"n{i}" for i in range(snaps[0].shape[0]))
     return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
 
 
@@ -52,9 +52,10 @@ class TestPrecondition:
     def test_all_ones_identity(self):
         net, _ = dynamic_sbm(20, 4, seed=0)
         out = precondition(net, make_weights("uniform", 4))
-        for a, b in zip(net.snapshots, out.snapshots):
-            assert np.array_equal(a.src, b.src)
-            assert np.allclose(a.weight, b.weight)
+        for A, B in zip(net.snapshots, out.snapshots):
+            assert np.array_equal(A.indptr, B.indptr)
+            assert np.array_equal(A.indices, B.indices)
+            assert np.allclose(A.data, B.data)
 
     def test_scale_preservation_for_persistent_links(self):
         # a link weight present in every slice from t on survives unchanged
@@ -63,9 +64,8 @@ class TestPrecondition:
         net = net_from_matrices([A, A, A])
         w = make_weights("explicit", 3, values=[0.3, 0.7, 1.0])
         out = precondition(net, w)
-        for s in out.snapshots:
-            M = adjacency_matrix(s).toarray()
-            assert abs(M[0, 1] - 5.0) < 1e-12
+        for M in out.snapshots:
+            assert abs(M.toarray()[0, 1] - 5.0) < 1e-12
 
     def test_hand_recurrence(self):
         A1 = np.zeros((2, 2))
@@ -73,7 +73,7 @@ class TestPrecondition:
         A2[0, 1] = A2[1, 0] = 4.0
         net = net_from_matrices([A1, A2])
         out = precondition(net, make_weights("explicit", 2, values=[0.5, 1.0]))
-        M = adjacency_matrix(out.snapshots[0]).toarray()
+        M = out.snapshots[0].toarray()
         assert abs(M[0, 1] - 2.0) < 1e-12
 
     def test_linear_in_link_weights(self):
@@ -88,9 +88,8 @@ class TestPrecondition:
         out_g = precondition(net_from_matrices([G, H]), w)
         out_h = precondition(net_from_matrices([H, G]), w)
         for t in range(2):
-            lhs = adjacency_matrix(out_mix.snapshots[t]).toarray()
-            rhs = a * adjacency_matrix(out_g.snapshots[t]).toarray() \
-                + b * adjacency_matrix(out_h.snapshots[t]).toarray()
+            lhs = out_mix.snapshots[t].toarray()
+            rhs = a * out_g.snapshots[t].toarray() + b * out_h.snapshots[t].toarray()
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_length_mismatch(self):
@@ -201,8 +200,7 @@ class TestDynamicEmbedding:
         cfg = DynEmbedConfig(d=rank, als=AlsConfig(rank=rank), seed=0)
         res = dynamic_embedding(net, cfg)
         Z = SparseTensor3.from_slices(
-            [adjacency_matrix(s) for s in precondition(
-                net, make_weights("uniform", 4)).snapshots])
+            precondition(net, make_weights("uniform", 4)).snapshots)
         full_err = reconstruct_error(Z, res.model)
         sel_err = reconstruct_error(Z, submodel(res.model, sorted(res.selected)))
         assert abs(full_err - sel_err) < 1e-12
@@ -255,5 +253,5 @@ def test_precondition_keeps_nonnegativity_and_support(seed):
     vals = rng.uniform(0, 1, tau)
     vals[rng.integers(tau)] = 1.0
     out = precondition(net, TemporalWeights("explicit", vals))
-    for s in out.snapshots:
-        assert s.weight.min() >= 0 if s.edge_count else True
+    for A in out.snapshots:
+        assert A.data.min() >= 0 if A.nnz else True

@@ -3,14 +3,16 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from dynten.graphs import (ReducibleChainError, Snapshot, adjacency_matrix,
-                           align_snapshots, degree_matrix, katz_adjacency,
+from dynten import graphs
+from dynten.graphs import (KATZ_MAX_NODES, DynamicNetwork, ReducibleChainError,
+                           adjacency_from_edges, degree_matrix, katz_adjacency,
                            katz_omega_bound, laplacian, normalized_laplacian,
                            spectral_radius, stationary_vector,
                            symmetric_directed_laplacian, symmetrized_adjacency,
                            transition_matrix)
 
-from conftest import bfs_component_count, random_connected_graph
+from conftest import (align_edge_lists, bfs_component_count, entries,
+                      random_connected_graph)
 
 
 def csr(rows):
@@ -19,23 +21,23 @@ def csr(rows):
 
 class TestAlign:
     def test_union_of_labels(self):
-        net = align_snapshots([[("a", "b")], [("b", "c")]])
+        net = align_edge_lists([[("a", "b")], [("b", "c")]])
         assert net.labels == ("a", "b", "c")
         assert net.n == 3 and net.tau == 2
         # both slices padded to 3 nodes
-        assert all(s.node_count == 3 for s in net.snapshots)
+        assert all(A.shape == (3, 3) for A in net.snapshots)
 
     def test_single_empty_snapshot(self):
-        net = align_snapshots([[]], snapshot_labels=[["x", "y"]])
+        net = align_edge_lists([[]], snapshot_labels=[["x", "y"]])
         assert net.n == 2 and net.tau == 1
-        assert net.snapshots[0].edge_count == 0
+        assert net.snapshots[0].nnz == 0
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError, match="dup"):
-            align_snapshots([[]], snapshot_labels=[["dup", "dup"]])
+            align_edge_lists([[]], snapshot_labels=[["dup", "dup"]])
 
     def test_stable_index_map(self):
-        net = align_snapshots([[("b", "a", 2.0)], [("a", "c")]])
+        net = align_edge_lists([[("b", "a", 2.0)], [("a", "c")]])
         i = {lab: net.index_of(lab) for lab in net.labels}
         A0 = net.adjacency(0).toarray()
         assert A0[i["b"], i["a"]] == 2.0
@@ -43,35 +45,55 @@ class TestAlign:
         assert A1[i["a"], i["c"]] == 1.0
 
     def test_duplicate_edges_summed(self):
-        net = align_snapshots([[("a", "b", 1.0), ("a", "b", 2.0)]], directed=True)
+        net = align_edge_lists([[("a", "b", 1.0), ("a", "b", 2.0)]], directed=True)
         assert net.adjacency(0).toarray()[0, 1] == 3.0
 
 
 class TestMatrices:
     def test_single_directed_edge(self):
-        s = Snapshot.from_edges(2, [(0, 1, 2.0)])
-        A = adjacency_matrix(s).toarray()
+        A = adjacency_from_edges(2, [0], [1], [2.0]).toarray()
         assert A[0, 1] == 2.0 and A.sum() == 2.0
 
     def test_undirected_edge_symmetric(self):
-        s = Snapshot.from_edges(2, [(0, 1, 1.0)], undirected=True)
-        A = adjacency_matrix(s).toarray()
+        A = adjacency_from_edges(2, [0], [1], [1.0], undirected=True).toarray()
         assert A[0, 1] == A[1, 0] == 1.0
 
     def test_undirected_both_orientations(self):
         with pytest.raises(ValueError, match="conflicting weights"):
-            Snapshot.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)], undirected=True)
-        s = Snapshot.from_edges(3, [(2, 1, 3.0), (1, 2, 3.0), (0, 0, 1.5)],
-                                undirected=True)
-        assert s.edge_list() == [(0, 0, 1.5), (1, 2, 3.0), (2, 1, 3.0)]
+            adjacency_from_edges(3, [0, 1], [1, 0], [1.0, 2.0], undirected=True)
+        A = adjacency_from_edges(3, [2, 1, 0], [1, 2, 0], [3.0, 3.0, 1.5],
+                                 undirected=True)
+        assert entries(A) == [(0, 0, 1.5), (1, 2, 3.0), (2, 1, 3.0)]
         # duplicates are summed per orientation before the check
-        s = Snapshot.from_edges(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 0, 2.0)],
-                                undirected=True)
-        assert s.edge_list() == [(0, 1, 2.0), (1, 0, 2.0)]
+        A = adjacency_from_edges(2, [0, 0, 1], [1, 1, 0], [1.0, 1.0, 2.0],
+                                 undirected=True)
+        assert entries(A) == [(0, 1, 2.0), (1, 0, 2.0)]
 
     def test_empty_snapshot(self):
-        A = adjacency_matrix(Snapshot.from_edges(3, []))
+        A = adjacency_from_edges(3, [], [], [])
         assert A.nnz == 0 and A.shape == (3, 3)
+
+    def test_malformed_edges_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            adjacency_from_edges(2, [0], [2], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            adjacency_from_edges(2, [0], [1], [np.inf])
+        with pytest.raises(ValueError, match="equal length"):
+            adjacency_from_edges(3, [0, 1], [1], [1.0])
+
+    def test_network_requires_canonical_slices(self):
+        good = adjacency_from_edges(2, [0], [1], [1.0])
+        assert DynamicNetwork(("a", "b"), (good,)).adjacency(0) is good
+        unsorted = sp.csr_array((np.array([1.0, 2.0]), np.array([1, 0]),
+                                 np.array([0, 2, 2])), shape=(2, 2))
+        duplicate = sp.csr_array((np.array([1.0, 2.0]), np.array([1, 1]),
+                                  np.array([0, 2, 2])), shape=(2, 2))
+        explicit_zero = sp.csr_array((np.array([0.0]), np.array([1]),
+                                      np.array([0, 1, 1])), shape=(2, 2))
+        for bad in (sp.csr_array((3, 3)), good.astype(np.float32), good.tocoo(),
+                    unsorted, duplicate, explicit_zero):
+            with pytest.raises(ValueError, match="snapshot 0 is not a canonical"):
+                DynamicNetwork(("a", "b"), (bad,))
 
     def test_degree_out(self):
         D = degree_matrix(csr([[0, 2], [0, 0]]), "out").toarray()
@@ -215,6 +237,19 @@ class TestKatz:
         assert abs(K[0, 1] - 4 / 3) < 1e-12
         assert abs(K[0, 0] - 2 / 3) < 1e-12
 
+    def test_dense_kernel_refused_above_node_limit(self, monkeypatch):
+        n = KATZ_MAX_NODES + 1
+        A = adjacency_from_edges(n, [0, 1, 2, 5], [1, 2, 3, 9], np.ones(4),
+                                 undirected=True)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the node limit must be checked first")
+
+        monkeypatch.setattr(graphs, "katz_omega_bound", unreachable)
+        with pytest.raises(ValueError, match=f"n={n} .* limit of {KATZ_MAX_NODES}"):
+            katz_adjacency(A, 0.1)
+        assert katz_adjacency(A, 0.0).nnz == A.nnz
+
     def test_series_matches_solver(self):
         rng = np.random.default_rng(6)
         A = random_connected_graph(12, rng)
@@ -274,12 +309,17 @@ def test_katz_nonnegative_and_symmetric(seed, n):
     assert abs(K - K.T).max() <= 1e-12
 
 
+def edge_arrays(edges):
+    return tuple(np.array([e[k] for e in edges], dtype=float if k == 2 else int)
+                 for k in range(3))
+
+
 def undirected_reference(n, edges):
     """Per-pair loop over the canonical directed edges: the first weight of an
     unordered pair is kept, a differing one raises, off-diagonal pairs are
     mirrored."""
     pair = {}
-    for i, j, w in Snapshot.from_edges(n, edges).edge_list():
+    for i, j, w in entries(adjacency_from_edges(n, *edge_arrays(edges))):
         if pair.setdefault((min(i, j), max(i, j)), w) != w:
             raise ValueError("conflicting weights for undirected edge")
     return sorted([(a, b, w) for (a, b), w in pair.items()]
@@ -293,8 +333,9 @@ def test_undirected_edges_match_loop_reference(edges):
         want = undirected_reference(5, edges)
     except ValueError:
         with pytest.raises(ValueError, match="conflicting weights"):
-            Snapshot.from_edges(5, edges, undirected=True)
+            adjacency_from_edges(5, *edge_arrays(edges), undirected=True)
         return
-    got = Snapshot.from_edges(5, edges, undirected=True)
-    assert got.edge_list() == want
-    assert got.src.dtype == np.int64 and got.weight.dtype == np.float64
+    got = adjacency_from_edges(5, *edge_arrays(edges), undirected=True)
+    assert entries(got) == want
+    assert got.indices.dtype == np.int64 and got.dtype == np.float64
+    assert got.has_canonical_format

@@ -14,10 +14,36 @@ def test_combined_file_roundtrip(tmp_path):
     back = load_dynamic_network(path)
     assert back.labels == net.labels
     assert back.tau == net.tau
-    for a, b in zip(net.snapshots, back.snapshots):
-        assert np.array_equal(a.src, b.src)
-        assert np.array_equal(a.dst, b.dst)
-        assert np.allclose(a.weight, b.weight)
+    for A, B in zip(net.snapshots, back.snapshots):
+        assert np.array_equal(A.indptr, B.indptr)
+        assert np.array_equal(A.indices, B.indices)
+        assert np.allclose(A.data, B.data)
+
+
+def _weighted_text(directed):
+    w = [0.1, 1 / 3, 2.5e-17, 7.0, 1e300, 0.30000000000000004]
+    return ("# nodes: a b c d e\n"
+            f"0 a b {w[0]!r}\n0 b a {w[1] if directed else w[0]!r}\n0 c c {w[2]!r}\n"
+            f"1 d a {w[3]!r}\n1 b c {w[4]!r}\n2 e d {w[5]!r}\n")
+
+
+@pytest.mark.parametrize("directed,text", [
+    (True, _weighted_text(True)),
+    (False, _weighted_text(False)),
+    (False, "# nodes: p q lonely r\n0 q p\n1 r q 2.0\n"),
+], ids=["directed-weighted", "undirected", "isolated-nodes"])
+def test_write_load_write_is_exact(tmp_path, directed, text):
+    (tmp_path / "in.edges").write_text(text)
+    net = load_dynamic_network(tmp_path / "in.edges", directed=directed)
+    write_dynamic_network(tmp_path / "one.edges", net)
+    back = load_dynamic_network(tmp_path / "one.edges", directed=directed)
+    write_dynamic_network(tmp_path / "two.edges", back)
+    assert (tmp_path / "one.edges").read_bytes() == (tmp_path / "two.edges").read_bytes()
+    assert back.labels == net.labels and back.tau == net.tau
+    for A, B in zip(net.snapshots, back.snapshots):
+        assert np.array_equal(A.indptr, B.indptr)
+        assert np.array_equal(A.indices, B.indices)
+        assert np.array_equal(A.data, B.data)
 
 
 def test_combined_file_format(tmp_path):
@@ -45,6 +71,18 @@ def test_directory_of_snapshots(tmp_path):
     (d / "01.txt").write_text("b c\n# nothing else\n")
     net = load_dynamic_network(d)
     assert net.tau == 2 and net.n == 3
+
+
+def test_directory_declarations_belong_to_their_snapshot(tmp_path):
+    d = tmp_path / "snaps"
+    d.mkdir()
+    (d / "00.txt").write_text("# nodes: a b c\na b\n")
+    (d / "01.txt").write_text("# nodes: a b c\nb c\n")
+    net = load_dynamic_network(d)
+    assert net.labels == ("a", "b", "c") and net.tau == 2
+    (d / "02.txt").write_text("# nodes: x y x\n")
+    with pytest.raises(ValueError, match="duplicate label 'x' in snapshot 2"):
+        load_dynamic_network(d)
 
 
 def test_isolated_nodes_survive_roundtrip(tmp_path):

@@ -11,13 +11,15 @@ from scipy.special import expit
 
 import dynten
 from dynten import linkpred
-from dynten.graphs import ConvergenceError, align_snapshots
+from dynten.graphs import ConvergenceError
 from dynten.linkpred import (EdgeSample, auc_roc, average_precision,
                              cross_validated_scores, fit_logistic_l1,
                              hadamard_separation, holdout_split, l2_separation,
                              loss_value, predict_scores, sample_training_set,
                              separation_values)
 from dynten.synth import dynamic_sbm
+
+from conftest import align_edge_lists
 
 
 def make_sample(x, y):
@@ -57,7 +59,7 @@ class TestSeparations:
 
 def toy_network():
     # 5 nodes; final slice has edges (0,1), (1,2), (3,4)
-    return align_snapshots([
+    return align_edge_lists([
         [("a", "b"), ("c", "d")],
         [("a", "b"), ("b", "c"), ("d", "e")],
     ])
@@ -67,7 +69,7 @@ class TestHoldoutSplit:
     def reciprocal_network(self, directed):
         # final slice: a reciprocal pair a<->b, one link b->c and a self-loop
         # c-c; d and e leave room for non-links
-        return align_snapshots([
+        return align_edge_lists([
             [("a", "b"), ("d", "e")],
             [("a", "b"), ("b", "a"), ("b", "c"), ("c", "c")],
         ], directed=directed)
@@ -96,10 +98,10 @@ class TestHoldoutSplit:
 
     def test_single_slice_rejected(self):
         with pytest.raises(ValueError, match="tau >= 2"):
-            holdout_split(align_snapshots([[("a", "b")]]))
+            holdout_split(align_edge_lists([[("a", "b")]]))
 
     def test_self_loops_only_rejected(self):
-        net = align_snapshots([[("a", "b")], [("a", "a"), ("b", "b")]])
+        net = align_edge_lists([[("a", "b")], [("a", "a"), ("b", "b")]])
         with pytest.raises(ValueError, match="held-out slice 1 has no links"):
             holdout_split(net)
 
@@ -125,7 +127,7 @@ class TestSampler:
         assert np.array_equal(a.labels, b.labels)
 
     def test_saturated_graph_rejected(self):
-        net = align_snapshots([[("a", "b"), ("b", "c"), ("a", "c")]])
+        net = align_edge_lists([[("a", "b"), ("b", "c"), ("a", "c")]])
         emb = np.zeros((3, 2))
         with pytest.raises(ValueError, match="non-links"):
             sample_training_set(net, 0, emb, "l2", 3, seed=0)
@@ -136,7 +138,7 @@ class TestSampler:
             sample_training_set(net, 0, np.zeros((5, 2)), "l2", 4, seed=0)
 
     def test_single_positive_enumeration(self):
-        net = align_snapshots([[("a", "b")]], snapshot_labels=[["a", "b", "c"]])
+        net = align_edge_lists([[("a", "b")]], snapshot_labels=[["a", "b", "c"]])
         emb = np.random.default_rng(2).standard_normal((3, 2))
         s = sample_training_set(net, 0, emb, "l2", 1, seed=3)
         pos = s.pairs[s.labels == 1][0]

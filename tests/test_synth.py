@@ -1,6 +1,5 @@
 import numpy as np
 
-from dynten.graphs import adjacency_matrix
 from dynten.synth import dynamic_er, dynamic_sbm, sbm_matched_er
 
 
@@ -9,9 +8,9 @@ def test_zero_drift_freezes_structure():
     for m in members:
         assert np.array_equal(m, members[0])
     # with no churn the dyads persist verbatim
-    first = adjacency_matrix(net.snapshots[0]).toarray()
-    for s in net.snapshots[1:]:
-        assert np.array_equal(adjacency_matrix(s).toarray(), first)
+    first = net.snapshots[0].toarray()
+    for A in net.snapshots[1:]:
+        assert np.array_equal(A.toarray(), first)
 
 
 def test_drift_changes_some_memberships():
@@ -28,7 +27,7 @@ def test_balanced_initial_blocks():
 
 def test_sbm_density_reflects_probabilities():
     net, members = dynamic_sbm(80, 1, 2, 0.3, 0.02, seed=4)
-    A = adjacency_matrix(net.snapshots[0]).toarray()
+    A = net.snapshots[0].toarray()
     m = members[0]
     same = np.equal.outer(m, m)
     np.fill_diagonal(same, False)
@@ -39,7 +38,7 @@ def test_sbm_density_reflects_probabilities():
 
 def test_er_resamples_every_slice():
     net = dynamic_er(40, 4, 0.15, seed=5)
-    mats = [adjacency_matrix(s).toarray() for s in net.snapshots]
+    mats = [A.toarray() for A in net.snapshots]
     assert not np.array_equal(mats[0], mats[1])
     assert abs(mats[0].mean() - 0.15) < 0.05
 
@@ -47,14 +46,14 @@ def test_er_resamples_every_slice():
 def test_matched_er_density():
     er = sbm_matched_er(100, 2, 2, 0.2, 0.01, seed=6)
     sbm, _ = dynamic_sbm(100, 2, 2, 0.2, 0.01, 0.0, seed=6)
-    d_er = np.mean([adjacency_matrix(s).toarray().mean() for s in er.snapshots])
-    d_sbm = np.mean([adjacency_matrix(s).toarray().mean() for s in sbm.snapshots])
+    d_er = np.mean([A.toarray().mean() for A in er.snapshots])
+    d_sbm = np.mean([A.toarray().mean() for A in sbm.snapshots])
     assert abs(d_er - d_sbm) < 0.02
 
 
 def test_seeded_reproducibility():
     a, _ = dynamic_sbm(30, 3, seed=7)
     b, _ = dynamic_sbm(30, 3, seed=7)
-    for s, t in zip(a.snapshots, b.snapshots):
-        assert np.array_equal(s.src, t.src)
-        assert np.array_equal(s.dst, t.dst)
+    for A, B in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(A.indptr, B.indptr)
+        assert np.array_equal(A.indices, B.indices)

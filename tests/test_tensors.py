@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from dynten import tensors
 from dynten.spectral import DENSE_MAX_N
 from dynten.tensors import (AlsConfig, CPModel, SparseTensor3, cp_als,
-                            from_snapshots, initial_factors, max_rank, mttkrp,
-                            ocp_als, reconstruct_error, submodel)
+                            initial_factors, max_rank, mttkrp, ocp_als,
+                            reconstruct_error, submodel)
 
 
 def dense_rank_k(n1, n2, n3, lambdas, seed, orthogonal=True):
@@ -35,17 +35,17 @@ def sparse_random_tensor(dims, density, seed):
 class TestTensorType:
     def test_from_slices_constant(self):
         A = sp.csr_array(np.array([[0.0, 2], [2, 0]]))
-        Z = from_snapshots([A] * 3)
+        Z = SparseTensor3.from_slices([A] * 3)
         assert Z.dims == (2, 2, 3)
         assert np.allclose(Z.to_dense()[:, :, 1], A.toarray())
 
     def test_empty_slices(self):
-        Z = from_snapshots([sp.csr_array((3, 3))] * 2)
+        Z = SparseTensor3.from_slices([sp.csr_array((3, 3))] * 2)
         assert Z.nnz == 0 and Z.dims == (3, 3, 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            from_snapshots([sp.csr_array((2, 2)), sp.csr_array((3, 3))])
+            SparseTensor3.from_slices([sp.csr_array((2, 2)), sp.csr_array((3, 3))])
 
     def test_duplicates_summed_zeros_dropped(self):
         Z = SparseTensor3.from_entries((2, 2, 2), [0, 0, 1], [1, 1, 0],
@@ -315,8 +315,9 @@ class TestInitAndRankRules:
         summed slice alone would be about six times that bound."""
         n, tau, rank = 10000, 8, 32
         rng = np.random.default_rng(24)
-        Z = from_snapshots([sp.random(n, n, density=10 / n, random_state=rng, format="csr")
-                            for _ in range(tau)])
+        Z = SparseTensor3.from_slices(
+            [sp.random(n, n, density=10 / n, random_state=rng, format="csr")
+             for _ in range(tau)])
         tracemalloc.start()
         try:
             initial_factors(Z, AlsConfig(rank=rank))
@@ -477,8 +478,9 @@ def test_als_memory_is_linear(solver):
     Khatri-Rao operand alone would be about 300 times that sum."""
     n, tau, rank = 2000, 4, 8
     rng = np.random.default_rng(23)
-    Z = from_snapshots([sp.random(n, n, density=5 / n, random_state=rng, format="csr")
-                        for _ in range(tau)])
+    Z = SparseTensor3.from_slices(
+        [sp.random(n, n, density=5 / n, random_state=rng, format="csr")
+         for _ in range(tau)])
     cfg = AlsConfig(rank=rank, max_sweeps=3)
     tracemalloc.start()
     try:
