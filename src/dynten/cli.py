@@ -44,7 +44,8 @@ _EMBED_OPTS = [
     ("omega", float, 0.0, "katz damping (checked against the spectral bound)"),
     ("teleport", float, 1e-3, "teleport epsilon for the symmetrized variant"),
     ("sweeps", int, 200, "ALS sweep budget"),
-    ("tol", float, 1e-10, "ALS stops once the relative error changes by at most tol"),
+    ("tol", float, 1e-6, "ALS stops once a sweep changes the relative error by at most "
+                         "tol times its value (relative fit-stagnation rule)"),
     ("normalize", bool, False, "scale embedding rows to unit norm"),
     ("seed", int, 0, "master seed for all derived random streams"),
     ("out", str, "out", "output directory"),
@@ -78,7 +79,8 @@ def compute_embedding(net: DynamicNetwork, cfg: dict):
         res = embed.dynamic_embedding(net, dcfg)
         matrix = res.embedding
         diag.update(rank=res.model.rank, fit=repr(float(res.model.fit)),
-                    sweeps=res.model.sweeps,
+                    sweeps=res.model.sweeps, stop_reason=res.model.stop_reason,
+                    b_angle=repr(res.model.b_angle),
                     sigmas=[repr(float(x)) for x in res.sigmas],
                     selected=[int(k) for k in res.selected])
     elif method == "adj_last":
@@ -167,10 +169,10 @@ def cmd_linkpred(cfg) -> int:
 def _cluster_common(cfg):
     if cfg.get("embedding"):
         labels, matrix = io.load_embedding_csv(cfg["embedding"])
-        net = None
+        diag = None
     else:
         net = _load_net(cfg)
-        matrix, _ = compute_embedding(net, cfg)
+        matrix, diag = compute_embedding(net, cfg)
         labels = [str(l) for l in net.labels]
     state = clustering.kmeans(matrix, cfg["k"], seed=cfg["seed"], alpha=cfg["alpha_decay"])
     assignments = clustering.assign_clusters(state, matrix)
@@ -178,11 +180,11 @@ def _cluster_common(cfg):
     threshold = cfg["threshold"] if cfg["threshold"] >= 0 else \
         clustering.suggest_threshold(scores, cfg["threshold_pct"])
     flags = clustering.classify_anomalies(scores, threshold)
-    return labels, assignments, scores, flags, threshold
+    return labels, assignments, scores, flags, threshold, diag
 
 
 def cmd_cluster(cfg, name="clusters.csv") -> int:
-    labels, assignments, scores, flags, threshold = _cluster_common(cfg)
+    labels, assignments, scores, flags, threshold, diag = _cluster_common(cfg)
     outdir = Path(cfg["out"])
     os.makedirs(outdir, exist_ok=True)
     lines = ["node,cluster,score,anomalous"]
@@ -192,6 +194,8 @@ def cmd_cluster(cfg, name="clusters.csv") -> int:
     meta = {"command": name.split(".")[0], "k": cfg["k"], "threshold": repr(float(threshold)),
             "seed": cfg["seed"], "version": __version__,
             "config": _echoed_config(cfg)}
+    if diag is not None:
+        meta["diagnostics"] = diag
     (outdir / "manifest.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"k={cfg['k']} threshold={threshold:.6g} anomalous={int(flags.sum())}")
     return 0

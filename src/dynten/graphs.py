@@ -92,13 +92,22 @@ def adjacency_from_edges(node_count: int, src, dst, weight,
     return sparse.csr_array((wgt, dst, indptr), shape=(node_count, node_count))
 
 
+def _exactly_symmetric(A: sparse.csr_array) -> bool:
+    """A == A^T entry for entry, for a canonical CSR matrix: its transpose,
+    converted back to (sorted) CSR, must have the same arrays."""
+    T = A.T.tocsr()
+    return (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
+            and np.array_equal(A.data, T.data))
+
+
 @dataclass(frozen=True)
 class DynamicNetwork:
     """Aligned snapshot sequence over a common labeled node set.
 
     ``snapshots[t]`` is slice t's canonical n x n adjacency ``csr_array``
     (see the module docstring); the matrices are shared, not copied, so
-    callers must not modify them in place.
+    callers must not modify them in place. With ``directed=False`` every
+    slice must equal its transpose exactly.
     """
 
     labels: tuple
@@ -118,6 +127,11 @@ class DynamicNetwork:
                 raise ValueError(
                     f"snapshot {t} is not a canonical {n} x {n} float64 csr_array "
                     "(duplicates summed, no explicit zeros, sorted indices)")
+            if not self.directed and not _exactly_symmetric(A):
+                raise ValueError(
+                    f"snapshot {t} of an undirected network is not symmetric: "
+                    "store both orientations of every link with equal weight, "
+                    "or pass directed=True")
 
     @property
     def n(self) -> int:

@@ -105,13 +105,19 @@ class SparseTensor3:
     @cached_property
     def _stacked_slices(self):
         """Frontal slices Z[:, :, t] stacked as (n3 n1) x n2 CSR, and their
-        transposes stacked as (n3 n2) x n1."""
+        transposes stacked as (n3 n2) x n1, with int32 indices when they fit."""
         n1, n2, n3 = self.dims
-        rows = sparse.csr_array(
-            (self.vals, (self.t * n1 + self.i, self.j)), shape=(n3 * n1, n2))
-        cols = sparse.csr_array(
-            (self.vals, (self.t * n2 + self.j, self.i)), shape=(n3 * n2, n1))
+        rows = _csr(self.vals, self.t * n1 + self.i, self.j, (n3 * n1, n2))
+        cols = _csr(self.vals, self.t * n2 + self.j, self.i, (n3 * n2, n1))
         return rows, cols
+
+
+def _csr(vals, row, col, shape) -> sparse.csr_array:
+    """CSR array of the given coordinates, with int32 index arrays whenever
+    the shape and the entry count fit (12 instead of 16 bytes per nonzero)."""
+    fits = max(*shape, vals.size) <= np.iinfo(np.int32).max
+    idx = np.int32 if fits else np.int64
+    return sparse.csr_array((vals, (row.astype(idx), col.astype(idx))), shape=shape)
 
 
 def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
@@ -142,6 +148,13 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
 class AlsConfig:
     """Settings for the alternating least-squares decomposition.
 
+    ALS stops once a sweep changes the relative error ``fit`` by at most
+    ``rel_tol`` times its current value (the fit-stagnation test of the Tensor
+    Toolbox ``cp_als``), once the fit reaches ``_FIT_FLOOR``, or after
+    ``max_sweeps`` sweeps. The rule is scale-free: a linearly converging
+    exact decomposition keeps a large relative decrease and runs to the
+    floor, while a fit that only drifts along gauge directions stops.
+
     ``prox`` is the relative weight of a proximal term that pulls each factor
     update toward its previous value. It leaves exact decompositions as fixed
     points and barely slows well-posed problems, but pins the gauge drift of
@@ -151,7 +164,7 @@ class AlsConfig:
 
     rank: int
     max_sweeps: int = 200
-    rel_tol: float = 1e-10
+    rel_tol: float = 1e-6
     seed: int = 0
     prox: float = 1e-3
 
@@ -171,6 +184,14 @@ class CPModel:
     Factor columns are unit vectors, the nonnegative weights are sorted in
     non-increasing order, and ``fit`` is the final relative reconstruction
     error (0 by convention for an all-zero tensor).
+
+    ``stop_reason`` says why ALS ended: ``"tol"`` (the relative fit change
+    fell to ``rel_tol``), ``"floor"`` (the fit reached ``_FIT_FLOOR``),
+    ``"budget"`` (``max_sweeps`` ran out), ``"rejected"`` (an orthogonal-CP
+    sweep still raised the fit after every damped retry) or ``"zero"`` (an
+    all-zero tensor). ``b_angle`` is the largest principal angle, in radians,
+    between the column spaces of the node factor B at the start and at the
+    end, i.e. how far ALS moved the embedding's subspace.
     """
 
     lambdas: np.ndarray
@@ -180,6 +201,8 @@ class CPModel:
     fit: float
     sweeps: int = 0
     fit_history: tuple = ()
+    stop_reason: str = ""
+    b_angle: float = float("nan")
 
     @property
     def rank(self) -> int:
@@ -225,7 +248,7 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig, *, orthogonal_b: bool = Fa
     rng = derived_rng(cfg.seed, "als-init")
     if n1 == n2:
         C = np.full((n3, r), 1.0 / np.sqrt(n3))
-        S = sparse.csr_array((Z.vals, (Z.i, Z.j)), shape=(n1, n2))
+        S = _csr(Z.vals, Z.i, Z.j, (n1, n2))
         S = 0.5 * (S + S.T)
         k = min(r, n1)
         lead = _extreme_pairs(S, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
@@ -299,6 +322,24 @@ def _normalize_columns(F, fallback):
     return out, norms
 
 
+def _orth(F):
+    """Orthonormal basis of the column space of F (SVD, numerical rank)."""
+    U, s, _ = np.linalg.svd(F, full_matrices=False)
+    return U[:, s > s[0] * max(F.shape) * np.finfo(float).eps]
+
+
+def principal_angle(F0, F1) -> float:
+    """Largest principal angle between the column spaces of F0 and F1.
+
+    Taken from its sine, sigma_max((I - Q0 Q0^T) Q1) with orthonormal bases
+    Q0 and Q1, which keeps full relative accuracy for small angles where the
+    arccos of the cosine loses every digit.
+    """
+    Q0, Q1 = _orth(F0), _orth(F1)
+    sine = np.linalg.norm(Q1 - Q0 @ (Q0.T @ Q1), 2)
+    return float(np.arcsin(min(sine, 1.0)))
+
+
 def max_rank(dims, orthogonal_b: bool = False) -> int:
     """Largest rank ALS accepts: min(n1 n3, n1 n2), and at most n2 with an
     orthonormal node factor."""
@@ -321,7 +362,9 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
     norm_z = Z.norm()
     if norm_z == 0.0:
         lam = np.zeros(r)
-        return CPModel(lam, A, B, C, fit=0.0, sweeps=0, fit_history=(0.0,))
+        return CPModel(lam, A, B, C, fit=0.0, sweeps=0, fit_history=(0.0,),
+                       stop_reason="zero", b_angle=0.0)
+    B_start = B
 
     def step(units, lam):
         *raw, inner = _sweep(Z, *units, lam, orthogonal_b, cfg.prox)
@@ -351,13 +394,20 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
                 if fit <= prev_fit + 1e-12:
                     break
             else:
-                break  # keep the last accepted state
+                stop_reason = "rejected"  # keep the last accepted state
+                break
 
         units, lam_prev = new, lam
         fits.append(fit)
-        if fit <= _FIT_FLOOR or abs(prev_fit - fit) <= cfg.rel_tol:
+        if fit <= _FIT_FLOOR:
+            stop_reason = "floor"
+            break
+        if abs(prev_fit - fit) <= cfg.rel_tol * fit:
+            stop_reason = "tol"
             break
         prev_fit = fit
+    else:
+        stop_reason = "budget"
 
     # the first sweep is never rejected (prev_fit is inf), so one was accepted
     lam, (A, B, C) = lam_prev, units
@@ -365,7 +415,8 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
     order = np.argsort(-lam, kind="stable")
     model = CPModel(lambdas=lam[order], factor_a=A[:, order], factor_b=B[:, order],
                     factor_c=C[:, order], fit=fits[-1], sweeps=len(fits),
-                    fit_history=tuple(fits))
+                    fit_history=tuple(fits), stop_reason=stop_reason,
+                    b_angle=principal_angle(B_start, B))
     return model
 
 
@@ -392,8 +443,10 @@ def cp_als(Z: SparseTensor3, cfg: AlsConfig) -> CPModel:
     """Rank-``cfg.rank`` CP approximation by alternating least squares.
 
     The relative fit is non-increasing sweep to sweep (up to 1e-12 rounding
-    slack); iteration stops when the fit change drops below ``cfg.rel_tol``
-    or the sweep budget runs out. Factor columns are renormalized after every
+    slack); iteration stops once a sweep changes the fit by at most
+    ``cfg.rel_tol`` times the fit (default 1e-6, relative), when the fit
+    reaches ``_FIT_FLOOR``, or when the sweep budget runs out, and
+    ``stop_reason`` records which. Factor columns are renormalized after every
     sweep with the scales absorbed into the component weights, and components
     are emitted sorted by weight.
     """
@@ -406,7 +459,9 @@ def ocp_als(Z: SparseTensor3, cfg: AlsConfig) -> CPModel:
     Same contract as :func:`cp_als` except the node-factor update is the
     orthogonal Procrustes solution, so ``factor_b.T @ factor_b`` is the
     identity to machine precision; a sweep that increases the residual is
-    rejected and retried with damping.
+    rejected and retried with damping, and when every damped retry still
+    increases it ALS stops at the last accepted state (``stop_reason``
+    ``"rejected"``).
     """
     return _als(Z, cfg, orthogonal_b=True)
 

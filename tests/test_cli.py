@@ -43,7 +43,14 @@ def test_embed_writes_outputs(dataset, tmp_path):
     assert manifest["config"]["method"] == "dynacpd"
     assert manifest["config"]["d"] == 6
     assert manifest["n"] == 40 and manifest["tau"] == 4
-    assert "fit" in manifest["diagnostics"]
+    assert manifest["config"]["tol"] == 1e-6
+    assert_als_diagnostics(manifest["diagnostics"])
+
+
+def assert_als_diagnostics(diag):
+    assert {"fit", "sweeps", "stop_reason", "b_angle"} <= diag.keys()
+    assert diag["stop_reason"] in ("tol", "floor", "budget", "rejected")
+    assert 0.0 <= float(diag["b_angle"]) <= np.pi / 2
 
 
 def test_embed_every_method(dataset, tmp_path):
@@ -54,6 +61,8 @@ def test_embed_every_method(dataset, tmp_path):
         assert rc == 0, method
         _, emb = load_embedding_csv(out / "embedding.csv")
         assert emb.shape == (40, 4)
+        if method == "dynaocpd":
+            assert_als_diagnostics(json.loads((out / "manifest.json").read_text())["diagnostics"])
 
 
 def test_embed_normalize_rows(dataset, tmp_path):
@@ -154,6 +163,7 @@ def test_cluster_and_anomaly(dataset, tmp_path):
     lines = (out / "clusters.csv").read_text().splitlines()
     assert lines[0] == "node,cluster,score,anomalous"
     assert len(lines) == 41
+    assert_als_diagnostics(json.loads((out / "manifest.json").read_text())["diagnostics"])
     # clusters.csv is not an embedding; must fail cleanly
     rc = main(["anomaly", "--embedding", str(out / "clusters.csv"),
                "--k", "1", "--out", str(tmp_path / "an")])

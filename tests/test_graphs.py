@@ -82,7 +82,7 @@ class TestMatrices:
             adjacency_from_edges(3, [0, 1], [1], [1.0])
 
     def test_network_requires_canonical_slices(self):
-        good = adjacency_from_edges(2, [0], [1], [1.0])
+        good = adjacency_from_edges(2, [0], [1], [1.0], undirected=True)
         assert DynamicNetwork(("a", "b"), (good,)).adjacency(0) is good
         unsorted = sp.csr_array((np.array([1.0, 2.0]), np.array([1, 0]),
                                  np.array([0, 2, 2])), shape=(2, 2))
@@ -94,6 +94,20 @@ class TestMatrices:
                     unsorted, duplicate, explicit_zero):
             with pytest.raises(ValueError, match="snapshot 0 is not a canonical"):
                 DynamicNetwork(("a", "b"), (bad,))
+
+    def test_undirected_network_requires_symmetric_slices(self):
+        # only A[1, 0] = 1: the writer keeps the upper triangle of an
+        # undirected slice, so this link would be dropped on write
+        lower = adjacency_from_edges(2, [1], [0], [1.0])
+        sym = adjacency_from_edges(2, [0], [1], [1.0], undirected=True)
+        with pytest.raises(ValueError, match="snapshot 1 of an undirected network "
+                                             "is not symmetric"):
+            DynamicNetwork(("a", "b"), (sym, lower))
+        assert DynamicNetwork(("a", "b"), (sym, lower), directed=True).tau == 2
+        # unequal weights on the two orientations are asymmetric too
+        skew = adjacency_from_edges(2, [0, 1], [1, 0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="not symmetric"):
+            DynamicNetwork(("a", "b"), (skew,))
 
     def test_degree_out(self):
         D = degree_matrix(csr([[0, 2], [0, 0]]), "out").toarray()

@@ -8,10 +8,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dynten import tensors
+from dynten.embed import DynEmbedConfig, dynamic_embedding, make_weights
+from dynten.linkpred import evaluate_link_prediction, holdout_split
 from dynten.spectral import DENSE_MAX_N
-from dynten.tensors import (AlsConfig, CPModel, SparseTensor3, cp_als,
-                            initial_factors, max_rank, mttkrp, ocp_als,
-                            reconstruct_error, submodel)
+from dynten.synth import dynamic_sbm
+from dynten.tensors import (_FIT_FLOOR, AlsConfig, CPModel, SparseTensor3,
+                            cp_als, initial_factors, max_rank, mttkrp, ocp_als,
+                            principal_angle, reconstruct_error, submodel)
 
 
 def dense_rank_k(n1, n2, n3, lambdas, seed, orthogonal=True):
@@ -66,6 +69,22 @@ class TestMttkrp:
         assert np.abs(mttkrp(Z, (A, B, C), 1) - o1).max() < 1e-12
         assert np.abs(mttkrp(Z, (A, B, C), 2) - o2).max() < 1e-12
         assert np.abs(mttkrp(Z, (A, B, C), 3) - o3).max() < 1e-12
+
+    def test_int32_layout_is_bitwise_equal_to_int64(self):
+        Z, _ = sparse_random_tensor((40, 40, 5), 0.1, 42)
+        wide = SparseTensor3(Z.dims, Z.i, Z.j, Z.t, Z.vals)
+        layout = []
+        for M in Z._stacked_slices:
+            assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
+            W = M.copy()
+            W.indices, W.indptr = M.indices.astype(np.int64), M.indptr.astype(np.int64)
+            layout.append(W)
+        wide.__dict__["_stacked_slices"] = tuple(layout)
+        rng = np.random.default_rng(43)
+        F = tuple(rng.standard_normal((n, 6)) for n in Z.dims)
+        for mode in (1, 2, 3):
+            assert mttkrp(Z, F, mode).tobytes() == mttkrp(wide, F, mode).tobytes()
+        assert all(M.indices.dtype == np.int64 for M in wide._stacked_slices)
 
     def test_zero_tensor(self):
         Z = SparseTensor3.from_entries((3, 3, 2), [], [], [], [])
@@ -132,6 +151,7 @@ class TestCpAls:
         Z = SparseTensor3.from_entries((3, 3, 2), [], [], [], [])
         model = cp_als(Z, AlsConfig(rank=1))
         assert model.fit == 0.0
+        assert model.stop_reason == "zero" and model.b_angle == 0.0
         assert model.lambdas[0] == 0.0
         assert abs(np.linalg.norm(model.factor_a[:, 0]) - 1.0) < 1e-10
 
@@ -222,8 +242,9 @@ class TestOcpAls:
         assert all(h[s + 1] <= h[s] + 1e-12 for s in range(len(h) - 1))
         assert len(calls) == k + min(n_bad, 3)
         if n_bad <= 3:
-            assert model.sweeps == k
+            assert model.sweeps == k and model.stop_reason == "budget"
         else:
+            assert model.stop_reason == "rejected"
             monkeypatch.setattr(tensors, "_sweep", real)
             ref = ocp_als(Z, replace(cfg, max_sweeps=k - 1))
             assert model.sweeps == k - 1 and h == ref.fit_history
@@ -326,6 +347,18 @@ class TestInitAndRankRules:
             tracemalloc.stop()
         assert peak <= 16 * (Z.nnz + n * rank) * 8
 
+    def test_start_slice_uses_int32_indices(self, monkeypatch):
+        Z, _ = sparse_random_tensor((30, 30, 4), 0.2, 41)
+        seen, real = [], tensors._extreme_pairs
+
+        def spy(M, *args, **kwargs):
+            seen.append(M)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(tensors, "_extreme_pairs", spy)
+        initial_factors(Z, AlsConfig(rank=3))
+        assert seen[0].indices.dtype == np.int32 and seen[0].indptr.dtype == np.int32
+
     def test_orthogonality_is_chosen_by_the_solver_not_the_config(self):
         with pytest.raises(TypeError):
             AlsConfig(rank=2, orthogonality="node_factor")
@@ -398,6 +431,131 @@ class TestReconstructError:
             reconstruct_error(Z, model, weights=[1.0, 0.0])
         with pytest.raises(ValueError):
             reconstruct_error(Z, model, weights=[1.0])
+
+
+class TestStopRule:
+    def test_sbm_stops_on_tol_with_the_full_budget_auc(self):
+        """On a seeded n = 1 000 drifting SBM the sparse spectral start already
+        holds the answer: the default relative rule stops within 10 sweeps,
+        and the held-out AUC matches a 200-sweep run to within 1e-3."""
+        net, _ = dynamic_sbm(1000, 8, 2, 0.02, 0.002, 0.05, seed=17)
+        train, target, n_links = holdout_split(net)
+        pre = make_weights("exponential", train.tau, alpha=1.0)
+        models, aucs = [], []
+        for als in (AlsConfig(rank=32), AlsConfig(rank=32, rel_tol=1e-300)):
+            res = dynamic_embedding(train, DynEmbedConfig(d=16, pre_weights=pre, als=als))
+            models.append(res.model)
+            aucs.append([evaluate_link_prediction(net, target, res.embedding, metric,
+                                                  min(1000, n_links), seed=0)["AUC"]
+                         for metric in ("l2", "hadamard")])
+        stopped, full = models
+        assert stopped.stop_reason == "tol" and stopped.sweeps <= 10
+        assert full.stop_reason == "budget" and full.sweeps == 200
+        assert np.abs(np.subtract(*aucs)).max() <= 1e-3
+
+    @pytest.mark.parametrize("solver", [cp_als, ocp_als])
+    def test_exact_low_rank_runs_down_to_the_floor(self, solver):
+        """Exact rank-2/3 tensors converge linearly, so the relative decrease
+        stays large and ALS follows the tail down. A "tol" stop only comes
+        once the fit has stagnated inside the cancellation noise of the
+        norm-difference fit formula, a few times 1e-8, never inside the
+        tail; the converged runs recover the factors. (A run can still stall
+        in a swamp, a near-flat stretch before a saddle is escaped, as under
+        any stagnation test; none of these trials does.)"""
+        rng = np.random.default_rng(108)
+        hits = 0
+        for trial in range(20):
+            r = 2 + trial % 2
+            n, tau = int(rng.integers(6, 12)), int(rng.integers(3, 7))
+            A, C = (rng.standard_normal((m, r)) for m in (n, tau))
+            B = np.linalg.qr(rng.standard_normal((n, r)))[0] if solver is ocp_als \
+                else rng.standard_normal((n, r))
+            A, B, C = (F / np.linalg.norm(F, axis=0) for F in (A, B, C))
+            lam = np.sort(rng.uniform(1.0, 3.0, r))[::-1]
+            Z = SparseTensor3.from_dense(np.einsum("r,ir,jr,tr->ijt", lam, A, B, C))
+            model = solver(Z, AlsConfig(rank=r, seed=trial))
+            assert model.stop_reason != "tol" or model.fit <= 1e-7
+            assert (model.stop_reason == "floor") == (model.fit <= _FIT_FLOOR)
+            if model.fit > 1e-6:
+                continue
+            hits += 1
+            assert np.abs(model.lambdas - lam).max() < 1e-6
+            for F, G in ((model.factor_a, A), (model.factor_b, B), (model.factor_c, C)):
+                assert np.abs(F.T @ G).max(axis=0).min() > 1 - 1e-10
+        assert hits >= 18, f"only {hits}/20 trials converged"
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([1e-1, 1e-3, 1e-6]),
+       st.integers(1, 25), st.booleans())
+@settings(max_examples=40)
+def test_stop_reason_property(seed, tol, budget, orthogonal):
+    """"tol": the last relative fit decrease is <= tol and every earlier one
+    is > tol. "budget": the budget is used up with no decrease <= tol.
+    "floor": the fit reached _FIT_FLOOR. "rejected": an orthogonal-CP sweep
+    was refused before the budget ran out."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    dims = (n, n if rng.random() < 0.5 else int(rng.integers(3, 8)), int(rng.integers(2, 5)))
+    dense = np.where(rng.random(dims) < 0.5, rng.standard_normal(dims), 0.0)
+    Z = SparseTensor3.from_dense(dense)
+    if Z.nnz == 0:
+        return
+    rank = int(rng.integers(1, max_rank(dims, orthogonal) + 1))
+    solver = ocp_als if orthogonal else cp_als
+    model = solver(Z, AlsConfig(rank=min(rank, 4), max_sweeps=budget, rel_tol=tol, seed=seed))
+    h = model.fit_history
+    assert model.sweeps == len(h) <= budget
+    small = [abs(h[k - 1] - h[k]) <= tol * h[k] for k in range(1, len(h))]
+    assert min(h[:-1], default=np.inf) > _FIT_FLOOR
+    if model.stop_reason == "tol":
+        assert small and small[-1] and not any(small[:-1]) and h[-1] > _FIT_FLOOR
+    elif model.stop_reason == "budget":
+        assert model.sweeps == budget and not any(small) and h[-1] > _FIT_FLOOR
+    elif model.stop_reason == "floor":
+        assert h[-1] <= _FIT_FLOOR and not any(small[:-1])
+    else:
+        assert model.stop_reason == "rejected" and orthogonal
+        assert model.sweeps < budget and not any(small)
+    assert 0.0 <= model.b_angle <= np.pi / 2
+
+
+class TestPrincipalAngle:
+    @pytest.mark.parametrize("theta", [1e-9, 1e-5, 0.3, 1.2, np.pi / 2])
+    def test_rotation_oracle(self, theta):
+        """One column of a 4-dimensional subspace turned by theta out of it.
+        At theta = 1e-9 the cosine rounds to exactly 1, so an arccos would
+        report 0; the sine keeps full relative accuracy."""
+        rng = np.random.default_rng(44)
+        Q = np.linalg.qr(rng.standard_normal((30, 5)))[0]
+        F0, F1 = Q[:, :4], Q[:, :4].copy()
+        F1[:, 2] = np.cos(theta) * Q[:, 2] + np.sin(theta) * Q[:, 4]
+        assert abs(principal_angle(F0, F1) - theta) <= 1e-6 * theta
+        # any basis of the same two spaces: unit-norm, non-orthogonal columns
+        mix = F0 @ rng.standard_normal((4, 4))
+        mix /= np.linalg.norm(mix, axis=0)
+        assert abs(principal_angle(mix, F1[:, ::-1]) - theta) <= 1e-4 * theta
+
+    def test_same_span_and_rank_deficient_start(self):
+        rng = np.random.default_rng(45)
+        F = rng.standard_normal((20, 3))
+        assert principal_angle(F, F @ rng.standard_normal((3, 3))) < 1e-14
+        # more columns than rows, as when the start fills beyond n: full span
+        assert principal_angle(rng.standard_normal((3, 5)), F[:3, :2]) < 1e-14
+
+    def test_model_records_how_far_b_moved(self):
+        n, tau = 6, 5
+        rng = np.random.default_rng(8)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A = Q[:, :3] @ np.diag([6.0, 4.0, 2.0]) @ Q[:, :3].T
+        # identical slices: the spectral start is already the exact node factor
+        Z = SparseTensor3.from_dense(np.repeat(A[:, :, None], tau, axis=2))
+        assert cp_als(Z, AlsConfig(rank=3)).b_angle < 1e-8
+        Z, _ = sparse_random_tensor((8, 8, 5), 0.4, 6)
+        cfg = AlsConfig(rank=4)
+        model = cp_als(Z, cfg)
+        _, B0, _ = initial_factors(Z, cfg)
+        assert abs(model.b_angle - principal_angle(B0, model.factor_b)) < 1e-12
+        assert model.b_angle > 1e-3
 
 
 def reference_dense_als(dense, cfg):
