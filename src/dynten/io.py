@@ -98,11 +98,15 @@ def _time_key(token: str):
 def write_dynamic_network(path, net: DynamicNetwork) -> None:
     """Write a combined edge-list file (with a node-list directive so globally
     isolated nodes survive a round trip). An undirected network writes each
-    link once, from the upper triangle of its symmetric slices."""
+    link once, from the upper triangle of its symmetric slices. A slice with
+    no links writes one zero-weight self-loop ``t v v 0.0``, which the loader
+    drops while keeping the slice, so tau survives as well."""
     labels = np.array([str(lab) for lab in net.labels], dtype=object)
     lines = [_NODES_DIRECTIVE + " " + " ".join(labels)]
     for t, A in enumerate(net.snapshots):
         E = sparse.coo_array(A if net.directed else sparse.triu(A))
+        if E.nnz == 0 and labels.size:
+            lines.append(f"{t} {labels[0]} {labels[0]} 0.0")
         lines.extend(map(" ".join, zip(repeat(str(t)), labels[E.row], labels[E.col],
                                        map(repr, E.data.tolist()))))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -1,21 +1,22 @@
 """Sparse 3-tensors and CP / orthogonality-constrained CP decomposition by ALS.
 
-The tensor is stored in coordinate form plus one cached layout: its frontal
-slices stacked as a sparse (n3 n1) x n2 matrix, and their transposes as
-(n3 n2) x n1. The ALS inner kernel, a matricized-tensor-times-Khatri-Rao
-product (MTTKRP), is one sparse-times-dense product on that layout plus one
-small contraction: O(nnz rank + n tau rank) time and O(n tau rank) scratch,
-with no n^2 operand. The orthogonal variant replaces the node-factor
-least-squares update with the orthogonal Procrustes solution (polar factor of
-the MTTKRP matrix), which keeps that factor's columns exactly orthonormal
-while every accepted sweep still decreases the residual.
+The tensor is stored once, as one canonical CSR matrix: its frontal slices
+Z[:, :, t] stacked as an (n3 n1) x n2 matrix, the transpose of the mode-2
+unfolding. The ALS inner kernel, a matricized-tensor-times-Khatri-Rao product
+(MTTKRP), is one sparse-times-dense product on that matrix (modes 1 and 3) or
+on its transpose, a CSC view of the same arrays (mode 2), plus one small
+contraction: O(nnz rank + n tau rank) time and O(n tau rank) scratch, with no
+n^2 operand and no second copy of the tensor. The orthogonal variant replaces
+the node-factor least-squares update with the orthogonal Procrustes solution
+(polar factor of the MTTKRP matrix), which keeps that factor's columns exactly
+orthonormal. Every block update of either solver is an exact proximal
+minimizer, so no sweep can raise the fit beyond rounding error.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,16 +32,28 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SparseTensor3:
-    """Coordinate-format sparse 3-tensor with canonical entries.
+    """Sparse n1 x n2 x n3 tensor held as one canonical CSR matrix.
 
-    Duplicates are summed, explicit zeros dropped, coordinates sorted.
+    ``stacked`` is the (n3 n1) x n2 matrix whose row t n1 + i is Z[i, :, t]:
+    duplicates summed, explicit zeros dropped, column indices sorted, and
+    int32 index arrays whenever the shape and nnz fit (12 instead of 16 bytes
+    per nonzero).
     """
 
     dims: tuple
-    i: np.ndarray = field(repr=False)
-    j: np.ndarray = field(repr=False)
-    t: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
+    stacked: sparse.csr_array = field(repr=False)
+
+    @classmethod
+    def _canonical(cls, dims, stacked) -> "SparseTensor3":
+        """Canonicalize a freshly built stacked matrix in place and wrap it."""
+        stacked.sum_duplicates()
+        stacked.eliminate_zeros()
+        if not np.all(np.isfinite(stacked.data)):
+            raise ValueError("tensor values must be finite")
+        if max(*stacked.shape, stacked.nnz) <= np.iinfo(np.int32).max:
+            stacked.indices = stacked.indices.astype(np.int32, copy=False)
+            stacked.indptr = stacked.indptr.astype(np.int32, copy=False)
+        return cls(dims=dims, stacked=stacked)
 
     @classmethod
     def from_entries(cls, dims, i, j, t, vals) -> "SparseTensor3":
@@ -51,36 +64,23 @@ class SparseTensor3:
         vals = np.asarray(vals, dtype=np.float64).ravel()
         if not (i.size == j.size == t.size == vals.size):
             raise ValueError("coordinate arrays must have equal length")
-        if vals.size:
-            if i.min() < 0 or j.min() < 0 or t.min() < 0 or \
-                    i.max() >= n1 or j.max() >= n2 or t.max() >= n3:
-                raise ValueError("tensor coordinate out of range")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("tensor values must be finite")
-        flat = (i * n2 + j) * n3 + t
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        summed = np.zeros(uniq.size)
-        np.add.at(summed, inverse, vals)
-        keep = summed != 0.0
-        uniq, summed = uniq[keep], summed[keep]
-        return cls(dims=(n1, n2, n3), i=uniq // (n2 * n3),
-                   j=(uniq // n3) % n2, t=uniq % n3, vals=summed)
+        if vals.size and (i.min() < 0 or j.min() < 0 or t.min() < 0 or
+                          i.max() >= n1 or j.max() >= n2 or t.max() >= n3):
+            raise ValueError("tensor coordinate out of range")
+        stacked = sparse.csr_array((vals, (t * n1 + i, j)), shape=(n3 * n1, n2))
+        return cls._canonical((n1, n2, n3), stacked)
 
     @classmethod
     def from_slices(cls, slices: Sequence) -> "SparseTensor3":
         """Stack square sparse matrices as the frontal slices Z[:, :, t]."""
         if len(slices) == 0:
             raise ValueError("need at least one slice")
-        mats = [sparse.coo_array(S) for S in slices]
+        mats = [sparse.csr_array(S) for S in slices]
         n = mats[0].shape[0]
         for S in mats:
             if S.shape != (n, n):
                 raise ValueError(f"slice shape {S.shape} != ({n}, {n})")
-        i = np.concatenate([S.row for S in mats]) if mats else np.zeros(0, np.int64)
-        j = np.concatenate([S.col for S in mats])
-        t = np.concatenate([np.full(S.nnz, k, dtype=np.int64) for k, S in enumerate(mats)])
-        v = np.concatenate([S.data for S in mats])
-        return cls.from_entries((n, n, len(mats)), i, j, t, v)
+        return cls._canonical((n, n, len(mats)), sparse.vstack(mats, format="csr"))
 
     @classmethod
     def from_dense(cls, array) -> "SparseTensor3":
@@ -92,40 +92,23 @@ class SparseTensor3:
 
     @property
     def nnz(self) -> int:
-        return int(self.vals.size)
+        return int(self.stacked.nnz)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dims)
-        out[self.i, self.j, self.t] = self.vals
-        return out
+        n1, n2, n3 = self.dims
+        return self.stacked.toarray().reshape(n3, n1, n2).transpose(1, 2, 0)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vals))
-
-    @cached_property
-    def _stacked_slices(self):
-        """Frontal slices Z[:, :, t] stacked as (n3 n1) x n2 CSR, and their
-        transposes stacked as (n3 n2) x n1, with int32 indices when they fit."""
-        n1, n2, n3 = self.dims
-        rows = _csr(self.vals, self.t * n1 + self.i, self.j, (n3 * n1, n2))
-        cols = _csr(self.vals, self.t * n2 + self.j, self.i, (n3 * n2, n1))
-        return rows, cols
-
-
-def _csr(vals, row, col, shape) -> sparse.csr_array:
-    """CSR array of the given coordinates, with int32 index arrays whenever
-    the shape and the entry count fit (12 instead of 16 bytes per nonzero)."""
-    fits = max(*shape, vals.size) <= np.iinfo(np.int32).max
-    idx = np.int32 if fits else np.int64
-    return sparse.csr_array((vals, (row.astype(idx), col.astype(idx))), shape=shape)
+        return float(np.linalg.norm(self.stacked.data))
 
 
 def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 
     ``factors`` is the triple (A, B, C); the factor of the requested mode is
-    ignored. Each mode multiplies the stacked slices by one node factor and
-    contracts the (n3, n, rank) result with the other factor:
+    ignored. Modes 1 and 3 multiply the stacked slices by B and contract the
+    (n3, n1, rank) result with the other factor; mode 2 multiplies their
+    transpose by the (n3 n1, rank) Khatri-Rao rows C[t] * A[i]. Each costs
     O(nnz rank + n3 n rank) time and O(n3 n rank) scratch.
     """
     if mode not in (1, 2, 3):
@@ -136,12 +119,12 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
     for M, n in ((A, n1), (B, n2), (C, n3)):
         if M.shape != (n, r):
             raise ValueError(f"factor shape {M.shape} inconsistent with dims {Z.dims} rank {r}")
-    rows, cols = Z._stacked_slices
-    if mode == 1:
-        return np.einsum("tir,tr->ir", (rows @ B).reshape(n3, n1, r), C)
     if mode == 2:
-        return np.einsum("tjr,tr->jr", (cols @ A).reshape(n3, n2, r), C)
-    return np.einsum("tir,ir->tr", (rows @ B).reshape(n3, n1, r), A)
+        return Z.stacked.T @ (C[:, None, :] * A[None, :, :]).reshape(n3 * n1, r)
+    ZB = (Z.stacked @ B).reshape(n3, n1, r)
+    if mode == 1:
+        return np.einsum("tir,tr->ir", ZB, C)
+    return np.einsum("tir,ir->tr", ZB, A)
 
 
 @dataclass(frozen=True)
@@ -154,27 +137,18 @@ class AlsConfig:
     ``max_sweeps`` sweeps. The rule is scale-free: a linearly converging
     exact decomposition keeps a large relative decrease and runs to the
     floor, while a fit that only drifts along gauge directions stops.
-
-    ``prox`` is the relative weight of a proximal term that pulls each factor
-    update toward its previous value. It leaves exact decompositions as fixed
-    points and barely slows well-posed problems, but pins the gauge drift of
-    weakly identifiable tensors (near-parallel time profiles), where plain
-    ALS wanders along flat directions and inflates paired components.
     """
 
     rank: int
     max_sweeps: int = 200
     rel_tol: float = 1e-6
     seed: int = 0
-    prox: float = 1e-3
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.rel_tol <= 0 or self.max_sweeps < 1:
             raise ValueError("tolerances and sweep budget must be positive")
-        if self.prox < 0:
-            raise ValueError("proximal weight must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -187,11 +161,12 @@ class CPModel:
 
     ``stop_reason`` says why ALS ended: ``"tol"`` (the relative fit change
     fell to ``rel_tol``), ``"floor"`` (the fit reached ``_FIT_FLOOR``),
-    ``"budget"`` (``max_sweeps`` ran out), ``"rejected"`` (an orthogonal-CP
-    sweep still raised the fit after every damped retry) or ``"zero"`` (an
-    all-zero tensor). ``b_angle`` is the largest principal angle, in radians,
-    between the column spaces of the node factor B at the start and at the
-    end, i.e. how far ALS moved the embedding's subspace.
+    ``"budget"`` (``max_sweeps`` ran out), ``"rejected"`` (a sweep raised the
+    fit by more than 1e-12, which only rounding error can do, so ALS kept the
+    state before it) or ``"zero"`` (an all-zero tensor). ``b_angle`` is the
+    largest principal angle, in radians, between the column spaces of the
+    node factor B at the start and at the end, i.e. how far ALS moved the
+    embedding's subspace.
     """
 
     lambdas: np.ndarray
@@ -248,7 +223,9 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig, *, orthogonal_b: bool = Fa
     rng = derived_rng(cfg.seed, "als-init")
     if n1 == n2:
         C = np.full((n3, r), 1.0 / np.sqrt(n3))
-        S = _csr(Z.vals, Z.i, Z.j, (n1, n2))
+        S = Z.stacked[:n1]
+        for t in range(1, n3):  # time order fixes the rounding of every entry
+            S = S + Z.stacked[t * n1:(t + 1) * n1]
         S = 0.5 * (S + S.T)
         k = min(r, n1)
         lead = _extreme_pairs(S, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
@@ -272,17 +249,24 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig, *, orthogonal_b: bool = Fa
     return A, B, C
 
 
-def _gram_solve(G, rhs, prox=0.0, prev=None):
-    """Least-squares factor update from its Gram system, optionally proximal.
+# relative weight of the proximal term that pulls each factor update toward
+# its previous value. It leaves exact decompositions as fixed points and barely
+# slows well-posed problems, but pins the gauge drift of weakly identifiable
+# tensors (near-parallel time profiles), where plain ALS wanders along flat
+# directions and inflates paired components.
+_PROX = 1e-3
 
-    Solves (G + rho I) X^T = (rhs + rho prev)^T with rho = prox tr(G)/r, plus
+
+def _gram_solve(G, rhs, prev):
+    """Proximal least-squares factor update from its Gram system.
+
+    Solves (G + rho I) X^T = (rhs + rho prev)^T with rho = _PROX tr(G)/r, plus
     the documented ridge fallback when G is numerically rank-deficient.
     """
     r = G.shape[0]
-    if prox > 0.0 and prev is not None:
-        rho = prox * np.trace(G) / r
-        G = G + rho * np.eye(r)
-        rhs = rhs + rho * prev
+    rho = _PROX * np.trace(G) / r
+    G = G + rho * np.eye(r)
+    rhs = rhs + rho * prev
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > 1e12:
         G = G + (1e-10 * np.trace(G) / r + 1e-300) * np.eye(r)
@@ -366,38 +350,24 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
                        stop_reason="zero", b_angle=0.0)
     B_start = B
 
-    def step(units, lam):
-        *raw, inner = _sweep(Z, *units, lam, orthogonal_b, cfg.prox)
-        (A, na), (B, nb), (C, nc) = map(_normalize_columns, raw, units)
-        lam = na * nb * nc
-        return (A, B, C), lam, _relative_error(norm_z, inner, lam, A, B, C)
-
     fits = []
     prev_fit = np.inf
-    units = (A, B, C)
-    lam_prev = np.ones(r)
+    lam = np.ones(r)
     for sweep in range(cfg.max_sweeps):
-        new, lam, fit = step(units, lam_prev)
-        if not all(np.all(np.isfinite(x)) for x in (*new, lam)):
+        *raw, inner = _sweep(Z, A, B, C, lam, orthogonal_b)
+        (A1, na), (B1, nb), (C1, nc) = map(_normalize_columns, raw, (A, B, C))
+        lam1 = na * nb * nc
+        fit = _relative_error(norm_z, inner, lam1, A1, B1, C1)
+        if not all(np.all(np.isfinite(x)) for x in (A1, B1, C1, lam1)):
             raise DecompositionError(
                 f"non-finite factor entries at sweep {sweep + 1}; "
                 "input scaling or rank is pathological")
-        if orthogonal_b and fit > prev_fit + 1e-12:
-            # retraction overshoot: reject the sweep, retry damped
-            A, B, C = new
-            A0, B0, C0 = units
-            for blend in (0.5, 0.25, 0.125):
-                damped = (_normalize_columns(A0 + blend * (A - A0), A0)[0],
-                          _polar(B0 + blend * (B - B0)),
-                          _normalize_columns(C0 + blend * (C - C0), C0)[0])
-                new, lam, fit = step(damped, lam_prev)
-                if fit <= prev_fit + 1e-12:
-                    break
-            else:
-                stop_reason = "rejected"  # keep the last accepted state
-                break
-
-        units, lam_prev = new, lam
+        if fit > prev_fit + 1e-12:
+            # every block update is an exact proximal minimizer, so a rise is
+            # rounding error: keep the last accepted state
+            stop_reason = "rejected"
+            break
+        A, B, C, lam = A1, B1, C1, lam1
         fits.append(fit)
         if fit <= _FIT_FLOOR:
             stop_reason = "floor"
@@ -410,40 +380,36 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
         stop_reason = "budget"
 
     # the first sweep is never rejected (prev_fit is inf), so one was accepted
-    lam, (A, B, C) = lam_prev, units
-
     order = np.argsort(-lam, kind="stable")
-    model = CPModel(lambdas=lam[order], factor_a=A[:, order], factor_b=B[:, order],
-                    factor_c=C[:, order], fit=fits[-1], sweeps=len(fits),
-                    fit_history=tuple(fits), stop_reason=stop_reason,
-                    b_angle=principal_angle(B_start, B))
-    return model
+    return CPModel(lambdas=lam[order], factor_a=A[:, order], factor_b=B[:, order],
+                   factor_c=C[:, order], fit=fits[-1], sweeps=len(fits),
+                   fit_history=tuple(fits), stop_reason=stop_reason,
+                   b_angle=principal_angle(B_start, B))
 
 
-def _sweep(Z, A, B, C, lam, orthogonal_b, prox):
+def _sweep(Z, A, B, C, lam, orthogonal_b):
     """One ALS sweep; also returns <Z, [[A, B, C]]>, read off the mode-3
     product that the C update computes."""
     # the first solve re-absorbs the component scale, so its proximal anchor
     # is the scaled previous factor; the later solves stay near unit norm
-    A = _gram_solve((B.T @ B) * (C.T @ C), mttkrp(Z, (A, B, C), 1),
-                    prox, A * lam[None, :])
+    A = _gram_solve((B.T @ B) * (C.T @ C), mttkrp(Z, (A, B, C), 1), A * lam[None, :])
     if orthogonal_b:
         M = mttkrp(Z, (A, B, C), 2)
-        if prox > 0.0:
-            M = M + (prox * np.linalg.norm(M) / np.sqrt(M.shape[1])) * B
-        B = _polar(M)
+        B = _polar(M + (_PROX * np.linalg.norm(M) / np.sqrt(M.shape[1])) * B)
     else:
-        B = _gram_solve((A.T @ A) * (C.T @ C), mttkrp(Z, (A, B, C), 2), prox, B)
+        B = _gram_solve((A.T @ A) * (C.T @ C), mttkrp(Z, (A, B, C), 2), B)
     M3 = mttkrp(Z, (A, B, C), 3)
-    C = _gram_solve((A.T @ A) * (B.T @ B), M3, prox, C)
+    C = _gram_solve((A.T @ A) * (B.T @ B), M3, C)
     return A, B, C, float(np.sum(M3 * C))
 
 
 def cp_als(Z: SparseTensor3, cfg: AlsConfig) -> CPModel:
     """Rank-``cfg.rank`` CP approximation by alternating least squares.
 
-    The relative fit is non-increasing sweep to sweep (up to 1e-12 rounding
-    slack); iteration stops once a sweep changes the fit by at most
+    Every block update is an exact proximal least-squares minimizer, so the
+    relative fit is non-increasing sweep to sweep: a sweep that raises it by
+    more than 1e-12 rounding slack is discarded and ALS ends at the state
+    before it (``stop_reason`` ``"rejected"``). Otherwise iteration stops once a sweep changes the fit by at most
     ``cfg.rel_tol`` times the fit (default 1e-6, relative), when the fit
     reaches ``_FIT_FLOOR``, or when the sweep budget runs out, and
     ``stop_reason`` records which. Factor columns are renormalized after every
@@ -456,12 +422,9 @@ def cp_als(Z: SparseTensor3, cfg: AlsConfig) -> CPModel:
 def ocp_als(Z: SparseTensor3, cfg: AlsConfig) -> CPModel:
     """CP approximation with an orthonormal second (node) factor.
 
-    Same contract as :func:`cp_als` except the node-factor update is the
-    orthogonal Procrustes solution, so ``factor_b.T @ factor_b`` is the
-    identity to machine precision; a sweep that increases the residual is
-    rejected and retried with damping, and when every damped retry still
-    increases it ALS stops at the last accepted state (``stop_reason``
-    ``"rejected"``).
+    Same contract as :func:`cp_als`, including the monotone fit, except the
+    node-factor update is the proximal orthogonal Procrustes solution, so
+    ``factor_b.T @ factor_b`` is the identity to machine precision.
     """
     return _als(Z, cfg, orthogonal_b=True)
 
@@ -489,7 +452,8 @@ def reconstruct_error(Z: SparseTensor3, model: CPModel,
             raise ValueError("slice weights must be positive")
     root = np.sqrt(w)
     C = model.factor_c * root[:, None]
-    norm_z = float(np.linalg.norm(Z.vals * root[Z.t]))
+    per_slice = np.diff(Z.stacked.indptr[::n1])  # stored entries of each slice
+    norm_z = float(np.linalg.norm(Z.stacked.data * np.repeat(root, per_slice)))
     M3 = mttkrp(Z, (A, B, model.factor_c), 3)
     inner = float(np.sum(lam * w[:, None] * model.factor_c * M3))
     err = float(_relative_error(norm_z, inner, lam, A, B, C))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynten.graphs import DynamicNetwork, adjacency_from_edges
 from dynten.io import (load_cp_model, load_dynamic_network, load_embedding_csv,
                        save_cp_model, write_dynamic_network, write_embedding_csv)
 from dynten.synth import dynamic_sbm
@@ -44,6 +45,23 @@ def test_write_load_write_is_exact(tmp_path, directed, text):
         assert np.array_equal(A.indptr, B.indptr)
         assert np.array_equal(A.indices, B.indices)
         assert np.array_equal(A.data, B.data)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_empty_slices_survive_roundtrip(tmp_path, directed):
+    """The first, a middle and the last slice have no links; each is written
+    as one zero-weight placeholder line, so tau and the slice order hold."""
+    empty = adjacency_from_edges(3, [], [], [])
+    link = adjacency_from_edges(3, [0], [2], [1.5], undirected=not directed)
+    net = DynamicNetwork(labels=("a", "b", "c"), directed=directed,
+                         snapshots=(empty, link, empty, link, empty))
+    write_dynamic_network(tmp_path / "one.edges", net)
+    back = load_dynamic_network(tmp_path / "one.edges", directed=directed)
+    write_dynamic_network(tmp_path / "two.edges", back)
+    assert (tmp_path / "one.edges").read_bytes() == (tmp_path / "two.edges").read_bytes()
+    assert back.labels == net.labels and back.tau == 5
+    for A, B in zip(net.snapshots, back.snapshots):
+        assert B.nnz == A.nnz and np.array_equal(A.toarray(), B.toarray())
 
 
 def test_combined_file_format(tmp_path):
