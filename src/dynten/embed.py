@@ -203,8 +203,8 @@ def dynamic_embedding(net: DynamicNetwork, cfg: DynEmbedConfig) -> DynEmbedResul
     if len(pre) != tau or len(post) != tau:
         raise ValueError("temporal weight length must equal the snapshot count")
 
-    conditioned = precondition(net, pre)
-    Z = SparseTensor3.from_slices(_variant_slices(conditioned, cfg))
+    # the tensor copies every slice, so the conditioned ones die here, before ALS
+    Z = SparseTensor3.from_slices(_variant_slices(precondition(net, pre), cfg))
 
     als = cfg.als or AlsConfig(rank=default_rank(net, cfg.d, cfg.decomposition),
                                seed=cfg.seed)

@@ -117,9 +117,7 @@ def write_embedding_csv(path, labels, embedding) -> None:
     if emb.ndim != 2 or emb.shape[0] != len(labels):
         raise ValueError("embedding must be n x d with one row per label")
     header = "node," + ",".join(f"dim_{k}" for k in range(emb.shape[1]))
-    lines = [header]
-    for lab, row in zip(labels, emb):
-        lines.append(str(lab) + "," + ",".join(repr(float(x)) for x in row))
+    lines = [header] + [str(lab) + "," + row for lab, row in zip(labels, _float_rows(emb))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -137,9 +135,14 @@ def load_embedding_csv(path):
     return labels, np.asarray(rows)
 
 
+def _float_rows(M) -> list:
+    """Rows of M as comma-joined float ``repr``s, which round-trip exactly."""
+    return [",".join(map(repr, row))
+            for row in np.atleast_2d(np.asarray(M, dtype=np.float64)).tolist()]
+
+
 def _write_matrix_csv(path, M):
-    lines = [",".join(repr(float(x)) for x in row) for row in np.atleast_2d(M)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(_float_rows(M)) + "\n")
 
 
 def _read_matrix_csv(path):

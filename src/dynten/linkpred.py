@@ -77,16 +77,21 @@ def separation_values(emb, pairs, metric: str) -> np.ndarray:
     raise ValueError(f"unknown separation metric {metric!r}")
 
 
-def _pair_key(i: int, j: int, directed: bool):
-    return (i, j) if directed else (min(i, j), max(i, j))
+def _pair_keys(i, j, n: int, directed: bool) -> np.ndarray:
+    """int64 keys ``i * n + j`` of node pairs, with ``i < j`` when undirected."""
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    if not directed:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    return i * n + j
 
 
-def _edge_key_set(net: DynamicNetwork, t: int):
-    """Links of slice t as the sampler sees them: no self-loops, unordered
-    pairs unless the network is directed."""
+def _edge_keys(net: DynamicNetwork, t: int) -> np.ndarray:
+    """Links of slice t as the sampler sees them, as sorted unique pair keys:
+    no self-loops, and unordered pairs unless the network is directed."""
     A = net.adjacency(t).tocoo()
-    return {_pair_key(i, j, net.directed)
-            for i, j in zip(A.row.tolist(), A.col.tolist()) if i != j}
+    links = A.row != A.col
+    return np.unique(_pair_keys(A.row[links], A.col[links], net.n, net.directed))
 
 
 def holdout_split(net: DynamicNetwork):
@@ -95,7 +100,7 @@ def holdout_split(net: DynamicNetwork):
     if net.tau < 2:
         raise ValueError("link prediction needs tau >= 2 (one slice is held out)")
     target = net.tau - 1
-    n_links = len(_edge_key_set(net, target))
+    n_links = _edge_keys(net, target).size
     if n_links == 0:
         raise ValueError(f"held-out slice {target} has no links (self-loops do not count)")
     train = DynamicNetwork(labels=net.labels, snapshots=net.snapshots[:-1],
@@ -105,42 +110,52 @@ def holdout_split(net: DynamicNetwork):
 
 def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
                         metric: str, n_pos: int, seed: int) -> EdgeSample:
-    """n_pos existing links (+1) and n_pos uniform non-links (-1) of one slice.
+    """n_pos existing links (+1) and n_pos uniform non-links (-1) of one slice,
+    shuffled, with their separations in the supplied embedding.
 
     Self-pairs are excluded; pairs are unordered for undirected networks.
-    Non-links are drawn by rejection sampling without duplicates, and the
-    separations come from the supplied embedding.
+    The ``"sampler"`` stream of ``seed`` first picks the links, n_pos of the
+    sorted link keys without replacement. Non-links then come from attempts
+    of two ``integers(n)`` draws each, (i, j): an attempt is rejected when
+    i == j or the pair is a link, and only the first occurrence of a pair
+    counts. Candidates are drawn in doubling batches, and the generator is
+    then moved to exactly where a loop drawing one attempt at a time would
+    stop, so the final shuffle, and thus the whole sample, is the one that
+    loop gives.
     """
     if n_pos < 1:
         raise ValueError("n_pos must be >= 1")
     n = net.n
-    edges = sorted(_edge_key_set(net, target_slice))
+    edges = _edge_keys(net, target_slice)
     total_pairs = n * (n - 1) if net.directed else n * (n - 1) // 2
-    n_neg_avail = total_pairs - len(edges)
-    if len(edges) < n_pos:
-        raise ValueError(f"slice {target_slice} has {len(edges)} links < n_pos={n_pos}")
+    n_neg_avail = total_pairs - edges.size
+    if edges.size < n_pos:
+        raise ValueError(f"slice {target_slice} has {edges.size} links < n_pos={n_pos}")
     if n_neg_avail < n_pos:
         raise ValueError(f"slice {target_slice} has {n_neg_avail} non-links < n_pos={n_pos}")
 
     rng = derived_rng(seed, "sampler")
-    pos_idx = rng.choice(len(edges), size=n_pos, replace=False)
-    positives = [edges[k] for k in sorted(pos_idx)]
+    positives = edges[np.sort(rng.choice(edges.size, size=n_pos, replace=False))]
 
-    edge_set = set(edges)
-    negatives = []
-    seen = set()
-    while len(negatives) < n_pos:
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        if i == j:
-            continue
-        key = _pair_key(i, j, net.directed)
-        if key in edge_set or key in seen:
-            continue
-        seen.add(key)
-        negatives.append(key)
+    start = rng.bit_generator.state
+    draws = np.empty(0, dtype=np.int64)
+    batch = n_pos
+    while True:  # O(log) rounds: the drawn attempts double each round
+        draws = np.concatenate([draws, rng.integers(n, size=2 * batch)])
+        i, j = draws[0::2], draws[1::2]
+        keys = _pair_keys(i, j, n, net.directed)
+        candidates = np.flatnonzero((i != j) & ~np.isin(keys, edges))
+        _, first = np.unique(keys[candidates], return_index=True)
+        if first.size >= n_pos:
+            break
+        batch *= 2
+    accepted = np.sort(candidates[first])[:n_pos]  # attempt indices in draw order
+    negatives = keys[accepted]
+    rng.bit_generator.state = start
+    rng.integers(n, size=2 * (int(accepted[-1]) + 1))  # the draws the loop would make
 
-    pairs = np.asarray(positives + negatives, dtype=np.int64)
+    chosen = np.concatenate([positives, negatives])
+    pairs = np.column_stack([chosen // n, chosen % n])
     labels = np.concatenate([np.ones(n_pos), -np.ones(n_pos)]).astype(np.int64)
     shuffle = rng.permutation(len(labels))  # no class-order artifacts downstream
     pairs, labels = pairs[shuffle], labels[shuffle]

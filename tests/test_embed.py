@@ -263,8 +263,10 @@ def test_dynamic_embedding_memory_is_linear():
     """Peak traced memory of a whole dynacpd embedding at n = 10 000
     (preconditioning, tensor build, spectral start, three ALS sweeps and
     selection) stays within a small constant times the tensor's nonzeros
-    plus the n x tau x rank MTTKRP scratch. One more CSR copy of the tensor
-    would add about 0.9 to the ratio measured here."""
+    plus the n x tau x rank MTTKRP scratch. The ratio measured here is 2.03;
+    the bound leaves 23% headroom. One more CSR copy of the tensor would add
+    about 0.9, and keeping the preconditioned slices alive through ALS
+    reads 2.91."""
     n, tau, rank = 10000, 8, 32
     rng = np.random.default_rng(25)
     snaps = []
@@ -282,4 +284,4 @@ def test_dynamic_embedding_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert res.model.sweeps <= 3 and res.embedding.shape == (n, 16)
-    assert peak <= 6 * (nnz + n * tau * rank) * 8
+    assert peak <= 2.5 * (nnz + n * tau * rank) * 8

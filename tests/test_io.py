@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynten import io
 from dynten.graphs import DynamicNetwork, adjacency_from_edges
 from dynten.io import (load_cp_model, load_dynamic_network, load_embedding_csv,
                        save_cp_model, write_dynamic_network, write_embedding_csv)
@@ -128,6 +129,24 @@ def test_embedding_csv_roundtrip(tmp_path):
     got_labels, got = load_embedding_csv(path)
     assert got_labels == labels
     assert np.array_equal(got, emb)  # repr floats round-trip exactly
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[-0.0, 5e-324, 1e300], [0.1 + 0.2, np.inf, np.nan], [-np.inf, 1.0, -7.25]]),
+    np.array([[0.1, -0.0, 3.4e38], [np.nan, 1e-45, -np.inf]], dtype=np.float32),
+    np.arange(6).reshape(2, 3) - 4,
+], ids=["float64", "float32", "int64"])
+def test_float_rows_match_per_entry_repr(tmp_path, M):
+    """Both CSV writers give the bytes of ``repr(float(x))`` per entry."""
+    labels = ["a", "b", 7][:len(M)]
+    rows = [",".join(repr(float(x)) for x in row) for row in M]
+    io._write_matrix_csv(tmp_path / "m.csv", M)
+    assert (tmp_path / "m.csv").read_text() == "\n".join(rows) + "\n"
+    write_embedding_csv(tmp_path / "e.csv", labels, M)
+    want = ["node,dim_0,dim_1,dim_2"] + [f"{lab},{row}" for lab, row in zip(labels, rows)]
+    assert (tmp_path / "e.csv").read_text() == "\n".join(want) + "\n"
+    io._write_matrix_csv(tmp_path / "v.csv", M[0])  # a vector is one row
+    assert (tmp_path / "v.csv").read_text() == rows[0] + "\n"
 
 
 def test_cp_model_roundtrip(tmp_path):

@@ -1,22 +1,24 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 import dynten
 from dynten import linkpred
-from dynten.graphs import ConvergenceError
+from dynten.graphs import ConvergenceError, DynamicNetwork, adjacency_from_edges
 from dynten.linkpred import (EdgeSample, auc_roc, average_precision,
                              cross_validated_scores, fit_logistic_l1,
                              hadamard_separation, holdout_split, l2_separation,
                              loss_value, predict_scores, sample_training_set,
                              separation_values)
+from dynten.seeding import derived_rng
 from dynten.synth import dynamic_sbm
 
 from conftest import align_edge_lists
@@ -57,6 +59,58 @@ class TestSeparations:
                 assert abs(d ** 2 - (ni + nj - 2 * s)) < 1e-12
 
 
+def scalar_edge_set(net, t):
+    """Links of slice t as a set of pair tuples: no self-loops, unordered
+    pairs unless directed."""
+    A = net.adjacency(t).tocoo()
+    return {(i, j) if net.directed else (min(i, j), max(i, j))
+            for i, j in zip(A.row.tolist(), A.col.tolist()) if i != j}
+
+
+def scalar_sampler(net, target_slice, emb, metric, n_pos, seed):
+    """Reference sampler: rejects one (i, j) attempt at a time in Python."""
+    n = net.n
+    edges = sorted(scalar_edge_set(net, target_slice))
+    rng = derived_rng(seed, "sampler")
+    pos_idx = rng.choice(len(edges), size=n_pos, replace=False)
+    positives = [edges[k] for k in sorted(pos_idx)]
+    edge_set = set(edges)
+    negatives = []
+    seen = set()
+    while len(negatives) < n_pos:
+        i = int(rng.integers(n))
+        j = int(rng.integers(n))
+        if i == j:
+            continue
+        key = (i, j) if net.directed else (min(i, j), max(i, j))
+        if key in edge_set or key in seen:
+            continue
+        seen.add(key)
+        negatives.append(key)
+    pairs = np.asarray(positives + negatives, dtype=np.int64)
+    labels = np.concatenate([np.ones(n_pos), -np.ones(n_pos)]).astype(np.int64)
+    shuffle = rng.permutation(len(labels))
+    pairs, labels = pairs[shuffle], labels[shuffle]
+    return EdgeSample(pairs=pairs, labels=labels,
+                      separations=separation_values(emb, pairs, metric))
+
+
+def assert_same_sample(a, b):
+    assert a.pairs.dtype == b.pairs.dtype and a.labels.dtype == b.labels.dtype
+    assert np.array_equal(a.pairs, b.pairs)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.separations, b.separations)
+
+
+def random_slice(n, rng, density, directed, self_loops):
+    """Canonical adjacency of a random slice; reciprocal links are likely
+    when directed."""
+    src, dst = np.nonzero(rng.random((n, n)) < density)
+    if not self_loops:
+        src, dst = src[src != dst], dst[src != dst]
+    return adjacency_from_edges(n, src, dst, np.ones(src.size), undirected=not directed)
+
+
 def toy_network():
     # 5 nodes; final slice has edges (0,1), (1,2), (3,4)
     return align_edge_lists([
@@ -95,6 +149,18 @@ class TestHoldoutSplit:
             sample_training_set(net, target, emb, "l2", n_links, seed=0)
             with pytest.raises(ValueError, match="links < n_pos"):
                 sample_training_set(net, target, emb, "l2", n_links + 1, seed=0)
+
+    @given(st.integers(2, 12), st.floats(0.05, 0.9), st.booleans(), st.booleans(),
+           st.integers(0, 10 ** 6))
+    def test_count_matches_set_of_pairs(self, n, density, directed, self_loops, seed):
+        A = random_slice(n, np.random.default_rng(seed), density, directed, self_loops)
+        net = DynamicNetwork(labels=tuple(range(n)), snapshots=(A, A), directed=directed)
+        want = len(scalar_edge_set(net, 1))
+        if want == 0:
+            with pytest.raises(ValueError, match="no links"):
+                holdout_split(net)
+        else:
+            assert holdout_split(net)[2] == want
 
     def test_single_slice_rejected(self):
         with pytest.raises(ValueError, match="tau >= 2"):
@@ -145,6 +211,47 @@ class TestSampler:
         neg = s.pairs[s.labels == -1][0]
         assert tuple(sorted(pos)) == (0, 1)
         assert tuple(sorted(neg)) in {(0, 2), (1, 2)}
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_scalar_sampler(self, data):
+        """Same pairs, labels and separations as the one-attempt-at-a-time
+        loop; the shuffle comes last, so this also checks that the generator
+        ends in the same state."""
+        n = data.draw(st.integers(2, 12), label="n")
+        directed = data.draw(st.booleans(), label="directed")
+        rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6), label="graph"))
+        A = random_slice(n, rng, data.draw(st.floats(0.05, 0.95), label="density"),
+                         directed, data.draw(st.booleans(), label="self_loops"))
+        net = DynamicNetwork(labels=tuple(range(n)), snapshots=(A,), directed=directed)
+        n_links = len(scalar_edge_set(net, 0))
+        n_non = (n * (n - 1) if directed else n * (n - 1) // 2) - n_links
+        assume(min(n_links, n_non) >= 1)
+        n_pos = data.draw(st.integers(1, min(n_links, n_non)), label="n_pos")
+        seed = data.draw(st.integers(0, 2 ** 63), label="seed")
+        metric = data.draw(st.sampled_from(["l2", "hadamard"]), label="metric")
+        emb = rng.standard_normal((n, 3))
+        assert_same_sample(sample_training_set(net, 0, emb, metric, n_pos, seed),
+                           scalar_sampler(net, 0, emb, metric, n_pos, seed))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_saturated_sample_returns_every_non_link_once(self, directed):
+        """n_pos equal to the number of non-links at n = 200: the draws must
+        collect every non-link, which takes O(log) batches."""
+        n = 200
+        A = random_slice(n, np.random.default_rng(31), 0.6, directed, self_loops=True)
+        net = DynamicNetwork(labels=tuple(range(n)), snapshots=(A,), directed=directed)
+        links = scalar_edge_set(net, 0)
+        non_links = {(i, j) for i in range(n) for j in range(n)
+                     if i != j and (directed or i < j)} - links
+        assert len(links) >= len(non_links)
+        emb = np.random.default_rng(4).standard_normal((n, 2))
+        t0 = time.perf_counter()
+        s = sample_training_set(net, 0, emb, "l2", len(non_links), seed=8)
+        assert time.perf_counter() - t0 < 5.0
+        negatives = [tuple(p) for p in s.pairs[s.labels == -1].tolist()]
+        assert len(negatives) == len(set(negatives)) and set(negatives) == non_links
+        assert_same_sample(s, scalar_sampler(net, 0, emb, "l2", len(non_links), seed=8))
 
 
 class TestLogistic:
