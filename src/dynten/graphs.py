@@ -12,6 +12,7 @@ and every matrix builder here returns the same canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,59 +38,115 @@ class ReducibleChainError(ValueError):
     (e.g. Katz preprocessing)."""
 
 
-def _canonicalize(node_count, src, dst, wgt):
-    """Sum duplicate (src, dst) pairs, drop zero weights, sort by (src, dst)."""
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
-    wgt = np.asarray(wgt, dtype=np.float64).ravel()
-    if not src.size == dst.size == wgt.size:
+def stacked_adjacency(node_count: int, slice_count: int, row, col, weight,
+                      undirected: bool = False) -> tuple:
+    """Canonical ``node_count`` x ``node_count`` adjacency of each of
+    ``slice_count`` slices, built at once as one stacked
+    (slice_count * node_count) x node_count CSR matrix and cut into slices:
+    edge k runs from node ``row[k] % node_count`` to ``col[k]`` with weight
+    ``weight[k]`` in slice ``row[k] // node_count``.
+
+    Per slice, duplicate pairs are summed in input order and zero sums are
+    dropped. With ``undirected=True`` every off-diagonal edge is mirrored so
+    both orientations carry the weight; duplicates are summed per orientation
+    first, and a pair listed in both orientations must agree in weight.
+    Input without repeated keys takes one counting-sort COO -> CSR pass;
+    only input where some key repeats is summed entry by entry.
+    """
+    n = node_count
+    row = np.asarray(row, dtype=np.int64).ravel()
+    col = np.asarray(col, dtype=np.int64).ravel()
+    wgt = np.asarray(weight, dtype=np.float64).ravel()
+    if not row.size == col.size == wgt.size:
         raise ValueError("src, dst and weight must have equal length")
-    if src.size == 0:
-        return src, dst, wgt
-    if src.min() < 0 or dst.min() < 0 or \
-            src.max() >= node_count or dst.max() >= node_count:
-        raise ValueError(f"edge endpoint out of range [0, {node_count})")
+    if row.size and (min(row.min(), col.min()) < 0 or row.max() >= slice_count * n
+                     or col.max() >= n):
+        raise ValueError(f"edge endpoint out of range [0, {n})")
     if not np.all(np.isfinite(wgt)):
         raise ValueError("edge weights must be finite")
-    flat = src * node_count + dst
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    summed = np.zeros(uniq.size)
-    np.add.at(summed, inverse, wgt)
+    shape = (slice_count * n, n)
+    A, entries = _stack(shape, row, col, wgt, undirected)
+    if A.nnz < entries:  # some key repeats: sum in input order as the contract says
+        del A
+        key, wgt = _sum_in_order(row * n + col, wgt)
+        if undirected:
+            key, wgt = _one_weight_per_pair(n, key, wgt)
+        A, _ = _stack(shape, key // n, key % n, wgt, undirected)
+    A.eliminate_zeros()
+    # int64 index arrays, as a csr_array built from int64 columns keeps them
+    indptr = A.indptr.astype(np.int64, copy=False)
+    indices = A.indices.astype(np.int64, copy=False)
+    slices = []
+    for t in range(slice_count):
+        ptr = indptr[t * n:(t + 1) * n + 1]
+        lo, hi = ptr[0], ptr[-1]
+        slices.append(sparse.csr_array((A.data[lo:hi], indices[lo:hi], ptr - lo),
+                                       shape=(n, n)))
+    return tuple(slices)
+
+
+def _stack(shape, row, col, wgt, undirected):
+    """The stacked CSR of the edges (mirrored off the diagonal when
+    undirected) with repeated keys summed, and the number of entries fed in:
+    fewer stored entries than that means a key repeated."""
+    index = np.int32 if shape[0] <= np.iinfo(np.int32).max else np.int64
+    if undirected:
+        src = row % shape[1] if shape[0] > shape[1] else row
+        off = np.flatnonzero(src != col)
+        size = row.size + off.size
+        r, c, w = np.empty(size, index), np.empty(size, index), np.empty(size)
+        r[:row.size], c[:row.size], w[:row.size] = row, col, wgt
+        r[row.size:] = row[off] - src[off] + col[off]
+        c[row.size:], w[row.size:] = src[off], wgt[off]
+        row, col, wgt = r, c, w
+    else:
+        row, col = row.astype(index), col.astype(index)
+    return sparse.coo_array((wgt, (row, col)), shape=shape).tocsr(), wgt.size
+
+
+def _sum_in_order(key, wgt):
+    """The distinct keys, sorted, and the weights of each summed in input
+    order from 0.0; zero sums are dropped."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    group = np.cumsum(new)
+    group -= 1
+    summed = np.zeros(group[-1] + 1)
+    np.add.at(summed, group, wgt[order])
     keep = summed != 0.0
-    uniq, summed = uniq[keep], summed[keep]
-    return uniq // node_count, uniq % node_count, summed
+    return key[new][keep], summed[keep]
+
+
+def _one_weight_per_pair(n, key, wgt):
+    """Each unordered pair among the sorted, distinct directed edges ``key``
+    (row * n + col) once, keyed by its upper-triangle orientation and with
+    that orientation's weight when both are present, which must then agree."""
+    row, col = np.divmod(key, n)
+    src = row % n
+    lower = np.flatnonzero(src > col)
+    mirror = (row[lower] - src[lower] + col[lower]) * n + src[lower]
+    lower_w = wgt[lower]
+    upper = np.ones(key.size, dtype=bool)
+    upper[lower] = False
+    key, wgt = key[upper], wgt[upper]
+    at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
+    both = key[at] == mirror if key.size else np.zeros(mirror.size, dtype=bool)
+    if np.any(wgt[at[both]] != lower_w[both]):
+        raise ValueError("conflicting weights for undirected edge")
+    return np.concatenate([key, mirror[~both]]), np.concatenate([wgt, lower_w[~both]])
 
 
 def adjacency_from_edges(node_count: int, src, dst, weight,
                          undirected: bool = False) -> sparse.csr_array:
     """Canonical ``node_count`` x ``node_count`` adjacency of the edges
-    src[k] -> dst[k] with weight[k].
-
-    Duplicate (src, dst) pairs are summed in input order and zero sums are
-    dropped. With ``undirected=True`` every off-diagonal edge is mirrored so
-    both orientations carry the weight; duplicates are summed per orientation
-    first, and a pair listed in both orientations must agree in weight.
-    """
+    src[k] -> dst[k] with weight[k]: one slice of :func:`stacked_adjacency`,
+    under the same summing rules."""
     if node_count < 0:
         raise ValueError("node_count must be >= 0")
-    src, dst, wgt = _canonicalize(node_count, src, dst, weight)
-    if undirected and src.size:
-        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-        flat = lo * node_count + hi
-        # keep the first weight per unordered pair; both orientations must agree
-        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-        w_u = wgt[first]
-        if np.any(wgt != w_u[inverse]):
-            raise ValueError("conflicting weights for undirected edge")
-        lo_u, hi_u = lo[first], hi[first]
-        off = lo_u != hi_u
-        src, dst, wgt = _canonicalize(node_count,
-                                      np.concatenate([lo_u, hi_u[off]]),
-                                      np.concatenate([hi_u, lo_u[off]]),
-                                      np.concatenate([w_u, w_u[off]]))
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    return sparse.csr_array((wgt, dst, indptr), shape=(node_count, node_count))
+    return stacked_adjacency(node_count, 1, src, dst, weight, undirected)[0]
 
 
 def _exactly_symmetric(A: sparse.csr_array) -> bool:
@@ -168,29 +225,42 @@ def align_snapshots(snapshot_edges: Sequence[Sequence], *,
     if snapshot_labels is not None and len(snapshot_labels) != len(snapshot_edges):
         raise ValueError("snapshot_labels length must match snapshot_edges")
 
-    union: set = set()
-    for t, (src, dst, _) in enumerate(snapshot_edges):
-        if snapshot_labels is not None:
-            seen_t: set = set()
-            for lab in snapshot_labels[t]:
-                if lab in seen_t:
-                    raise ValueError(f"duplicate label {lab!r} in snapshot {t}")
-                seen_t.add(lab)
-            union |= seen_t
+    union = declared_union(snapshot_labels or ())
+    weights = []
+    for src, dst, wgt in snapshot_edges:
+        weights.append(np.asarray(wgt, dtype=np.float64).ravel())
+        if not len(src) == len(dst) == weights[-1].size:
+            raise ValueError("src, dst and weight must have equal length")
         union.update(src)
         union.update(dst)
 
     labels = tuple(sorted(union, key=str))
     index = {lab: i for i, lab in enumerate(labels)}.__getitem__
     n = len(labels)
+    sizes = [w.size for w in weights]
 
-    def indexed(column):
-        return np.fromiter(map(index, column), dtype=np.int64, count=len(column))
+    def indexed(k):
+        column = chain.from_iterable(edges[k] for edges in snapshot_edges)
+        return np.fromiter(map(index, column), dtype=np.int64, count=sum(sizes))
 
-    snaps = tuple(adjacency_from_edges(n, indexed(src), indexed(dst), wgt,
-                                       undirected=not directed)
-                  for src, dst, wgt in snapshot_edges)
+    row = np.repeat(np.arange(len(sizes), dtype=np.int64) * n, sizes) + indexed(0)
+    snaps = stacked_adjacency(n, len(sizes), row, indexed(1), np.concatenate(weights),
+                              undirected=not directed)
     return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
+
+
+def declared_union(snapshot_labels: Sequence[Sequence]) -> set:
+    """The union of per-slice label declarations; a label repeated within one
+    slice's declaration is rejected."""
+    union: set = set()
+    for t, declared in enumerate(snapshot_labels):
+        seen: set = set()
+        for lab in declared:
+            if lab in seen:
+                raise ValueError(f"duplicate label {lab!r} in snapshot {t}")
+            seen.add(lab)
+        union |= seen
+    return union
 
 
 # ---------------------------------------------------------------------------

@@ -20,48 +20,261 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .graphs import DynamicNetwork, align_snapshots
+# align_snapshots stays importable from here, beside the loader it once served
+from .graphs import DynamicNetwork, align_snapshots, declared_union, stacked_adjacency  # noqa: F401
 from .tensors import AlsConfig, CPModel
 
 _NODES_DIRECTIVE = "# nodes:"
 
+# the separators of str.split() and the line boundaries of str.splitlines(),
+# as code points; "\r\n" is one boundary
+_SPACES = np.array([9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680,
+                    *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000])
+_BREAKS = np.array([10, 11, 12, 13, 28, 29, 30, 0x85, 0x2028, 0x2029])
+_ASCII_SPACE = np.isin(np.arange(256), _SPACES)
+_ASCII_BREAK = np.isin(np.arange(256), _BREAKS)
 
-def _parse_lines(lines, with_time, where):
-    """Edge columns ``(src, dst, weights)`` per slice, and the labels of the
-    ``# nodes:`` directives. Without a time column all lines form one slice;
-    with one, a new slice starts wherever the time token changes."""
-    slices, declared = [], []
-    want = (3, 4) if with_time else (2, 3)
-    first = 1 if with_time else 0  # column of the source label
-    prev = None
-    if not with_time:
-        src, dst, wgt = [], [], []
-        slices.append((src, dst, wgt))
-    for ln, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            line = raw.strip()
-            if line.startswith(_NODES_DIRECTIVE):
-                declared.extend(line[len(_NODES_DIRECTIVE):].split())
-            continue
-        if len(parts) not in want:
-            raise ValueError(f"{where}:{ln}: expected {want} fields, got {len(parts)}")
-        try:
-            w = float(parts[-1]) if len(parts) == want[1] else 1.0
-        except ValueError:
-            raise ValueError(f"{where}:{ln}: bad weight {parts[-1]!r}") from None
-        if with_time and parts[0] != prev:
-            t = parts[0]
-            if prev is not None and _time_key(t) < _time_key(prev):
-                raise ValueError(f"{where}: time column must be non-decreasing "
-                                 f"({t!r} after {prev!r})")
-            prev = t
-            src, dst, wgt = [], [], []
-            slices.append((src, dst, wgt))
-        src.append(parts[first])
-        dst.append(parts[first + 1])
-        wgt.append(w)
-    return slices, declared
+
+class _Text:
+    """A file's text as one array of code units: its bytes when the text is
+    ASCII, else its code points as big-endian uint32, followed by 8 zero units
+    so that every unit starts a readable 8-byte word."""
+
+    def __init__(self, path):
+        data = path.read_bytes()
+        if data.isascii():
+            self._text, self.size, self.unit = None, len(data), 1
+            self.units = np.zeros(self.size + 8, dtype=np.uint8)
+            self.units[:self.size] = np.frombuffer(data, dtype=np.uint8)
+        else:
+            with open(path, newline="") as fh:  # decoded as read_text() decodes
+                text = fh.read()
+            self._text, self.size, self.unit = text, len(text), 4
+            self.units = np.frombuffer(text.encode("utf-32-be") + bytes(32), dtype=">u4")
+
+    def spaces(self):
+        """Which units separate fields, padded with a separator at both ends."""
+        text = self.units[:self.size]
+        space = np.ones(self.size + 2, dtype=bool)
+        if self._text is not None:
+            space[1:-1] = np.isin(text, _SPACES)
+        elif (text < 9).any() or ((text > 13) & (text < 28)).any():
+            space[1:-1] = _ASCII_SPACE[text]  # control characters that do not separate
+        else:
+            np.less_equal(text, 32, out=space[1:-1])
+        return space
+
+    def breaks(self):
+        """Sorted positions of the line boundaries, a "\r\n" pair counted once."""
+        text = self.units[:self.size]
+        if self._text is not None:
+            at = np.flatnonzero(np.isin(text, _BREAKS))
+        elif ((text > 10) & (text < 14)).any() or ((text > 27) & (text < 31)).any():
+            at = np.flatnonzero(_ASCII_BREAK[text])
+        else:
+            return np.flatnonzero(text == 10)
+        return at[(self.units[at] != 13) | (self.units[at + 1] != 10)]
+
+    def decode(self, start, stop) -> str:
+        if self._text is None:
+            return self.units[start:stop].tobytes().decode("ascii")
+        return self._text[start:stop]
+
+    def tokens(self, starts, lengths) -> _Tokens:
+        """The tokens of ``lengths`` units at ``starts``; may overwrite
+        ``lengths``."""
+        per = 8 // self.unit
+        words = np.ndarray((self.units.size - per + 1,), dtype=">u8",
+                           buffer=self.units, strides=(self.unit,))
+        width = int(lengths.max()) if lengths.size else 0
+        if self.unit == 1 and width < 8:
+            key = _native(words[starts])
+            shift = lengths.view(np.uint64)  # in place: 64 - 8 * length, then back
+            np.subtract(8, shift, out=shift)
+            shift <<= 3
+            key >>= shift
+            key <<= shift
+            shift >>= 3
+            np.subtract(8, shift, out=shift)
+            key |= shift
+            return _Tokens(key, None, 1)
+        keep = np.array([(1 << 64) - (1 << (64 - 8 * self.unit * k)) for k in range(per + 1)],
+                        dtype=np.uint64)
+        key = np.empty((starts.size, -(-width // per)), dtype=np.uint64)
+        for k in range(key.shape[1]):
+            at = np.minimum(starts + k * per, self.size)
+            key[:, k] = _native(words[at]) & keep[np.clip(lengths - k * per, 0, per)]
+        return _Tokens(key, lengths, self.unit)
+
+
+def _native(a):
+    """``a`` in native byte order, swapped in place."""
+    return a.byteswap(inplace=True).view(a.dtype.newbyteorder())
+
+
+class _Tokens:
+    """Tokens as sort keys: each token's code units packed big-endian into
+    uint64 words, zero past its end, so that key order is str order. When
+    every token is ASCII of at most 7 characters, a token is one word with
+    its length in the low byte and ``lengths`` is None; else ``keys`` has a
+    row of words per token and ``lengths`` breaks the ties between a token
+    and the same token followed by NUL characters."""
+
+    def __init__(self, keys, lengths, unit):
+        self.keys, self.lengths, self.unit = keys, lengths, unit
+
+    def __len__(self):
+        return len(self.keys)
+
+    def take(self, *columns) -> _Tokens:
+        """The tokens at the indices ``columns``, one column after another."""
+        def gather(a):
+            return a[columns[0]] if len(columns) == 1 else np.concatenate([a[c] for c in columns])
+        return _Tokens(gather(self.keys), None if self.lengths is None else gather(self.lengths),
+                       self.unit)
+
+    def changes(self):
+        """Which tokens differ from the one before them (the first always does)."""
+        new = np.empty(len(self), dtype=bool)
+        new[:1] = True
+        if self.lengths is None:
+            np.not_equal(self.keys[1:], self.keys[:-1], out=new[1:])
+        else:
+            np.any(self.keys[1:] != self.keys[:-1], axis=1, out=new[1:])
+            new[1:] |= self.lengths[1:] != self.lengths[:-1]
+        return new
+
+    def decode(self) -> list:
+        lengths = self.keys & np.uint64(0xFF) if self.lengths is None else self.lengths
+        raw = self.keys.astype(">u8").tobytes()
+        step = 8 * (self.keys.shape[1] if self.keys.ndim == 2 else 1)
+        codec = "ascii" if self.unit == 1 else "utf-32-be"
+        return [raw[k * step:k * step + n * self.unit].decode(codec)
+                for k, n in enumerate(lengths.tolist())]
+
+    def factor(self):
+        """The sorted distinct tokens as str, and each token's index among
+        them. Only the distinct tokens are decoded."""
+        if self.lengths is None:
+            order = np.argsort(self.keys)
+        else:
+            order = np.lexsort([self.lengths, *self.keys.T[::-1]])
+        ordered = self.take(order)
+        new = ordered.changes()
+        strings = ordered.take(new).decode()
+        del ordered
+        inverse = np.empty(order.size, dtype=np.int32 if order.size < 2**31 else np.int64)
+        inverse[order] = np.cumsum(new, dtype=inverse.dtype) - 1
+        return strings, inverse
+
+
+class _EdgeFile:
+    """One edge-list file, parsed with array passes over its whole text.
+
+    ``declared`` holds the labels of its ``# nodes:`` directives, ``labels``
+    the sorted distinct endpoint labels, and ``src`` / ``dst`` / ``weight``
+    the edge columns, with endpoints as indices into ``labels``. With a time
+    column, ``slice_of`` gives each edge's slice (a new slice starts wherever
+    the time token changes) and ``slices`` their number; without one, all
+    lines form one slice and ``slice_of`` is None. Lines are those of
+    ``str.splitlines()`` and fields those of ``str.split()``; a bad line
+    raises ``ValueError`` naming the first bad line, as a line-by-line reader
+    would.
+    """
+
+    def __init__(self, path, with_time: bool):
+        self.where = str(path)
+        text = _Text(path)
+        # token k is units starts[k] .. starts[k] + lengths[k]: the runs
+        # between changes of the padded separator flags
+        space = text.spaces()
+        bounds = np.flatnonzero(space[1:] != space[:-1])
+        del space
+        starts = bounds[0::2].copy()
+        lengths = bounds[1::2] - starts
+        del bounds
+        breaks = text.breaks()
+        head = np.zeros(starts.size, dtype=bool)  # first token of each non-blank line
+        head[:1] = True
+        after = np.searchsorted(starts, breaks)
+        head[after[after < starts.size]] = True
+        head = np.flatnonzero(head)
+        fields = np.diff(head, append=starts.size)
+
+        comment = text.units[starts[head]] == ord("#")
+        self.declared = []
+        for h, f in zip(head[comment].tolist(), fields[comment].tolist()):
+            stripped = text.decode(starts[h], starts[h + f - 1] + lengths[h + f - 1])
+            if stripped.startswith(_NODES_DIRECTIVE):
+                self.declared.extend(stripped[len(_NODES_DIRECTIVE):].split())
+        head, fields = head[~comment], fields[~comment]
+        head_start = starts[head]
+        tokens = text.tokens(starts, lengths)
+        del text, starts, lengths
+
+        def line(k) -> int:  # the line number of data line k
+            return int(np.searchsorted(breaks, head_start[k])) + 1
+
+        first = 1 if with_time else 0  # column of the source label
+        weighted = np.flatnonzero(fields == first + 3)
+        self.weight = np.ones(head.size)
+        self.weight[weighted], self.slice_of = self._check(line, tokens, head, fields,
+                                                           weighted, with_time)
+        self.slices = 1 if self.slice_of is None or not self.slice_of.size else \
+            int(self.slice_of[-1]) + 1
+        del line, breaks, head_start, fields
+        tokens = tokens.take(head + first, head + first + 1)
+        self.labels, ids = tokens.factor()
+        self.src, self.dst = ids[:head.size], ids[head.size:]
+
+    def _check(self, line, tokens, head, fields, weighted, with_time):
+        """Check the data lines in the order a line-by-line reader would and
+        raise for the first bad one: each check only looks at the lines
+        before the first failure of the checks made before it. Returns the
+        weights of the ``weighted`` lines and, with a time column, the slice
+        of each line."""
+        want = (3, 4) if with_time else (2, 3)
+        error, limit = None, head.size
+        bad = np.flatnonzero((fields != want[0]) & (fields != want[1]))
+        if bad.size:
+            limit = int(bad[0])
+            error = f"{self.where}:{line(limit)}: expected {want} fields, got {fields[limit]}"
+        strings, wid = tokens.take(head[weighted] + want[0]).factor()
+        values = np.full(len(strings), np.nan)
+        malformed = np.zeros(len(strings), dtype=bool)
+        for k, token in enumerate(strings):
+            try:
+                values[k] = float(token)
+            except ValueError:
+                malformed[k] = True
+        bad = np.flatnonzero(~np.isfinite(values[wid]))
+        if bad.size and weighted[bad[0]] < limit:
+            limit, u = int(weighted[bad[0]]), wid[bad[0]]
+            problem = "bad weight" if malformed[u] else "non-finite weight"
+            error = f"{self.where}:{line(limit)}: {problem} {strings[u]!r}"
+        slice_of = None
+        if with_time:
+            times = tokens.take(head[:limit])
+            boundary = times.changes()
+            at = np.flatnonzero(boundary)  # first line of each slice
+            error = _check_times(self.where, line, at, times.take(at).decode()) or error
+            slice_of = np.cumsum(boundary) - 1
+        if error is not None:
+            raise ValueError(error)
+        return values[wid], slice_of
+
+
+def _check_times(where, line, at, times):
+    """The error for the first slice whose time, on data line ``at[k]``, is
+    NaN or before the previous slice's, or None."""
+    keys = [_time_key(t) for t in times]
+    for k, (_, value, token) in enumerate(keys):
+        if value != value:
+            return f"{where}:{line(at[k])}: time {token!r} is not a number"
+        if k and keys[k] < keys[k - 1]:
+            return (f"{where}: time column must be non-decreasing "
+                    f"({token!r} after {times[k - 1]!r})")
+    return None
 
 
 def load_dynamic_network(path, directed: bool = False) -> DynamicNetwork:
@@ -74,18 +287,30 @@ def load_dynamic_network(path, directed: bool = False) -> DynamicNetwork:
         files = sorted(p for p in path.iterdir() if p.is_file())
         if not files:
             raise ValueError(f"no snapshot files in {path}")
-        per_slice, labels = [], []
-        for f in files:
-            (edges,), declared = _parse_lines(f.read_text().splitlines(), False, str(f))
-            per_slice.append(edges)
-            labels.append(declared)
+        parsed = [_EdgeFile(f, with_time=False) for f in files]
+        declared = [p.declared for p in parsed]
     else:
-        per_slice, declared = _parse_lines(path.read_text().splitlines(), True, str(path))
-        if not per_slice and not declared:
+        parsed = [_EdgeFile(path, with_time=True)]
+        if not parsed[0].src.size and not parsed[0].declared:
             raise ValueError(f"{path}: empty dataset")
-        per_slice = per_slice or [([], [], [])]
-        labels = [declared] + [[]] * (len(per_slice) - 1)
-    return align_snapshots(per_slice, snapshot_labels=labels, directed=directed)
+        declared = [parsed[0].declared] + [[]] * (parsed[0].slices - 1)
+    union = declared_union(declared)
+    for p in parsed:
+        union.update(p.labels)
+    labels = sorted(union)
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    row, col, weight = [], [], []
+    for t, p in enumerate(parsed):
+        remap = np.array([index[lab] for lab in p.labels], dtype=np.int64)
+        row.append(remap[p.src])
+        row[-1] += (t if p.slice_of is None else p.slice_of) * n
+        col.append(remap[p.dst])
+        weight.append(p.weight)
+    del parsed
+    row, col, weight = (x[0] if len(x) == 1 else np.concatenate(x) for x in (row, col, weight))
+    snaps = stacked_adjacency(n, len(declared), row, col, weight, undirected=not directed)
+    return DynamicNetwork(labels=tuple(labels), snapshots=snaps, directed=directed)
 
 
 def _time_key(token: str):

@@ -54,6 +54,24 @@ class TestTopK:
         with pytest.raises(ValueError, match="symmetric"):
             top_k_eigs(csr([[0, 1], [0, 0]]), 1)
 
+    def test_symmetry_tolerance_scales_with_the_largest_entry(self):
+        """Asymmetry up to 1e-12 times max(1, max |M|) passes and beyond it
+        raises, both where the two patterns agree and where an entry's
+        mirror is not stored."""
+        base = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 3.0], [0.0, 3.0, 1.0]]) * 1e3
+
+        def with_entry(i, j, value):
+            M = base.copy()
+            M[i, j] = value
+            return csr(M)
+
+        # the largest entry is 3e3, so the bound is 3e-9
+        for M in (with_entry(0, 1, 1e3 + 1e-9), with_entry(0, 2, 1e-9)):
+            assert len(top_k_eigs(M, 1)) == 1
+        for M in (with_entry(1, 2, 3e3 + 1e-8), with_entry(0, 2, 1e-8)):
+            with pytest.raises(ValueError, match="not symmetric within tolerance"):
+                top_k_eigs(M, 1)
+
     def test_degenerate_subspace_projector(self):
         # K3 adjacency: eigenvalues 2, -1, -1; compare projector not vectors
         A = csr(np.ones((3, 3)) - np.eye(3))
