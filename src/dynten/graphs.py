@@ -91,7 +91,7 @@ def _stack(shape, row, col, wgt, undirected):
     fewer stored entries than that means a key repeated."""
     index = np.int32 if shape[0] <= np.iinfo(np.int32).max else np.int64
     if undirected:
-        src = row % shape[1] if shape[0] > shape[1] else row
+        src = row % shape[1] if row.size else row
         off = np.flatnonzero(src != col)
         size = row.size + off.size
         r, c, w = np.empty(size, index), np.empty(size, index), np.empty(size)
@@ -132,9 +132,8 @@ def _one_weight_per_pair(n, key, wgt):
     upper = np.ones(key.size, dtype=bool)
     upper[lower] = False
     key, wgt = key[upper], wgt[upper]
-    at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
-    both = key[at] == mirror if key.size else np.zeros(mirror.size, dtype=bool)
-    if np.any(wgt[at[both]] != lower_w[both]):
+    both = np.isin(mirror, key, assume_unique=True)
+    if np.any(wgt[np.searchsorted(key, mirror[both])] != lower_w[both]):
         raise ValueError("conflicting weights for undirected edge")
     return np.concatenate([key, mirror[~both]]), np.concatenate([wgt, lower_w[~both]])
 

@@ -6,8 +6,11 @@ Edge-list format, one line per edge, whitespace separated, ``#`` comments:
     src_label dst_label [weight]       (one file per snapshot in a directory)
 
 weight defaults to 1.0. A comment line ``# nodes: a b c`` may declare labels
-that should exist even if isolated in every snapshot. Floats are written with
-``repr`` so values round-trip exactly.
+that should exist even if isolated in every snapshot. Fields are the tokens
+``str.split()`` yields and lines those ``str.splitlines()`` yields, so tabs,
+CRLF endings and non-ASCII labels work; the loader finds them with array
+passes over the whole text. Floats are written with ``repr`` so values
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-# align_snapshots stays importable from here, beside the loader it once served
+# align_snapshots is not used here, but perfbench/tracing.py wraps it under this module
 from .graphs import DynamicNetwork, align_snapshots, declared_union, stacked_adjacency  # noqa: F401
 from .tensors import AlsConfig, CPModel
 
@@ -31,8 +34,10 @@ _NODES_DIRECTIVE = "# nodes:"
 _SPACES = np.array([9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680,
                     *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000])
 _BREAKS = np.array([10, 11, 12, 13, 28, 29, 30, 0x85, 0x2028, 0x2029])
-_ASCII_SPACE = np.isin(np.arange(256), _SPACES)
-_ASCII_BREAK = np.isin(np.arange(256), _BREAKS)
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[_SPACES[_SPACES < 256]] = True
+_ASCII_BREAK = np.zeros(256, dtype=bool)
+_ASCII_BREAK[_BREAKS[_BREAKS < 256]] = True
 
 
 class _Text:
@@ -88,8 +93,11 @@ class _Text:
                            buffer=self.units, strides=(self.unit,))
         width = int(lengths.max()) if lengths.size else 0
         if self.unit == 1 and width < 8:
+            # clear the bytes past each token by shifting its word right and
+            # back left by 64 - 8 * length, then put the length in the low
+            # byte; the shifts are made in place in ``lengths``
             key = _native(words[starts])
-            shift = lengths.view(np.uint64)  # in place: 64 - 8 * length, then back
+            shift = lengths.view(np.uint64)
             np.subtract(8, shift, out=shift)
             shift <<= 3
             key >>= shift
@@ -175,11 +183,10 @@ class _EdgeFile:
     the sorted distinct endpoint labels, and ``src`` / ``dst`` / ``weight``
     the edge columns, with endpoints as indices into ``labels``. With a time
     column, ``slice_of`` gives each edge's slice (a new slice starts wherever
-    the time token changes) and ``slices`` their number; without one, all
-    lines form one slice and ``slice_of`` is None. Lines are those of
-    ``str.splitlines()`` and fields those of ``str.split()``; a bad line
-    raises ``ValueError`` naming the first bad line, as a line-by-line reader
-    would.
+    the time token changes); without one, all lines form one slice and
+    ``slice_of`` is None. Lines are those of ``str.splitlines()`` and fields
+    those of ``str.split()``; a bad line raises ``ValueError`` naming the
+    first bad line, as a line-by-line reader would.
     """
 
     def __init__(self, path, with_time: bool):
@@ -217,11 +224,9 @@ class _EdgeFile:
 
         first = 1 if with_time else 0  # column of the source label
         weighted = np.flatnonzero(fields == first + 3)
+        values, self.slice_of = self._check(line, tokens, head, fields, weighted, with_time)
         self.weight = np.ones(head.size)
-        self.weight[weighted], self.slice_of = self._check(line, tokens, head, fields,
-                                                           weighted, with_time)
-        self.slices = 1 if self.slice_of is None or not self.slice_of.size else \
-            int(self.slice_of[-1]) + 1
+        self.weight[weighted] = values
         del line, breaks, head_start, fields
         tokens = tokens.take(head + first, head + first + 1)
         self.labels, ids = tokens.factor()
@@ -291,9 +296,10 @@ def load_dynamic_network(path, directed: bool = False) -> DynamicNetwork:
         declared = [p.declared for p in parsed]
     else:
         parsed = [_EdgeFile(path, with_time=True)]
-        if not parsed[0].src.size and not parsed[0].declared:
+        slice_of, declared = parsed[0].slice_of, parsed[0].declared
+        if not slice_of.size and not declared:
             raise ValueError(f"{path}: empty dataset")
-        declared = [parsed[0].declared] + [[]] * (parsed[0].slices - 1)
+        declared = [declared] + [[]] * (int(slice_of[-1]) if slice_of.size else 0)
     union = declared_union(declared)
     for p in parsed:
         union.update(p.labels)
