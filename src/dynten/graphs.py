@@ -224,7 +224,7 @@ def align_snapshots(snapshot_edges: Sequence[Sequence], *,
     if snapshot_labels is not None and len(snapshot_labels) != len(snapshot_edges):
         raise ValueError("snapshot_labels length must match snapshot_edges")
 
-    union = declared_union(snapshot_labels or ())
+    union = declared_union(() if snapshot_labels is None else snapshot_labels)
     weights = []
     for src, dst, wgt in snapshot_edges:
         weights.append(np.asarray(wgt, dtype=np.float64).ravel())
