@@ -70,7 +70,7 @@ class _Text:
         return space
 
     def breaks(self):
-        """Sorted positions of the line boundaries, a "\r\n" pair counted once."""
+        """Sorted positions of the line boundaries, a CRLF pair counted once."""
         text = self.units[:self.size]
         if self._text is not None:
             at = np.flatnonzero(np.isin(text, _BREAKS))
