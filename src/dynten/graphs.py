@@ -216,50 +216,67 @@ def align_snapshots(snapshot_edges: Sequence[Sequence], *,
     equal-length sequences for slice t. ``snapshot_labels[t]``, when given,
     declares nodes present at t even if isolated; a label repeated within one
     slice's declaration is rejected. Every slice is padded with isolated nodes
-    to the full union label set, and the label -> index map (sorted label
-    order) is shared by all slices.
+    to the full union label set, as :func:`aligned_network` builds it.
     """
     if len(snapshot_edges) == 0:
         raise ValueError("need at least one snapshot")
     if snapshot_labels is not None and len(snapshot_labels) != len(snapshot_edges):
         raise ValueError("snapshot_labels length must match snapshot_edges")
 
-    union = declared_union(() if snapshot_labels is None else snapshot_labels)
     weights = []
     for src, dst, wgt in snapshot_edges:
         weights.append(np.asarray(wgt, dtype=np.float64).ravel())
         if not len(src) == len(dst) == weights[-1].size:
             raise ValueError("src, dst and weight must have equal length")
-        union.update(src)
-        union.update(dst)
-
-    labels = tuple(sorted(union, key=str))
-    index = {lab: i for i, lab in enumerate(labels)}.__getitem__
-    n = len(labels)
     sizes = [w.size for w in weights]
+    index: dict = {}  # label -> its number, in order of first appearance
 
     def indexed(k):
         column = chain.from_iterable(edges[k] for edges in snapshot_edges)
-        return np.fromiter(map(index, column), dtype=np.int64, count=sum(sizes))
+        return np.fromiter((index.setdefault(lab, len(index)) for lab in column),
+                           dtype=np.int64, count=sum(sizes))
 
-    row = np.repeat(np.arange(len(sizes), dtype=np.int64) * n, sizes) + indexed(0)
-    snaps = stacked_adjacency(n, len(sizes), row, indexed(1), np.concatenate(weights),
-                              undirected=not directed)
-    return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
+    src, dst = indexed(0), indexed(1)
+    slice_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    declared = [()] * len(sizes) if snapshot_labels is None else snapshot_labels
+    return aligned_network([(list(index), slice_of, src, dst, np.concatenate(weights))],
+                           declared, directed)
 
 
-def declared_union(snapshot_labels: Sequence[Sequence]) -> set:
-    """The union of per-slice label declarations; a label repeated within one
-    slice's declaration is rejected."""
+def aligned_network(parts, declared: Sequence[Sequence], directed: bool) -> DynamicNetwork:
+    """The network of edge ``parts`` over the union node set, one slice per
+    entry of ``declared``.
+
+    A part is ``(labels, slice_of, src, dst, weight)``: its edge k runs from
+    ``labels[src[k]]`` to ``labels[dst[k]]`` with ``weight[k]`` in slice
+    ``slice_of[k]`` (an array, or one slice number for the whole part).
+    ``declared[t]`` declares labels present at t even if isolated; a label
+    repeated within one declaration is rejected. The union of the declared
+    and part labels, sorted by ``str``, is the node order of every slice.
+    """
     union: set = set()
-    for t, declared in enumerate(snapshot_labels):
+    for t, labels_t in enumerate(declared):
         seen: set = set()
-        for lab in declared:
+        for lab in labels_t:
             if lab in seen:
                 raise ValueError(f"duplicate label {lab!r} in snapshot {t}")
             seen.add(lab)
         union |= seen
-    return union
+    for part in parts:
+        union.update(part[0])
+    labels = tuple(sorted(union, key=str))
+    index = {lab: i for i, lab in enumerate(labels)}.__getitem__
+    n = len(labels)
+    row, col, weight = [], [], []
+    for part_labels, slice_of, src, dst, wgt in parts:
+        remap = np.fromiter(map(index, part_labels), dtype=np.int64, count=len(part_labels))
+        row.append(remap[src])
+        row[-1] += np.multiply(slice_of, n, dtype=np.int64)
+        col.append(remap[dst])
+        weight.append(wgt)
+    row, col, weight = (x[0] if len(x) == 1 else np.concatenate(x) for x in (row, col, weight))
+    snaps = stacked_adjacency(n, len(declared), row, col, weight, undirected=not directed)
+    return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
 
 
 # ---------------------------------------------------------------------------

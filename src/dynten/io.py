@@ -24,156 +24,144 @@ import numpy as np
 from scipy import sparse
 
 # align_snapshots is not used here, but perfbench/tracing.py wraps it under this module
-from .graphs import DynamicNetwork, align_snapshots, declared_union, stacked_adjacency  # noqa: F401
+from .graphs import DynamicNetwork, align_snapshots, aligned_network  # noqa: F401
 from .tensors import AlsConfig, CPModel
 
 _NODES_DIRECTIVE = "# nodes:"
 
 # the separators of str.split() and the line boundaries of str.splitlines(),
-# as code points; "\r\n" is one boundary
+# as code points, and the runs their ASCII members form; "\r\n" is one boundary
 _SPACES = np.array([9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680,
                     *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000])
 _BREAKS = np.array([10, 11, 12, 13, 28, 29, 30, 0x85, 0x2028, 0x2029])
-_ASCII_SPACE = np.zeros(256, dtype=bool)
-_ASCII_SPACE[_SPACES[_SPACES < 256]] = True
-_ASCII_BREAK = np.zeros(256, dtype=bool)
-_ASCII_BREAK[_BREAKS[_BREAKS < 256]] = True
+_SPACE_RUNS = ((9, 13), (28, 32))
+_BREAK_RUNS = ((10, 13), (28, 30))
 
 
 class _Text:
-    """A file's text as one array of code units: its bytes when the text is
-    ASCII, else its code points as big-endian uint32, followed by 8 zero units
-    so that every unit starts a readable 8-byte word."""
+    """A file's text, decoded as ``Path.read_text()`` decodes it, as one
+    array of code units: its code points in the narrowest of 1, 2 or 4 bytes
+    that holds them all, followed by 8 zero units so that an 8-byte word can
+    be read at every unit. ``index`` is the integer type that holds a unit's
+    position."""
 
     def __init__(self, path):
-        data = path.read_bytes()
-        if data.isascii():
-            self._text, self.size, self.unit = None, len(data), 1
-            self.units = np.zeros(self.size + 8, dtype=np.uint8)
-            self.units[:self.size] = np.frombuffer(data, dtype=np.uint8)
-        else:
-            with open(path, newline="") as fh:  # decoded as read_text() decodes
-                text = fh.read()
-            self._text, self.size, self.unit = text, len(text), 4
-            self.units = np.frombuffer(text.encode("utf-32-be") + bytes(32), dtype=">u4")
+        with open(path, newline="") as fh:
+            text = fh.read()
+        self.size = len(text)
+        top = 0 if text.isascii() else int(np.frombuffer(text.encode("utf-32-le"), "<u4").max())
+        self.unit, self.codec = ((1, "latin-1") if top < 0x100 else
+                                 (2, "utf-16-le") if top < 0x10000 else (4, "utf-32-le"))
+        text += "\0" * 8
+        self._raw = text.encode(self.codec)
+        del text
+        self.units = np.frombuffer(self._raw, dtype=f"<u{self.unit}")
+        self.index = np.int32 if self.units.size < 2**31 else np.int64
+        # the 8-byte word at each unit, and the masks that keep a word's first k units
+        self._word = np.ndarray((self.units.size - 8 // self.unit + 1,), dtype="<u8",
+                                buffer=self._raw, strides=(self.unit,))
+        self._keep = np.array([(1 << 8 * self.unit * k) - 1 for k in range(8 // self.unit + 1)],
+                              dtype=np.uint64)
+
+    def _among(self, runs, points, out):
+        """Set ``out`` to which units are among the code points ``points``,
+        whose ASCII members form ``runs``: ASCII units are compared with the
+        runs, and only the others are looked up."""
+        units = self.units[:self.size]
+        out[:] = False
+        for first, last in runs:
+            out |= (units >= first) & (units <= last)
+        wide = np.flatnonzero(units >= 128)
+        out[wide] = np.isin(units[wide], points)
+        return out
 
     def spaces(self):
         """Which units separate fields, padded with a separator at both ends."""
-        text = self.units[:self.size]
         space = np.ones(self.size + 2, dtype=bool)
-        if self._text is not None:
-            space[1:-1] = np.isin(text, _SPACES)
-        elif (text < 9).any() or ((text > 13) & (text < 28)).any():
-            space[1:-1] = _ASCII_SPACE[text]  # control characters that do not separate
-        else:
-            np.less_equal(text, 32, out=space[1:-1])
+        self._among(_SPACE_RUNS, _SPACES, space[1:-1])
         return space
 
     def breaks(self):
         """Sorted positions of the line boundaries, a CRLF pair counted once."""
-        text = self.units[:self.size]
-        if self._text is not None:
-            at = np.flatnonzero(np.isin(text, _BREAKS))
-        elif ((text > 10) & (text < 14)).any() or ((text > 27) & (text < 31)).any():
-            at = np.flatnonzero(_ASCII_BREAK[text])
-        else:
-            return np.flatnonzero(text == 10)
+        at = np.flatnonzero(self._among(_BREAK_RUNS, _BREAKS, np.empty(self.size, dtype=bool)))
         return at[(self.units[at] != 13) | (self.units[at + 1] != 10)]
 
     def decode(self, start, stop) -> str:
-        if self._text is None:
-            return self.units[start:stop].tobytes().decode("ascii")
-        return self._text[start:stop]
+        return self._raw[start * self.unit:stop * self.unit].decode(self.codec)
 
-    def tokens(self, starts, lengths) -> _Tokens:
-        """The tokens of ``lengths`` units at ``starts``; may overwrite
-        ``lengths``."""
+    def _words(self, at, count):
+        """The uint64 words read at units ``at``, cleared past their first
+        ``count`` units (at most a word's worth)."""
+        key = self._word[at]
+        key &= self._keep[count]
+        return key
+
+    def factor(self, starts, lengths):
+        """The sorted distinct tokens of ``lengths[k]`` units at ``starts[k]``,
+        as str, and each token's index among them.
+
+        Tokens are grouped by length, and within a group matched on their
+        units read as uint64 words, one word position at a time, so that no
+        key is wider than its own token. Only one token of each distinct
+        value is decoded; the distinct values are then sorted as str."""
         per = 8 // self.unit
-        words = np.ndarray((self.units.size - per + 1,), dtype=">u8",
-                           buffer=self.units, strides=(self.unit,))
-        width = int(lengths.max()) if lengths.size else 0
-        if self.unit == 1 and width < 8:
-            # clear the bytes past each token by shifting its word right and
-            # back left by 64 - 8 * length, then put the length in the low
-            # byte; the shifts are made in place in ``lengths``
-            key = _native(words[starts])
-            shift = lengths.view(np.uint64)
-            np.subtract(8, shift, out=shift)
-            shift <<= 3
-            key >>= shift
-            key <<= shift
-            shift >>= 3
-            np.subtract(8, shift, out=shift)
-            key |= shift
-            return _Tokens(key, None, 1)
-        keep = np.array([(1 << 64) - (1 << (64 - 8 * self.unit * k)) for k in range(per + 1)],
-                        dtype=np.uint64)
-        key = np.empty((starts.size, -(-width // per)), dtype=np.uint64)
-        for k in range(key.shape[1]):
-            at = np.minimum(starts + k * per, self.size)
-            key[:, k] = _native(words[at]) & keep[np.clip(lengths - k * per, 0, per)]
-        return _Tokens(key, lengths, self.unit)
+        ids = np.empty(starts.size, dtype=self.index)
+        strings = []
+        by_length = np.argsort(lengths.astype(np.min_scalar_type(lengths.max(initial=0))),
+                               kind="stable").astype(self.index)
+        counts = np.bincount(lengths)
+        present = np.flatnonzero(counts)
+        for length, group in zip(present.tolist(),
+                                 np.split(by_length, np.cumsum(counts[present[:-1]]))):
+            at = starts[group]
+            for offset in range(0, length, per):
+                word, count = _ranks(self._words(at + offset, min(per, length - offset)))
+                if offset:  # refine the matches of the words before by this one
+                    word, count = _ranks(local.astype(np.int64) * count + word)
+                local = word
+            first = np.empty(count, dtype=np.int64)
+            first[local] = at  # the start of some token of each distinct value
+            local += len(strings)
+            ids[group] = local
+            strings.extend(self.decode(s, s + length) for s in first.tolist())
+        order = sorted(range(len(strings)), key=strings.__getitem__)
+        rank = np.empty(len(strings), dtype=self.index)
+        rank[order] = np.arange(len(strings))
+        return [strings[k] for k in order], rank[ids]
 
-
-def _native(a):
-    """``a`` in native byte order, swapped in place."""
-    return a.byteswap(inplace=True).view(a.dtype.newbyteorder())
-
-
-class _Tokens:
-    """Tokens as sort keys: each token's code units packed big-endian into
-    uint64 words, zero past its end, so that key order is str order. When
-    every token is ASCII of at most 7 characters, a token is one word with
-    its length in the low byte and ``lengths`` is None; else ``keys`` has a
-    row of words per token and ``lengths`` breaks the ties between a token
-    and the same token followed by NUL characters."""
-
-    def __init__(self, keys, lengths, unit):
-        self.keys, self.lengths, self.unit = keys, lengths, unit
-
-    def __len__(self):
-        return len(self.keys)
-
-    def take(self, *columns) -> _Tokens:
-        """The tokens at the indices ``columns``, one column after another."""
-        def gather(a):
-            return a[columns[0]] if len(columns) == 1 else np.concatenate([a[c] for c in columns])
-        return _Tokens(gather(self.keys), None if self.lengths is None else gather(self.lengths),
-                       self.unit)
-
-    def changes(self):
+    def changes(self, starts, lengths):
         """Which tokens differ from the one before them (the first always does)."""
-        new = np.empty(len(self), dtype=bool)
-        new[:1] = True
-        if self.lengths is None:
-            np.not_equal(self.keys[1:], self.keys[:-1], out=new[1:])
-        else:
-            np.any(self.keys[1:] != self.keys[:-1], axis=1, out=new[1:])
-            new[1:] |= self.lengths[1:] != self.lengths[:-1]
-        return new
+        per = 8 // self.unit
+        key = self._words(starts, np.minimum(lengths, per))
+        same = np.zeros(starts.size, dtype=bool)
+        np.equal(key[1:], key[:-1], out=same[1:])
+        del key
+        same[1:] &= lengths[1:] == lengths[:-1]
+        live = np.flatnonzero(same & (lengths > per))  # equal so far, with units left
+        offset = per
+        while live.size:
+            count = np.minimum(lengths[live] - offset, per)
+            equal = (self._words(starts[live] + offset, count)
+                     == self._words(starts[live - 1] + offset, count))
+            same[live[~equal]] = False
+            live = live[equal & (lengths[live] > offset + per)]
+            offset += per
+        return ~same
 
-    def decode(self) -> list:
-        lengths = self.keys & np.uint64(0xFF) if self.lengths is None else self.lengths
-        raw = self.keys.astype(">u8").tobytes()
-        step = 8 * (self.keys.shape[1] if self.keys.ndim == 2 else 1)
-        codec = "ascii" if self.unit == 1 else "utf-32-be"
-        return [raw[k * step:k * step + n * self.unit].decode(codec)
-                for k, n in enumerate(lengths.tolist())]
 
-    def factor(self):
-        """The sorted distinct tokens as str, and each token's index among
-        them. Only the distinct tokens are decoded."""
-        if self.lengths is None:
-            order = np.argsort(self.keys)
-        else:
-            order = np.lexsort([self.lengths, *self.keys.T[::-1]])
-        ordered = self.take(order)
-        new = ordered.changes()
-        strings = ordered.take(new).decode()
-        del ordered
-        inverse = np.empty(order.size, dtype=np.int32 if order.size < 2**31 else np.int64)
-        inverse[order] = np.cumsum(new, dtype=inverse.dtype) - 1
-        return strings, inverse
+def _ranks(key):
+    """Each entry's rank among the distinct values of ``key`` (any fixed
+    order of them), and their number."""
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    ranks = np.empty(order.size, dtype=np.int32 if order.size < 2**31 else np.int64)
+    ranks[order] = np.cumsum(new, dtype=ranks.dtype)
+    ranks -= 1
+    return ranks, int(new.sum())
 
 
 class _EdgeFile:
@@ -197,8 +185,8 @@ class _EdgeFile:
         space = text.spaces()
         bounds = np.flatnonzero(space[1:] != space[:-1])
         del space
-        starts = bounds[0::2].copy()
-        lengths = bounds[1::2] - starts
+        starts = bounds[0::2].astype(text.index)
+        lengths = (bounds[1::2] - bounds[0::2]).astype(text.index)
         del bounds
         breaks = text.breaks()
         head = np.zeros(starts.size, dtype=bool)  # first token of each non-blank line
@@ -215,24 +203,24 @@ class _EdgeFile:
             if stripped.startswith(_NODES_DIRECTIVE):
                 self.declared.extend(stripped[len(_NODES_DIRECTIVE):].split())
         head, fields = head[~comment], fields[~comment]
-        head_start = starts[head]
-        tokens = text.tokens(starts, lengths)
-        del text, starts, lengths
 
         def line(k) -> int:  # the line number of data line k
-            return int(np.searchsorted(breaks, head_start[k])) + 1
+            return int(np.searchsorted(breaks, starts[head[k]])) + 1
 
         first = 1 if with_time else 0  # column of the source label
         weighted = np.flatnonzero(fields == first + 3)
-        values, self.slice_of = self._check(line, tokens, head, fields, weighted, with_time)
+        values, self.slice_of = self._check(text, starts, lengths, line, head, fields,
+                                            weighted, with_time)
         self.weight = np.ones(head.size)
         self.weight[weighted] = values
-        del line, breaks, head_start, fields
-        tokens = tokens.take(head + first, head + first + 1)
-        self.labels, ids = tokens.factor()
+        del line, breaks, fields
+        ends = np.concatenate([head + first, head + first + 1])
+        starts, lengths = starts[ends], lengths[ends]
+        del ends
+        self.labels, ids = text.factor(starts, lengths)
         self.src, self.dst = ids[:head.size], ids[head.size:]
 
-    def _check(self, line, tokens, head, fields, weighted, with_time):
+    def _check(self, text, starts, lengths, line, head, fields, weighted, with_time):
         """Check the data lines in the order a line-by-line reader would and
         raise for the first bad one: each check only looks at the lines
         before the first failure of the checks made before it. Returns the
@@ -244,7 +232,8 @@ class _EdgeFile:
         if bad.size:
             limit = int(bad[0])
             error = f"{self.where}:{line(limit)}: expected {want} fields, got {fields[limit]}"
-        strings, wid = tokens.take(head[weighted] + want[0]).factor()
+        column = head[weighted] + want[0]
+        strings, wid = text.factor(starts[column], lengths[column])
         values = np.full(len(strings), np.nan)
         malformed = np.zeros(len(strings), dtype=bool)
         for k, token in enumerate(strings):
@@ -259,10 +248,11 @@ class _EdgeFile:
             error = f"{self.where}:{line(limit)}: {problem} {strings[u]!r}"
         slice_of = None
         if with_time:
-            times = tokens.take(head[:limit])
-            boundary = times.changes()
+            boundary = text.changes(starts[head[:limit]], lengths[head[:limit]])
             at = np.flatnonzero(boundary)  # first line of each slice
-            error = _check_times(self.where, line, at, times.take(at).decode()) or error
+            times = [text.decode(s, s + n) for s, n in zip(starts[head[at]].tolist(),
+                                                           lengths[head[at]].tolist())]
+            error = _check_times(self.where, line, at, times) or error
             slice_of = np.cumsum(boundary) - 1
         if error is not None:
             raise ValueError(error)
@@ -300,23 +290,10 @@ def load_dynamic_network(path, directed: bool = False) -> DynamicNetwork:
         if not slice_of.size and not declared:
             raise ValueError(f"{path}: empty dataset")
         declared = [declared] + [[]] * (int(slice_of[-1]) if slice_of.size else 0)
-    union = declared_union(declared)
-    for p in parsed:
-        union.update(p.labels)
-    labels = sorted(union)
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    row, col, weight = [], [], []
-    for t, p in enumerate(parsed):
-        remap = np.array([index[lab] for lab in p.labels], dtype=np.int64)
-        row.append(remap[p.src])
-        row[-1] += (t if p.slice_of is None else p.slice_of) * n
-        col.append(remap[p.dst])
-        weight.append(p.weight)
+    parts = [(p.labels, t if p.slice_of is None else p.slice_of, p.src, p.dst, p.weight)
+             for t, p in enumerate(parsed)]
     del parsed
-    row, col, weight = (x[0] if len(x) == 1 else np.concatenate(x) for x in (row, col, weight))
-    snaps = stacked_adjacency(n, len(declared), row, col, weight, undirected=not directed)
-    return DynamicNetwork(labels=tuple(labels), snapshots=snaps, directed=directed)
+    return aligned_network(parts, declared, directed)
 
 
 def _time_key(token: str):

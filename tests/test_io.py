@@ -328,10 +328,13 @@ def assert_same_outcome(path, directed):
         assert_bitwise_equal(got, want)
 
 
-LABELS = ["a", "b", "c", "ab", "b\x00", "abcdefgh", "abcdefghi", "abcdefghij", "#x"]
-WIDE_LABELS = ["\u00e9", "\u65e5\u672c", "\U0001f600x"]
-TIMES = ["0", "1", "1.0", "2", "10", "-1", "-0", "inf", "1e400", "x", "y"]
-WEIGHTS = ["1", "2.5", "-2.5", "0", "-0.0", "0.1", "3", "1e300", "1_0"]
+LABELS = ["a", "b", "c", "ab", "b\x00", "abcdefgh", "abcdefghi", "abcdefghij", "#x",
+          "abcdefghijklmnopqrstu", "abcdefghijklmnopqrstv", "bbcdefghijklmnopqrstu"]
+WIDE_LABELS = ["\u00e9", "\u65e5\u672c", "\u65e5\u672c\u65e5\u672c\u65e5", "\U0001f600x"]
+TIMES = ["0", "1", "1.0", "2", "10", "-1", "-0", "inf", "1e400", "x", "y",
+         "x\x00", "1234567890123", "1234567890124"]
+WEIGHTS = ["1", "2.5", "-2.5", "0", "-0.0", "0.1", "3", "1e300", "1_0",
+           "0.30000000000000004"]
 BAD_WEIGHTS = ["nan", "inf", "-inf", "1e999", "w"]
 SEPARATORS = ["\t", "  ", "\x1f", "\xa0", "\u2003"]
 BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
@@ -398,6 +401,11 @@ def edge_texts(draw, with_time):
 @example(text="# nodes: x y x\n0 a b\n", directed=True)
 @example(text="0 a b 2\n0 b a 3\n1 c c 0\n", directed=False)
 @example(text="0 a b\x1c0 b c\x1e1 a\x01 c\n", directed=True)
+@example(text="0 \u00e9 b\n0 b \u00e9\xa0 2\n1 \u00e9\u00e9 \u00e9\n", directed=True)
+@example(text="# \u65e5\n0 a\u2003b\u3000c\n0 \u65e5\u672c b\n", directed=False)
+@example(text="0 \U0001f600x a\n1 \U0001f600 \U0001f600x\u2028", directed=False)
+@example(text="1234567890123 abcdefghijklmnopqrstu a\n1234567890124 abcdefghijklmnopqrstv a\n"
+              "x abcdefghijklmnopqrstu bbcdefghijklmnopqrstu\nx\x00 b\x00 b\n", directed=True)
 def test_combined_loader_matches_reference(tmp_path_factory, text, directed):
     """Bitwise-equal networks, index dtypes included, or the same error."""
     path = tmp_path_factory.mktemp("combined") / "net.edges"
@@ -417,37 +425,49 @@ def test_directory_loader_matches_reference(tmp_path_factory, texts, directed):
 
 def test_separators_and_boundaries_match_str_methods():
     """The loader's code point tables are exactly the separators of
-    str.split() and the line boundaries of str.splitlines()."""
+    str.split() and the line boundaries of str.splitlines(), and their runs
+    are exactly the ASCII members."""
     spaces = [c for c in range(0x110000) if chr(c).isspace()]
     breaks = [c for c in spaces if len(("a" + chr(c) + "b").splitlines()) == 2]
     assert io._SPACES.tolist() == spaces
     assert io._BREAKS.tolist() == breaks
-    assert np.flatnonzero(io._ASCII_SPACE).tolist() == [c for c in spaces if c < 256]
-    assert np.flatnonzero(io._ASCII_BREAK).tolist() == [c for c in breaks if c < 256]
+    for runs, points in [(io._SPACE_RUNS, spaces), (io._BREAK_RUNS, breaks)]:
+        assert [c for a, b in runs for c in range(a, b + 1)] == [c for c in points if c < 128]
 
 
-def write_generated_network(path, lines, n=1000, tau=8, seed=0):
-    """A combined file like the generated benchmark inputs: a node directive,
-    then ``lines`` undirected links ``t vXXXX vYYYY`` spread over tau slices."""
+def write_generated_network(path, lines, n=1000, tau=8, seed=0, names=None, header=""):
+    """A combined file like the generated benchmark inputs: ``header``, a
+    node directive, then ``lines`` undirected links ``t vXXXX vYYYY`` spread
+    over tau slices; ``names`` replaces the labels ``vXXXX``."""
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n, lines)
     dst = (src + rng.integers(1, n, lines)) % n
     t = np.sort(rng.integers(0, tau, lines))
-    names = [f"v{i:04d}" for i in range(n)]
+    names = names or [f"v{i:04d}" for i in range(n)]
     body = "".join(f"{a} {names[b]} {names[c]}\n"
                    for a, b, c in zip(t.tolist(), np.minimum(src, dst).tolist(),
                                       np.maximum(src, dst).tolist()))
-    path.write_text("# nodes: " + " ".join(names) + "\n" + body)
+    path.write_text(header + "# nodes: " + " ".join(names) + "\n" + body, encoding="utf-8")
 
 
-def test_loader_memory_per_file_byte(tmp_path):
-    """Peak traced memory of loading a 100 000-line combined file (1.4 MB),
-    per byte of the file. The line-by-line loader that the array passes
-    replaced peaked at 14.55 bytes per file byte on this input, with one str
-    object per line and per token, and that ratio is the bound; the array
-    loader peaks at 9.75, a third below it."""
+@pytest.mark.parametrize("variant", [
+    {},
+    {"header": "# source: " + "x" * 1000 + "\n"},
+    {"names": [f"v{i:04d}" for i in range(999)] + ["w" * 200]},
+    {"header": "# r\u00e9seau\n"},
+    {"names": [f"\u65e5{i:04d}" for i in range(1000)]},
+], ids=["ascii", "long-comment-token", "long-label", "latin-1-comment", "cjk-labels"])
+def test_loader_memory_per_file_byte(tmp_path, variant):
+    """Peak traced memory of loading a 100 000-line combined file (1.4 to
+    1.8 MB), per byte of the file. The line-by-line loader that the array
+    passes replaced peaked at 14.55 bytes per file byte on the ASCII input,
+    with one str object per line and per token, and that ratio is the bound
+    for every variant: a 1 000-character comment token or a 200-character
+    label must not widen the keys of the other tokens, and text outside
+    ASCII must not cost a 4-byte unit per character when 1 or 2 bytes hold
+    it. The array loader peaks at 7.6 to 9.8 bytes per file byte."""
     path = tmp_path / "big.edges"
-    write_generated_network(path, 100_000)
+    write_generated_network(path, 100_000, **variant)
     load_dynamic_network(path)  # first-call imports and caches stay out of the peak
     tracemalloc.start()
     try:
