@@ -465,7 +465,7 @@ def test_loader_memory_per_file_byte(tmp_path, variant):
     for every variant: a 1 000-character comment token or a 200-character
     label must not widen the keys of the other tokens, and text outside
     ASCII must not cost a 4-byte unit per character when 1 or 2 bytes hold
-    it. The array loader peaks at 7.6 to 9.8 bytes per file byte."""
+    it. The array loader peaks at 9.2 to 9.8 bytes per file byte."""
     path = tmp_path / "big.edges"
     write_generated_network(path, 100_000, **variant)
     load_dynamic_network(path)  # first-call imports and caches stay out of the peak
