@@ -10,21 +10,18 @@ from .embed import (DynEmbedConfig, DynEmbedResult, TemporalWeights,
                     res_wt_embedding, weighted_modes)
 from .graphs import (ConvergenceError, DynamicNetwork, ReducibleChainError,
                      adjacency_from_edges, align_snapshots, degree_matrix,
-                     katz_adjacency, katz_omega_bound,
-                     laplacian, normalized_laplacian, spectral_radius,
-                     stationary_vector, symmetric_directed_laplacian,
-                     symmetrized_adjacency, transition_matrix)
-from .io import (load_cp_model, load_dynamic_network, load_embedding_csv,
-                 save_cp_model, write_dynamic_network, write_embedding_csv)
+                     katz_adjacency, katz_omega_bound, laplacian,
+                     spectral_radius, stationary_vector, symmetrized_adjacency,
+                     transition_matrix)
+from .io import (load_dynamic_network, load_embedding_csv,
+                 write_dynamic_network, write_embedding_csv)
 from .linkpred import (EdgeSample, LogisticModel, auc_roc, average_precision,
-                       evaluate_link_prediction, fit_logistic_l1,
-                       hadamard_separation, holdout_split, l2_separation,
-                       predict_scores, sample_training_set)
+                       evaluate_link_prediction, holdout_split,
+                       sample_training_set)
 from .spectral import (EigenPairs, adjacency_embedding, bottom_k_eigs,
                        effective_resistance, resistance_embedding, top_k_eigs)
 from .synth import dynamic_er, dynamic_sbm, sbm_matched_er
 from .tensors import (AlsConfig, CPModel, DecompositionError, SparseTensor3,
-                      cp_als, mttkrp, ocp_als,
-                      reconstruct_error, submodel)
+                      cp_als, mttkrp, ocp_als, reconstruct_error)
 
 __version__ = "0.1.0"

@@ -40,7 +40,8 @@ _EMBED_OPTS = [
     ("post", str, "", "post-conditioning weight scheme (default: same as pre)"),
     ("post_alpha", float, 0.0, "exponential rate for post weights (default: alpha)"),
     ("post_sigma", float, 0.0, "gaussian width for post weights (default: sigma)"),
-    ("variant", str, "raw", "per-slice adjacency variant: raw|symmetrized|katz"),
+    ("variant", str, "raw", "per-slice adjacency variant of dynacpd / dynaocpd: "
+                            "raw|symmetrized|katz (the baselines take raw only)"),
     ("omega", float, 0.0, "katz damping (checked against the spectral bound)"),
     ("teleport", float, 1e-3, "teleport epsilon for the symmetrized variant"),
     ("sweeps", int, 200, "ALS sweep budget"),
@@ -65,9 +66,15 @@ def compute_embedding(net: DynamicNetwork, cfg: dict):
                               alpha=cfg["post_alpha"] or cfg["alpha"],
                               sigma=cfg["post_sigma"] or cfg["sigma"])
     method = cfg["method"]
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    tensor_method = method in ("dynacpd", "dynaocpd")
+    if not tensor_method and cfg["variant"] != "raw":
+        raise ValueError(f"{method} reads the plain symmetrization (A + A^T)/2 of each "
+                         f"slice and accepts only --variant raw, not {cfg['variant']!r}")
     diag = {"method": method, "pre_weights": [repr(float(x)) for x in pre.values],
             "post_weights": [repr(float(x)) for x in post.values]}
-    if method in ("dynacpd", "dynaocpd"):
+    if tensor_method:
         decomposition = "cpd" if method == "dynacpd" else "ocpd"
         als = AlsConfig(rank=cfg["rank"] or embed.default_rank(net, cfg["d"], decomposition),
                         max_sweeps=cfg["sweeps"], rel_tol=cfg["tol"], seed=cfg["seed"])
@@ -89,10 +96,8 @@ def compute_embedding(net: DynamicNetwork, cfg: dict):
         matrix = embed.res_last_embedding(net, cfg["d"], seed=cfg["seed"])
     elif method == "adj_wt":
         matrix = embed.adj_wt_embedding(net, pre, cfg["d"], seed=cfg["seed"])
-    elif method == "res_wt":
-        matrix = embed.res_wt_embedding(net, pre, cfg["d"], seed=cfg["seed"])
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        matrix = embed.res_wt_embedding(net, pre, cfg["d"], seed=cfg["seed"])
     if cfg["normalize"]:
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         matrix = matrix / np.where(norms > 0, norms, 1.0)
@@ -189,7 +194,7 @@ def cmd_cluster(cfg, name="clusters.csv") -> int:
     os.makedirs(outdir, exist_ok=True)
     lines = ["node,cluster,score,anomalous"]
     for lab, c, s, f in zip(labels, assignments, scores, flags):
-        lines.append(f"{lab},{int(c)},{float(s)!r},{str(bool(f)).lower()}")
+        lines.append(f"{io.csv_field(str(lab))},{int(c)},{float(s)!r},{str(bool(f)).lower()}")
     (outdir / name).write_text("\n".join(lines) + "\n")
     meta = {"command": name.split(".")[0], "k": cfg["k"], "threshold": repr(float(threshold)),
             "seed": cfg["seed"], "version": __version__,

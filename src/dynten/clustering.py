@@ -48,11 +48,6 @@ def assign_clusters(state: ClusterState, points) -> np.ndarray:
     return np.argmin(_pairwise_sq(points, state.centroids), axis=1)
 
 
-def lloyd_objective(state: ClusterState, points) -> float:
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return float(_pairwise_sq(points, state.centroids).min(axis=1).sum())
-
-
 def kmeans(points, k: int, max_iter: int = 100, seed: int = 0,
            alpha: float = 0.5) -> ClusterState:
     """Lloyd iteration from k-means++ style seeding.

@@ -153,8 +153,6 @@ class DynEmbedResult:
     model: CPModel
     sigmas: np.ndarray          # weighted mode of every component
     selected: np.ndarray        # component indices kept, strongest first
-    pre_weights: np.ndarray
-    post_weights: np.ndarray
 
 
 def weighted_modes(model: CPModel, w: TemporalWeights) -> np.ndarray:
@@ -220,9 +218,7 @@ def dynamic_embedding(net: DynamicNetwork, cfg: DynEmbedConfig) -> DynEmbedResul
     order = np.argsort(-sigmas, kind="stable")
     selected = order[:cfg.d]
     emb = model.factor_b[:, selected] * sigmas[selected][None, :]
-    return DynEmbedResult(embedding=emb, model=model, sigmas=sigmas,
-                          selected=selected, pre_weights=pre.values,
-                          post_weights=post.values)
+    return DynEmbedResult(embedding=emb, model=model, sigmas=sigmas, selected=selected)
 
 
 def dynacpd_embed(net: DynamicNetwork, cfg: DynEmbedConfig) -> np.ndarray:

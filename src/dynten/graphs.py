@@ -22,6 +22,13 @@ from scipy.sparse.csgraph import connected_components
 # katz_adjacency's output is dense whenever the graph is connected, so it is
 # refused above this many nodes instead of filling every slice with n^2 entries
 KATZ_MAX_NODES = 2048
+KATZ_SAFETY = 0.99           # admissible Katz damping is this fraction of 1 / rho(A)
+KATZ_MAX_TERMS = 50          # terms of the truncated Katz power series
+KATZ_SERIES_TOL = 1e-12      # the series stops once its geometric tail bound is below this
+STATIONARY_TOL = 1e-12       # l1 residual (drift, with teleport) that ends stationary_vector
+STATIONARY_MAX_ITER = 20000  # power steps before stationary_vector gives up
+RADIUS_ITERS = 100           # power steps of spectral_radius
+RADIUS_TOL = 1e-8            # relative change of the estimate that ends spectral_radius
 
 
 class ConvergenceError(RuntimeError):
@@ -200,12 +207,6 @@ class DynamicNetwork:
     def adjacency(self, t: int) -> sparse.csr_array:
         return self.snapshots[t]
 
-    def index_of(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown node label {label!r}") from None
-
 
 def align_snapshots(snapshot_edges: Sequence[Sequence], *,
                     snapshot_labels: Sequence[Sequence] | None = None,
@@ -290,17 +291,12 @@ def _compact(M) -> sparse.csr_array:
     return M
 
 
-def degree_matrix(A, direction: str = "out") -> sparse.csr_array:
-    """Diagonal weighted degree matrix; out = row sums, in = column sums."""
+def degree_matrix(A) -> sparse.csr_array:
+    """Diagonal weighted out-degree matrix: the row sums of A."""
     A = sparse.csr_array(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("adjacency must be square")
-    if direction == "out":
-        d = np.asarray(A.sum(axis=1)).ravel()
-    elif direction == "in":
-        d = np.asarray(A.sum(axis=0)).ravel()
-    else:
-        raise ValueError("direction must be 'out' or 'in'")
+    d = np.asarray(A.sum(axis=1)).ravel()
     return _compact(sparse.dia_array((d[None, :], [0]), shape=A.shape))
 
 
@@ -313,24 +309,7 @@ def laplacian(A) -> sparse.csr_array:
     """Combinatorial Laplacian L = D - A with out-degree D."""
     A = sparse.csr_array(A)
     _check_nonnegative(A)
-    return _compact(degree_matrix(A, "out") - A)
-
-
-def normalized_laplacian(A) -> sparse.csr_array:
-    """Normalized Laplacian I - D^{-1/2} A D^{-1/2}.
-
-    Isolated nodes use the (D^{-1})_vv = 0 convention: their row/column of the
-    scaled adjacency term vanishes, leaving the identity contribution, so the
-    diagonal entry is 1 and the off-diagonal entries are 0.
-    """
-    A = sparse.csr_array(A)
-    _check_nonnegative(A)
-    n = A.shape[0]
-    d = np.asarray(A.sum(axis=1)).ravel()
-    with np.errstate(divide="ignore"):
-        dinv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    Dh = sparse.dia_array((dinv_sqrt[None, :], [0]), shape=(n, n))
-    return _compact(sparse.identity(n, format="csr") - Dh @ A @ Dh)
+    return _compact(degree_matrix(A) - A)
 
 
 def transition_matrix(A) -> sparse.csr_array:
@@ -349,12 +328,15 @@ def _strongly_connected(P) -> bool:
     return ncomp == 1
 
 
-def stationary_vector(P, total_weight: float = 1.0, *, tol: float = 1e-12,
-                      max_iter: int = 20000, teleport: float | None = None) -> np.ndarray:
+def stationary_vector(P, total_weight: float = 1.0, *,
+                      teleport: float | None = None) -> np.ndarray:
     """Positive left fixed vector of P, scaled so its entries sum to ``total_weight``.
 
     Computed by power iteration on the lazy chain (P + I)/2, which has the
-    same fixed vectors but no periodicity. P must be irreducible (strongly
+    same fixed vectors but no periodicity, until the l1 residual
+    ||phi P - phi|| (with ``teleport``, the l1 change of one step) falls below
+    ``STATIONARY_TOL``; ``ConvergenceError`` is raised after
+    ``STATIONARY_MAX_ITER`` steps. P must be irreducible (strongly
     connected with no zero rows); otherwise pass ``teleport=eps`` to iterate
     on the regularized chain (1 - eps) P + eps J / n instead, which is a
     documented deviation from the strict fixed-vector contract.
@@ -371,14 +353,14 @@ def stationary_vector(P, total_weight: float = 1.0, *, tol: float = 1e-12,
             raise ValueError("teleport must be in (0, 1)")
     else:
         rows = np.asarray(P.sum(axis=1)).ravel()
-        if np.any(rows <= tol) or not _strongly_connected(P):
+        if np.any(rows <= STATIONARY_TOL) or not _strongly_connected(P):
             raise ReducibleChainError(
                 "transition matrix is reducible; no unique positive stationary "
                 "vector. Pass teleport=1e-3 or preprocess with a Katz kernel.")
 
     phi = np.full(n, 1.0 / n)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(STATIONARY_MAX_ITER):
         if teleport is None:
             nxt = 0.5 * (phi + phi @ P)
         else:
@@ -390,11 +372,11 @@ def stationary_vector(P, total_weight: float = 1.0, *, tol: float = 1e-12,
         drift = float(np.abs(nxt - phi).sum())
         phi = nxt
         residual = float(np.abs(phi @ P - phi).sum())
-        if (residual if teleport is None else drift) < tol:
+        if (residual if teleport is None else drift) < STATIONARY_TOL:
             break
     else:
         raise ConvergenceError(
-            f"stationary vector did not converge in {max_iter} iterations "
+            f"stationary vector did not converge in {STATIONARY_MAX_ITER} iterations "
             f"(residual {residual:.3e})", residual)
 
     if phi.min() <= 0:
@@ -404,42 +386,26 @@ def stationary_vector(P, total_weight: float = 1.0, *, tol: float = 1e-12,
     return phi * (total_weight / phi.sum())
 
 
-def _phi_and_p(A, teleport):
+def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_array:
+    """Generalized symmetric adjacency (Phi P + P^T Phi)/2 of a weighted
+    digraph, with P its transition matrix and Phi the stationary vector
+    scaled to the total weight; equals A when A is symmetric. Its Laplacian
+    ``laplacian(symmetrized_adjacency(A))`` is Chung's directed Laplacian
+    Phi - (Phi P + P^T Phi)/2 on an irreducible chain. The result is
+    explicitly symmetrized so M == M.T holds exactly."""
     A = sparse.csr_array(A, dtype=np.float64)
     _check_nonnegative(A)
     P = transition_matrix(A)
     phi = stationary_vector(P, total_weight=float(A.sum()), teleport=teleport)
-    return phi, P
-
-
-def symmetric_directed_laplacian(A, normalized: bool = False, *,
-                                 teleport: float | None = None) -> sparse.csr_array:
-    """Symmetric Laplacian Phi - (Phi P + P^T Phi)/2 of a weighted digraph.
-
-    ``normalized=True`` rescales by Phi^{-1/2} on both sides. Reduces to the
-    ordinary (normalized) Laplacian on undirected input. The result is
-    explicitly symmetrized so M == M.T holds exactly.
-    """
-    phi, P = _phi_and_p(A, teleport)
-    Phi = sparse.dia_array((phi[None, :], [0]), shape=P.shape)
-    M = Phi - 0.5 * (Phi @ P + P.T @ Phi)
-    if normalized:
-        scale = sparse.dia_array(((1.0 / np.sqrt(phi))[None, :], [0]), shape=P.shape)
-        M = scale @ M @ scale
-    M = _compact(M)
-    return _compact(0.5 * (M + M.T))
-
-
-def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_array:
-    """Generalized symmetric adjacency (Phi P + P^T Phi)/2; equals A when A is symmetric."""
-    phi, P = _phi_and_p(A, teleport)
     Phi = sparse.dia_array((phi[None, :], [0]), shape=P.shape)
     M = _compact(0.5 * (Phi @ P + P.T @ Phi))
     return _compact(0.5 * (M + M.T))
 
 
-def spectral_radius(A, iters: int = 100, tol: float = 1e-8) -> float:
-    """Power-iteration estimate of the spectral radius.
+def spectral_radius(A) -> float:
+    """Power-iteration estimate of the spectral radius: at most
+    ``RADIUS_ITERS`` steps, stopping once the estimate changes by at most
+    ``RADIUS_TOL`` relative.
 
     The start vector is a fixed pseudo-random draw: a structured start such
     as the all-ones vector can be exactly orthogonal to the dominant
@@ -452,25 +418,25 @@ def spectral_radius(A, iters: int = 100, tol: float = 1e-8) -> float:
     v = np.random.default_rng(0x5EED).standard_normal(n)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(RADIUS_ITERS):
         w = A @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
-        if est > 0 and abs(nw - est) <= tol * est:
+        if est > 0 and abs(nw - est) <= RADIUS_TOL * est:
             return nw
         est = nw
         v = w / nw
     return est
 
 
-def katz_omega_bound(A, safety: float = 0.99) -> float:
-    """Largest admissible Katz damping: ``safety / rho(A)`` by power estimate,
+def katz_omega_bound(A) -> float:
+    """Largest admissible Katz damping: ``KATZ_SAFETY / rho(A)`` by power estimate,
     widened by the closed-form minimum-degree bound on unweighted undirected
     input (which certifies convergence on its own)."""
     A = sparse.csr_array(A, dtype=np.float64)
     rho = spectral_radius(A)
-    bound = np.inf if rho == 0.0 else safety / rho
+    bound = np.inf if rho == 0.0 else KATZ_SAFETY / rho
     if A.nnz and np.all(A.data == 1.0):
         diff = A - A.T
         if diff.nnz == 0 or np.abs(diff.data).max() == 0.0:
@@ -484,13 +450,13 @@ def katz_omega_bound(A, safety: float = 0.99) -> float:
     return float(bound)
 
 
-def katz_adjacency(A, omega: float, max_terms: int = 50, *,
-                   series_tol: float = 1e-12, method: str = "auto") -> sparse.csr_array:
+def katz_adjacency(A, omega: float, *, method: str = "auto") -> sparse.csr_array:
     """Katz path-counting kernel A_w = sum_{l>=1} w^{l-1} A^l.
 
     Requires omega below the admissible bound (see :func:`katz_omega_bound`).
-    The truncated power series (with a geometric tail bound) is used while
-    nnz * max_terms stays small, otherwise (I - w A) X = A is solved with a
+    The power series, truncated at ``KATZ_MAX_TERMS`` terms or once its
+    geometric tail bound falls below ``KATZ_SERIES_TOL``, is used while
+    nnz * KATZ_MAX_TERMS stays small, otherwise (I - w A) X = A is solved with a
     sparse LU factorization; ``method`` forces one route. omega = 0 returns
     A itself. The kernel of a connected graph is dense, so omega > 0 is
     refused above ``KATZ_MAX_NODES`` nodes.
@@ -519,17 +485,17 @@ def katz_adjacency(A, omega: float, max_terms: int = 50, *,
 
     total = None
     use_series = method == "series" or \
-        (method == "auto" and A.nnz * max_terms <= 2_000_000)
+        (method == "auto" and A.nnz * KATZ_MAX_TERMS <= 2_000_000)
     if use_series:
         term = A.copy()
         total = A.copy()
         converged = False
-        for _ in range(max_terms - 1):
+        for _ in range(KATZ_MAX_TERMS - 1):
             term = _compact(omega * (A @ term))
             total = _compact(total + term)
             head = abs(term).max() if term.nnz else 0.0
             tail = head * q / (1.0 - q) if q < 1.0 else np.inf
-            if tail < series_tol:
+            if tail < KATZ_SERIES_TOL:
                 converged = True
                 break
         if method == "auto" and not converged and q >= 1e-3:

@@ -1,4 +1,4 @@
-"""File formats: snapshot edge lists, embedding CSV, CP model archives.
+"""File formats: snapshot edge lists and embedding CSV.
 
 Edge-list format, one line per edge, whitespace separated, ``#`` comments:
 
@@ -15,8 +15,7 @@ round-trip exactly.
 
 from __future__ import annotations
 
-import json
-import os
+import re
 from itertools import repeat
 from pathlib import Path
 
@@ -25,9 +24,10 @@ from scipy import sparse
 
 # align_snapshots is not used here, but perfbench/tracing.py wraps it under this module
 from .graphs import DynamicNetwork, align_snapshots, aligned_network  # noqa: F401
-from .tensors import AlsConfig, CPModel
 
 _NODES_DIRECTIVE = "# nodes:"
+# a double-quoted CSV field; group 1 is its text with inner quotes still doubled
+_QUOTED_FIELD = re.compile(r'"([^"]*(?:""[^"]*)*)"')
 
 # the separators of str.split() and the line boundaries of str.splitlines(),
 # as code points, and the runs their ASCII members form; "\r\n" is one boundary
@@ -320,78 +320,57 @@ def write_dynamic_network(path, net: DynamicNetwork) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: in double quotes, with its quotes doubled,
+    when it holds a comma, a quote or a line break (RFC 4180), else as is."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_embedding_csv(path, labels, embedding) -> None:
+    """Write the header ``node,dim_0,..`` and one row per label: the label as
+    a CSV field (see :func:`csv_field`), then the row's floats as ``repr``,
+    which round-trips exactly."""
     emb = np.asarray(embedding, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] != len(labels):
         raise ValueError("embedding must be n x d with one row per label")
     header = "node," + ",".join(f"dim_{k}" for k in range(emb.shape[1]))
-    lines = [header] + [str(lab) + "," + row for lab, row in zip(labels, _float_rows(emb))]
+    lines = [header] + [csv_field(str(lab)) + "," + ",".join(map(repr, row))
+                        for lab, row in zip(labels, emb.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_embedding_csv(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("node,"):
+    """The labels and the n x d matrix of an embedding CSV, d being the
+    number of ``dim_`` columns in its header. A row that starts with ``"``
+    holds a quoted label, read back as the text :func:`write_embedding_csv`
+    quoted (it may span lines); any other row's label is its text before the
+    last d commas. Blank lines are skipped and ``\\r\\n`` line ends accepted."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    if not header.startswith("node,"):
         raise ValueError(f"{path}: not an embedding CSV")
-    labels, rows = [], []
-    for line in lines[1:]:
-        if not line:
+    d = header.count(",")
+    labels, rows, pos = [], [], 0
+    while pos < len(body):
+        quoted = _QUOTED_FIELD.match(body, pos) if body.startswith('"', pos) else None
+        stop = body.find("\n", quoted.end() if quoted else pos)
+        stop = len(body) if stop < 0 else stop
+        record, pos = body[pos:stop].rstrip("\r"), stop + 1
+        if not record:
             continue
-        parts = line.split(",")
-        labels.append(parts[0])
-        rows.append([float(x) for x in parts[1:]])
+        if record.startswith('"'):
+            if quoted is None or not body.startswith(",", quoted.end()):
+                raise ValueError(f"{path}: row {len(rows) + 1}: malformed quoted label")
+            label = quoted.group(1).replace('""', '"')
+            values = record[quoted.end() - quoted.start() + 1:].split(",")
+        else:
+            label, *values = record.rsplit(",", d)
+        if len(values) != d:
+            raise ValueError(f"{path}: row {len(rows) + 1}: {len(values)} values, "
+                             f"header names {d}")
+        labels.append(label)
+        rows.append([float(x) for x in values])
     return labels, np.asarray(rows)
-
-
-def _float_rows(M) -> list:
-    """Rows of M as comma-joined float ``repr``s, which round-trip exactly."""
-    return [",".join(map(repr, row))
-            for row in np.atleast_2d(np.asarray(M, dtype=np.float64)).tolist()]
-
-
-def _write_matrix_csv(path, M):
-    Path(path).write_text("\n".join(_float_rows(M)) + "\n")
-
-
-def _read_matrix_csv(path):
-    rows = [[float(x) for x in line.split(",")]
-            for line in Path(path).read_text().splitlines() if line]
-    return np.asarray(rows)
-
-
-def save_cp_model(directory, model: CPModel, config: AlsConfig | None = None) -> None:
-    """Persist a decomposition as metadata.json plus one CSV per factor."""
-    directory = Path(directory)
-    os.makedirs(directory, exist_ok=True)
-    meta = {
-        "rank": model.rank,
-        "dims": list(model.dims),
-        "lambdas": [repr(float(x)) for x in model.lambdas],
-        "fit": repr(float(model.fit)),
-        "sweeps": model.sweeps,
-    }
-    if config is not None:
-        meta["config"] = {
-            "rank": config.rank, "max_sweeps": config.max_sweeps,
-            "rel_tol": config.rel_tol, "seed": config.seed,
-        }
-    (directory / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    _write_matrix_csv(directory / "factor_a.csv", model.factor_a)
-    _write_matrix_csv(directory / "factor_b.csv", model.factor_b)
-    _write_matrix_csv(directory / "factor_c.csv", model.factor_c)
-
-
-def load_cp_model(directory) -> CPModel:
-    directory = Path(directory)
-    meta = json.loads((directory / "metadata.json").read_text())
-    model = CPModel(
-        lambdas=np.asarray([float(x) for x in meta["lambdas"]]),
-        factor_a=_read_matrix_csv(directory / "factor_a.csv"),
-        factor_b=_read_matrix_csv(directory / "factor_b.csv"),
-        factor_c=_read_matrix_csv(directory / "factor_c.csv"),
-        fit=float(meta["fit"]),
-        sweeps=int(meta.get("sweeps", 0)),
-    )
-    if list(model.dims) != meta["dims"] or model.rank != meta["rank"]:
-        raise ValueError(f"{directory}: metadata does not match factor shapes")
-    return model

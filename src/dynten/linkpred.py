@@ -54,19 +54,9 @@ class LogisticModel:
     cv_auc: float
 
 
-def hadamard_separation(emb, i: int, j: int) -> float:
-    """Inner product <v_i, v_j> of the embedded nodes."""
-    emb = np.asarray(emb)
-    return float(emb[i] @ emb[j])
-
-
-def l2_separation(emb, i: int, j: int) -> float:
-    """Euclidean distance ||v_i - v_j||."""
-    emb = np.asarray(emb)
-    return float(np.linalg.norm(emb[i] - emb[j]))
-
-
 def separation_values(emb, pairs, metric: str) -> np.ndarray:
+    """Separation of each node pair (i, j): the inner product <v_i, v_j>
+    (``"hadamard"``) or the Euclidean distance ||v_i - v_j|| (``"l2"``)."""
     emb = np.asarray(emb)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     vi, vj = emb[pairs[:, 0]], emb[pairs[:, 1]]
@@ -167,18 +157,6 @@ def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
 # classifier
 
 
-def _data_loss(margins):
-    # log(1 + exp(-m)) evaluated stably
-    return float(np.logaddexp(0.0, -margins).sum())
-
-
-def loss_value(w: float, c: float, x, y) -> float:
-    """The regularized objective at (w, c)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return abs(w) + _LOSS_WEIGHT * _data_loss(y * (x * w + c))
-
-
 def _softplus_change(z, e) -> float:
     """sum_e log(1 + exp(z + e)) - log(1 + exp(z)), accurate also for tiny e,
     where the difference of the two sums would be lost to rounding."""
@@ -189,8 +167,18 @@ def _softplus_change(z, e) -> float:
 
 
 def _fit_wc(x, y):
-    """(w, c) minimizing |w| + 10 sum log(1 + exp(-y (x w + c))); see
-    ``fit_logistic_l1``."""
+    """Exact (w, c) minimizing |w| + 10 sum log(1 + exp(-y (x w + c))).
+
+    The fit starts at w = 0 with the closed-form intercept log(n_pos / n_neg)
+    and returns it when the slope's KKT condition |dD/dw| <= 1 holds there
+    (a constant feature always does). Otherwise it runs Newton's method with
+    Armijo backtracking on |w| replaced by sign(w) w for the orthant the
+    gradient points into; the objective is convex and every iterate stays in
+    the starting level set, which lies in that orthant. It stops when the
+    Newton decrement is below 1e-24 per sample, and raises
+    ``ConvergenceError`` with the gradient norm if it has not by step
+    ``_NEWTON_MAX_ITER``.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.size
@@ -247,24 +235,6 @@ def _stratified_folds(labels, folds):
     return assign
 
 
-def fit_logistic_l1(sample: EdgeSample, folds: int = 5) -> LogisticModel:
-    """Exact minimizer of the scalar-feature l1 logistic loss, with the mean
-    held-out ROC-AUC over stratified folds attached.
-
-    The fit starts at w = 0 with the closed-form intercept log(n_pos / n_neg)
-    and returns it when the slope's KKT condition |dD/dw| <= 1 holds there
-    (a constant feature always does). Otherwise it runs Newton's method with
-    Armijo backtracking on |w| replaced by sign(w) w for the orthant the
-    gradient points into; the objective is convex and every iterate stays in
-    the starting level set, which lies in that orthant. It stops when the
-    Newton decrement is below 1e-24 per sample, and raises
-    ``ConvergenceError`` with the gradient norm if it has not by step
-    ``_NEWTON_MAX_ITER``.
-    """
-    model, _ = cross_validated_scores(sample, folds)
-    return model
-
-
 def cross_validated_scores(sample: EdgeSample, folds: int = 5):
     """Stratified CV: per-fold held-out probabilities plus the final model
     refit on the full sample. Returns (model, pooled_heldout_probs)."""
@@ -290,12 +260,6 @@ def cross_validated_scores(sample: EdgeSample, folds: int = 5):
     w, c = _fit_wc(x, y)
     model = LogisticModel(slope=w, intercept=c, cv_auc=float(np.mean(fold_aucs)))
     return model, pooled
-
-
-def predict_scores(model: LogisticModel, separations) -> np.ndarray:
-    """Link probabilities: logistic of (x w + c)."""
-    x = np.asarray(separations, dtype=np.float64)
-    return expit(x * model.slope + model.intercept)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +327,6 @@ def evaluate_link_prediction(net: DynamicNetwork, target_slice: int, emb,
         "AP": average_precision(pooled, sample.labels),
         "AUC": auc_roc(pooled, sample.labels),
         "cv_auc": model.cv_auc,
-        "model": model,
         "sample": sample,
         "probabilities": pooled,
     }

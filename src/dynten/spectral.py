@@ -123,21 +123,21 @@ def bottom_k_eigs(M, k: int, tol: float = 1e-10, max_iter: int = 5000,
     return _extreme_pairs(M, k, "SA", tol, max_iter, seed)
 
 
-def adjacency_embedding(A, d: int, tol: float = 1e-10, max_iter: int = 5000,
-                        seed: int = 0) -> np.ndarray:
+def adjacency_embedding(A, d: int, seed: int = 0) -> np.ndarray:
     """Spectral adjacency embedding: row i = (mu_j v_j[i]) over the d
-    algebraically largest eigenpairs of the symmetric adjacency A."""
+    algebraically largest eigenpairs of the symmetric adjacency A, from
+    ``top_k_eigs`` at its default tolerance and restart cap."""
     A = sparse.csr_array(A, dtype=np.float64)
     if not 1 <= d <= A.shape[0]:
         raise ValueError("d must be in [1, n]")
-    pairs = top_k_eigs(A, d, tol=tol, max_iter=max_iter, seed=seed)
+    pairs = top_k_eigs(A, d, seed=seed)
     return pairs.vectors * pairs.values[None, :]
 
 
-def resistance_embedding(L, d: int, tol: float = 1e-10, max_iter: int = 5000,
-                         seed: int = 0) -> np.ndarray:
+def resistance_embedding(L, d: int, seed: int = 0) -> np.ndarray:
     """Resistance embedding: row j = (v_i[j] / sqrt(lambda_i)) over the d
-    smallest nonzero Laplacian eigenpairs.
+    smallest nonzero Laplacian eigenpairs, from ``bottom_k_eigs`` at its
+    default tolerance and restart cap.
 
     L is block diagonal over its connected components, so each component is
     solved on its own and the d smallest nonzero eigenvalues are taken from
@@ -158,8 +158,7 @@ def resistance_embedding(L, d: int, tol: float = 1e-10, max_iter: int = 5000,
     for nodes in members:
         if nodes.size == 1:
             continue
-        pairs = bottom_k_eigs(L[nodes][:, nodes], min(d + 1, nodes.size), tol=tol,
-                              max_iter=max_iter, seed=seed)
+        pairs = bottom_k_eigs(L[nodes][:, nodes], min(d + 1, nodes.size), seed=seed)
         kernel = int((pairs.values <= cutoff).sum())
         if kernel != 1:
             raise ValueError(f"kernel multiplicity {kernel} in a connected component; "

@@ -192,16 +192,6 @@ class CPModel:
                          self.factor_a, self.factor_b, self.factor_c)
 
 
-def submodel(model: CPModel, indices) -> CPModel:
-    """Restrict a model to the given components (fit becomes undefined)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return CPModel(lambdas=model.lambdas[idx],
-                   factor_a=model.factor_a[:, idx],
-                   factor_b=model.factor_b[:, idx],
-                   factor_c=model.factor_c[:, idx],
-                   fit=float("nan"))
-
-
 # ---------------------------------------------------------------------------
 # ALS internals
 

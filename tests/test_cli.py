@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -153,6 +154,33 @@ def test_invalid_katz_omega_fails_with_bound(dataset, tmp_path, capsys):
                "--out", str(tmp_path / "k")])
     assert rc == 1
     assert "bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["adj_last", "res_last", "adj_wt", "res_wt"])
+def test_baselines_reject_slice_variants(dataset, tmp_path, capsys, method):
+    for variant in ("symmetrized", "katz", "bogus"):
+        out = tmp_path / variant
+        rc = main(["linkpred", "--data", str(dataset), "--method", method, "--d", "4",
+                   "--directed", "--variant", variant, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert method in err and "(A + A^T)/2" in err and repr(variant) in err
+        assert not out.exists()
+
+
+def test_comma_labels_survive_embed_and_anomaly(tmp_path):
+    path = tmp_path / "commas.edges"
+    path.write_text("# nodes: a,1 b c,\"d\"\n0 a,1 b\n0 b c,\"d\"\n1 a,1 c,\"d\"\n1 a,1 b\n")
+    assert main(["embed", "--data", str(path), "--method", "adj_wt", "--d", "1",
+                 "--out", str(tmp_path / "e")]) == 0
+    labels, emb = load_embedding_csv(tmp_path / "e" / "embedding.csv")
+    assert labels == ["a,1", "b", 'c,"d"'] and emb.shape == (3, 1)
+    assert main(["anomaly", "--embedding", str(tmp_path / "e" / "embedding.csv"),
+                 "--k", "1", "--out", str(tmp_path / "a")]) == 0
+    with open(tmp_path / "a" / "anomalies.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["node"] + labels
+    assert all(len(row) == 4 for row in rows)
 
 
 def test_cluster_and_anomaly(dataset, tmp_path):

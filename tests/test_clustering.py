@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynten.clustering import (ClusterState, anomaly_scores, assign_clusters,
-                               classify_anomalies, kmeans, lloyd_objective,
-                               streaming_update, suggest_threshold)
+                               classify_anomalies, kmeans, streaming_update,
+                               suggest_threshold)
+
+
+def lloyd_objective(state, points):
+    """Oracle: the summed squared distance of each point to its nearest centroid."""
+    d2 = ((points[:, None, :] - state.centroids[None, :, :]) ** 2).sum(axis=2)
+    return float(d2.min(axis=1).sum())
 
 
 class TestKmeans:

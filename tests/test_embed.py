@@ -12,7 +12,7 @@ from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
 from dynten.graphs import DynamicNetwork
 from dynten.spectral import adjacency_embedding
 from dynten.synth import dynamic_sbm
-from dynten.tensors import AlsConfig, SparseTensor3, reconstruct_error, submodel
+from dynten.tensors import AlsConfig, CPModel, SparseTensor3, reconstruct_error
 
 
 def net_from_matrices(mats, directed=False):
@@ -204,7 +204,10 @@ class TestDynamicEmbedding:
         Z = SparseTensor3.from_slices(
             precondition(net, make_weights("uniform", 4)).snapshots)
         full_err = reconstruct_error(Z, res.model)
-        sel_err = reconstruct_error(Z, submodel(res.model, sorted(res.selected)))
+        keep, m = sorted(res.selected), res.model
+        restricted = CPModel(m.lambdas[keep], m.factor_a[:, keep], m.factor_b[:, keep],
+                             m.factor_c[:, keep], fit=float("nan"))
+        sel_err = reconstruct_error(Z, restricted)
         assert abs(full_err - sel_err) < 1e-12
 
     def test_d_above_rank_rejected(self):

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from dynten import graphs
 from dynten.graphs import (KATZ_MAX_NODES, DynamicNetwork, ReducibleChainError,
                            adjacency_from_edges, degree_matrix, katz_adjacency,
-                           katz_omega_bound, laplacian, normalized_laplacian,
-                           spectral_radius, stationary_vector,
-                           symmetric_directed_laplacian, symmetrized_adjacency,
-                           transition_matrix)
+                           katz_omega_bound, laplacian, spectral_radius,
+                           stationary_vector, symmetrized_adjacency, transition_matrix)
 
 from conftest import (align_edge_lists, bfs_component_count, entries,
                       random_connected_graph)
@@ -38,7 +36,7 @@ class TestAlign:
 
     def test_stable_index_map(self):
         net = align_edge_lists([[("b", "a", 2.0)], [("a", "c")]])
-        i = {lab: net.index_of(lab) for lab in net.labels}
+        i = {lab: k for k, lab in enumerate(net.labels)}
         A0 = net.adjacency(0).toarray()
         assert A0[i["b"], i["a"]] == 2.0
         A1 = net.adjacency(1).toarray()
@@ -110,31 +108,22 @@ class TestMatrices:
             DynamicNetwork(("a", "b"), (skew,))
 
     def test_degree_out(self):
-        D = degree_matrix(csr([[0, 2], [0, 0]]), "out").toarray()
+        D = degree_matrix(csr([[0, 2], [0, 0]])).toarray()
         assert np.allclose(np.diag(D), [2, 0])
 
     def test_degree_in_equals_out_for_symmetric(self):
         A = csr([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
-        din = degree_matrix(A, "in").toarray()
-        dout = degree_matrix(A, "out").toarray()
-        assert np.allclose(din, dout)
+        din = A.toarray().sum(axis=0)
+        dout = degree_matrix(A).toarray()
+        assert np.allclose(np.diag(din), dout)
 
     def test_degree_three_cycle(self):
         A = csr([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        assert np.allclose(np.diag(degree_matrix(A, "out").toarray()), [1, 1, 1])
+        assert np.allclose(np.diag(degree_matrix(A).toarray()), [1, 1, 1])
 
     def test_laplacian_path(self):
         L = laplacian(csr([[0, 1], [1, 0]])).toarray()
         assert np.allclose(L, [[1, -1], [-1, 1]])
-
-    def test_normalized_laplacian_path(self):
-        NL = normalized_laplacian(csr([[0, 1], [1, 0]])).toarray()
-        assert np.allclose(NL, [[1, -1], [-1, 1]])
-
-    def test_normalized_laplacian_isolated_convention(self):
-        NL = normalized_laplacian(csr([[0, 1, 0], [1, 0, 0], [0, 0, 0]])).toarray()
-        assert NL[2, 2] == 1.0
-        assert np.allclose(NL[2, :2], 0) and np.allclose(NL[:2, 2], 0)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -194,34 +183,58 @@ class TestStationary:
             assert abs(phi.sum() - w) < 1e-9 * w
 
 
+def chung_laplacian(A):
+    """Chung's directed Laplacian Phi - (Phi P + P^T Phi)/2, built densely,
+    with Phi the stationary vector scaled to the total weight."""
+    P = transition_matrix(A)
+    phi = stationary_vector(P, total_weight=float(A.sum()))
+    Pd = P.toarray()
+    return np.diag(phi) - 0.5 * (phi[:, None] * Pd + Pd.T * phi[None, :])
+
+
+def random_strong_digraph(n, rng):
+    """A weighted directed cycle through every node (so strongly connected)
+    plus random extra directed edges."""
+    perm = rng.permutation(n)
+    src = list(perm)
+    dst = list(np.roll(perm, -1))
+    extra = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
+    keep = extra[0] != extra[1]
+    src += extra[0][keep].tolist()
+    dst += extra[1][keep].tolist()
+    return adjacency_from_edges(n, src, dst, rng.uniform(0.5, 2.0, size=len(src)))
+
+
 class TestDirectedLaplacians:
+    """The directed Laplacian of Chung 2005 is the combinatorial Laplacian of
+    the stationary-vector symmetrization."""
+
     def test_undirected_reduces_to_plain(self):
         rng = np.random.default_rng(1)
         A = random_connected_graph(6, rng, weighted=True)
-        Lhat = symmetric_directed_laplacian(A).toarray()
+        Lhat = laplacian(symmetrized_adjacency(A)).toarray()
         assert np.allclose(Lhat, laplacian(A).toarray(), atol=1e-9)
-        NLhat = symmetric_directed_laplacian(A, normalized=True).toarray()
-        assert np.allclose(NLhat, normalized_laplacian(A).toarray(), atol=1e-9)
 
     def test_directed_two_cycle(self):
-        Lhat = symmetric_directed_laplacian(csr([[0, 1], [1, 0]])).toarray()
+        Lhat = laplacian(symmetrized_adjacency(csr([[0, 1], [1, 0]]))).toarray()
         assert np.allclose(Lhat, [[1, -1], [-1, 1]])
-
-    def test_normalized_entry_formula_on_symmetric(self):
-        rng = np.random.default_rng(2)
-        A = random_connected_graph(5, rng, weighted=True)
-        NL = symmetric_directed_laplacian(A, normalized=True).toarray()
-        dense = A.toarray()
-        deg = dense.sum(axis=1)
-        expect = np.eye(5) - 0.5 * (dense + dense.T) / np.sqrt(np.outer(deg, deg))
-        assert np.allclose(NL, expect, atol=1e-9)
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(3)
         base = random_connected_graph(6, rng, weighted=True).toarray()
         A = sp.csr_array(np.triu(base) + 0.3 * np.tril(base))  # strongly connected digraph
-        M = symmetric_directed_laplacian(A).toarray()
+        M = laplacian(symmetrized_adjacency(A)).toarray()
         assert np.abs(M - M.T).max() == 0.0
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 12))
+    def test_symmetrized_laplacian_is_chung_laplacian(self, seed, n):
+        A = random_strong_digraph(n, np.random.default_rng(seed))
+        L = laplacian(symmetrized_adjacency(A)).toarray()
+        want = chung_laplacian(A)
+        scale = np.abs(want).max()
+        assert np.abs(L - want).max() <= 1e-9 * scale
+        assert np.array_equal(L, L.T)
+        assert np.abs(L.sum(axis=1)).max() <= 1e-12 * scale
 
     def test_symmetrized_adjacency_identity_on_undirected(self):
         rng = np.random.default_rng(5)
@@ -268,7 +281,7 @@ class TestKatz:
         rng = np.random.default_rng(6)
         A = random_connected_graph(12, rng)
         omega = 0.5 / spectral_radius(A)
-        series = katz_adjacency(A, omega, max_terms=50, method="series").toarray()
+        series = katz_adjacency(A, omega, method="series").toarray()
         solve = katz_adjacency(A, omega, method="solve").toarray()
         assert np.abs(series - solve).max() < 1e-10
 
@@ -291,13 +304,6 @@ def test_laplacian_psd_and_zero_row_sums(seed, n):
     L = laplacian(A).toarray()
     assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
     assert np.linalg.eigvalsh(L).min() >= -1e-10
-
-
-@given(st.integers(0, 10 ** 6), st.integers(2, 12))
-def test_normalized_laplacian_spectrum_range(seed, n):
-    A = random_connected_graph(n, np.random.default_rng(seed), weighted=True)
-    vals = np.linalg.eigvalsh(normalized_laplacian(A).toarray())
-    assert vals.min() >= -1e-10 and vals.max() <= 2 + 1e-10
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 20), st.integers(1, 4))

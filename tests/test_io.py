@@ -9,10 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from dynten import io
 from dynten.graphs import DynamicNetwork, adjacency_from_edges
-from dynten.io import (load_cp_model, load_dynamic_network, load_embedding_csv,
-                       save_cp_model, write_dynamic_network, write_embedding_csv)
+from dynten.io import (load_dynamic_network, load_embedding_csv, write_dynamic_network,
+                       write_embedding_csv)
 from dynten.synth import dynamic_sbm
-from dynten.tensors import AlsConfig, SparseTensor3, cp_als
 
 
 def test_combined_file_roundtrip(tmp_path):
@@ -78,8 +77,9 @@ def test_combined_file_format(tmp_path):
     assert net.labels == ("a", "b", "c")
     assert net.tau == 2
     A0 = net.adjacency(0).toarray()
-    assert A0[net.index_of("b"), net.index_of("c")] == 2.5
-    assert A0[net.index_of("a"), net.index_of("b")] == 1.0
+    index = net.labels.index
+    assert A0[index("b"), index("c")] == 2.5
+    assert A0[index("a"), index("b")] == 1.0
 
 
 def test_time_column_must_be_sorted(tmp_path):
@@ -160,34 +160,73 @@ def test_embedding_csv_roundtrip(tmp_path):
     np.arange(6).reshape(2, 3) - 4,
 ], ids=["float64", "float32", "int64"])
 def test_float_rows_match_per_entry_repr(tmp_path, M):
-    """Both CSV writers give the bytes of ``repr(float(x))`` per entry."""
+    """The embedding CSV writer gives the bytes of ``repr(float(x))`` per entry."""
     labels = ["a", "b", 7][:len(M)]
     rows = [",".join(repr(float(x)) for x in row) for row in M]
-    io._write_matrix_csv(tmp_path / "m.csv", M)
-    assert (tmp_path / "m.csv").read_text() == "\n".join(rows) + "\n"
     write_embedding_csv(tmp_path / "e.csv", labels, M)
     want = ["node,dim_0,dim_1,dim_2"] + [f"{lab},{row}" for lab, row in zip(labels, rows)]
     assert (tmp_path / "e.csv").read_text() == "\n".join(want) + "\n"
-    io._write_matrix_csv(tmp_path / "v.csv", M[0])  # a vector is one row
-    assert (tmp_path / "v.csv").read_text() == rows[0] + "\n"
 
 
-def test_cp_model_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    dense = np.where(rng.random((5, 5, 3)) < 0.5, rng.standard_normal((5, 5, 3)), 0)
-    Z = SparseTensor3.from_dense(dense)
-    cfg = AlsConfig(rank=3, seed=7)
-    model = cp_als(Z, cfg)
-    save_cp_model(tmp_path / "model", model, config=cfg)
-    back = load_cp_model(tmp_path / "model")
-    assert back.rank == model.rank
-    assert np.array_equal(back.lambdas, model.lambdas)
-    assert np.array_equal(back.factor_a, model.factor_a)
-    assert np.array_equal(back.factor_b, model.factor_b)
-    assert np.array_equal(back.factor_c, model.factor_c)
-    assert back.fit == model.fit
-    meta = (tmp_path / "model" / "metadata.json").read_text()
-    assert '"rank": 3' in meta and '"seed": 7' in meta
+def test_embedding_csv_quoted_labels_roundtrip(tmp_path):
+    """Labels holding a comma, a quote or a line break are quoted as RFC 4180
+    says and read back unchanged; other labels, non-ASCII ones, NUL and the
+    empty label included, are written as they are."""
+    labels = ["a,b", 'say "hi"', '",', "ñandú", "東京,大阪", "x\ny", "plain", ",",
+              "nul\x00", "\x00,\x00", "\r", ""]
+    fields = ['"a,b"', '"say ""hi"""', '""","', "ñandú", '"東京,大阪"', '"x\ny"', "plain", '","',
+              "nul\x00", '"\x00,\x00"', '"\r"', ""]
+    emb = np.random.default_rng(3).standard_normal((len(labels), 2))
+    path = tmp_path / "q.csv"
+    write_embedding_csv(path, labels, emb)
+    rows = [",".join(map(repr, row)) for row in emb.tolist()]
+    assert path.read_bytes().decode() == "node,dim_0,dim_1\n" + "".join(
+        f"{field},{row}\n" for field, row in zip(fields, rows))
+    got_labels, got = load_embedding_csv(path)
+    assert got_labels == labels
+    assert np.array_equal(got, emb)
+
+
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                min_size=1, max_size=6, unique=True))
+@settings(max_examples=60)
+def test_embedding_csv_any_label_roundtrips(tmp_path_factory, labels):
+    path = tmp_path_factory.mktemp("labels") / "e.csv"
+    emb = np.arange(2.0 * len(labels)).reshape(-1, 2) / 3.0
+    write_embedding_csv(path, labels, emb)
+    got_labels, got = load_embedding_csv(path)
+    assert got_labels == labels
+    assert np.array_equal(got, emb)
+
+
+def test_embedding_csv_rejects_other_files(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("label,x\na,1.0\n")
+    with pytest.raises(ValueError, match="not an embedding CSV"):
+        load_embedding_csv(path)
+
+
+def test_embedding_csv_unquoted_label_is_text_before_last_d_commas(tmp_path):
+    """Rows written without quoting (a comma in a label included), CRLF line
+    ends and blank lines read back."""
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"node,dim_0,dim_1\r\na,b,1.5,-2.0\r\n\r\nc,0.0,1e-3\r\n")
+    labels, emb = load_embedding_csv(path)
+    assert labels == ["a,b", "c"]
+    assert np.array_equal(emb, [[1.5, -2.0], [0.0, 1e-3]])
+
+
+@pytest.mark.parametrize("body, message", [
+    ('"a,1.0,2.0\n', "malformed quoted label"),
+    ('"a"b,1.0,2.0\n', "malformed quoted label"),
+    ('"a",1.0\n', "1 values, header names 2"),
+    ("a\n", "0 values, header names 2"),
+])
+def test_embedding_csv_rejects_malformed_rows(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("node,dim_0,dim_1\n" + body)
+    with pytest.raises(ValueError, match=f"bad.csv: row 1: {message}"):
+        load_embedding_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,29 @@ import dynten
 from dynten import linkpred
 from dynten.graphs import ConvergenceError, DynamicNetwork, adjacency_from_edges
 from dynten.linkpred import (EdgeSample, auc_roc, average_precision,
-                             cross_validated_scores, fit_logistic_l1,
-                             hadamard_separation, holdout_split, l2_separation,
-                             loss_value, predict_scores, sample_training_set,
-                             separation_values)
+                             cross_validated_scores, holdout_split,
+                             sample_training_set, separation_values)
 from dynten.seeding import derived_rng
 from dynten.synth import dynamic_sbm
 
 from conftest import align_edge_lists
+
+
+def hadamard_separation(emb, i, j):
+    """Scalar oracle: the inner product <v_i, v_j>."""
+    return float(emb[i] @ emb[j])
+
+
+def l2_separation(emb, i, j):
+    """Scalar oracle: the Euclidean distance ||v_i - v_j||."""
+    return float(np.linalg.norm(emb[i] - emb[j]))
+
+
+def loss_value(w, c, x, y):
+    """The classifier's objective |w| + 10 sum log(1 + exp(-y (x w + c)))."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return abs(w) + 10.0 * float(np.logaddexp(0.0, -y * (x * w + c)).sum())
 
 
 def make_sample(x, y):
@@ -258,9 +273,9 @@ class TestLogistic:
     def test_separable_sample_perfect_cv(self):
         x = np.array([0.1, 0.2, 0.15, 0.9, 1.0, 0.8, 0.12, 0.95] * 3)
         y = np.array([1, 1, 1, -1, -1, -1, 1, -1] * 3)
-        model = fit_logistic_l1(make_sample(x, y))
+        model = cross_validated_scores(make_sample(x, y), 5)[0]
         assert model.cv_auc == pytest.approx(1.0)
-        probs = predict_scores(model, np.array([0.1, 1.0]))
+        probs = expit(np.array([0.1, 1.0]) * model.slope + model.intercept)
         assert probs[0] > probs[1]
 
     def test_random_labels_near_chance(self):
@@ -270,13 +285,13 @@ class TestLogistic:
             x = rng.standard_normal(40)
             y = np.repeat([1, -1], 20)
             rng.shuffle(y)
-            aucs.append(fit_logistic_l1(make_sample(x, y)).cv_auc)
+            aucs.append(cross_validated_scores(make_sample(x, y), 5)[0].cv_auc)
         assert abs(np.mean(aucs) - 0.5) < 0.1
 
     def test_constant_feature_majority_logit(self):
         x = np.zeros(12)
         y = np.array([1] * 9 + [-1] * 3)
-        model = fit_logistic_l1(make_sample(x, y), folds=3)
+        model = cross_validated_scores(make_sample(x, y), 3)[0]
         assert abs(model.slope) < 1e-6
         assert model.intercept == pytest.approx(np.log(3.0), abs=1e-4)
 
@@ -287,13 +302,13 @@ class TestLogistic:
             y = np.where(rng.random(30) < 0.5, 1, -1)
             if len(np.unique(y)) < 2:
                 continue
-            model = fit_logistic_l1(make_sample(x, y))
+            model = cross_validated_scores(make_sample(x, y), 5)[0]
             assert loss_value(model.slope, model.intercept, x, y) \
                 <= loss_value(0.0, 0.0, x, y) + 1e-9
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="class"):
-            fit_logistic_l1(make_sample(np.ones(4), np.ones(4, dtype=int)))
+            cross_validated_scores(make_sample(np.ones(4), np.ones(4, dtype=int)), 5)
 
 
 def brent_fit_reference(x, y):

@@ -14,7 +14,7 @@ from dynten.spectral import DENSE_MAX_N
 from dynten.synth import dynamic_sbm
 from dynten.tensors import (_FIT_FLOOR, AlsConfig, CPModel, SparseTensor3,
                             cp_als, initial_factors, max_rank, mttkrp, ocp_als,
-                            principal_angle, reconstruct_error, submodel)
+                            principal_angle, reconstruct_error)
 
 
 def dense_rank_k(n1, n2, n3, lambdas, seed, orthogonal=True):
@@ -593,16 +593,6 @@ def test_dense_oracle_trajectory_equivalence():
         ref = reference_dense_als(dense, cfg)
         got = model.fit_history[:len(ref)]
         assert np.abs(np.array(got) - np.array(ref[:len(got)])).max() < 1e-8
-
-
-def test_submodel_restricts_components():
-    Z, _ = sparse_random_tensor((5, 5, 3), 0.5, 21)
-    model = cp_als(Z, AlsConfig(rank=3))
-    sub = submodel(model, [0, 2])
-    assert sub.rank == 2
-    assert np.allclose(sub.lambdas, model.lambdas[[0, 2]])
-    full = submodel(model, np.arange(3))
-    assert abs(reconstruct_error(Z, full) - reconstruct_error(Z, model)) < 1e-12
 
 
 @given(st.integers(0, 10 ** 6))
