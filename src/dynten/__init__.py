@@ -15,9 +15,8 @@ from .graphs import (ConvergenceError, DynamicNetwork, ReducibleChainError,
                      transition_matrix)
 from .io import (load_dynamic_network, load_embedding_csv,
                  write_dynamic_network, write_embedding_csv)
-from .linkpred import (EdgeSample, LogisticModel, auc_roc, average_precision,
-                       evaluate_link_prediction, holdout_split,
-                       sample_training_set)
+from .linkpred import (EdgeSample, auc_roc, average_precision, evaluate_link_prediction,
+                       holdout_split, sample_training_set)
 from .spectral import (EigenPairs, adjacency_embedding, bottom_k_eigs,
                        effective_resistance, resistance_embedding, top_k_eigs)
 from .synth import dynamic_er, dynamic_sbm, sbm_matched_er

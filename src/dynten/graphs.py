@@ -317,10 +317,14 @@ def transition_matrix(A) -> sparse.csr_array:
     A = sparse.csr_array(A)
     _check_nonnegative(A)
     d = np.asarray(A.sum(axis=1)).ravel()
-    with np.errstate(divide="ignore"):
-        dinv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
-    Dinv = sparse.dia_array((dinv[None, :], [0]), shape=A.shape)
-    return _compact(Dinv @ A)
+    dinv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)  # divides by no zero
+    return _scale_rows(A, dinv)
+
+
+def _scale_rows(A, factor) -> sparse.csr_array:
+    """diag(factor) @ A for a CSR matrix A, one product per stored entry."""
+    data = A.data * np.repeat(factor, np.diff(A.indptr))
+    return _compact(sparse.csr_array((data, A.indices.copy(), A.indptr.copy()), shape=A.shape))
 
 
 def _strongly_connected(P) -> bool:
@@ -333,13 +337,13 @@ def stationary_vector(P, total_weight: float = 1.0, *,
     """Positive left fixed vector of P, scaled so its entries sum to ``total_weight``.
 
     Computed by power iteration on the lazy chain (P + I)/2, which has the
-    same fixed vectors but no periodicity, until the l1 residual
-    ||phi P - phi|| (with ``teleport``, the l1 change of one step) falls below
-    ``STATIONARY_TOL``; ``ConvergenceError`` is raised after
-    ``STATIONARY_MAX_ITER`` steps. P must be irreducible (strongly
-    connected with no zero rows); otherwise pass ``teleport=eps`` to iterate
-    on the regularized chain (1 - eps) P + eps J / n instead, which is a
-    documented deviation from the strict fixed-vector contract.
+    same fixed vectors but no periodicity, until the l1 residual ||phi P - phi||
+    (with ``teleport``, the l1 change of one step) falls below ``STATIONARY_TOL``;
+    ``ConvergenceError`` is raised after ``STATIONARY_MAX_ITER`` steps. Each step
+    takes one product, phi P, for both the residual of phi and the next iterate.
+    P must be irreducible (strongly connected with no zero rows); otherwise pass
+    ``teleport=eps`` to iterate on the regularized chain (1 - eps) P + eps J / n
+    instead, which is a documented deviation from the strict fixed-vector contract.
     """
     P = sparse.csr_array(P, dtype=np.float64)
     n = P.shape[0]
@@ -358,20 +362,23 @@ def stationary_vector(P, total_weight: float = 1.0, *,
                 "transition matrix is reducible; no unique positive stationary "
                 "vector. Pass teleport=1e-3 or preprocess with a Katz kernel.")
 
+    Pt = P.T  # a CSC view: Pt @ phi is phi @ P, bit for bit, without __rmatmul__
     phi = np.full(n, 1.0 / n)
+    step = Pt @ phi  # phi P of the current phi
     residual = np.inf
     for _ in range(STATIONARY_MAX_ITER):
         if teleport is None:
-            nxt = 0.5 * (phi + phi @ P)
+            nxt = 0.5 * (phi + step)
         else:
-            nxt = (1.0 - teleport) * (phi @ P) + teleport * phi.sum() / n
+            nxt = (1.0 - teleport) * step + teleport * phi.sum() / n
         s = nxt.sum()
         if s <= 0:
             raise ConvergenceError("stationary iteration collapsed to zero", float("inf"))
         nxt = nxt / s
         drift = float(np.abs(nxt - phi).sum())
         phi = nxt
-        residual = float(np.abs(phi @ P - phi).sum())
+        step = Pt @ phi
+        residual = float(np.abs(step - phi).sum())
         if (residual if teleport is None else drift) < STATIONARY_TOL:
             break
     else:
@@ -391,15 +398,13 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
     digraph, with P its transition matrix and Phi the stationary vector
     scaled to the total weight; equals A when A is symmetric. Its Laplacian
     ``laplacian(symmetrized_adjacency(A))`` is Chung's directed Laplacian
-    Phi - (Phi P + P^T Phi)/2 on an irreducible chain. The result is
-    explicitly symmetrized so M == M.T holds exactly."""
+    Phi - (Phi P + P^T Phi)/2 on an irreducible chain. Entry (i, j) is
+    0.5 (S[i, j] + S[j, i]) with S = Phi P, so M == M.T holds exactly."""
     A = sparse.csr_array(A, dtype=np.float64)
-    _check_nonnegative(A)
-    P = transition_matrix(A)
+    P = transition_matrix(A)  # refuses negative weights
     phi = stationary_vector(P, total_weight=float(A.sum()), teleport=teleport)
-    Phi = sparse.dia_array((phi[None, :], [0]), shape=P.shape)
-    M = _compact(0.5 * (Phi @ P + P.T @ Phi))
-    return _compact(0.5 * (M + M.T))
+    S = _scale_rows(P, phi)
+    return _compact(0.5 * (S + S.T))
 
 
 def spectral_radius(A) -> float:

@@ -308,8 +308,12 @@ def write_dynamic_network(path, net: DynamicNetwork) -> None:
     isolated nodes survive a round trip). An undirected network writes each
     link once, from the upper triangle of its symmetric slices. A slice with
     no links writes one zero-weight self-loop ``t v v 0.0``, which the loader
-    drops while keeping the slice, so tau survives as well."""
+    drops while keeping the slice, so tau survives as well. An empty label or
+    one holding a ``str.split()`` separator raises ``ValueError``."""
     labels = np.array([str(lab) for lab in net.labels], dtype=object)
+    for lab in labels:
+        if lab.split() != [lab]:
+            raise ValueError(f"label {lab!r} is not one field of an edge-list line")
     lines = [_NODES_DIRECTIVE + " " + " ".join(labels)]
     for t, A in enumerate(net.snapshots):
         E = sparse.coo_array(A if net.directed else sparse.triu(A))

@@ -47,13 +47,6 @@ class EdgeSample:
         return int(len(self.labels))
 
 
-@dataclass(frozen=True)
-class LogisticModel:
-    slope: float
-    intercept: float
-    cv_auc: float
-
-
 def separation_values(emb, pairs, metric: str) -> np.ndarray:
     """Separation of each node pair (i, j): the inner product <v_i, v_j>
     (``"hadamard"``) or the Euclidean distance ||v_i - v_j|| (``"l2"``)."""
@@ -158,11 +151,13 @@ def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
 
 
 def _softplus_change(z, e) -> float:
-    """sum_e log(1 + exp(z + e)) - log(1 + exp(z)), accurate also for tiny e,
-    where the difference of the two sums would be lost to rounding."""
-    out = np.logaddexp(0.0, z + e) - np.logaddexp(0.0, z)
+    """sum_e log(1 + exp(z + e)) - log(1 + exp(z)), each term computed once: as
+    log1p(sigma(z) expm1(e)) where |e| < 1, which tiny e survives, else directly."""
+    out = np.empty_like(e)
     small = np.abs(e) < 1.0
     out[small] = np.log1p(expit(z[small]) * np.expm1(e[small]))
+    z, e = z[~small], e[~small]
+    out[~small] = np.logaddexp(0.0, z + e) - np.logaddexp(0.0, z)
     return float(out.sum())
 
 
@@ -236,12 +231,12 @@ def _stratified_folds(labels, folds):
 
 
 def cross_validated_scores(sample: EdgeSample, folds: int = 5):
-    """Stratified CV: per-fold held-out probabilities plus the final model
-    refit on the full sample. Returns (model, pooled_heldout_probs)."""
+    """Stratified CV of the classifier. Returns ``(cv_auc, pooled)``: the
+    mean of the fold AUCs and each sample's probability under the model
+    fitted without its fold."""
     y = np.asarray(sample.labels, dtype=np.float64)
     x = np.asarray(sample.separations, dtype=np.float64)
-    classes = np.unique(y)
-    if classes.size < 2:
+    if np.unique(y).size < 2:
         raise ValueError("sample must contain both classes")
     n_min = min(int((y > 0).sum()), int((y < 0).sum()))
     folds_eff = min(folds, n_min)
@@ -256,10 +251,7 @@ def cross_validated_scores(sample: EdgeSample, folds: int = 5):
         w, c = _fit_wc(x[~hold], y[~hold])
         pooled[hold] = expit(x[hold] * w + c)
         fold_aucs.append(auc_roc(pooled[hold], y[hold]))
-
-    w, c = _fit_wc(x, y)
-    model = LogisticModel(slope=w, intercept=c, cv_auc=float(np.mean(fold_aucs)))
-    return model, pooled
+    return float(np.mean(fold_aucs)), pooled
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +313,12 @@ def evaluate_link_prediction(net: DynamicNetwork, target_slice: int, emb,
     """Sample a balanced set on the target slice, cross-validate the scalar
     classifier, and report pooled held-out AP / AUC."""
     sample = sample_training_set(net, target_slice, emb, metric, n_pos, seed)
-    model, pooled = cross_validated_scores(sample, folds)
+    cv_auc, pooled = cross_validated_scores(sample, folds)
     return {
         "metric": metric,
         "AP": average_precision(pooled, sample.labels),
         "AUC": auc_roc(pooled, sample.labels),
-        "cv_auc": model.cv_auc,
+        "cv_auc": cv_auc,
         "sample": sample,
         "probabilities": pooled,
     }

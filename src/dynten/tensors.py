@@ -250,15 +250,15 @@ _PROX = 1e-3
 def _gram_solve(G, rhs, prev):
     """Proximal least-squares factor update from its Gram system.
 
-    Solves (G + rho I) X^T = (rhs + rho prev)^T with rho = _PROX tr(G)/r, plus
-    the documented ridge fallback when G is numerically rank-deficient.
+    Solves (G + rho I) X^T = (rhs + rho prev)^T with rho = _PROX tr(G)/r. G, a
+    Hadamard product of Gram matrices, is PSD, so cond(G + rho I) <= 1 + r/_PROX;
+    only a zero or non-finite trace takes the tiny-ridge fallback.
     """
     r = G.shape[0]
     rho = _PROX * np.trace(G) / r
     G = G + rho * np.eye(r)
     rhs = rhs + rho * prev
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not rho > 0:
         G = G + (1e-10 * np.trace(G) / r + 1e-300) * np.eye(r)
     try:
         return np.linalg.solve(G, rhs.T).T

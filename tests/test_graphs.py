@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -251,6 +253,107 @@ class TestDirectedLaplacians:
             symmetrized_adjacency(csr([[0, 1], [0, 0]]))
         S = symmetrized_adjacency(csr([[0, 1], [0, 0]]), teleport=1e-3)
         assert np.abs(S.toarray() - S.toarray().T).max() == 0.0
+
+
+def dia_transition_reference(A):
+    """The earlier transition_matrix: a diagonal-matrix product D^-1 A."""
+    d = np.asarray(A.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        dinv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
+    return graphs._compact(sp.dia_array((dinv[None, :], [0]), shape=A.shape) @ A)
+
+
+def two_product_stationary_reference(P, total_weight, teleport):
+    """The earlier power loop, which takes phi P twice per step: once for the
+    next iterate and once more for its residual."""
+    n = P.shape[0]
+    phi = np.full(n, 1.0 / n)
+    for _ in range(graphs.STATIONARY_MAX_ITER):
+        if teleport is None:
+            nxt = 0.5 * (phi + phi @ P)
+        else:
+            nxt = (1.0 - teleport) * (phi @ P) + teleport * phi.sum() / n
+        nxt = nxt / nxt.sum()
+        drift = float(np.abs(nxt - phi).sum())
+        phi = nxt
+        residual = float(np.abs(phi @ P - phi).sum())
+        if (residual if teleport is None else drift) < graphs.STATIONARY_TOL:
+            break
+    else:
+        raise graphs.ConvergenceError(
+            f"stationary vector did not converge in {graphs.STATIONARY_MAX_ITER} "
+            f"iterations (residual {residual:.3e})", residual)
+    return phi * (total_weight / phi.sum())
+
+
+def composed_symmetrization_reference(A, teleport):
+    """The earlier symmetrized_adjacency: 0.5 (Phi P + P^T Phi) from diagonal
+    products, then symmetrized a second time."""
+    P = dia_transition_reference(A)
+    phi = two_product_stationary_reference(P, float(A.sum()), teleport)
+    Phi = sp.dia_array((phi[None, :], [0]), shape=P.shape)
+    M = graphs._compact(0.5 * (Phi @ P + P.T @ Phi))
+    return graphs._compact(0.5 * (M + M.T))
+
+
+def digraph_with_zero_rows(n, rng):
+    """Random weighted directed edges, then every edge out of a random subset
+    of at least one node removed, so the chain is reducible."""
+    src, dst = rng.integers(0, n, size=(2, 3 * n))
+    sink = rng.random(n) < 0.3
+    sink[rng.integers(n)] = True
+    keep = (src != dst) & ~sink[src]
+    return adjacency_from_edges(n, src[keep], dst[keep],
+                                rng.uniform(0.5, 2.0, size=int(keep.sum())))
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+class TestOneProductLoops:
+    """The row-scaled products and the one-product stationary loop give the
+    bits of the diagonal-product constructions they replace."""
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 40))
+    def test_strongly_connected_without_teleport(self, seed, n):
+        A = random_strong_digraph(n, np.random.default_rng(seed))
+        P = transition_matrix(A)
+        assert_same_csr(P, dia_transition_reference(A))
+        assert np.array_equal(stationary_vector(P, total_weight=3.5),
+                              two_product_stationary_reference(P, 3.5, None))
+        assert_same_csr(symmetrized_adjacency(A), composed_symmetrization_reference(A, None))
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 40))
+    def test_zero_rows_with_teleport(self, seed, n):
+        A = digraph_with_zero_rows(n, np.random.default_rng(seed))
+        P = transition_matrix(A)
+        assert_same_csr(P, dia_transition_reference(A))
+        # the teleport chain is not lazy: a periodic closed class mixes too
+        # slowly for the step budget, and both loops must then give up alike;
+        # a smaller budget reaches that path sooner
+        with mock.patch.object(graphs, "STATIONARY_MAX_ITER", 2000):
+            try:
+                want = two_product_stationary_reference(P, 2.0, 1e-3)
+            except graphs.ConvergenceError as err:
+                with pytest.raises(graphs.ConvergenceError) as got:
+                    stationary_vector(P, total_weight=2.0, teleport=1e-3)
+                assert str(got.value) == str(err) and got.value.residual == err.residual
+                return
+            assert np.array_equal(stationary_vector(P, total_weight=2.0, teleport=1e-3), want)
+        if A.nnz:
+            assert_same_csr(symmetrized_adjacency(A, teleport=1e-3),
+                            composed_symmetrization_reference(A, 1e-3))
+
+    def test_transition_does_not_touch_its_input(self):
+        A = csr([[0, 1e-320, 1e10], [1, 0, 0], [0, 0, 0]])
+        arrays = [x.copy() for x in (A.data, A.indices, A.indptr)]
+        P = transition_matrix(A)
+        assert P.nnz == 2  # 1e-320 / 1e10 underflows to zero and is dropped
+        assert all(np.array_equal(x, y) for x, y in zip((A.data, A.indices, A.indptr), arrays))
 
 
 class TestKatz:

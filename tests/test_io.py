@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from dynten import io
-from dynten.graphs import DynamicNetwork, adjacency_from_edges
+from dynten.graphs import DynamicNetwork, adjacency_from_edges, align_snapshots
 from dynten.io import (load_dynamic_network, load_embedding_csv, write_dynamic_network,
                        write_embedding_csv)
 from dynten.synth import dynamic_sbm
@@ -51,6 +52,26 @@ def test_write_load_write_is_exact(tmp_path, directed, text):
         assert np.array_equal(A.indptr, B.indptr)
         assert np.array_equal(A.indices, B.indices)
         assert np.array_equal(A.data, B.data)
+
+
+@pytest.mark.parametrize("label", ["a b", "", "tab\there", "line\nbreak", "nb\u00a0sp"])
+def test_write_refuses_labels_the_loader_would_split(tmp_path, label):
+    net = align_snapshots([([label, "c"], ["c", "d"], [1.0, 1.0])])
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        write_dynamic_network(tmp_path / "x.edges", net)
+    assert not (tmp_path / "x.edges").exists()
+
+
+def test_labels_with_commas_quotes_and_non_ascii_roundtrip(tmp_path):
+    labels = ["a,b", '"q"', "x'y", "na\u00efve", "\u6771\u4eac", "#tag", "\U0001f600"]
+    net = align_snapshots([(labels[:4], labels[3:], [1.0, 2.0, 3.0, 4.0]),
+                           (labels[::2], labels[1::2] + ["a,b"], [5.0, 6.0, 7.0, 8.0])],
+                          directed=True)
+    write_dynamic_network(tmp_path / "x.edges", net)
+    back = load_dynamic_network(tmp_path / "x.edges", directed=True)
+    assert back.labels == net.labels and back.tau == net.tau
+    for A, B in zip(net.snapshots, back.snapshots):
+        assert (A != B).nnz == 0
 
 
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])

@@ -273,9 +273,9 @@ class TestLogistic:
     def test_separable_sample_perfect_cv(self):
         x = np.array([0.1, 0.2, 0.15, 0.9, 1.0, 0.8, 0.12, 0.95] * 3)
         y = np.array([1, 1, 1, -1, -1, -1, 1, -1] * 3)
-        model = cross_validated_scores(make_sample(x, y), 5)[0]
-        assert model.cv_auc == pytest.approx(1.0)
-        probs = expit(np.array([0.1, 1.0]) * model.slope + model.intercept)
+        assert cross_validated_scores(make_sample(x, y), 5)[0] == pytest.approx(1.0)
+        slope, intercept = linkpred._fit_wc(x, y)
+        probs = expit(np.array([0.1, 1.0]) * slope + intercept)
         assert probs[0] > probs[1]
 
     def test_random_labels_near_chance(self):
@@ -285,15 +285,15 @@ class TestLogistic:
             x = rng.standard_normal(40)
             y = np.repeat([1, -1], 20)
             rng.shuffle(y)
-            aucs.append(cross_validated_scores(make_sample(x, y), 5)[0].cv_auc)
+            aucs.append(cross_validated_scores(make_sample(x, y), 5)[0])
         assert abs(np.mean(aucs) - 0.5) < 0.1
 
     def test_constant_feature_majority_logit(self):
         x = np.zeros(12)
         y = np.array([1] * 9 + [-1] * 3)
-        model = cross_validated_scores(make_sample(x, y), 3)[0]
-        assert abs(model.slope) < 1e-6
-        assert model.intercept == pytest.approx(np.log(3.0), abs=1e-4)
+        slope, intercept = linkpred._fit_wc(x, y)
+        assert abs(slope) < 1e-6
+        assert intercept == pytest.approx(np.log(3.0), abs=1e-4)
 
     def test_never_worse_than_trivial(self):
         rng = np.random.default_rng(5)
@@ -302,8 +302,8 @@ class TestLogistic:
             y = np.where(rng.random(30) < 0.5, 1, -1)
             if len(np.unique(y)) < 2:
                 continue
-            model = cross_validated_scores(make_sample(x, y), 5)[0]
-            assert loss_value(model.slope, model.intercept, x, y) \
+            slope, intercept = linkpred._fit_wc(x, y)
+            assert loss_value(slope, intercept, x, y) \
                 <= loss_value(0.0, 0.0, x, y) + 1e-9
 
     def test_single_class_rejected(self):
@@ -355,6 +355,25 @@ def classifier_data(seed, kind, scale, n_pos, n_neg):
     else:
         x = rng.standard_normal(y.size) + rng.uniform(-2.0, 2.0) * (y > 0)
     return x * scale, y
+
+
+def two_branch_softplus_reference(z, e):
+    """The earlier line-search term: both softplus values over every sample,
+    then the |e| < 1 entries overwritten by the log1p form."""
+    out = np.logaddexp(0.0, z + e) - np.logaddexp(0.0, z)
+    small = np.abs(e) < 1.0
+    out[small] = np.log1p(expit(z[small]) * np.expm1(e[small]))
+    return float(out.sum())
+
+
+@given(z=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=60),
+       e=st.lists(st.one_of(st.sampled_from([-1.0, 1.0, -0.0, 0.0]),
+                            st.floats(-3.0, 3.0), st.floats(-1e3, 1e3)),
+                  min_size=60, max_size=60))
+def test_softplus_change_matches_two_branch_reference(z, e):
+    z = np.array(z)
+    e = np.array(e[:z.size])
+    assert linkpred._softplus_change(z, e) == two_branch_softplus_reference(z, e)
 
 
 class TestNewtonFit:
@@ -483,10 +502,10 @@ def test_cross_validated_scores_align_with_sample():
     net, _ = dynamic_sbm(40, 4, seed=20)
     emb = np.random.default_rng(7).standard_normal((40, 4))
     s = sample_training_set(net, 3, emb, "l2", 20, seed=1)
-    model, pooled = cross_validated_scores(s, folds=5)
+    cv_auc, pooled = cross_validated_scores(s, folds=5)
     assert pooled.shape == (40,)
     assert np.all((pooled >= 0) & (pooled <= 1))
-    assert np.isfinite(model.cv_auc)
+    assert np.isfinite(cv_auc)
 
 
 def test_separation_values_matches_scalar_functions():

@@ -595,6 +595,33 @@ def test_dense_oracle_trajectory_equivalence():
         assert np.abs(np.array(got) - np.array(ref[:len(got)])).max() < 1e-8
 
 
+def test_gram_solve_zero_gram_takes_the_ridge():
+    rng = np.random.default_rng(9)
+    rhs, prev = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    got = tensors._gram_solve(np.zeros((3, 3)), rhs, prev)
+    assert np.array_equal(got, np.linalg.solve(1e-300 * np.eye(3), rhs.T).T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_solve_non_finite_gram_gives_non_finite_factor(bad):
+    rng = np.random.default_rng(9)
+    rhs, prev = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    G = np.full((3, 3), bad)
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(tensors._gram_solve(G, rhs, prev)))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-160])
+def test_overflowing_gram_ends_in_decomposition_error(scale):
+    """Gram matrices that overflow or underflow leave non-finite factors,
+    which ALS reports as DecompositionError."""
+    rng = np.random.default_rng(0)
+    dense = np.where(rng.random((5, 5, 4)) < 0.6, rng.standard_normal((5, 5, 4)), 0.0)
+    with np.errstate(all="ignore"), pytest.raises(tensors.DecompositionError,
+                                                  match="non-finite"):
+        cp_als(SparseTensor3.from_dense(dense * scale), AlsConfig(rank=3))
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=15)
 def test_als_normalization_property(seed):
