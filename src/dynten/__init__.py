@@ -5,9 +5,8 @@ from .clustering import (ClusterState, anomaly_scores, assign_clusters,
                          suggest_threshold)
 from .embed import (DynEmbedConfig, DynEmbedResult, TemporalWeights,
                     adj_last_embedding, adj_wt_embedding, convolve_snapshots,
-                    dynacpd_embed, dynamic_embedding, dynaocpd_embed,
-                    make_weights, precondition, res_last_embedding,
-                    res_wt_embedding, weighted_modes)
+                    dynamic_embedding, make_weights, precondition,
+                    res_last_embedding, res_wt_embedding, weighted_modes)
 from .graphs import (ConvergenceError, DynamicNetwork, ReducibleChainError,
                      adjacency_from_edges, align_snapshots, degree_matrix,
                      katz_adjacency, katz_omega_bound, laplacian,

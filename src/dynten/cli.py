@@ -40,13 +40,16 @@ _EMBED_OPTS = [
     ("post", str, "", "post-conditioning weight scheme (default: same as pre)"),
     ("post_alpha", float, 0.0, "exponential rate for post weights (default: alpha)"),
     ("post_sigma", float, 0.0, "gaussian width for post weights (default: sigma)"),
-    ("variant", str, "raw", "per-slice adjacency variant of dynacpd / dynaocpd: "
-                            "raw|symmetrized|katz (the baselines take raw only)"),
-    ("omega", float, 0.0, "katz damping (checked against the spectral bound)"),
-    ("teleport", float, 1e-3, "teleport epsilon for the symmetrized variant"),
-    ("sweeps", int, 200, "ALS sweep budget"),
-    ("tol", float, 1e-6, "ALS stops once a sweep changes the relative error by at most "
-                         "tol times its value (relative fit-stagnation rule)"),
+    ("variant", str, embed.DynEmbedConfig.adjacency_variant,
+     "per-slice adjacency variant of dynacpd / dynaocpd: "
+     "raw|symmetrized|katz (the baselines take raw only)"),
+    ("omega", float, embed.DynEmbedConfig.katz_omega,
+     "katz damping (checked against the spectral bound)"),
+    ("teleport", float, embed.DynEmbedConfig.teleport,
+     "teleport epsilon for the symmetrized variant"),
+    ("sweeps", int, AlsConfig.max_sweeps, "ALS sweep budget"),
+    ("tol", float, AlsConfig.rel_tol, "ALS stops once a sweep changes the relative error by at "
+                                      "most tol times its value (relative fit-stagnation rule)"),
     ("normalize", bool, False, "scale embedding rows to unit norm"),
     ("seed", int, 0, "master seed for all derived random streams"),
     ("out", str, "out", "output directory"),
@@ -75,14 +78,13 @@ def compute_embedding(net: DynamicNetwork, cfg: dict):
     diag = {"method": method, "pre_weights": [repr(float(x)) for x in pre.values],
             "post_weights": [repr(float(x)) for x in post.values]}
     if tensor_method:
-        decomposition = "cpd" if method == "dynacpd" else "ocpd"
-        als = AlsConfig(rank=cfg["rank"] or embed.default_rank(net, cfg["d"], decomposition),
+        orthogonal = method == "dynaocpd"
+        als = AlsConfig(rank=cfg["rank"] or embed.default_rank(net, cfg["d"], orthogonal),
                         max_sweeps=cfg["sweeps"], rel_tol=cfg["tol"], seed=cfg["seed"])
         dcfg = embed.DynEmbedConfig(
-            d=cfg["d"], pre_weights=pre, post_weights=post,
-            decomposition=decomposition, adjacency_variant=cfg["variant"],
-            katz_omega=cfg["omega"], teleport=cfg["teleport"], als=als,
-            seed=cfg["seed"])
+            d=cfg["d"], pre_weights=pre, post_weights=post, als=als,
+            orthogonal=orthogonal, adjacency_variant=cfg["variant"],
+            katz_omega=cfg["omega"], teleport=cfg["teleport"])
         res = embed.dynamic_embedding(net, dcfg)
         matrix = res.embedding
         diag.update(rank=res.model.rank, fit=repr(float(res.model.fit)),
@@ -179,7 +181,7 @@ def _cluster_common(cfg):
         net = _load_net(cfg)
         matrix, diag = compute_embedding(net, cfg)
         labels = [str(l) for l in net.labels]
-    state = clustering.kmeans(matrix, cfg["k"], seed=cfg["seed"], alpha=cfg["alpha_decay"])
+    state = clustering.kmeans(matrix, cfg["k"], seed=cfg["seed"])
     assignments = clustering.assign_clusters(state, matrix)
     scores = clustering.anomaly_scores(state, matrix)
     threshold = cfg["threshold"] if cfg["threshold"] >= 0 else \
@@ -288,7 +290,6 @@ _LINKPRED_OPTS = _EMBED_OPTS + [
 _CLUSTER_OPTS = _EMBED_OPTS + [
     ("embedding", str, "", "use an existing embedding.csv instead of embedding"),
     ("k", int, 2, "number of clusters"),
-    ("alpha_decay", float, 0.5, "streaming decay factor stored in the state"),
     ("threshold", float, -1.0, "anomaly threshold (-1 = percentile rule)"),
     ("threshold_pct", float, 95.0, "percentile for the default threshold"),
 ]

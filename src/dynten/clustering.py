@@ -48,8 +48,7 @@ def assign_clusters(state: ClusterState, points) -> np.ndarray:
     return np.argmin(_pairwise_sq(points, state.centroids), axis=1)
 
 
-def kmeans(points, k: int, max_iter: int = 100, seed: int = 0,
-           alpha: float = 0.5) -> ClusterState:
+def kmeans(points, k: int, max_iter: int = 100, seed: int = 0) -> ClusterState:
     """Lloyd iteration from k-means++ style seeding.
 
     Stops when the assignment stabilizes or the iteration budget runs out;
@@ -89,7 +88,7 @@ def kmeans(points, k: int, max_iter: int = 100, seed: int = 0,
                 far = np.argmax(_pairwise_sq(points, centroids).min(axis=1))
                 centroids[c] = points[far]
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    return ClusterState(centroids=centroids, counts=counts, alpha=alpha)
+    return ClusterState(centroids=centroids, counts=counts)
 
 
 def streaming_update(state: ClusterState, cluster_id: int, new_points) -> ClusterState:

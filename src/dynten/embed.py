@@ -11,7 +11,7 @@ or weighted convolution of slices) live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +26,6 @@ from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_al
 class TemporalWeights:
     """Per-slice weights in [0, 1] with max exactly 1."""
 
-    scheme: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -44,16 +43,16 @@ class TemporalWeights:
 
 
 def make_weights(scheme: str, tau: int, *, alpha: float | None = None,
-                 sigma: float | None = None, values=None) -> TemporalWeights:
+                 sigma: float | None = None) -> TemporalWeights:
     """Build a temporal weight vector for slices t = 1..tau.
 
     uniform        all ones
     exponential    e^{-alpha |tau - t|}  (alpha > 0; large alpha degenerates
                    to the last-slice indicator)
     gaussian       e^{-(tau - t)^2 / (2 sigma^2)}  (sigma > 0)
-    explicit       given vector, rescaled to sup-norm 1
 
-    Both decay laws give weight exactly 1 at the final slice.
+    Both decay laws give weight exactly 1 at the final slice. Any other
+    vector is ``TemporalWeights(values)`` directly.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -68,79 +67,65 @@ def make_weights(scheme: str, tau: int, *, alpha: float | None = None,
         if sigma is None or sigma <= 0:
             raise ValueError("gaussian weights need sigma > 0")
         vals = np.exp(-(gap ** 2) / (2.0 * sigma ** 2))
-    elif scheme == "explicit":
-        if values is None:
-            raise ValueError("explicit weights need a vector")
-        vals = np.asarray(values, dtype=np.float64).ravel()
-        if vals.size != tau:
-            raise ValueError(f"need {tau} weights, got {vals.size}")
-        if not np.all(np.isfinite(vals)) or vals.min() < 0 or vals.max() <= 0:
-            raise ValueError("explicit weights must be nonnegative with a positive max")
-        vals = vals / vals.max()
     else:
         raise ValueError(f"unknown weight scheme {scheme!r}")
-    return TemporalWeights(scheme=scheme, values=vals)
+    return TemporalWeights(vals)
 
 
-def precondition(net: DynamicNetwork, w: TemporalWeights) -> DynamicNetwork:
+def precondition(slices: tuple, w: TemporalWeights) -> tuple:
     """Backward-in-time blend of link weights.
 
     G'_tau = w_tau G_tau and G'_t = w_t G_t + (1 - w_t) G'_{t+1}; all-ones
-    weights leave the network unchanged, and a link weight present in every
+    weights leave the slices unchanged, and a link weight present in every
     slice from t on is preserved in G'_t regardless of the weights.
     """
-    if len(w) != net.tau:
-        raise ValueError(f"need {net.tau} weights, got {len(w)}")
-    mats = net.snapshots
-    out = [None] * net.tau
-    out[-1] = w.values[-1] * mats[-1]
-    for t in range(net.tau - 2, -1, -1):
-        out[t] = w.values[t] * mats[t] + (1.0 - w.values[t]) * out[t + 1]
-    return DynamicNetwork(labels=net.labels, snapshots=tuple(_compact(M) for M in out),
-                          directed=net.directed)
+    tau = len(slices)
+    if len(w) != tau:
+        raise ValueError(f"need {tau} weights, got {len(w)}")
+    out = [None] * tau
+    out[-1] = w.values[-1] * slices[-1]
+    for t in range(tau - 2, -1, -1):
+        out[t] = w.values[t] * slices[t] + (1.0 - w.values[t]) * out[t + 1]
+    return tuple(_compact(M) for M in out)
 
 
-def convolve_snapshots(net: DynamicNetwork, w: TemporalWeights,
+def convolve_snapshots(slices: tuple, w: TemporalWeights,
                        kind: str = "adjacency") -> sparse.csr_array:
     """Normalized weighted average sum_t w_t M_t / sum_t w_t of the per-slice
     adjacency or Laplacian matrices."""
-    if len(w) != net.tau:
-        raise ValueError(f"need {net.tau} weights, got {len(w)}")
-    total = float(w.values.sum())
-    if total <= 0:
-        raise ValueError("weights sum to zero")
+    if len(w) != len(slices):
+        raise ValueError(f"need {len(slices)} weights, got {len(w)}")
     if kind == "adjacency":
-        mats = net.snapshots
+        mats = slices
     elif kind == "laplacian":
-        mats = [laplacian(A) for A in net.snapshots]
+        mats = [laplacian(A) for A in slices]
     else:
         raise ValueError(f"unknown convolution kind {kind!r}")
     acc = w.values[0] * mats[0]
-    for t in range(1, net.tau):
+    for t in range(1, len(mats)):
         if w.values[t] != 0.0:
             acc = acc + w.values[t] * mats[t]
-    return sparse.csr_array(acc / total)
+    return sparse.csr_array(acc / float(w.values.sum()))
 
 
 @dataclass(frozen=True)
 class DynEmbedConfig:
-    """Settings for the DynACPD / DynAOCPD pipeline."""
+    """Settings for the DynACPD (``orthogonal=False``) / DynAOCPD pipeline."""
 
     d: int
-    pre_weights: TemporalWeights | None = None   # None = uniform
-    post_weights: TemporalWeights | None = None  # None = same as pre
-    decomposition: str = "cpd"                   # cpd | ocpd
+    pre_weights: TemporalWeights
+    post_weights: TemporalWeights
+    als: AlsConfig
+    orthogonal: bool = False
     adjacency_variant: str = "raw"               # raw | symmetrized | katz
     katz_omega: float = 0.0
     teleport: float | None = 1e-3
-    als: AlsConfig | None = None                 # None = rank default_rank()
-    seed: int = 0
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.decomposition not in ("cpd", "ocpd"):
-            raise ValueError(f"unknown decomposition {self.decomposition!r}")
+        if self.als.rank < self.d:
+            raise ValueError(f"decomposition rank {self.als.rank} is below d={self.d}")
         if self.adjacency_variant not in ("raw", "symmetrized", "katz"):
             raise ValueError(f"unknown adjacency variant {self.adjacency_variant!r}")
 
@@ -177,96 +162,75 @@ def mode_orientations(model: CPModel) -> np.ndarray:
     return signs
 
 
-def _variant_slices(net: DynamicNetwork, cfg: DynEmbedConfig):
-    mats = net.snapshots
+def _variant_slices(slices: tuple, cfg: DynEmbedConfig):
     if cfg.adjacency_variant == "raw":
-        return mats
+        return slices
     if cfg.adjacency_variant == "symmetrized":
-        return [symmetrized_adjacency(A, teleport=cfg.teleport) for A in mats]
-    return [katz_adjacency(A, cfg.katz_omega) for A in mats]
+        return [symmetrized_adjacency(A, teleport=cfg.teleport) for A in slices]
+    return [katz_adjacency(A, cfg.katz_omega) for A in slices]
 
 
-def default_rank(net: DynamicNetwork, d: int, decomposition: str = "cpd") -> int:
+def default_rank(net: DynamicNetwork, d: int, orthogonal: bool) -> int:
     """Decomposition rank used when none is given: min(2 d, cap), with the cap
-    the largest rank the ALS accepts (n for ocpd, min(n tau, n^2) for cpd)."""
-    dims = (net.n, net.n, net.tau)
-    return min(2 * d, max_rank(dims, orthogonal_b=decomposition == "ocpd"))
+    the largest rank the ALS accepts (n when orthogonal, else min(n tau, n^2))."""
+    return min(2 * d, max_rank((net.n, net.n, net.tau), orthogonal))
 
 
 def dynamic_embedding(net: DynamicNetwork, cfg: DynEmbedConfig) -> DynEmbedResult:
     """Run the full pipeline and keep the decomposition diagnostics."""
-    tau = net.tau
-    pre = cfg.pre_weights or make_weights("uniform", tau)
-    post = cfg.post_weights or pre
-    if len(pre) != tau or len(post) != tau:
-        raise ValueError("temporal weight length must equal the snapshot count")
-
+    if len(cfg.post_weights) != net.tau:  # checked here, not after ALS
+        raise ValueError(f"need {net.tau} post weights, got {len(cfg.post_weights)}")
     # the tensor copies every slice, so the conditioned ones die here, before ALS
-    Z = SparseTensor3.from_slices(_variant_slices(precondition(net, pre), cfg))
-
-    als = cfg.als or AlsConfig(rank=default_rank(net, cfg.d, cfg.decomposition),
-                               seed=cfg.seed)
-    if als.rank < cfg.d:
-        raise ValueError(f"decomposition rank {als.rank} is below d={cfg.d}")
-    model = ocp_als(Z, als) if cfg.decomposition == "ocpd" else cp_als(Z, als)
+    Z = SparseTensor3.from_slices(
+        _variant_slices(precondition(net.snapshots, cfg.pre_weights), cfg))
+    model = (ocp_als if cfg.orthogonal else cp_als)(Z, cfg.als)
 
     # orient each weighted mode so anti-proximity components rank negative,
     # mirroring the algebraically-largest rule of the static adjacency
     # embedding; |sigma| alone cannot tell the two apart under the
     # nonnegative-weight gauge
-    sigmas = weighted_modes(model, post) * mode_orientations(model)
+    sigmas = weighted_modes(model, cfg.post_weights) * mode_orientations(model)
     order = np.argsort(-sigmas, kind="stable")
     selected = order[:cfg.d]
     emb = model.factor_b[:, selected] * sigmas[selected][None, :]
     return DynEmbedResult(embedding=emb, model=model, sigmas=sigmas, selected=selected)
 
 
-def dynacpd_embed(net: DynamicNetwork, cfg: DynEmbedConfig) -> np.ndarray:
-    """DynACPD embedding: free CP decomposition of the conditioned tensor."""
-    return dynamic_embedding(net, replace(cfg, decomposition="cpd")).embedding
-
-
-def dynaocpd_embed(net: DynamicNetwork, cfg: DynEmbedConfig) -> np.ndarray:
-    """DynAOCPD embedding: node factor constrained to orthonormal columns."""
-    return dynamic_embedding(net, replace(cfg, decomposition="ocpd")).embedding
-
-
 # ---------------------------------------------------------------------------
 # static baselines
 
 
-def _as_undirected(net: DynamicNetwork) -> DynamicNetwork:
-    """Plain (A + A^T)/2 symmetrization of every slice; identity when the
-    network is already undirected. The spectral baselines need symmetric
-    matrices, and a Laplacian built from an unsymmetrized digraph slice is
-    not positive semi-definite."""
-    if not net.directed:
-        return net
-    snaps = tuple(_compact(0.5 * (A + A.T)) for A in net.snapshots)
-    return DynamicNetwork(labels=net.labels, snapshots=snaps, directed=False)
+def _as_undirected(slices: tuple, directed: bool) -> tuple:
+    """Plain (A + A^T)/2 symmetrization of every slice of a directed network;
+    the slices themselves when it is undirected. The spectral baselines need
+    symmetric matrices, and a Laplacian built from an unsymmetrized digraph
+    slice is not positive semi-definite."""
+    if not directed:
+        return slices
+    return tuple(_compact(0.5 * (A + A.T)) for A in slices)
 
 
 def adj_last_embedding(net: DynamicNetwork, d: int, seed: int = 0) -> np.ndarray:
     """Spectral adjacency embedding of the final snapshot."""
-    A = _as_undirected(net).adjacency(net.tau - 1)
+    A, = _as_undirected(net.snapshots[-1:], net.directed)
     return adjacency_embedding(A, d, seed=seed)
 
 
 def res_last_embedding(net: DynamicNetwork, d: int, seed: int = 0) -> np.ndarray:
     """Resistance embedding of the final snapshot's Laplacian."""
-    L = laplacian(_as_undirected(net).adjacency(net.tau - 1))
-    return resistance_embedding(L, d, seed=seed)
+    A, = _as_undirected(net.snapshots[-1:], net.directed)
+    return resistance_embedding(laplacian(A), d, seed=seed)
 
 
 def adj_wt_embedding(net: DynamicNetwork, w: TemporalWeights, d: int,
                      seed: int = 0) -> np.ndarray:
     """Spectral adjacency embedding of the weighted snapshot convolution."""
-    M = convolve_snapshots(_as_undirected(net), w, kind="adjacency")
+    M = convolve_snapshots(_as_undirected(net.snapshots, net.directed), w, kind="adjacency")
     return adjacency_embedding(M, d, seed=seed)
 
 
 def res_wt_embedding(net: DynamicNetwork, w: TemporalWeights, d: int,
                      seed: int = 0) -> np.ndarray:
     """Resistance embedding of the weighted Laplacian convolution."""
-    M = convolve_snapshots(_as_undirected(net), w, kind="laplacian")
+    M = convolve_snapshots(_as_undirected(net.snapshots, net.directed), w, kind="laplacian")
     return resistance_embedding(M, d, seed=seed)

@@ -440,7 +440,11 @@ def katz_omega_bound(A) -> float:
     widened by the closed-form minimum-degree bound on unweighted undirected
     input (which certifies convergence on its own)."""
     A = sparse.csr_array(A, dtype=np.float64)
-    rho = spectral_radius(A)
+    return _katz_bound(A, spectral_radius(A))
+
+
+def _katz_bound(A: sparse.csr_array, rho: float) -> float:
+    """:func:`katz_omega_bound` of a float64 CSR matrix with spectral radius rho."""
     bound = np.inf if rho == 0.0 else KATZ_SAFETY / rho
     if A.nnz and np.all(A.data == 1.0):
         diff = A - A.T
@@ -478,14 +482,14 @@ def katz_adjacency(A, omega: float, *, method: str = "auto") -> sparse.csr_array
     A = _compact(sparse.csr_array(A, dtype=np.float64))
     if omega == 0.0:
         return A.copy()
-    bound = katz_omega_bound(A)
+    rho = spectral_radius(A)
+    bound = _katz_bound(A, rho)
     if omega >= bound:
         raise ValueError(
             f"omega={omega} is not below the admissible Katz bound {bound:.6g} "
             "(safety-margined inverse spectral radius)")
 
     sym_in = abs(A - A.T).max() if A.nnz else 0.0
-    rho = spectral_radius(A)
     q = omega * rho
 
     total = None

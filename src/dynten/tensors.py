@@ -27,7 +27,8 @@ from .spectral import _extreme_pairs
 
 
 class DecompositionError(RuntimeError):
-    """ALS aborted (non-finite factors or an unusable configuration)."""
+    """ALS aborted (non-finite factors, a failed factor solve, a norm that
+    underflows, or an unusable configuration)."""
 
 
 @dataclass(frozen=True)
@@ -332,8 +333,12 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
     if r > cap:
         raise ValueError(f"rank {r} above the cap {cap} for a {Z.dims} tensor")
 
-    A, B, C = initial_factors(Z, cfg, orthogonal_b=orthogonal_b)
     norm_z = Z.norm()
+    if norm_z == 0.0 and Z.nnz:
+        raise DecompositionError(
+            f"the norm of a tensor with {Z.nnz} nonzero entries underflows to 0; "
+            "input scaling is pathological")
+    A, B, C = initial_factors(Z, cfg, orthogonal_b=orthogonal_b)
     if norm_z == 0.0:
         lam = np.zeros(r)
         return CPModel(lam, A, B, C, fit=0.0, sweeps=0, fit_history=(0.0,),
@@ -344,7 +349,11 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
     prev_fit = np.inf
     lam = np.ones(r)
     for sweep in range(cfg.max_sweeps):
-        *raw, inner = _sweep(Z, A, B, C, lam, orthogonal_b)
+        try:
+            *raw, inner = _sweep(Z, A, B, C, lam, orthogonal_b)
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(
+                f"{exc} at sweep {sweep + 1}; input scaling or rank is pathological") from exc
         (A1, na), (B1, nb), (C1, nc) = map(_normalize_columns, raw, (A, B, C))
         lam1 = na * nb * nc
         fit = _relative_error(norm_z, inner, lam1, A1, B1, C1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dynten.embed import DynEmbedConfig, dynacpd_embed, make_weights
+from dynten.embed import DynEmbedConfig, default_rank, dynamic_embedding, make_weights
 from dynten.graphs import katz_adjacency, laplacian, spectral_radius
 from dynten.io import load_dynamic_network
 from dynten.linkpred import (auc_roc, average_precision,
@@ -171,10 +171,10 @@ def test_c07_two_vector_tensor():
 
 def _linkpred_run(net, d, seed):
     train, target, n_links = holdout_split(net)
-    tau = train.tau
-    cfg = DynEmbedConfig(d=d, pre_weights=make_weights("exponential", tau, alpha=1.0),
-                         seed=seed)
-    emb = dynacpd_embed(train, cfg)
+    pre = make_weights("exponential", train.tau, alpha=1.0)
+    cfg = DynEmbedConfig(d=d, pre_weights=pre, post_weights=pre,
+                         als=AlsConfig(rank=default_rank(train, d, orthogonal=False), seed=seed))
+    emb = dynamic_embedding(train, cfg).embedding
     n_pos = min(400, n_links)
     out = {}
     for metric in ("l2", "hadamard"):
@@ -261,10 +261,10 @@ def test_c11_school_dataset_directional():
         train, target, n_links = holdout_split(net)
         n_pos = min(1000, n_links)
         for d in (32, 128):
-            cfg = DynEmbedConfig(
-                d=d, pre_weights=make_weights("gaussian", train.tau, sigma=8.0),
-                seed=0)
-            dyn = dynacpd_embed(train, cfg)
+            pre = make_weights("gaussian", train.tau, sigma=8.0)
+            cfg = DynEmbedConfig(d=d, pre_weights=pre, post_weights=pre,
+                                 als=AlsConfig(rank=default_rank(train, d, orthogonal=False)))
+            dyn = dynamic_embedding(train, cfg).embedding
             stat = adj_last_embedding(train, d)
             rep_dyn = evaluate_link_prediction(net, target, dyn, "l2", n_pos, seed=7)
             rep_adj = evaluate_link_prediction(net, target, stat, "l2", n_pos, seed=7)

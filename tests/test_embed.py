@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
-                          convolve_snapshots, dynamic_embedding, dynacpd_embed,
+                          convolve_snapshots, default_rank, dynamic_embedding,
                           make_weights, mode_orientations, precondition,
                           weighted_modes)
 from dynten.graphs import DynamicNetwork
@@ -19,6 +19,15 @@ def net_from_matrices(mats, directed=False):
     snaps = tuple(sp.csr_array(np.asarray(M, float)) for M in mats)
     labels = tuple(f"n{i}" for i in range(snaps[0].shape[0]))
     return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
+
+
+def config(net, d, *, pre=None, post=None, als=None, orthogonal=False):
+    """The configuration ``dynten embed`` resolves when only these are given:
+    uniform pre weights, post weights equal to them, rank min(2 d, cap), seed 0."""
+    pre = pre or make_weights("uniform", net.tau)
+    return DynEmbedConfig(d=d, pre_weights=pre, post_weights=post or pre,
+                          als=als or AlsConfig(rank=default_rank(net, d, orthogonal)),
+                          orthogonal=orthogonal)
 
 
 class TestWeights:
@@ -35,26 +44,24 @@ class TestWeights:
     def test_uniform_all_ones(self):
         assert np.all(make_weights("uniform", 5).values == 1.0)
 
-    def test_explicit_renormalized(self):
-        w = make_weights("explicit", 3, values=[1.0, 2.0, 4.0])
-        assert np.allclose(w.values, [0.25, 0.5, 1.0])
-
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             make_weights("exponential", 3, alpha=0.0)
         with pytest.raises(ValueError):
             make_weights("gaussian", 3, sigma=-1.0)
+        with pytest.raises(ValueError, match="unknown weight scheme"):
+            make_weights("explicit", 3)
         with pytest.raises(ValueError):
-            TemporalWeights("explicit", np.array([0.5, 0.2]))  # sup-norm != 1
+            TemporalWeights(np.array([0.5, 0.2]))  # sup-norm != 1
         with pytest.raises(ValueError):
-            TemporalWeights("explicit", np.array([1.0, -0.1]))
+            TemporalWeights(np.array([1.0, -0.1]))
 
 
 class TestPrecondition:
     def test_all_ones_identity(self):
         net, _ = dynamic_sbm(20, 4, seed=0)
-        out = precondition(net, make_weights("uniform", 4))
-        for A, B in zip(net.snapshots, out.snapshots):
+        out = precondition(net.snapshots, make_weights("uniform", 4))
+        for A, B in zip(net.snapshots, out):
             assert np.array_equal(A.indptr, B.indptr)
             assert np.array_equal(A.indices, B.indices)
             assert np.allclose(A.data, B.data)
@@ -64,9 +71,8 @@ class TestPrecondition:
         A = np.zeros((3, 3))
         A[0, 1] = A[1, 0] = 5.0
         net = net_from_matrices([A, A, A])
-        w = make_weights("explicit", 3, values=[0.3, 0.7, 1.0])
-        out = precondition(net, w)
-        for M in out.snapshots:
+        out = precondition(net.snapshots, TemporalWeights([0.3, 0.7, 1.0]))
+        for M in out:
             assert abs(M.toarray()[0, 1] - 5.0) < 1e-12
 
     def test_hand_recurrence(self):
@@ -74,8 +80,8 @@ class TestPrecondition:
         A2 = np.zeros((2, 2))
         A2[0, 1] = A2[1, 0] = 4.0
         net = net_from_matrices([A1, A2])
-        out = precondition(net, make_weights("explicit", 2, values=[0.5, 1.0]))
-        M = out.snapshots[0].toarray()
+        out = precondition(net.snapshots, TemporalWeights([0.5, 1.0]))
+        M = out[0].toarray()
         assert abs(M[0, 1] - 2.0) < 1e-12
 
     def test_linear_in_link_weights(self):
@@ -83,48 +89,48 @@ class TestPrecondition:
         G = np.triu(rng.random((4, 4)), 1)
         H = np.triu(rng.random((4, 4)), 1)
         G, H = G + G.T, H + H.T
-        w = make_weights("explicit", 2, values=[0.4, 1.0])
+        w = TemporalWeights([0.4, 1.0])
         a, b = 2.0, 3.0
         mix = [a * G + b * H, a * H + b * G]
-        out_mix = precondition(net_from_matrices(mix), w)
-        out_g = precondition(net_from_matrices([G, H]), w)
-        out_h = precondition(net_from_matrices([H, G]), w)
+        out_mix = precondition(net_from_matrices(mix).snapshots, w)
+        out_g = precondition(net_from_matrices([G, H]).snapshots, w)
+        out_h = precondition(net_from_matrices([H, G]).snapshots, w)
         for t in range(2):
-            lhs = out_mix.snapshots[t].toarray()
-            rhs = a * out_g.snapshots[t].toarray() + b * out_h.snapshots[t].toarray()
+            lhs = out_mix[t].toarray()
+            rhs = a * out_g[t].toarray() + b * out_h[t].toarray()
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_length_mismatch(self):
         net, _ = dynamic_sbm(10, 3, seed=1)
         with pytest.raises(ValueError):
-            precondition(net, make_weights("uniform", 2))
+            precondition(net.snapshots, make_weights("uniform", 2))
 
 
 class TestConvolve:
     def test_single_nonzero_weight_picks_slice(self):
         net, _ = dynamic_sbm(15, 3, seed=2)
-        w = make_weights("explicit", 3, values=[0.0, 0.0, 1.0])
-        M = convolve_snapshots(net, w, kind="adjacency")
+        M = convolve_snapshots(net.snapshots, TemporalWeights([0.0, 0.0, 1.0]),
+                               kind="adjacency")
         assert np.abs(M.toarray() - net.adjacency(2).toarray()).max() < 1e-12
 
     def test_uniform_identical_slices(self):
         A = np.zeros((3, 3))
         A[0, 2] = A[2, 0] = 1.5
         net = net_from_matrices([A, A])
-        M = convolve_snapshots(net, make_weights("uniform", 2))
+        M = convolve_snapshots(net.snapshots, make_weights("uniform", 2))
         assert np.abs(M.toarray() - A).max() < 1e-12
 
     def test_disjoint_average(self):
         A = np.zeros((4, 4)); A[0, 1] = A[1, 0] = 1.0
         B = np.zeros((4, 4)); B[2, 3] = B[3, 2] = 1.0
         net = net_from_matrices([A, B])
-        M = convolve_snapshots(net, make_weights("uniform", 2)).toarray()
+        M = convolve_snapshots(net.snapshots, make_weights("uniform", 2)).toarray()
         assert abs(M[0, 1] - 0.5) < 1e-12 and abs(M[2, 3] - 0.5) < 1e-12
 
     def test_zero_weights_rejected(self):
         # all-zero weights cannot even be constructed (sup-norm must be 1)
         with pytest.raises(ValueError):
-            TemporalWeights("explicit", np.array([0.0, 0.0]))
+            TemporalWeights(np.array([0.0, 0.0]))
 
 
 def three_pair_matrix():
@@ -144,8 +150,8 @@ class TestDynamicEmbedding:
         A = three_pair_matrix()
         tau = 4
         net = net_from_matrices([A] * tau)
-        cfg = DynEmbedConfig(d=3, als=AlsConfig(rank=6, max_sweeps=300), seed=0)
-        emb = dynacpd_embed(net, cfg)
+        cfg = config(net, 3, als=AlsConfig(rank=6, max_sweeps=300))
+        emb = dynamic_embedding(net, cfg).embedding
         static = adjacency_embedding(sp.csr_array(A), 3)
         mu = np.array([3.0, 2.0, 1.0])
         sigma = np.sqrt(np.sqrt(tau) * mu) * np.sqrt(tau)
@@ -157,7 +163,7 @@ class TestDynamicEmbedding:
     def test_tau_one_single_slice(self):
         A = three_pair_matrix()
         net = net_from_matrices([A])
-        emb = dynacpd_embed(net, DynEmbedConfig(d=2, seed=0))
+        emb = dynamic_embedding(net, config(net, 2)).embedding
         static = adjacency_embedding(sp.csr_array(A), 2)
         for k in range(2):
             u = emb[:, k] / np.linalg.norm(emb[:, k])
@@ -166,8 +172,8 @@ class TestDynamicEmbedding:
 
     def test_sbm_blocks_separate(self):
         net, members = dynamic_sbm(60, 6, 2, 0.25, 0.01, 0.03, seed=5)
-        emb = dynacpd_embed(net, DynEmbedConfig(
-            d=8, pre_weights=make_weights("exponential", 6, alpha=1.0), seed=0))
+        emb = dynamic_embedding(net, config(
+            net, 8, pre=make_weights("exponential", 6, alpha=1.0))).embedding
         truth = members[-1]
         within, cross = [], []
         for i in range(0, 60, 3):
@@ -178,31 +184,29 @@ class TestDynamicEmbedding:
 
     def test_column_norms_equal_sigma(self):
         net, _ = dynamic_sbm(30, 5, seed=6)
-        res = dynamic_embedding(net, DynEmbedConfig(d=6, seed=0))
+        res = dynamic_embedding(net, config(net, 6))
         norms = np.linalg.norm(res.embedding, axis=0)
         assert np.abs(norms - np.abs(res.sigmas[res.selected])).max() < 1e-9
 
     def test_last_slice_indicator_weights(self):
         net, _ = dynamic_sbm(25, 5, seed=7)
-        post = make_weights("explicit", 5, values=[0, 0, 0, 0, 1.0])
-        res = dynamic_embedding(net, DynEmbedConfig(d=4, post_weights=post, seed=0))
+        post = TemporalWeights([0, 0, 0, 0, 1.0])
+        res = dynamic_embedding(net, config(net, 4, post=post))
         m = res.model
         recomputed = np.sqrt(m.lambdas) * m.factor_c[-1, :]
         assert np.abs(weighted_modes(m, post) - recomputed).max() < 1e-12
 
     def test_ocpd_gram_is_diagonal(self):
         net, _ = dynamic_sbm(30, 5, seed=8)
-        res = dynamic_embedding(net, DynEmbedConfig(d=6, decomposition="ocpd", seed=0))
+        res = dynamic_embedding(net, config(net, 6, orthogonal=True))
         G = res.embedding.T @ res.embedding
         assert np.abs(G - np.diag(res.sigmas[res.selected] ** 2)).max() < 1e-8
 
     def test_selecting_full_rank_keeps_error(self):
         net, _ = dynamic_sbm(20, 4, seed=9)
         rank = 6
-        cfg = DynEmbedConfig(d=rank, als=AlsConfig(rank=rank), seed=0)
-        res = dynamic_embedding(net, cfg)
-        Z = SparseTensor3.from_slices(
-            precondition(net, make_weights("uniform", 4)).snapshots)
+        res = dynamic_embedding(net, config(net, rank, als=AlsConfig(rank=rank)))
+        Z = SparseTensor3.from_slices(precondition(net.snapshots, make_weights("uniform", 4)))
         full_err = reconstruct_error(Z, res.model)
         keep, m = sorted(res.selected), res.model
         restricted = CPModel(m.lambdas[keep], m.factor_a[:, keep], m.factor_b[:, keep],
@@ -212,12 +216,12 @@ class TestDynamicEmbedding:
 
     def test_d_above_rank_rejected(self):
         net, _ = dynamic_sbm(10, 3, seed=10)
-        with pytest.raises(ValueError):
-            dynamic_embedding(net, DynEmbedConfig(d=5, als=AlsConfig(rank=4)))
+        with pytest.raises(ValueError, match="rank 4 is below d=5"):
+            config(net, 5, als=AlsConfig(rank=4))
 
     def test_orientation_gauge_invariance(self):
         net, _ = dynamic_sbm(20, 4, seed=11)
-        res = dynamic_embedding(net, DynEmbedConfig(d=4, seed=0))
+        res = dynamic_embedding(net, config(net, 4))
         m = res.model
         flipped = type(m)(lambdas=m.lambdas, factor_a=-m.factor_a,
                           factor_b=m.factor_b, factor_c=-m.factor_c, fit=m.fit)
@@ -237,9 +241,8 @@ class TestBaselines:
 
     def test_adj_wt_single_weight_is_adj_last(self):
         net, _ = dynamic_sbm(20, 3, seed=12)
-        w = make_weights("explicit", 3, values=[0, 0, 1.0])
         from dynten.embed import adj_wt_embedding
-        a = adj_wt_embedding(net, w, 3)
+        a = adj_wt_embedding(net, TemporalWeights([0, 0, 1.0]), 3)
         b = adj_last_embedding(net, 3)
         assert np.abs(np.abs(a) - np.abs(b)).max() < 1e-7
 
@@ -257,8 +260,8 @@ def test_precondition_keeps_nonnegativity_and_support(seed):
     net = net_from_matrices(mats)
     vals = rng.uniform(0, 1, tau)
     vals[rng.integers(tau)] = 1.0
-    out = precondition(net, TemporalWeights("explicit", vals))
-    for A in out.snapshots:
+    out = precondition(net.snapshots, TemporalWeights(vals))
+    for A in out:
         assert A.data.min() >= 0 if A.nnz else True
 
 
@@ -278,8 +281,9 @@ def test_dynamic_embedding_memory_is_linear():
         snaps.append(sp.csr_array(S + S.T))
     net = DynamicNetwork(labels=tuple(range(n)), snapshots=tuple(snaps), directed=False)
     pre = make_weights("exponential", tau, alpha=1.0)
-    nnz = sum(A.nnz for A in precondition(net, pre).snapshots)
-    cfg = DynEmbedConfig(d=16, pre_weights=pre, als=AlsConfig(rank=rank, max_sweeps=3))
+    nnz = sum(A.nnz for A in precondition(net.snapshots, pre))
+    cfg = DynEmbedConfig(d=16, pre_weights=pre, post_weights=pre,
+                         als=AlsConfig(rank=rank, max_sweeps=3))
     tracemalloc.start()
     try:
         res = dynamic_embedding(net, cfg)

@@ -375,7 +375,7 @@ class TestKatz:
         def unreachable(*args, **kwargs):
             raise AssertionError("the node limit must be checked first")
 
-        monkeypatch.setattr(graphs, "katz_omega_bound", unreachable)
+        monkeypatch.setattr(graphs, "spectral_radius", unreachable)
         with pytest.raises(ValueError, match=f"n={n} .* limit of {KATZ_MAX_NODES}"):
             katz_adjacency(A, 0.1)
         assert katz_adjacency(A, 0.0).nnz == A.nnz

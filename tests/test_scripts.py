@@ -52,3 +52,13 @@ def test_dataset_sweep_prints_method_rows(edges_file, directed, monkeypatch, cap
     assert [(r[0], r[1]) for r in rows] == [(m, "4") for m in methods]
     for row in rows:
         assert all(0.0 <= float(x) <= 1.0 for x in row[2:4]), row
+
+
+def test_readme_library_snippet_runs(capsys):
+    """The README's Library example runs as printed."""
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    shape, fit, n_links = capsys.readouterr().out.rsplit(maxsplit=2)
+    assert shape == "(4, 2)" and float(fit) >= 0.0 and int(n_links) > 0

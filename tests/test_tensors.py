@@ -437,7 +437,8 @@ class TestStopRule:
         pre = make_weights("exponential", train.tau, alpha=1.0)
         models, aucs = [], []
         for als in (AlsConfig(rank=32), AlsConfig(rank=32, rel_tol=1e-300)):
-            res = dynamic_embedding(train, DynEmbedConfig(d=16, pre_weights=pre, als=als))
+            res = dynamic_embedding(train, DynEmbedConfig(d=16, pre_weights=pre,
+                                                          post_weights=pre, als=als))
             models.append(res.model)
             aucs.append([evaluate_link_prediction(net, target, res.embedding, metric,
                                                   min(1000, n_links), seed=0)["AUC"]
@@ -611,15 +612,35 @@ def test_gram_solve_non_finite_gram_gives_non_finite_factor(bad):
         assert not np.all(np.isfinite(tensors._gram_solve(G, rhs, prev)))
 
 
-@pytest.mark.parametrize("scale", [1e155, 1e-160])
-def test_overflowing_gram_ends_in_decomposition_error(scale):
-    """Gram matrices that overflow or underflow leave non-finite factors,
-    which ALS reports as DecompositionError."""
+def _badly_scaled(scale):
     rng = np.random.default_rng(0)
     dense = np.where(rng.random((5, 5, 4)) < 0.6, rng.standard_normal((5, 5, 4)), 0.0)
-    with np.errstate(all="ignore"), pytest.raises(tensors.DecompositionError,
-                                                  match="non-finite"):
-        cp_als(SparseTensor3.from_dense(dense * scale), AlsConfig(rank=3))
+    return SparseTensor3.from_dense(dense * scale)
+
+
+@pytest.mark.parametrize("solver", [cp_als, ocp_als])
+@pytest.mark.parametrize("scale", [1e155, 1e-160])
+def test_overflowing_gram_ends_in_decomposition_error(scale, solver):
+    """Gram matrices that overflow or underflow leave non-finite factors (or
+    a node-factor SVD that LAPACK cannot converge), which ALS reports as
+    DecompositionError naming the sweep."""
+    with np.errstate(all="ignore"), pytest.raises(
+            tensors.DecompositionError,
+            match=r"(non-finite factor entries|SVD did not converge) at sweep \d+;"):
+        solver(_badly_scaled(scale), AlsConfig(rank=3))
+
+
+@pytest.mark.parametrize("solver", [cp_als, ocp_als])
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_underflowing_norm_ends_in_decomposition_error(scale, solver):
+    """A nonzero tensor whose norm underflows to 0 is refused up front, not
+    decomposed as the all-zero tensor; the all-zero tensor keeps its model."""
+    Z = _badly_scaled(scale)
+    assert Z.nnz > 0 and Z.norm() == 0.0
+    with pytest.raises(tensors.DecompositionError, match="underflows to 0"):
+        solver(Z, AlsConfig(rank=3))
+    zero = solver(SparseTensor3.from_entries((5, 5, 4), [], [], [], []), AlsConfig(rank=3))
+    assert zero.stop_reason == "zero" and zero.fit == 0.0
 
 
 @given(st.integers(0, 10 ** 6))
