@@ -20,6 +20,6 @@ from .spectral import (EigenPairs, adjacency_embedding, bottom_k_eigs,
                        effective_resistance, resistance_embedding, top_k_eigs)
 from .synth import dynamic_er, dynamic_sbm, sbm_matched_er
 from .tensors import (AlsConfig, CPModel, DecompositionError, SparseTensor3,
-                      cp_als, mttkrp, ocp_als, reconstruct_error)
+                      cp_als, mttkrp, ocp_als)
 
 __version__ = "0.1.0"

@@ -173,7 +173,7 @@ def _variant_slices(slices: tuple, cfg: DynEmbedConfig):
 def default_rank(net: DynamicNetwork, d: int, orthogonal: bool) -> int:
     """Decomposition rank used when none is given: min(2 d, cap), with the cap
     the largest rank the ALS accepts (n when orthogonal, else min(n tau, n^2))."""
-    return min(2 * d, max_rank((net.n, net.n, net.tau), orthogonal))
+    return min(2 * d, max_rank(net.n, net.tau, orthogonal))
 
 
 def dynamic_embedding(net: DynamicNetwork, cfg: DynEmbedConfig) -> DynEmbedResult:

@@ -1,21 +1,21 @@
-"""Sparse 3-tensors and CP / orthogonality-constrained CP decomposition by ALS.
+"""Sparse n x n x tau tensors and CP / orthogonality-constrained CP by ALS.
 
 The tensor is stored once, as one canonical CSR matrix: its frontal slices
-Z[:, :, t] stacked as an (n3 n1) x n2 matrix, the transpose of the mode-2
-unfolding. The ALS inner kernel, a matricized-tensor-times-Khatri-Rao product
-(MTTKRP), is one sparse-times-dense product on that matrix (modes 1 and 3) or
-on its transpose, a CSC view of the same arrays (mode 2), plus one small
-contraction: O(nnz rank + n tau rank) time and O(n tau rank) scratch, with no
-n^2 operand and no second copy of the tensor. The orthogonal variant replaces
-the node-factor least-squares update with the orthogonal Procrustes solution
-(polar factor of the MTTKRP matrix), which keeps that factor's columns exactly
-orthonormal. Every block update of either solver is an exact proximal
-minimizer, so no sweep can raise the fit beyond rounding error.
+Z[:, :, t], one n x n adjacency matrix per time step, stacked as a (tau n) x n
+matrix, the transpose of the mode-2 unfolding. The ALS inner kernel, a
+matricized-tensor-times-Khatri-Rao product (MTTKRP), is one sparse-times-dense
+product on that matrix (modes 1 and 3) or on its transpose, a CSC view of the
+same arrays (mode 2), plus one small contraction: O(nnz rank + n tau rank)
+time and O(n tau rank) scratch, with no n^2 operand and no second copy of the
+tensor. The orthogonal variant replaces the node-factor least-squares update
+with the orthogonal Procrustes solution (polar factor of the MTTKRP matrix),
+which keeps that factor's columns exactly orthonormal. Every block update of
+either solver is an exact proximal minimizer, so no sweep can raise the fit
+beyond rounding error.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,19 +33,23 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SparseTensor3:
-    """Sparse n1 x n2 x n3 tensor held as one canonical CSR matrix.
+    """Sparse n x n x tau tensor held as one canonical CSR matrix.
 
-    ``stacked`` is the (n3 n1) x n2 matrix whose row t n1 + i is Z[i, :, t]:
+    ``stacked`` is the (tau n) x n matrix whose row t n + i is Z[i, :, t]:
     duplicates summed, explicit zeros dropped, column indices sorted, and
     int32 index arrays whenever the shape and nnz fit (12 instead of 16 bytes
-    per nonzero).
+    per nonzero). Any other shape is refused.
     """
 
-    dims: tuple
     stacked: sparse.csr_array = field(repr=False)
 
+    def __post_init__(self):
+        rows, n = self.stacked.shape
+        if n < 1 or rows < n or rows % n:
+            raise ValueError(f"stacked shape {self.stacked.shape} is not (tau n) x n")
+
     @classmethod
-    def _canonical(cls, dims, stacked) -> "SparseTensor3":
+    def _canonical(cls, stacked) -> "SparseTensor3":
         """Canonicalize a freshly built stacked matrix in place and wrap it."""
         stacked.sum_duplicates()
         stacked.eliminate_zeros()
@@ -54,22 +58,7 @@ class SparseTensor3:
         if max(*stacked.shape, stacked.nnz) <= np.iinfo(np.int32).max:
             stacked.indices = stacked.indices.astype(np.int32, copy=False)
             stacked.indptr = stacked.indptr.astype(np.int32, copy=False)
-        return cls(dims=dims, stacked=stacked)
-
-    @classmethod
-    def from_entries(cls, dims, i, j, t, vals) -> "SparseTensor3":
-        n1, n2, n3 = (int(d) for d in dims)
-        i = np.asarray(i, dtype=np.int64).ravel()
-        j = np.asarray(j, dtype=np.int64).ravel()
-        t = np.asarray(t, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not (i.size == j.size == t.size == vals.size):
-            raise ValueError("coordinate arrays must have equal length")
-        if vals.size and (i.min() < 0 or j.min() < 0 or t.min() < 0 or
-                          i.max() >= n1 or j.max() >= n2 or t.max() >= n3):
-            raise ValueError("tensor coordinate out of range")
-        stacked = sparse.csr_array((vals, (t * n1 + i, j)), shape=(n3 * n1, n2))
-        return cls._canonical((n1, n2, n3), stacked)
+        return cls(stacked)
 
     @classmethod
     def from_slices(cls, slices: Sequence) -> "SparseTensor3":
@@ -81,23 +70,25 @@ class SparseTensor3:
         for S in mats:
             if S.shape != (n, n):
                 raise ValueError(f"slice shape {S.shape} != ({n}, {n})")
-        return cls._canonical((n, n, len(mats)), sparse.vstack(mats, format="csr"))
+        return cls._canonical(sparse.vstack(mats, format="csr"))
 
     @classmethod
     def from_dense(cls, array) -> "SparseTensor3":
+        """Wrap a dense n x n x tau array."""
         array = np.asarray(array, dtype=np.float64)
-        if array.ndim != 3:
-            raise ValueError("expected a 3-way array")
-        idx = np.nonzero(array)
-        return cls.from_entries(array.shape, *idx, array[idx])
+        if array.ndim != 3 or array.shape[0] != array.shape[1]:
+            raise ValueError(f"expected an n x n x tau array, got shape {array.shape}")
+        n, _, tau = array.shape
+        return cls._canonical(sparse.csr_array(array.transpose(2, 0, 1).reshape(tau * n, n)))
+
+    @property
+    def dims(self) -> tuple:
+        rows, n = self.stacked.shape
+        return (n, n, rows // n)
 
     @property
     def nnz(self) -> int:
         return int(self.stacked.nnz)
-
-    def to_dense(self) -> np.ndarray:
-        n1, n2, n3 = self.dims
-        return self.stacked.toarray().reshape(n3, n1, n2).transpose(1, 2, 0)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.stacked.data))
@@ -106,23 +97,23 @@ class SparseTensor3:
 def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 
-    ``factors`` is the triple (A, B, C); the factor of the requested mode is
-    ignored. Modes 1 and 3 multiply the stacked slices by B and contract the
-    (n3, n1, rank) result with the other factor; mode 2 multiplies their
-    transpose by the (n3 n1, rank) Khatri-Rao rows C[t] * A[i]. Each costs
-    O(nnz rank + n3 n rank) time and O(n3 n rank) scratch.
+    ``factors`` is the triple (A, B, C) of shapes n x r, n x r and tau x r;
+    the factor of the requested mode is ignored. Modes 1 and 3 multiply the
+    stacked slices by B and contract the (tau, n, r) result with the other
+    factor; mode 2 multiplies their transpose by the (tau n, r) Khatri-Rao rows
+    C[t] * A[i]. Each costs O(nnz r + tau n r) time and O(tau n r) scratch.
     """
     if mode not in (1, 2, 3):
         raise ValueError("mode must be 1, 2 or 3")
     A, B, C = factors
-    n1, n2, n3 = Z.dims
+    n, _, tau = Z.dims
     r = {1: B, 2: A, 3: A}[mode].shape[1]
-    for M, n in ((A, n1), (B, n2), (C, n3)):
-        if M.shape != (n, r):
-            raise ValueError(f"factor shape {M.shape} inconsistent with dims {Z.dims} rank {r}")
+    for M, m in ((A, n), (B, n), (C, tau)):
+        if M.shape != (m, r):
+            raise ValueError(f"factor shape {M.shape} inconsistent with n {n}, tau {tau}, rank {r}")
     if mode == 2:
-        return Z.stacked.T @ (C[:, None, :] * A[None, :, :]).reshape(n3 * n1, r)
-    ZB = (Z.stacked @ B).reshape(n3, n1, r)
+        return Z.stacked.T @ (C[:, None, :] * A[None, :, :]).reshape(tau * n, r)
+    ZB = (Z.stacked @ B).reshape(tau, n, r)
     if mode == 1:
         return np.einsum("tir,tr->ir", ZB, C)
     return np.einsum("tir,ir->tr", ZB, A)
@@ -184,60 +175,49 @@ class CPModel:
     def rank(self) -> int:
         return int(self.lambdas.size)
 
-    @property
-    def dims(self) -> tuple:
-        return (self.factor_a.shape[0], self.factor_b.shape[0], self.factor_c.shape[0])
-
-    def to_dense(self) -> np.ndarray:
-        return np.einsum("r,ir,jr,tr->ijt", self.lambdas,
-                         self.factor_a, self.factor_b, self.factor_c)
-
 
 # ---------------------------------------------------------------------------
 # ALS internals
 
 
-def initial_factors(Z: SparseTensor3, cfg: AlsConfig, *, orthogonal_b: bool = False):
+def _slice_sum(Z: SparseTensor3) -> sparse.csr_array:
+    """S = sum_t Z[:, :, t], canonical: P @ Z.stacked with P = [I I ... I] adds
+    each entry's slices in time order and drops exact-zero sums, as a running
+    sum of the slices does, in one output buffer. P takes the tensor's index
+    dtype, so an int32 tensor gives an int32 sum."""
+    n, _, tau = Z.dims
+    idx = Z.stacked.indices.dtype
+    cols = np.arange(tau * n, dtype=idx).reshape(tau, n).T.ravel()
+    P = sparse.csr_array((np.ones(tau * n), cols, np.arange(0, tau * n + 1, tau, dtype=idx)),
+                         shape=(n, tau * n))
+    S = P @ Z.stacked
+    S.sort_indices()
+    return S
+
+
+def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
     """Warm-start factors.
 
-    Square slices: both node factors start from the ``rank`` largest-magnitude
-    eigenvectors of the sparse symmetrized time-summed slice 0.5 (S + S^T),
-    S = sum_t Z[:, :, t], and the time factor is constant 1/sqrt(n3) per
+    Both node factors start from the ``rank`` largest-magnitude eigenvectors
+    of the sparse symmetrized time-summed slice 0.5 (S + S^T),
+    S = sum_t Z[:, :, t], and the time factor is constant 1/sqrt(tau) per
     column (exact in the identical-slices limit); seeded random unit columns
-    fill beyond the node count. Other shapes start from seeded random unit
-    columns, with B orthonormalized when ``orthogonal_b``. The eigenpairs come
-    from the shared residual-checked eigensolver, so the start costs
-    O(nnz + n rank) memory and no n x n array.
+    fill beyond the node count n. The eigenpairs come from the shared
+    residual-checked eigensolver, so the start costs O(nnz + n rank) memory
+    and no n x n array.
     """
-    n1, n2, n3 = Z.dims
+    n, _, tau = Z.dims
     r = cfg.rank
-    rng = derived_rng(cfg.seed, "als-init")
-    if n1 == n2:
-        C = np.full((n3, r), 1.0 / np.sqrt(n3))
-        S = Z.stacked[:n1]
-        for t in range(1, n3):  # time order fixes the rounding of every entry
-            S = S + Z.stacked[t * n1:(t + 1) * n1]
-        S = 0.5 * (S + S.T)
-        k = min(r, n1)
-        lead = _extreme_pairs(S, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
-        if r > k:
-            extra = rng.uniform(-1.0, 1.0, size=(n1, r - k))
-            extra /= np.maximum(np.linalg.norm(extra, axis=0), 1e-300)
-            lead = np.column_stack([lead, extra])
-        A = lead.copy()
-        B = lead.copy()
-    else:
-        A = rng.uniform(-1.0, 1.0, size=(n1, r))
-        B = rng.uniform(-1.0, 1.0, size=(n2, r))
-        A /= np.maximum(np.linalg.norm(A, axis=0), 1e-300)
-        B /= np.maximum(np.linalg.norm(B, axis=0), 1e-300)
-        if orthogonal_b:
-            B = np.linalg.qr(B)[0]
-            if B.shape[1] < r:
-                raise DecompositionError("cannot orthonormalize node factor: rank > n")
-        C = rng.uniform(-1.0, 1.0, size=(n3, r))
-        C /= np.maximum(np.linalg.norm(C, axis=0), 1e-300)
-    return A, B, C
+    C = np.full((tau, r), 1.0 / np.sqrt(tau))
+    S = _slice_sum(Z)
+    S = 0.5 * (S + S.T)
+    k = min(r, n)
+    lead = _extreme_pairs(S, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
+    if r > k:
+        extra = derived_rng(cfg.seed, "als-init").uniform(-1.0, 1.0, size=(n, r - k))
+        extra /= np.maximum(np.linalg.norm(extra, axis=0), 1e-300)
+        lead = np.column_stack([lead, extra])
+    return lead.copy(), lead.copy(), C
 
 
 # relative weight of the proximal term that pulls each factor update toward
@@ -272,17 +252,11 @@ def _polar(M):
     return U @ Vt
 
 
-def _model_norm_sq(lambdas, A, B, C):
-    G = (A.T @ A) * (B.T @ B) * (C.T @ C)
-    return float(lambdas @ G @ lambdas)
-
-
 def _relative_error(norm_z, inner, lambdas, A, B, C):
-    """||Z - M|| / ||Z|| from ||Z||, <Z, M> and the factors of M (absolute
-    error when ||Z|| = 0)."""
-    err2 = norm_z ** 2 - 2.0 * inner + _model_norm_sq(lambdas, A, B, C)
-    err = np.sqrt(max(err2, 0.0))
-    return err / norm_z if norm_z > 0 else err
+    """||Z - M|| / ||Z|| from ||Z|| > 0, <Z, M> and the factors of M."""
+    G = (A.T @ A) * (B.T @ B) * (C.T @ C)
+    err2 = norm_z ** 2 - 2.0 * inner + float(lambdas @ G @ lambdas)
+    return np.sqrt(max(err2, 0.0)) / norm_z
 
 
 def _normalize_columns(F, fallback):
@@ -315,11 +289,10 @@ def principal_angle(F0, F1) -> float:
     return float(np.arcsin(min(sine, 1.0)))
 
 
-def max_rank(dims, orthogonal_b: bool = False) -> int:
-    """Largest rank ALS accepts: min(n1 n3, n1 n2), and at most n2 with an
-    orthonormal node factor."""
-    n1, n2, n3 = dims
-    return min(n1 * n3, n2 if orthogonal_b else n1 * n2)
+def max_rank(n: int, tau: int, orthogonal_b: bool = False) -> int:
+    """Largest rank ALS accepts on an n x n x tau tensor: min(n tau, n^2), and
+    at most n with an orthonormal node factor."""
+    return min(n * tau, n if orthogonal_b else n * n)
 
 
 # fit values at this scale are dominated by cancellation noise in the
@@ -329,7 +302,7 @@ _FIT_FLOOR = 1e-8
 
 def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
     r = cfg.rank
-    cap = max_rank(Z.dims, orthogonal_b)
+    cap = max_rank(Z.dims[0], Z.dims[2], orthogonal_b)
     if r > cap:
         raise ValueError(f"rank {r} above the cap {cap} for a {Z.dims} tensor")
 
@@ -338,7 +311,7 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
         raise DecompositionError(
             f"the norm of a tensor with {Z.nnz} nonzero entries underflows to 0; "
             "input scaling is pathological")
-    A, B, C = initial_factors(Z, cfg, orthogonal_b=orthogonal_b)
+    A, B, C = initial_factors(Z, cfg)
     if norm_z == 0.0:
         lam = np.zeros(r)
         return CPModel(lam, A, B, C, fit=0.0, sweeps=0, fit_history=(0.0,),
@@ -427,36 +400,3 @@ def ocp_als(Z: SparseTensor3, cfg: AlsConfig) -> CPModel:
     """
     return _als(Z, cfg, orthogonal_b=True)
 
-
-def reconstruct_error(Z: SparseTensor3, model: CPModel,
-                      weights: Sequence[float] | None = None) -> float:
-    """Relative Frobenius reconstruction error, optionally slice-weighted.
-
-    With ``weights`` (positive, one per frontal slice), slice t of both the
-    tensor and the reconstruction is scaled by sqrt(weights[t]) first, the
-    diagonal specialization of a weighted Frobenius inner product in the time
-    domain. For an all-zero tensor the absolute error is returned and a
-    RuntimeWarning flags the switch.
-    """
-    n1, n2, n3 = Z.dims
-    if model.dims != (n1, n2, n3):
-        raise ValueError(f"model dims {model.dims} do not match tensor {Z.dims}")
-    lam, A, B = model.lambdas, model.factor_a, model.factor_b
-    w = np.ones(n3)
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if w.size != n3:
-            raise ValueError(f"need {n3} slice weights, got {w.size}")
-        if np.any(w <= 0):
-            raise ValueError("slice weights must be positive")
-    root = np.sqrt(w)
-    C = model.factor_c * root[:, None]
-    per_slice = np.diff(Z.stacked.indptr[::n1])  # stored entries of each slice
-    norm_z = float(np.linalg.norm(Z.stacked.data * np.repeat(root, per_slice)))
-    M3 = mttkrp(Z, (A, B, model.factor_c), 3)
-    inner = float(np.sum(lam * w[:, None] * model.factor_c * M3))
-    err = float(_relative_error(norm_z, inner, lam, A, B, C))
-    if norm_z == 0.0:
-        warnings.warn("zero tensor: returning absolute reconstruction error",
-                      RuntimeWarning, stacklevel=2)
-    return err
