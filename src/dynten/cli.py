@@ -11,6 +11,7 @@ runs, into the same or another ``--out``, except for the measured
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -138,12 +139,13 @@ def cmd_embed(cfg) -> int:
 
 def cmd_linkpred(cfg) -> int:
     net = _load_net(cfg)
-    train, target, n_links = linkpred.holdout_split(net)
+    train, target, links = linkpred.holdout_split(net)
     t0 = time.perf_counter()
     matrix, diag = compute_embedding(train, cfg)
-    n_pos = min(cfg["n_pos"], n_links) if cfg["n_pos"] else n_links
+    n_pos = min(cfg["n_pos"], links.size) if cfg["n_pos"] else links.size
     report = linkpred.evaluate_link_prediction(
-        net, target, matrix, cfg["metric"], n_pos, cfg["seed"], folds=cfg["folds"])
+        net, target, matrix, cfg["metric"], n_pos, cfg["seed"], folds=cfg["folds"],
+        links=links)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     outdir = Path(cfg["out"])
@@ -327,11 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser, built on first use: parsing leaves no state in it
+    (every option defaults to SUPPRESS and each parse fills a new namespace)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("DYNTEN_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args, args._opts)
         if args.command == "anomaly":

@@ -11,6 +11,7 @@ and every matrix builder here returns the same canonical form.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -207,6 +208,16 @@ class DynamicNetwork:
     def adjacency(self, t: int) -> sparse.csr_array:
         return self.snapshots[t]
 
+    def leading(self, count: int) -> DynamicNetwork:
+        """The network of the first ``count`` slices, sharing this one's labels
+        and matrices. They passed ``__post_init__``'s checks here, so none is
+        run again."""
+        if not 1 <= count <= self.tau:
+            raise ValueError(f"count must be in [1, {self.tau}], not {count}")
+        head = copy.copy(self)  # copies the fields without calling __init__
+        object.__setattr__(head, "snapshots", self.snapshots[:count])
+        return head
+
 
 def align_snapshots(snapshot_edges: Sequence[Sequence], *,
                     snapshot_labels: Sequence[Sequence] | None = None,
@@ -339,8 +350,10 @@ def stationary_vector(P, total_weight: float = 1.0, *,
     Computed by power iteration on the lazy chain (P + I)/2, which has the
     same fixed vectors but no periodicity, until the l1 residual ||phi P - phi||
     (with ``teleport``, the l1 change of one step) falls below ``STATIONARY_TOL``;
-    ``ConvergenceError`` is raised after ``STATIONARY_MAX_ITER`` steps. Each step
-    takes one product, phi P, for both the residual of phi and the next iterate.
+    ``ConvergenceError``, carrying the final l1 residual, is raised after
+    ``STATIONARY_MAX_ITER`` steps. Each step takes one product, phi P, for both
+    the residual of phi and the next iterate; with ``teleport`` the residual is
+    not a stop test and is computed only for that error.
     P must be irreducible (strongly connected with no zero rows); otherwise pass
     ``teleport=eps`` to iterate on the regularized chain (1 - eps) P + eps J / n
     instead, which is a documented deviation from the strict fixed-vector contract.
@@ -365,7 +378,6 @@ def stationary_vector(P, total_weight: float = 1.0, *,
     Pt = P.T  # a CSC view: Pt @ phi is phi @ P, bit for bit, without __rmatmul__
     phi = np.full(n, 1.0 / n)
     step = Pt @ phi  # phi P of the current phi
-    residual = np.inf
     for _ in range(STATIONARY_MAX_ITER):
         if teleport is None:
             nxt = 0.5 * (phi + step)
@@ -375,13 +387,15 @@ def stationary_vector(P, total_weight: float = 1.0, *,
         if s <= 0:
             raise ConvergenceError("stationary iteration collapsed to zero", float("inf"))
         nxt = nxt / s
-        drift = float(np.abs(nxt - phi).sum())
+        settled = teleport is not None and float(np.abs(nxt - phi).sum()) < STATIONARY_TOL
         phi = nxt
+        if settled:
+            break
         step = Pt @ phi
-        residual = float(np.abs(step - phi).sum())
-        if (residual if teleport is None else drift) < STATIONARY_TOL:
+        if teleport is None and float(np.abs(step - phi).sum()) < STATIONARY_TOL:
             break
     else:
+        residual = float(np.abs(step - phi).sum())
         raise ConvergenceError(
             f"stationary vector did not converge in {STATIONARY_MAX_ITER} iterations "
             f"(residual {residual:.3e})", residual)

@@ -1,9 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import dynten
+from dynten import cli
 from dynten.cli import main, resolve_config
 from dynten.io import load_dynamic_network, load_embedding_csv
 
@@ -268,3 +275,55 @@ def test_linkpred_deterministic_modulo_timing(dataset, tmp_path):
     rep2 = json.loads((out / "report.json").read_text())
     rep1.pop("timing_ms"), rep2.pop("timing_ms")
     assert rep1 == rep2
+
+
+def fresh_interpreter_outputs(argv):
+    """Every output file of one command run by a new interpreter, as bytes,
+    with ``timing_ms`` taken out of report.json."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dynten.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys; from dynten.cli import main; sys.exit(main(sys.argv[1:]))",
+                           *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return run_outputs(Path(argv[argv.index("--out") + 1]))
+
+
+def run_outputs(out):
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    if "report.json" in files:
+        report = json.loads(files["report.json"])
+        del report["timing_ms"]
+        files["report.json"] = report
+    return files
+
+
+def test_reused_parser_leaks_no_state(dataset, tmp_path, capsys):
+    """One parser serves every main() call of a process. Flags given to one
+    call do not reach the next, a failed parse changes nothing, and each run
+    writes what a new interpreter writes for the same command."""
+    def run(name, *flags, command="linkpred"):
+        argv = [command, "--data", str(dataset), "--method", "adj_last", "--d", "3",
+                *flags, "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        return argv
+
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        runs = {"flags": run("flags", "--metric", "hadamard", "--folds", "3"),
+                "plain": run("plain"),
+                "embed": run("embed", command="embed")}
+        with pytest.raises(SystemExit) as bad:
+            main(["linkpred", "--no-such-flag"])
+        assert bad.value.code == 2
+        with pytest.raises(SystemExit) as shown:
+            main(["linkpred", "--help"])
+        assert shown.value.code == 0
+        runs["again"] = run("again")
+    capsys.readouterr()
+    assert build.call_count == 1
+    for name in ("plain", "again"):
+        config = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+        assert (config["metric"], config["folds"]) == ("l2", 5)
+    for name, argv in runs.items():
+        fresh = argv[:-1] + [str(tmp_path / f"fresh-{name}")]
+        assert run_outputs(tmp_path / name) == fresh_interpreter_outputs(fresh), name

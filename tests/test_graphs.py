@@ -265,10 +265,11 @@ def dia_transition_reference(A):
 
 def two_product_stationary_reference(P, total_weight, teleport):
     """The earlier power loop, which takes phi P twice per step: once for the
-    next iterate and once more for its residual."""
+    next iterate and once more for its residual. Returns the scaled vector
+    and the number of steps taken."""
     n = P.shape[0]
     phi = np.full(n, 1.0 / n)
-    for _ in range(graphs.STATIONARY_MAX_ITER):
+    for steps in range(1, graphs.STATIONARY_MAX_ITER + 1):
         if teleport is None:
             nxt = 0.5 * (phi + phi @ P)
         else:
@@ -283,14 +284,24 @@ def two_product_stationary_reference(P, total_weight, teleport):
         raise graphs.ConvergenceError(
             f"stationary vector did not converge in {graphs.STATIONARY_MAX_ITER} "
             f"iterations (residual {residual:.3e})", residual)
-    return phi * (total_weight / phi.sum())
+    return phi * (total_weight / phi.sum()), steps
+
+
+def assert_stationary_steps(P, teleport, steps):
+    """stationary_vector takes exactly ``steps`` power steps: it converges
+    with that budget and gives up with one step fewer."""
+    with mock.patch.object(graphs, "STATIONARY_MAX_ITER", steps):
+        stationary_vector(P, teleport=teleport)
+    with mock.patch.object(graphs, "STATIONARY_MAX_ITER", steps - 1), \
+            pytest.raises(graphs.ConvergenceError):
+        stationary_vector(P, teleport=teleport)
 
 
 def composed_symmetrization_reference(A, teleport):
     """The earlier symmetrized_adjacency: 0.5 (Phi P + P^T Phi) from diagonal
     products, then symmetrized a second time."""
     P = dia_transition_reference(A)
-    phi = two_product_stationary_reference(P, float(A.sum()), teleport)
+    phi, _ = two_product_stationary_reference(P, float(A.sum()), teleport)
     Phi = sp.dia_array((phi[None, :], [0]), shape=P.shape)
     M = graphs._compact(0.5 * (Phi @ P + P.T @ Phi))
     return graphs._compact(0.5 * (M + M.T))
@@ -323,8 +334,9 @@ class TestOneProductLoops:
         A = random_strong_digraph(n, np.random.default_rng(seed))
         P = transition_matrix(A)
         assert_same_csr(P, dia_transition_reference(A))
-        assert np.array_equal(stationary_vector(P, total_weight=3.5),
-                              two_product_stationary_reference(P, 3.5, None))
+        want, steps = two_product_stationary_reference(P, 3.5, None)
+        assert np.array_equal(stationary_vector(P, total_weight=3.5), want)
+        assert_stationary_steps(P, None, steps)
         assert_same_csr(symmetrized_adjacency(A), composed_symmetrization_reference(A, None))
 
     @given(st.integers(0, 10 ** 6), st.integers(2, 40))
@@ -337,16 +349,33 @@ class TestOneProductLoops:
         # a smaller budget reaches that path sooner
         with mock.patch.object(graphs, "STATIONARY_MAX_ITER", 2000):
             try:
-                want = two_product_stationary_reference(P, 2.0, 1e-3)
+                want, steps = two_product_stationary_reference(P, 2.0, 1e-3)
             except graphs.ConvergenceError as err:
                 with pytest.raises(graphs.ConvergenceError) as got:
                     stationary_vector(P, total_weight=2.0, teleport=1e-3)
                 assert str(got.value) == str(err) and got.value.residual == err.residual
                 return
             assert np.array_equal(stationary_vector(P, total_weight=2.0, teleport=1e-3), want)
+            assert_stationary_steps(P, 1e-3, steps)
         if A.nnz:
             assert_same_csr(symmetrized_adjacency(A, teleport=1e-3),
                             composed_symmetrization_reference(A, 1e-3))
+
+    @pytest.mark.parametrize("teleport", [None, 1e-3])
+    def test_exhausted_budget_reports_the_final_residual(self, teleport):
+        """A chain that has not converged when the budget runs out raises
+        with the l1 residual ||phi P - phi|| of its last iterate, with or
+        without teleport (where the stop test is the drift instead)."""
+        rng = np.random.default_rng(3)
+        A = random_strong_digraph(30, rng) if teleport is None else digraph_with_zero_rows(30, rng)
+        P = transition_matrix(A)
+        with mock.patch.object(graphs, "STATIONARY_MAX_ITER", 5):
+            with pytest.raises(graphs.ConvergenceError) as want:
+                two_product_stationary_reference(P, 1.0, teleport)
+            with pytest.raises(graphs.ConvergenceError) as got:
+                stationary_vector(P, teleport=teleport)
+        assert str(got.value) == str(want.value)
+        assert got.value.residual == want.value.residual > graphs.STATIONARY_TOL
 
     def test_transition_does_not_touch_its_input(self):
         A = csr([[0, 1e-320, 1e10], [1, 0, 0], [0, 0, 0]])
