@@ -34,8 +34,8 @@ def main():
 
     net = load_dynamic_network(args.data, directed=args.directed)
     print(f"{args.data}: n={net.n} tau={net.tau}")
-    train, target, links = holdout_split(net)
-    n_pos = min(args.n_pos, links.size)
+    train, target, n_links = holdout_split(net)
+    n_pos = min(args.n_pos, n_links)
 
     print(f"{'method':10s} {'d':>4s} {'AP':>7s} {'AUC':>7s} {'secs':>7s}")
     for method in args.methods:
@@ -46,7 +46,7 @@ def main():
             t0 = time.perf_counter()
             emb, _ = compute_embedding(train, cfg)
             rep = evaluate_link_prediction(net, target, emb, args.metric,
-                                           n_pos, seed=args.seed, links=links)
+                                           n_pos, seed=args.seed)
             dt = time.perf_counter() - t0
             print(f"{method:10s} {d:4d} {rep['AP']:7.4f} {rep['AUC']:7.4f} {dt:7.2f}")
 

@@ -17,14 +17,13 @@ from dynten.synth import dynamic_sbm, sbm_matched_er
 
 def evaluate(net, method, args):
     """Embed slices 1..tau-1 with one method; {metric: (AP, AUC)} on the last."""
-    train, target, links = holdout_split(net)
+    train, target, n_links = holdout_split(net)
     cfg = resolve_config({"method": method, "d": args.d, "pre": "exponential",
                           "alpha": args.alpha})
     emb, _ = compute_embedding(train, cfg)
     row = {}
     for metric in ("l2", "hadamard"):
-        rep = evaluate_link_prediction(net, target, emb, metric, min(400, links.size),
-                                       seed=7, links=links)
+        rep = evaluate_link_prediction(net, target, emb, metric, min(400, n_links), seed=7)
         row[metric] = (rep["AP"], rep["AUC"])
     return row
 

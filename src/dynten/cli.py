@@ -139,13 +139,12 @@ def cmd_embed(cfg) -> int:
 
 def cmd_linkpred(cfg) -> int:
     net = _load_net(cfg)
-    train, target, links = linkpred.holdout_split(net)
+    train, target, n_links = linkpred.holdout_split(net)
     t0 = time.perf_counter()
     matrix, diag = compute_embedding(train, cfg)
-    n_pos = min(cfg["n_pos"], links.size) if cfg["n_pos"] else links.size
+    n_pos = min(cfg["n_pos"], n_links) if cfg["n_pos"] else n_links
     report = linkpred.evaluate_link_prediction(
-        net, target, matrix, cfg["metric"], n_pos, cfg["seed"], folds=cfg["folds"],
-        links=links)
+        net, target, matrix, cfg["metric"], n_pos, cfg["seed"], folds=cfg["folds"])
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     outdir = Path(cfg["out"])

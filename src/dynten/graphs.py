@@ -208,14 +208,12 @@ class DynamicNetwork:
     def adjacency(self, t: int) -> sparse.csr_array:
         return self.snapshots[t]
 
-    def leading(self, count: int) -> DynamicNetwork:
-        """The network of the first ``count`` slices, sharing this one's labels
+    def _without_last(self) -> DynamicNetwork:
+        """The network of all slices but the last, sharing this one's labels
         and matrices. They passed ``__post_init__``'s checks here, so none is
         run again."""
-        if not 1 <= count <= self.tau:
-            raise ValueError(f"count must be in [1, {self.tau}], not {count}")
         head = copy.copy(self)  # copies the fields without calling __init__
-        object.__setattr__(head, "snapshots", self.snapshots[:count])
+        object.__setattr__(head, "snapshots", self.snapshots[:-1])
         return head
 
 

@@ -78,25 +78,27 @@ def _edge_keys(net: DynamicNetwork, t: int) -> np.ndarray:
 
 
 def holdout_split(net: DynamicNetwork):
-    """Hold out the final slice: ``(train, target_slice, links)``, with
+    """Hold out the final slice: ``(train, target_slice, n_links)``, with
     ``train`` the slices 1..tau-1 (the input's own matrices, not checked
-    again) and ``links`` the held-out slice's link keys as the sampler sees
-    them; ``links.size`` is its link count."""
+    again) and ``n_links`` counted as the sampler does."""
     if net.tau < 2:
         raise ValueError("link prediction needs tau >= 2 (one slice is held out)")
     target = net.tau - 1
-    links = _edge_keys(net, target)
-    if links.size == 0:
+    A = net.adjacency(target)
+    # a canonical slice stores each link once and no zeros, and an undirected
+    # one both orientations of each pair: this is _edge_keys(net, target).size
+    n_links = A.nnz - int(np.count_nonzero(A.diagonal()))
+    if not net.directed:
+        n_links //= 2
+    if n_links == 0:
         raise ValueError(f"held-out slice {target} has no links (self-loops do not count)")
-    return net.leading(target), target, links
+    return net._without_last(), target, n_links
 
 
 def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
-                        metric: str, n_pos: int, seed: int, links=None) -> EdgeSample:
+                        metric: str, n_pos: int, seed: int) -> EdgeSample:
     """n_pos existing links (+1) and n_pos uniform non-links (-1) of one slice,
-    shuffled, with their separations in the supplied embedding. ``links``,
-    when given, are the slice's link keys as :func:`holdout_split` returns
-    them, which are then not built again.
+    shuffled, with their separations in the supplied embedding.
 
     Self-pairs are excluded; pairs are unordered for undirected networks.
     The ``"sampler"`` stream of ``seed`` first picks the links, n_pos of the
@@ -111,7 +113,7 @@ def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
     if n_pos < 1:
         raise ValueError("n_pos must be >= 1")
     n = net.n
-    edges = _edge_keys(net, target_slice) if links is None else links
+    edges = _edge_keys(net, target_slice)
     total_pairs = n * (n - 1) if net.directed else n * (n - 1) // 2
     n_neg_avail = total_pairs - edges.size
     if edges.size < n_pos:
@@ -311,11 +313,10 @@ def average_precision(scores, labels) -> float:
 
 def evaluate_link_prediction(net: DynamicNetwork, target_slice: int, emb,
                              metric: str, n_pos: int, seed: int,
-                             folds: int = 5, links=None) -> dict:
-    """Sample a balanced set on the target slice (with its ``links`` keys
-    when given, see :func:`sample_training_set`), cross-validate the scalar
+                             folds: int = 5) -> dict:
+    """Sample a balanced set on the target slice, cross-validate the scalar
     classifier, and report pooled held-out AP / AUC."""
-    sample = sample_training_set(net, target_slice, emb, metric, n_pos, seed, links)
+    sample = sample_training_set(net, target_slice, emb, metric, n_pos, seed)
     cv_auc, pooled = cross_validated_scores(sample, folds)
     return {
         "metric": metric,

@@ -170,12 +170,12 @@ def test_c07_two_vector_tensor():
 
 
 def _linkpred_run(net, d, seed):
-    train, target, links = holdout_split(net)
+    train, target, n_links = holdout_split(net)
     pre = make_weights("exponential", train.tau, alpha=1.0)
     cfg = DynEmbedConfig(d=d, pre_weights=pre, post_weights=pre,
                          als=AlsConfig(rank=default_rank(train, d, orthogonal=False), seed=seed))
     emb = dynamic_embedding(train, cfg).embedding
-    n_pos = min(400, links.size)
+    n_pos = min(400, n_links)
     out = {}
     for metric in ("l2", "hadamard"):
         rep = evaluate_link_prediction(net, target, emb, metric, n_pos, seed=7)
@@ -258,8 +258,8 @@ def test_c11_school_dataset_directional():
     with criterion(11, 1800.0, "School: pipeline runs and orders methods"):
         from dynten.embed import adj_last_embedding
         net = load_dynamic_network(SCHOOL_PATH)
-        train, target, links = holdout_split(net)
-        n_pos = min(1000, links.size)
+        train, target, n_links = holdout_split(net)
+        n_pos = min(1000, n_links)
         for d in (32, 128):
             pre = make_weights("gaussian", train.tau, sigma=8.0)
             cfg = DynEmbedConfig(d=d, pre_weights=pre, post_weights=pre,

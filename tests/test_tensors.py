@@ -421,7 +421,7 @@ class TestStopRule:
         holds the answer: the default relative rule stops within 10 sweeps,
         and the held-out AUC matches a 200-sweep run to within 1e-3."""
         net, _ = dynamic_sbm(1000, 8, 2, 0.02, 0.002, 0.05, seed=17)
-        train, target, links = holdout_split(net)
+        train, target, n_links = holdout_split(net)
         pre = make_weights("exponential", train.tau, alpha=1.0)
         models, aucs = [], []
         for als in (AlsConfig(rank=32), AlsConfig(rank=32, rel_tol=1e-300)):
@@ -429,7 +429,7 @@ class TestStopRule:
                                                           post_weights=pre, als=als))
             models.append(res.model)
             aucs.append([evaluate_link_prediction(net, target, res.embedding, metric,
-                                                  min(1000, links.size), seed=0)["AUC"]
+                                                  min(1000, n_links), seed=0)["AUC"]
                          for metric in ("l2", "hadamard")])
         stopped, full = models
         assert stopped.stop_reason == "tol" and stopped.sweeps <= 10
