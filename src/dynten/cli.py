@@ -18,12 +18,12 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
 
-from . import __version__, clustering, embed, io, linkpred, synth
-from .graphs import DynamicNetwork
-from .tensors import AlsConfig
+if TYPE_CHECKING:
+    from .graphs import DynamicNetwork
 
 log = logging.getLogger("dynten")
 
@@ -41,16 +41,16 @@ _EMBED_OPTS = [
     ("post", str, "", "post-conditioning weight scheme (default: same as pre)"),
     ("post_alpha", float, 0.0, "exponential rate for post weights (default: alpha)"),
     ("post_sigma", float, 0.0, "gaussian width for post weights (default: sigma)"),
-    ("variant", str, embed.DynEmbedConfig.adjacency_variant,
+    # variant .. tol default as in DynEmbedConfig and AlsConfig, written out so
+    # that parsing a command line loads no NumPy or SciPy (a test pins them)
+    ("variant", str, "raw",
      "per-slice adjacency variant of dynacpd / dynaocpd: "
      "raw|symmetrized|katz (the baselines take raw only)"),
-    ("omega", float, embed.DynEmbedConfig.katz_omega,
-     "katz damping (checked against the spectral bound)"),
-    ("teleport", float, embed.DynEmbedConfig.teleport,
-     "teleport epsilon for the symmetrized variant"),
-    ("sweeps", int, AlsConfig.max_sweeps, "ALS sweep budget"),
-    ("tol", float, AlsConfig.rel_tol, "ALS stops once a sweep changes the relative error by at "
-                                      "most tol times its value (relative fit-stagnation rule)"),
+    ("omega", float, 0.0, "katz damping (checked against the spectral bound)"),
+    ("teleport", float, 1e-3, "teleport epsilon for the symmetrized variant"),
+    ("sweeps", int, 200, "ALS sweep budget"),
+    ("tol", float, 1e-6, "ALS stops once a sweep changes the relative error by at "
+                         "most tol times its value (relative fit-stagnation rule)"),
     ("normalize", bool, False, "scale embedding rows to unit norm"),
     ("seed", int, 0, "master seed for all derived random streams"),
     ("out", str, "out", "output directory"),
@@ -60,11 +60,18 @@ _EMBED_OPTS = [
 def _load_net(cfg) -> DynamicNetwork:
     if not cfg.get("data"):
         raise ValueError("--data is required")
+    from . import io
+
     return io.load_dynamic_network(cfg["data"], directed=cfg["directed"])
 
 
 def compute_embedding(net: DynamicNetwork, cfg: dict):
     """Run the configured method; returns (embedding, diagnostics dict)."""
+    import numpy as np
+
+    from . import embed
+    from .tensors import AlsConfig
+
     pre = embed.make_weights(cfg["pre"], net.tau, alpha=cfg["alpha"], sigma=cfg["sigma"])
     post = embed.make_weights(cfg["post"] or cfg["pre"], net.tau,
                               alpha=cfg["post_alpha"] or cfg["alpha"],
@@ -128,6 +135,8 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, net, diag) -> None:
 
 def cmd_embed(cfg) -> int:
     net = _load_net(cfg)
+    from . import io
+
     matrix, diag = compute_embedding(net, cfg)
     outdir = Path(cfg["out"])
     os.makedirs(outdir, exist_ok=True)
@@ -139,6 +148,8 @@ def cmd_embed(cfg) -> int:
 
 def cmd_linkpred(cfg) -> int:
     net = _load_net(cfg)
+    from . import io, linkpred
+
     train, target, n_links = linkpred.holdout_split(net)
     t0 = time.perf_counter()
     matrix, diag = compute_embedding(train, cfg)
@@ -176,12 +187,16 @@ def cmd_linkpred(cfg) -> int:
 
 def _cluster_common(cfg):
     if cfg.get("embedding"):
+        from . import io
+
         labels, matrix = io.load_embedding_csv(cfg["embedding"])
         diag = None
     else:
         net = _load_net(cfg)
         matrix, diag = compute_embedding(net, cfg)
         labels = [str(l) for l in net.labels]
+    from . import clustering
+
     state = clustering.kmeans(matrix, cfg["k"], seed=cfg["seed"])
     assignments = clustering.assign_clusters(state, matrix)
     scores = clustering.anomaly_scores(state, matrix)
@@ -193,6 +208,8 @@ def _cluster_common(cfg):
 
 def cmd_cluster(cfg, name="clusters.csv") -> int:
     labels, assignments, scores, flags, threshold, diag = _cluster_common(cfg)
+    from . import io
+
     outdir = Path(cfg["out"])
     os.makedirs(outdir, exist_ok=True)
     lines = ["node,cluster,score,anomalous"]
@@ -210,6 +227,8 @@ def cmd_cluster(cfg, name="clusters.csv") -> int:
 
 
 def cmd_synth(cfg) -> int:
+    from . import io, synth
+
     if cfg["kind"] == "sbm":
         net, _ = synth.dynamic_sbm(cfg["n"], cfg["tau"], cfg["blocks"],
                                    cfg["p_in"], cfg["p_out"], cfg["drift"],
@@ -344,9 +363,20 @@ def main(argv=None) -> int:
         if args.command == "anomaly":
             return cmd_cluster(cfg, name="anomalies.csv")
         return args._fn(cfg)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+        if isinstance(exc, RuntimeError) and not isinstance(exc, _solver_errors()):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _solver_errors() -> tuple:
+    """The solver failures ``main`` reports as errors. Only a command that ran
+    the solvers raises one, so their modules are loaded by then."""
+    from .graphs import ConvergenceError
+    from .tensors import DecompositionError
+
+    return ConvergenceError, DecompositionError
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ import pytest
 import dynten
 from dynten import cli
 from dynten.cli import main, resolve_config
+from dynten.embed import DynEmbedConfig
 from dynten.io import load_dynamic_network, load_embedding_csv
+from dynten.tensors import AlsConfig
 
 
 @pytest.fixture(scope="module")
@@ -327,3 +329,52 @@ def test_reused_parser_leaks_no_state(dataset, tmp_path, capsys):
     for name, argv in runs.items():
         fresh = argv[:-1] + [str(tmp_path / f"fresh-{name}")]
         assert run_outputs(tmp_path / name) == fresh_interpreter_outputs(fresh), name
+
+
+def test_import_loads_no_numpy_or_scipy():
+    """Importing the package, building the parser, printing the version and
+    refusing a command without --data load no NumPy or SciPy module; a
+    command loads them when it runs."""
+    code = """
+import sys
+
+def compute_stack():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+
+import dynten
+print(compute_stack())
+from dynten import cli
+cli.build_parser()
+print(compute_stack())
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    print(exc.code)
+print(compute_stack())
+print(cli.main(["linkpred"]))
+print(compute_stack())
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(dynten.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines() == ["[]", "[]", "0.1.0", "0", "[]", "1", "[]"]
+    assert done.stderr == "error: --data is required\n"
+
+
+def test_solver_failure_is_an_error_not_a_traceback(tmp_path, capsys):
+    # teleport iteration on this chain's periodic closed class {0, 1} never settles
+    path = tmp_path / "periodic.edges"
+    path.write_text("".join(f"{t} 0 1\n{t} 1 0\n{t} 2 0\n" for t in range(3)))
+    rc = main(["linkpred", "--data", str(path), "--directed", "--variant", "symmetrized",
+               "--d", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stationary vector did not converge")
+    assert "Traceback" not in err
+
+
+def test_cli_defaults_are_the_library_defaults():
+    cfg = resolve_config({})
+    assert (cfg["variant"], cfg["omega"], cfg["teleport"]) == (
+        DynEmbedConfig.adjacency_variant, DynEmbedConfig.katz_omega, DynEmbedConfig.teleport)
+    assert (cfg["sweeps"], cfg["tol"]) == (AlsConfig.max_sweeps, AlsConfig.rel_tol)

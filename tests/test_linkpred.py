@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-import dynten
 from dynten import graphs, linkpred
 from dynten.cli import main
 from dynten.graphs import ConvergenceError, DynamicNetwork, adjacency_from_edges
@@ -446,16 +441,6 @@ class TestNewtonFit:
         with pytest.raises(ConvergenceError, match="gradient norm") as err:
             linkpred._fit_wc(x, y)
         assert err.value.residual > 0.0
-
-
-def test_cli_import_skips_scipy_stats_and_optimize():
-    src = str(Path(dynten.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, dynten.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
 
 
 def brute_auc(scores, labels):
