@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, opts, fn in (("embed", _EMBED_OPTS, cmd_embed),
                            ("linkpred", _LINKPRED_OPTS, cmd_linkpred),
                            ("cluster", _CLUSTER_OPTS, cmd_cluster),
-                           ("anomaly", _CLUSTER_OPTS, None),
+                           ("anomaly", _CLUSTER_OPTS,
+                            functools.partial(cmd_cluster, name="anomalies.csv")),
                            ("synth", _SYNTH_OPTS, cmd_synth)):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
@@ -360,8 +361,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args, args._opts)
-        if args.command == "anomaly":
-            return cmd_cluster(cfg, name="anomalies.csv")
         return args._fn(cfg)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         if isinstance(exc, RuntimeError) and not isinstance(exc, _solver_errors()):

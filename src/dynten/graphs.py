@@ -24,8 +24,6 @@ from scipy.sparse.csgraph import connected_components
 # refused above this many nodes instead of filling every slice with n^2 entries
 KATZ_MAX_NODES = 2048
 KATZ_SAFETY = 0.99           # admissible Katz damping is this fraction of 1 / rho(A)
-KATZ_MAX_TERMS = 50          # terms of the truncated Katz power series
-KATZ_SERIES_TOL = 1e-12      # the series stops once its geometric tail bound is below this
 STATIONARY_TOL = 1e-12       # l1 residual (drift, with teleport) that ends stationary_vector
 STATIONARY_MAX_ITER = 20000  # power steps before stationary_vector gives up
 RADIUS_ITERS = 100           # power steps of spectral_radius
@@ -452,11 +450,7 @@ def katz_omega_bound(A) -> float:
     widened by the closed-form minimum-degree bound on unweighted undirected
     input (which certifies convergence on its own)."""
     A = sparse.csr_array(A, dtype=np.float64)
-    return _katz_bound(A, spectral_radius(A))
-
-
-def _katz_bound(A: sparse.csr_array, rho: float) -> float:
-    """:func:`katz_omega_bound` of a float64 CSR matrix with spectral radius rho."""
+    rho = spectral_radius(A)
     bound = np.inf if rho == 0.0 else KATZ_SAFETY / rho
     if A.nnz and np.all(A.data == 1.0):
         diff = A - A.T
@@ -471,21 +465,17 @@ def _katz_bound(A: sparse.csr_array, rho: float) -> float:
     return float(bound)
 
 
-def katz_adjacency(A, omega: float, *, method: str = "auto") -> sparse.csr_array:
-    """Katz path-counting kernel A_w = sum_{l>=1} w^{l-1} A^l.
+def katz_adjacency(A, omega: float) -> sparse.csr_array:
+    """Katz path-counting kernel A_w = sum_{l>=1} w^{l-1} A^l = (I - w A)^{-1} A.
 
     Requires omega below the admissible bound (see :func:`katz_omega_bound`).
-    The power series, truncated at ``KATZ_MAX_TERMS`` terms or once its
-    geometric tail bound falls below ``KATZ_SERIES_TOL``, is used while
-    nnz * KATZ_MAX_TERMS stays small, otherwise (I - w A) X = A is solved with a
-    sparse LU factorization; ``method`` forces one route. omega = 0 returns
-    A itself. The kernel of a connected graph is dense, so omega > 0 is
-    refused above ``KATZ_MAX_NODES`` nodes.
+    The kernel is one dense LAPACK solve of (I - w A) X = A, symmetrized when
+    A is symmetric to 1e-12. omega = 0 returns A itself. The kernel of a
+    connected graph is dense, so omega > 0 is refused above
+    ``KATZ_MAX_NODES`` nodes.
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    if method not in ("auto", "series", "solve"):
-        raise ValueError(f"unknown katz method {method!r}")
     n = np.shape(A)[0]
     if omega > 0.0 and n > KATZ_MAX_NODES:
         raise ValueError(
@@ -494,41 +484,13 @@ def katz_adjacency(A, omega: float, *, method: str = "auto") -> sparse.csr_array
     A = _compact(sparse.csr_array(A, dtype=np.float64))
     if omega == 0.0:
         return A.copy()
-    rho = spectral_radius(A)
-    bound = _katz_bound(A, rho)
+    bound = katz_omega_bound(A)
     if omega >= bound:
         raise ValueError(
             f"omega={omega} is not below the admissible Katz bound {bound:.6g} "
             "(safety-margined inverse spectral radius)")
-
-    sym_in = abs(A - A.T).max() if A.nnz else 0.0
-    q = omega * rho
-
-    total = None
-    use_series = method == "series" or \
-        (method == "auto" and A.nnz * KATZ_MAX_TERMS <= 2_000_000)
-    if use_series:
-        term = A.copy()
-        total = A.copy()
-        converged = False
-        for _ in range(KATZ_MAX_TERMS - 1):
-            term = _compact(omega * (A @ term))
-            total = _compact(total + term)
-            head = abs(term).max() if term.nnz else 0.0
-            tail = head * q / (1.0 - q) if q < 1.0 else np.inf
-            if tail < KATZ_SERIES_TOL:
-                converged = True
-                break
-        if method == "auto" and not converged and q >= 1e-3:
-            # tail not provably small: fall back to the exact closed form
-            total = None
-
-    if total is None:
-        from scipy.sparse.linalg import splu
-        # A_w = (1/w)((I - wA)^{-1} - I) = (I - wA)^{-1} A, one solve per column
-        lu = splu(sparse.csc_array(sparse.identity(n) - omega * A))
-        total = _compact(sparse.csr_array(lu.solve(A.toarray())))
-
-    if sym_in <= 1e-12:
-        total = _compact(0.5 * (total + total.T))
-    return total
+    D = A.toarray()
+    K = np.linalg.solve(np.eye(n) - omega * D, D)
+    if np.abs(D - D.T).max(initial=0.0) <= 1e-12:
+        K = 0.5 * (K + K.T)
+    return _compact(sparse.csr_array(K))

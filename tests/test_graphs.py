@@ -409,13 +409,33 @@ class TestKatz:
             katz_adjacency(A, 0.1)
         assert katz_adjacency(A, 0.0).nnz == A.nnz
 
-    def test_series_matches_solver(self):
+    def test_weighted_digraph_matches_series_and_stays_asymmetric(self):
         rng = np.random.default_rng(6)
-        A = random_connected_graph(12, rng)
-        omega = 0.5 / spectral_radius(A)
-        series = katz_adjacency(A, omega, method="series").toarray()
-        solve = katz_adjacency(A, omega, method="solve").toarray()
-        assert np.abs(series - solve).max() < 1e-10
+        n = 12
+        # a directed cycle plus random weighted chords: strongly connected, aperiodic
+        src = np.concatenate([np.arange(n), rng.integers(n, size=20)])
+        dst = np.concatenate([(np.arange(n) + 1) % n, rng.integers(n, size=20)])
+        A = adjacency_from_edges(n, src, dst, rng.uniform(0.5, 2.0, src.size))
+        omega = 0.5 * katz_omega_bound(A)
+        dense = A.toarray()
+        assert omega * np.abs(np.linalg.eigvals(dense)).max() < 0.6
+        term = dense.copy()
+        series = dense.copy()
+        for _ in range(100):
+            term = omega * (dense @ term)
+            series += term
+        K = katz_adjacency(A, omega).toarray()
+        assert np.abs(K - series).max() <= 1e-12 * np.abs(series).max()
+        assert np.abs(K - K.T).max() > 1e-3
+
+    def test_disconnected_components_stay_blocks(self):
+        rng = np.random.default_rng(8)
+        sizes = (6, 4)
+        blocks = [random_connected_graph(s, rng, weighted=True) for s in sizes]
+        A = sp.csr_array(sp.block_diag(blocks + [sp.csr_array((1, 1))]))
+        K = katz_adjacency(A, 0.5 * katz_omega_bound(A))
+        # every pair within a component is joined by some walk, no pair across
+        assert K.nnz == sum(s * s for s in sizes)
 
     def test_bound_rejection_reports_bound(self):
         A = csr([[0, 1], [1, 0]])
