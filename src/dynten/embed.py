@@ -89,22 +89,16 @@ def precondition(slices: tuple, w: TemporalWeights) -> tuple:
     return tuple(_compact(M) for M in out)
 
 
-def convolve_snapshots(slices: tuple, w: TemporalWeights,
-                       kind: str = "adjacency") -> sparse.csr_array:
-    """Normalized weighted average sum_t w_t M_t / sum_t w_t of the per-slice
-    adjacency or Laplacian matrices."""
+def convolve_snapshots(slices: tuple, w: TemporalWeights) -> sparse.csr_array:
+    """Normalized weighted average sum_t w_t A_t / sum_t w_t of the slices.
+    L = D - A is linear in A, so the Laplacian of this average is the same
+    average of the slice Laplacians."""
     if len(w) != len(slices):
         raise ValueError(f"need {len(slices)} weights, got {len(w)}")
-    if kind == "adjacency":
-        mats = slices
-    elif kind == "laplacian":
-        mats = [laplacian(A) for A in slices]
-    else:
-        raise ValueError(f"unknown convolution kind {kind!r}")
-    acc = w.values[0] * mats[0]
-    for t in range(1, len(mats)):
+    acc = w.values[0] * slices[0]
+    for t in range(1, len(slices)):
         if w.values[t] != 0.0:
-            acc = acc + w.values[t] * mats[t]
+            acc = acc + w.values[t] * slices[t]
     return sparse.csr_array(acc / float(w.values.sum()))
 
 
@@ -225,12 +219,12 @@ def res_last_embedding(net: DynamicNetwork, d: int, seed: int = 0) -> np.ndarray
 def adj_wt_embedding(net: DynamicNetwork, w: TemporalWeights, d: int,
                      seed: int = 0) -> np.ndarray:
     """Spectral adjacency embedding of the weighted snapshot convolution."""
-    M = convolve_snapshots(_as_undirected(net.snapshots, net.directed), w, kind="adjacency")
+    M = convolve_snapshots(_as_undirected(net.snapshots, net.directed), w)
     return adjacency_embedding(M, d, seed=seed)
 
 
 def res_wt_embedding(net: DynamicNetwork, w: TemporalWeights, d: int,
                      seed: int = 0) -> np.ndarray:
     """Resistance embedding of the weighted Laplacian convolution."""
-    M = convolve_snapshots(_as_undirected(net.snapshots, net.directed), w, kind="laplacian")
-    return resistance_embedding(M, d, seed=seed)
+    M = convolve_snapshots(_as_undirected(net.snapshots, net.directed), w)
+    return resistance_embedding(laplacian(M), d, seed=seed)

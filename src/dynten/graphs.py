@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 # refused above this many nodes instead of filling every slice with n^2 entries
 KATZ_MAX_NODES = 2048
 KATZ_SAFETY = 0.99           # admissible Katz damping is this fraction of 1 / rho(A)
-STATIONARY_TOL = 1e-12       # l1 residual (drift, with teleport) that ends stationary_vector
+STATIONARY_TOL = 1e-12       # l1 residual that ends stationary_vector
 STATIONARY_MAX_ITER = 20000  # power steps before stationary_vector gives up
 RADIUS_ITERS = 100           # power steps of spectral_radius
 RADIUS_TOL = 1e-8            # relative change of the estimate that ends spectral_radius
@@ -343,16 +343,17 @@ def stationary_vector(P, total_weight: float = 1.0, *,
                       teleport: float | None = None) -> np.ndarray:
     """Positive left fixed vector of P, scaled so its entries sum to ``total_weight``.
 
-    Computed by power iteration on the lazy chain (P + I)/2, which has the
-    same fixed vectors but no periodicity, until the l1 residual ||phi P - phi||
-    (with ``teleport``, the l1 change of one step) falls below ``STATIONARY_TOL``;
-    ``ConvergenceError``, carrying the final l1 residual, is raised after
+    Computed by power iteration on the lazy chain (I + T)/2, which has the
+    same fixed vectors as T but no periodicity, with T = (1 - eps) P + eps J / n
+    and eps = ``teleport`` (0 without it). The iteration stops once the l1
+    residual ||normalize(phi T) - phi|| falls below ``STATIONARY_TOL``;
+    ``ConvergenceError``, carrying that residual, is raised after
     ``STATIONARY_MAX_ITER`` steps. Each step takes one product, phi P, for both
-    the residual of phi and the next iterate; with ``teleport`` the residual is
-    not a stop test and is computed only for that error.
+    the residual of phi and the next iterate.
     P must be irreducible (strongly connected with no zero rows); otherwise pass
-    ``teleport=eps`` to iterate on the regularized chain (1 - eps) P + eps J / n
-    instead, which is a documented deviation from the strict fixed-vector contract.
+    ``teleport=eps`` to iterate on the regularized chain T instead, which is a
+    documented deviation from the strict fixed-vector contract. With zero rows
+    T loses mass, and its normalized Perron left vector is returned.
     """
     P = sparse.csr_array(P, dtype=np.float64)
     n = P.shape[0]
@@ -371,27 +372,23 @@ def stationary_vector(P, total_weight: float = 1.0, *,
                 "transition matrix is reducible; no unique positive stationary "
                 "vector. Pass teleport=1e-3 or preprocess with a Katz kernel.")
 
-    Pt = P.T  # a CSC view: Pt @ phi is phi @ P, bit for bit, without __rmatmul__
+    eps = teleport or 0.0
+    # a CSC view: Pt @ x is x @ ((1 - eps) P), bit for bit, without __rmatmul__;
+    # x T is that plus eps / n where x sums to 1, and exactly x P when eps = 0
+    Pt = ((1.0 - eps) * P).T
     phi = np.full(n, 1.0 / n)
-    step = Pt @ phi  # phi P of the current phi
+    step, residual = Pt @ phi + eps / n, float("inf")
     for _ in range(STATIONARY_MAX_ITER):
-        if teleport is None:
-            nxt = 0.5 * (phi + step)
-        else:
-            nxt = (1.0 - teleport) * step + teleport * phi.sum() / n
+        nxt = 0.5 * (phi + step)
         s = nxt.sum()
         if s <= 0:
             raise ConvergenceError("stationary iteration collapsed to zero", float("inf"))
-        nxt = nxt / s
-        settled = teleport is not None and float(np.abs(nxt - phi).sum()) < STATIONARY_TOL
-        phi = nxt
-        if settled:
-            break
-        step = Pt @ phi
-        if teleport is None and float(np.abs(step - phi).sum()) < STATIONARY_TOL:
+        phi = nxt / s
+        step = Pt @ phi + eps / n
+        residual = float(np.abs(step / step.sum() - phi).sum())
+        if residual < STATIONARY_TOL:
             break
     else:
-        residual = float(np.abs(step - phi).sum())
         raise ConvergenceError(
             f"stationary vector did not converge in {STATIONARY_MAX_ITER} iterations "
             f"(residual {residual:.3e})", residual)

@@ -361,16 +361,36 @@ print(compute_stack())
     assert done.stderr == "error: --data is required\n"
 
 
-def test_solver_failure_is_an_error_not_a_traceback(tmp_path, capsys):
-    # teleport iteration on this chain's periodic closed class {0, 1} never settles
+def periodic_edges(tmp_path, weight=""):
+    """Three slices of the chain 0 -> 1, 1 -> 0, 2 -> 0, whose closed class
+    {0, 1} has period 2."""
     path = tmp_path / "periodic.edges"
-    path.write_text("".join(f"{t} 0 1\n{t} 1 0\n{t} 2 0\n" for t in range(3)))
-    rc = main(["linkpred", "--data", str(path), "--directed", "--variant", "symmetrized",
-               "--d", "1", "--out", str(tmp_path / "o")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: stationary vector did not converge")
-    assert "Traceback" not in err
+    path.write_text("".join(f"{t} 0 1{weight}\n{t} 1 0{weight}\n{t} 2 0{weight}\n"
+                            for t in range(3)))
+    return path
+
+
+def test_solver_failure_is_an_error_not_a_traceback(tmp_path, capsys):
+    # the squared entries underflow, so the tensor norm reads 0 and ALS gives up
+    path = periodic_edges(tmp_path, " 1e-200")
+    for method in ("dynacpd", "dynaocpd"):
+        rc = main(["linkpred", "--data", str(path), "--directed", "--variant", "symmetrized",
+                   "--method", method, "--d", "1", "--out", str(tmp_path / method)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the norm of a tensor with 8 nonzero entries underflows to 0")
+        assert "Traceback" not in err
+
+
+def test_periodic_chain_with_teleport_converges(tmp_path):
+    # the lazy teleport chain converges on the periodic closed class
+    out = tmp_path / "o"
+    rc = main(["linkpred", "--data", str(periodic_edges(tmp_path)), "--directed",
+               "--variant", "symmetrized", "--d", "1", "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert all(np.isfinite(report[key]) for key in ("AUC", "AP", "cv_auc"))
+    assert np.isfinite(load_embedding_csv(out / "embedding.csv")[1]).all()
 
 
 def test_cli_defaults_are_the_library_defaults():

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
                           convolve_snapshots, default_rank, dynamic_embedding,
                           make_weights, mode_orientations, precondition,
-                          weighted_modes)
-from dynten.graphs import DynamicNetwork
-from dynten.spectral import adjacency_embedding
+                          res_wt_embedding, weighted_modes)
+from dynten.graphs import DynamicNetwork, laplacian
+from dynten.spectral import adjacency_embedding, resistance_embedding
 from dynten.synth import dynamic_sbm
 from dynten.tensors import AlsConfig
 
@@ -109,8 +109,7 @@ class TestPrecondition:
 class TestConvolve:
     def test_single_nonzero_weight_picks_slice(self):
         net, _ = dynamic_sbm(15, 3, seed=2)
-        M = convolve_snapshots(net.snapshots, TemporalWeights([0.0, 0.0, 1.0]),
-                               kind="adjacency")
+        M = convolve_snapshots(net.snapshots, TemporalWeights([0.0, 0.0, 1.0]))
         assert np.abs(M.toarray() - net.adjacency(2).toarray()).max() < 1e-12
 
     def test_uniform_identical_slices(self):
@@ -249,6 +248,15 @@ class TestBaselines:
         a = adj_wt_embedding(net, TemporalWeights([0, 0, 1.0]), 3)
         b = adj_last_embedding(net, 3)
         assert np.abs(np.abs(a) - np.abs(b)).max() < 1e-7
+
+    def test_res_wt_embeds_the_average_of_slice_laplacians(self):
+        # L = D - A is linear, so the Laplacian of the averaged slices is the
+        # average sum_t w_t L(A_t) / sum_t w_t of the slice Laplacians
+        net, _ = dynamic_sbm(30, 4, seed=5)
+        w = make_weights("exponential", 4, alpha=1.0)
+        L = sum(wt * laplacian(A) for wt, A in zip(w.values, net.snapshots)) / w.values.sum()
+        want = resistance_embedding(L, 3)
+        assert np.abs(res_wt_embedding(net, w, 3) - want).max() < 1e-10
 
 
 @given(st.integers(0, 10 ** 6))

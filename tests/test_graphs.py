@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dynten import graphs
 from dynten.graphs import (KATZ_MAX_NODES, DynamicNetwork, ReducibleChainError,
@@ -264,27 +264,40 @@ def dia_transition_reference(A):
 
 
 def two_product_stationary_reference(P, total_weight, teleport):
-    """The earlier power loop, which takes phi P twice per step: once for the
-    next iterate and once more for its residual. Returns the scaled vector
-    and the number of steps taken."""
+    """The earlier power loop of the strict chain (``teleport`` None; the
+    teleport chain is checked against ``perron_vector``), which takes phi P
+    twice per step: once for the next iterate and once more for its residual.
+    Returns the scaled vector and the number of steps taken."""
+    assert teleport is None
     n = P.shape[0]
     phi = np.full(n, 1.0 / n)
     for steps in range(1, graphs.STATIONARY_MAX_ITER + 1):
-        if teleport is None:
-            nxt = 0.5 * (phi + phi @ P)
-        else:
-            nxt = (1.0 - teleport) * (phi @ P) + teleport * phi.sum() / n
-        nxt = nxt / nxt.sum()
-        drift = float(np.abs(nxt - phi).sum())
-        phi = nxt
+        nxt = 0.5 * (phi + phi @ P)
+        phi = nxt / nxt.sum()
         residual = float(np.abs(phi @ P - phi).sum())
-        if (residual if teleport is None else drift) < graphs.STATIONARY_TOL:
+        if residual < graphs.STATIONARY_TOL:
             break
     else:
         raise graphs.ConvergenceError(
             f"stationary vector did not converge in {graphs.STATIONARY_MAX_ITER} "
             f"iterations (residual {residual:.3e})", residual)
     return phi * (total_weight / phi.sum()), steps
+
+
+def dense_teleport_chain(P, teleport):
+    """T = (1 - eps) P + eps J / n as a dense array; P itself when ``teleport`` is None."""
+    eps = teleport or 0.0
+    return (1.0 - eps) * P.toarray() + eps / P.shape[0]
+
+
+def perron_vector(P, teleport):
+    """Dense oracle for the teleport chain: the Perron left eigenvector of T,
+    from LAPACK ``eig``, with entries summing to 1. T is positive, so its
+    Perron root is simple and has the largest real part; with zero rows in P
+    it is below 1, and the vector is the normalized fixed point of phi T."""
+    values, vectors = np.linalg.eig(dense_teleport_chain(P, teleport).T)
+    v = vectors[:, np.argmax(values.real)].real
+    return v / v.sum()
 
 
 def assert_stationary_steps(P, teleport, steps):
@@ -301,7 +314,10 @@ def composed_symmetrization_reference(A, teleport):
     """The earlier symmetrized_adjacency: 0.5 (Phi P + P^T Phi) from diagonal
     products, then symmetrized a second time."""
     P = dia_transition_reference(A)
-    phi, _ = two_product_stationary_reference(P, float(A.sum()), teleport)
+    if teleport is None:
+        phi, _ = two_product_stationary_reference(P, float(A.sum()), None)
+    else:  # the teleport vector itself is checked against perron_vector
+        phi = stationary_vector(P, total_weight=float(A.sum()), teleport=teleport)
     Phi = sp.dia_array((phi[None, :], [0]), shape=P.shape)
     M = graphs._compact(0.5 * (Phi @ P + P.T @ Phi))
     return graphs._compact(0.5 * (M + M.T))
@@ -327,7 +343,8 @@ def assert_same_csr(got, want):
 
 class TestOneProductLoops:
     """The row-scaled products and the one-product stationary loop give the
-    bits of the diagonal-product constructions they replace."""
+    bits of the diagonal-product constructions they replace; the lazy
+    teleport chain, which they do not cover, matches a dense eigensolve."""
 
     @given(st.integers(0, 10 ** 6), st.integers(2, 40))
     def test_strongly_connected_without_teleport(self, seed, n):
@@ -339,43 +356,52 @@ class TestOneProductLoops:
         assert_stationary_steps(P, None, steps)
         assert_same_csr(symmetrized_adjacency(A), composed_symmetrization_reference(A, None))
 
+    # a non-lazy teleport iteration exhausted its 20 000 steps on these
+    # (periodic closed classes, damped only by 1 - eps per step)
+    @example(4, 12)
+    @example(5, 5)
+    @example(10, 30)
     @given(st.integers(0, 10 ** 6), st.integers(2, 40))
     def test_zero_rows_with_teleport(self, seed, n):
         A = digraph_with_zero_rows(n, np.random.default_rng(seed))
         P = transition_matrix(A)
         assert_same_csr(P, dia_transition_reference(A))
-        # the teleport chain is not lazy: a periodic closed class mixes too
-        # slowly for the step budget, and both loops must then give up alike;
-        # a smaller budget reaches that path sooner
-        with mock.patch.object(graphs, "STATIONARY_MAX_ITER", 2000):
-            try:
-                want, steps = two_product_stationary_reference(P, 2.0, 1e-3)
-            except graphs.ConvergenceError as err:
-                with pytest.raises(graphs.ConvergenceError) as got:
-                    stationary_vector(P, total_weight=2.0, teleport=1e-3)
-                assert str(got.value) == str(err) and got.value.residual == err.residual
-                return
-            assert np.array_equal(stationary_vector(P, total_weight=2.0, teleport=1e-3), want)
-            assert_stationary_steps(P, 1e-3, steps)
+        phi = stationary_vector(P, total_weight=2.0, teleport=1e-3)
+        assert np.abs(phi / 2.0 - perron_vector(P, 1e-3)).sum() < 1e-10
         if A.nnz:
             assert_same_csr(symmetrized_adjacency(A, teleport=1e-3),
                             composed_symmetrization_reference(A, 1e-3))
 
+    def test_periodic_closed_class_with_teleport(self):
+        """0 -> 1, 1 -> 0, 2 -> 0: the closed class {0, 1} has period 2, on
+        which the lazy step still converges, in 40 steps."""
+        P = transition_matrix(csr([[0, 1, 0], [1, 0, 0], [1, 0, 0]]))
+        phi = stationary_vector(P, teleport=1e-3)
+        assert np.abs(phi - perron_vector(P, 1e-3)).sum() < 1e-10
+        assert_stationary_steps(P, 1e-3, 40)
+
     @pytest.mark.parametrize("teleport", [None, 1e-3])
     def test_exhausted_budget_reports_the_final_residual(self, teleport):
         """A chain that has not converged when the budget runs out raises
-        with the l1 residual ||phi P - phi|| of its last iterate, with or
-        without teleport (where the stop test is the drift instead)."""
+        with the l1 residual ||normalize(phi T) - phi|| of its last iterate,
+        the stop test of both chains; here from five dense lazy steps."""
         rng = np.random.default_rng(3)
         A = random_strong_digraph(30, rng) if teleport is None else digraph_with_zero_rows(30, rng)
         P = transition_matrix(A)
-        with mock.patch.object(graphs, "STATIONARY_MAX_ITER", 5):
-            with pytest.raises(graphs.ConvergenceError) as want:
-                two_product_stationary_reference(P, 1.0, teleport)
-            with pytest.raises(graphs.ConvergenceError) as got:
-                stationary_vector(P, teleport=teleport)
-        assert str(got.value) == str(want.value)
-        assert got.value.residual == want.value.residual > graphs.STATIONARY_TOL
+        with mock.patch.object(graphs, "STATIONARY_MAX_ITER", 5), \
+                pytest.raises(graphs.ConvergenceError) as got:
+            stationary_vector(P, teleport=teleport)
+        T = dense_teleport_chain(P, teleport)
+        phi = np.full(30, 1.0 / 30)
+        for _ in range(5):
+            phi = phi + phi @ T
+            phi /= phi.sum()
+        step = phi @ T
+        want = np.abs(step / step.sum() - phi).sum()
+        assert want > graphs.STATIONARY_TOL
+        assert got.value.residual == pytest.approx(want, rel=1e-9)
+        assert str(got.value) == ("stationary vector did not converge in 5 iterations "
+                                  f"(residual {got.value.residual:.3e})")
 
     def test_transition_does_not_touch_its_input(self):
         A = csr([[0, 1e-320, 1e10], [1, 0, 0], [0, 0, 0]])
