@@ -74,7 +74,9 @@ def _edge_keys(net: DynamicNetwork, t: int) -> np.ndarray:
     no self-loops, and unordered pairs unless the network is directed."""
     A = net.adjacency(t).tocoo()
     links = A.row != A.col
-    return np.unique(_pair_keys(A.row[links], A.col[links], net.n, net.directed))
+    # sort and drop repeats: NumPy's hash-based np.unique is many times slower
+    keys = np.sort(_pair_keys(A.row[links], A.col[links], net.n, net.directed))
+    return keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0: the first stays
 
 
 def holdout_split(net: DynamicNetwork):
@@ -131,7 +133,8 @@ def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
         draws = np.concatenate([draws, rng.integers(n, size=2 * batch)])
         i, j = draws[0::2], draws[1::2]
         keys = _pair_keys(i, j, n, net.directed)
-        candidates = np.flatnonzero((i != j) & ~np.isin(keys, edges))
+        linked = edges[np.minimum(np.searchsorted(edges, keys), edges.size - 1)] == keys
+        candidates = np.flatnonzero((i != j) & ~linked)
         _, first = np.unique(keys[candidates], return_index=True)
         if first.size >= n_pos:
             break
@@ -240,10 +243,10 @@ def cross_validated_scores(sample: EdgeSample, folds: int = 5):
     fitted without its fold."""
     y = np.asarray(sample.labels, dtype=np.float64)
     x = np.asarray(sample.separations, dtype=np.float64)
-    if np.unique(y).size < 2:
+    n_pos, n_neg = int((y > 0).sum()), int((y < 0).sum())
+    if not (n_pos and n_neg):
         raise ValueError("sample must contain both classes")
-    n_min = min(int((y > 0).sum()), int((y < 0).sum()))
-    folds_eff = min(folds, n_min)
+    folds_eff = min(folds, n_pos, n_neg)
     if folds_eff < 2:
         raise ValueError("need at least 2 examples per class for cross-validation")
 

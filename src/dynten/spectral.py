@@ -42,11 +42,27 @@ class EigenPairs:
         return len(self.values)
 
 
+def _mirror_data(M):
+    """For a canonical CSR matrix whose transpose has the same sparsity
+    pattern, the values of M^T in M's storage order (a new array); None for
+    any other matrix. Costs one transposed copy of M."""
+    if not M.has_canonical_format:
+        return None
+    T = M.T.tocsr()
+    if np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices):
+        return T.data
+    return None
+
+
 def _check_symmetric(M, atol=1e-12):
     if M.nnz:
         scale = max(1.0, abs(M.data).max())
-        gap = abs(M - M.T)
-        if gap.nnz and gap.data.max() > atol * scale:
+        mirror = _mirror_data(M)
+        if mirror is not None:  # compare the values in place, no difference matrix
+            gap = np.abs(np.subtract(M.data, mirror, out=mirror), out=mirror)
+        else:
+            gap = abs(M - M.T).data
+        if gap.size and gap.max() > atol * scale:
             raise ValueError("matrix is not symmetric within tolerance")
 
 

@@ -3,15 +3,16 @@
 The tensor is stored once, as one canonical CSR matrix: its frontal slices
 Z[:, :, t], one n x n adjacency matrix per time step, stacked as a (tau n) x n
 matrix, the transpose of the mode-2 unfolding. The ALS inner kernel, a
-matricized-tensor-times-Khatri-Rao product (MTTKRP), is one sparse-times-dense
+matricized-tensor-times-Khatri-Rao product (MTTKRP), is a sparse-times-dense
 product on that matrix (modes 1 and 3) or on its transpose, a CSC view of the
-same arrays (mode 2), plus one small contraction: O(nnz rank + n tau rank)
-time and O(n tau rank) scratch, with no n^2 operand and no second copy of the
-tensor. The orthogonal variant replaces the node-factor least-squares update
-with the orthogonal Procrustes solution (polar factor of the MTTKRP matrix),
-which keeps that factor's columns exactly orthonormal. Every block update of
-either solver is an exact proximal minimizer, so no sweep can raise the fit
-beyond rounding error.
+same arrays (mode 2), plus one small contraction, run on blocks of about
+2 rank / tau factor columns: O(nnz rank + n tau rank) time and O(n rank)
+scratch, with no n^2 operand and no second copy of the tensor. The orthogonal
+variant replaces the node-factor least-squares update with the orthogonal
+Procrustes solution (polar factor of the MTTKRP matrix), which keeps that
+factor's columns exactly orthonormal. Every block update of either solver is
+an exact proximal minimizer, so no sweep can raise the fit beyond rounding
+error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .seeding import derived_rng
-from .spectral import _extreme_pairs
+from .spectral import _extreme_pairs, _mirror_data
 
 
 class DecompositionError(RuntimeError):
@@ -94,14 +95,32 @@ class SparseTensor3:
         return float(np.linalg.norm(self.stacked.data))
 
 
+# Khatri-Rao operands of at most this many entries run as one column block:
+# below it the per-block calls cost more time than the scratch is worth
+_ONE_BLOCK = 1 << 16
+
+
+def _column_blocks(n: int, tau: int, r: int) -> list:
+    """Slices of w factor columns, w = ceil(2 r / tau), so that a block's
+    (tau n) x w operand holds about 2 n r entries; one block for small
+    operands."""
+    w = r if tau * n * r <= _ONE_BLOCK else -(-2 * r // tau)
+    return [slice(s, min(s + w, r)) for s in range(0, r, w)]
+
+
 def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 
     ``factors`` is the triple (A, B, C) of shapes n x r, n x r and tau x r;
-    the factor of the requested mode is ignored. Modes 1 and 3 multiply the
-    stacked slices by B and contract the (tau, n, r) result with the other
-    factor; mode 2 multiplies their transpose by the (tau n, r) Khatri-Rao rows
-    C[t] * A[i]. Each costs O(nnz r + tau n r) time and O(tau n r) scratch.
+    the factor of the requested mode is ignored. The product runs on blocks
+    of w = ceil(2 r / tau) factor columns (all r when the (tau n) x r operand
+    is small), after Bader & Kolda's column-wise MTTKRP. Modes 1 and 3
+    multiply the stacked slices by the block of B and contract the
+    (tau, n, w) result with the other factor; mode 2 multiplies their
+    transpose by the (tau n, w) Khatri-Rao rows C[t, s] * A[i, s]. Each costs
+    O(nnz r + tau n r) time and O(n r) scratch. Every output entry sums the
+    same terms in the same order whatever the block width, so mode 2 is
+    bitwise independent of it.
     """
     if mode not in (1, 2, 3):
         raise ValueError("mode must be 1, 2 or 3")
@@ -111,12 +130,18 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
     for M, m in ((A, n), (B, n), (C, tau)):
         if M.shape != (m, r):
             raise ValueError(f"factor shape {M.shape} inconsistent with n {n}, tau {tau}, rank {r}")
-    if mode == 2:
-        return Z.stacked.T @ (C[:, None, :] * A[None, :, :]).reshape(tau * n, r)
-    ZB = (Z.stacked @ B).reshape(tau, n, r)
-    if mode == 1:
-        return np.einsum("tir,tr->ir", ZB, C)
-    return np.einsum("tir,ir->tr", ZB, A)
+    out = np.empty((tau if mode == 3 else n, r))
+    for s in _column_blocks(n, tau, r):
+        # each block's operand is a temporary of its statement, so only one
+        # block's scratch is alive at a time
+        if mode == 2:
+            out[:, s] = Z.stacked.T @ np.multiply(
+                C[:, None, s], A[None, :, s], order="C").reshape(tau * n, -1)
+        elif mode == 1:
+            out[:, s] = np.einsum("tir,tr->ir", (Z.stacked @ B[:, s]).reshape(tau, n, -1), C[:, s])
+        else:
+            out[:, s] = np.einsum("tir,ir->tr", (Z.stacked @ B[:, s]).reshape(tau, n, -1), A[:, s])
+    return out
 
 
 @dataclass(frozen=True)
@@ -202,15 +227,24 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
     of the sparse symmetrized time-summed slice 0.5 (S + S^T),
     S = sum_t Z[:, :, t], and the time factor is constant 1/sqrt(tau) per
     column (exact in the identical-slices limit); seeded random unit columns
-    fill beyond the node count n. The eigenpairs come from the shared
-    residual-checked eigensolver, so the start costs O(nnz + n rank) memory
-    and no n x n array.
+    fill beyond the node count n. When S^T has the pattern of S (any
+    symmetric or symmetrized input) the two are averaged in place, with the
+    entries of S + S^T that cancel to 0 dropped as the sparse sum drops
+    them. The eigenpairs come from the shared residual-checked eigensolver,
+    so the start costs O(nnz + n rank) memory and no n x n array.
     """
     n, _, tau = Z.dims
     r = cfg.rank
     C = np.full((tau, r), 1.0 / np.sqrt(tau))
     S = _slice_sum(Z)
-    S = 0.5 * (S + S.T)
+    mirror = _mirror_data(S)
+    if mirror is None:
+        S = 0.5 * (S + S.T)
+    else:
+        S.data += mirror
+        del mirror
+        S.eliminate_zeros()
+        S.data *= 0.5
     k = min(r, n)
     lead = _extreme_pairs(S, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
     if r > k:
@@ -328,6 +362,7 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
             raise DecompositionError(
                 f"{exc} at sweep {sweep + 1}; input scaling or rank is pathological") from exc
         (A1, na), (B1, nb), (C1, nc) = map(_normalize_columns, raw, (A, B, C))
+        del raw  # normalized copies: the raw factors would outlive the next sweep
         lam1 = na * nb * nc
         fit = _relative_error(norm_z, inner, lam1, A1, B1, C1)
         if not all(np.all(np.isfinite(x)) for x in (A1, B1, C1, lam1)):
@@ -351,12 +386,13 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
     else:
         stop_reason = "budget"
 
-    # the first sweep is never rejected (prev_fit is inf), so one was accepted
+    # the first sweep is never rejected (prev_fit is inf), so one was accepted;
+    # the angle's SVD scratch comes before the sorted copies of the factors
+    b_angle = principal_angle(B_start, B)
     order = np.argsort(-lam, kind="stable")
     return CPModel(lambdas=lam[order], factor_a=A[:, order], factor_b=B[:, order],
                    factor_c=C[:, order], fit=fits[-1], sweeps=len(fits),
-                   fit_history=tuple(fits), stop_reason=stop_reason,
-                   b_angle=principal_angle(B_start, B))
+                   fit_history=tuple(fits), stop_reason=stop_reason, b_angle=b_angle)
 
 
 def _sweep(Z, A, B, C, lam, orthogonal_b):

@@ -281,10 +281,11 @@ def test_dynamic_embedding_memory_is_linear():
     """Peak traced memory of a whole dynacpd embedding at n = 10 000
     (preconditioning, tensor build, spectral start, three ALS sweeps and
     selection) stays within a small constant times the tensor's nonzeros
-    plus the n x tau x rank MTTKRP scratch. The ratio measured here is 2.03;
-    the bound leaves 23% headroom. One more CSR copy of the tensor would add
-    about 0.9, and keeping the preconditioned slices alive through ALS
-    reads 2.91."""
+    plus the n x tau x rank MTTKRP scratch. The ratio measured here is 1.84
+    (2.03 before MTTKRP ran in column blocks); the bound leaves 36% headroom.
+    One more CSR copy of the tensor would add about 0.9. Keeping the
+    preconditioned slices alive through ALS reads 2.23, which the bound no
+    longer catches (2.91 with the unblocked kernel)."""
     n, tau, rank = 10000, 8, 32
     rng = np.random.default_rng(25)
     snaps = []

@@ -72,6 +72,17 @@ class TestTopK:
             with pytest.raises(ValueError, match="not symmetric within tolerance"):
                 top_k_eigs(M, 1)
 
+    def test_symmetry_check_reads_summed_duplicates(self):
+        """Stored as 1 + 2 at (0, 1) and 2 + 1 at (1, 0), the matrix has its
+        transpose's pattern, and only the summed entries agree."""
+        M = sp.csr_array(([1.0, 2.0, 2.0, 1.0, 5.0], [1, 1, 0, 0, 2], [0, 2, 4, 5]),
+                         shape=(3, 3))
+        assert not M.has_canonical_format
+        assert top_k_eigs(M, 1).values[0] == pytest.approx(5.0)
+        with pytest.raises(ValueError, match="not symmetric within tolerance"):
+            top_k_eigs(sp.csr_array(([1.0, 2.0, 2.0, 2.0, 5.0], [1, 1, 0, 0, 2], [0, 2, 4, 5]),
+                                    shape=(3, 3)), 1)
+
     def test_degenerate_subspace_projector(self):
         # K3 adjacency: eigenvalues 2, -1, -1; compare projector not vectors
         A = csr(np.ones((3, 3)) - np.eye(3))

@@ -1,6 +1,8 @@
 import logging
+import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +128,52 @@ class TestMttkrp:
         out = mttkrp(Z, F, 1)
         expect = 2.0 * a[:, None] * (b @ b) * (c @ c)
         assert np.abs(out - expect).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), tau=st.integers(1, 9), r=st.integers(1, 12),
+           order=st.sampled_from("CF"), blocked=st.booleans(), seed=st.integers(0, 2**16))
+    def test_column_blocks_match_the_one_product_formulas(self, n, tau, r, order, blocked, seed):
+        """Every block width gives the one-product MTTKRP: mode 2 bitwise (the
+        CSC kernel sums each output in the same order), modes 1 and 3 to
+        rounding (einsum's order depends on the operands' layout). With
+        ``blocked`` every shape splits, so rank < tau, rank not a multiple of
+        the block width, tau = 1 and F-ordered factors all run blocked."""
+        rng = np.random.default_rng(seed)
+        Z = SparseTensor3.from_slices(
+            [sp.random(n, n, density=0.3, random_state=rng, format="csr",
+                       data_rvs=rng.standard_normal) for _ in range(tau)])
+        A, B, C = (np.asarray(rng.standard_normal((m, r)), order=order) for m in (n, n, tau))
+        one = {1: np.einsum("tir,tr->ir", (Z.stacked @ B).reshape(tau, n, r), C),
+               2: Z.stacked.T @ (C[:, None, :] * A[None, :, :]).reshape(tau * n, r),
+               3: np.einsum("tir,ir->tr", (Z.stacked @ B).reshape(tau, n, r), A)}
+        with mock.patch.object(tensors, "_ONE_BLOCK", 0 if blocked else tensors._ONE_BLOCK):
+            blocks = tensors._column_blocks(n, tau, r)
+            got = {mode: mttkrp(Z, (A, B, C), mode) for mode in (1, 2, 3)}
+        assert [i for s in blocks for i in range(r)[s]] == list(range(r))
+        assert len(blocks) == (math.ceil(r / math.ceil(2 * r / tau)) if blocked else 1)
+        assert got[2].tobytes() == one[2].tobytes()
+        for mode in (1, 3):
+            np.testing.assert_allclose(got[mode], one[mode], rtol=1e-13, atol=0)
+
+    def test_scratch_is_linear_in_n_rank(self):
+        """Each mode's traced peak above entry stays within 4 n rank doubles;
+        the one-product kernel's (tau n) x rank operand alone is 8 of them."""
+        n, tau, r = 2000, 8, 32
+        rng = np.random.default_rng(47)
+        Z = SparseTensor3.from_slices(
+            [sp.random(n, n, density=10 / n, random_state=rng, format="csr") for _ in range(tau)])
+        # A F-ordered, as the ALS factor solve returns it
+        F = (np.asfortranarray(rng.standard_normal((n, r))), rng.standard_normal((n, r)),
+             rng.standard_normal((tau, r)))
+        for mode in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                mttkrp(Z, F, mode)
+                peak = tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * n * r * 8, f"mode {mode}: {peak} bytes"
 
     def test_shape_mismatch(self):
         Z, _ = sparse_random_tensor((4, 4, 3), 0.5, 4)
@@ -359,6 +407,37 @@ class TestInitAndRankRules:
             others = sum((S.toarray() != 0 for S in slices[1:-1]), np.zeros((n, n), bool))
             lone = (slices[0].toarray() != 0) & ~others
             assert lone.any() and not np.any(got.toarray()[lone])
+
+    @pytest.mark.parametrize("mirrored", [True, False], ids=["same-pattern", "other-pattern"])
+    def test_start_slice_is_the_sparse_symmetric_part(self, mirrored, monkeypatch):
+        """The eigensolver gets the bytes of the sparse 0.5 (S + S^T). Integer
+        values make many entries of S + S^T cancel to exactly 0; those must be
+        dropped when S^T has S's pattern and the values are averaged in place.
+        All slices share one pattern and slice 0 outweighs the other two, so
+        no entry of S itself cancels."""
+        rng = np.random.default_rng(48)
+        n, tau = 30, 3
+        mask = rng.random((n, n)) < 0.15
+        if mirrored:
+            mask |= mask.T
+        slices = [np.where(mask, 8.0 * rng.choice([-3, -2, -1, 1, 2, 3], (n, n)), 0.0)]
+        slices += [np.where(mask, rng.integers(1, 4, (n, n)), 0.0) for _ in range(tau - 1)]
+        Z = SparseTensor3.from_slices([sp.csr_array(D) for D in slices])
+        S = _slice_sum(Z)
+        want = 0.5 * (S + S.T)
+        assert (tensors._mirror_data(S) is not None) == mirrored
+        assert want.nnz < S.nnz if mirrored else want.nnz > S.nnz
+        seen, real = [], tensors._extreme_pairs
+
+        def spy(M, *args, **kwargs):
+            seen.append(M)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(tensors, "_extreme_pairs", spy)
+        initial_factors(Z, AlsConfig(rank=3))
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(seen[0], name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_start_memory_is_linear(self):
         """Peak traced memory of the start at n = 10 000 stays within a
