@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -129,8 +130,12 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, net, diag) -> None:
         "tau": net.tau,
         "diagnostics": diag,
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(outdir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, obj) -> None:
+    """Sorted, indented JSON; a NaN or infinity, which JSON lacks, raises."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_embed(cfg) -> int:
@@ -173,7 +178,7 @@ def cmd_linkpred(cfg) -> int:
         "seed": cfg["seed"],
         "timing_ms": elapsed_ms,
     }
-    (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(outdir / "report.json", payload)
     if cfg["dump_scores"]:
         sample, probs = report["sample"], report["probabilities"]
         lines = ["i,j,separation,probability,label"]
@@ -221,7 +226,7 @@ def cmd_cluster(cfg, name="clusters.csv") -> int:
             "config": _echoed_config(cfg)}
     if diag is not None:
         meta["diagnostics"] = diag
-    (outdir / "manifest.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(outdir / "manifest.json", meta)
     print(f"k={cfg['k']} threshold={threshold:.6g} anomalous={int(flags.sum())}")
     return 0
 
@@ -282,22 +287,26 @@ def _add_opts(parser, opts):
 def resolve_config(values, opts=_EMBED_OPTS) -> dict:
     """Full run configuration from a plain ``{key: value}`` mapping: defaults
     fill missing keys, unknown keys raise, values are coerced to each
-    option's type. ``opts`` defaults to the options every embedding run has."""
+    option's type, and a float option must be finite. ``opts`` defaults to
+    the options every embedding run has."""
     cfg = {name: default for name, _typ, default, _h in opts}
     types = {name: typ for name, typ, _d, _h in opts}
     for key, val in values.items():
         if key not in cfg:
             raise ValueError(f"unknown config key {key!r}")
         cfg[key] = _coerce(val, types[key])
+    for key, typ in types.items():
+        if typ is float and not math.isfinite(cfg[key]):
+            raise ValueError(f"{key} must be finite, not {cfg[key]!r}")
     return cfg
 
 
 def _resolve(args, opts) -> dict:
-    cfg = resolve_config(read_config_file(args.config) if args.config else {}, opts)
-    for key, val in vars(args).items():
-        if key in cfg:
-            cfg[key] = val
-    return cfg
+    """Resolve the config file's values, overridden by the command-line flags."""
+    values = read_config_file(args.config) if args.config else {}
+    names = {name for name, _typ, _d, _h in opts}
+    values.update((key, val) for key, val in vars(args).items() if key in names)
+    return resolve_config(values, opts)
 
 
 _LINKPRED_OPTS = _EMBED_OPTS + [

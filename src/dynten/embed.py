@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import (DynamicNetwork, _compact, katz_adjacency, laplacian,
-                     symmetrized_adjacency)
+from .graphs import (DynamicNetwork, _compact, _symmetric_part, _weighted_slice_sum,
+                     katz_adjacency, laplacian, symmetrized_adjacency)
 from .spectral import adjacency_embedding, resistance_embedding
 from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_als
 
@@ -95,11 +95,8 @@ def convolve_snapshots(slices: tuple, w: TemporalWeights) -> sparse.csr_array:
     average of the slice Laplacians."""
     if len(w) != len(slices):
         raise ValueError(f"need {len(slices)} weights, got {len(w)}")
-    acc = w.values[0] * slices[0]
-    for t in range(1, len(slices)):
-        if w.values[t] != 0.0:
-            acc = acc + w.values[t] * slices[t]
-    return sparse.csr_array(acc / float(w.values.sum()))
+    S = _weighted_slice_sum(sparse.vstack(slices, format="csr"), w.values)
+    return S / float(w.values.sum())
 
 
 @dataclass(frozen=True)
@@ -198,10 +195,10 @@ def _as_undirected(slices: tuple, directed: bool) -> tuple:
     """Plain (A + A^T)/2 symmetrization of every slice of a directed network;
     the slices themselves when it is undirected. The spectral baselines need
     symmetric matrices, and a Laplacian built from an unsymmetrized digraph
-    slice is not positive semi-definite."""
+    slice is not positive semi-definite. The shared slices are not modified."""
     if not directed:
         return slices
-    return tuple(_compact(0.5 * (A + A.T)) for A in slices)
+    return tuple(_symmetric_part(A.copy()) for A in slices)
 
 
 def adj_last_embedding(net: DynamicNetwork, d: int, seed: int = 0) -> np.ndarray:

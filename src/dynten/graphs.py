@@ -113,17 +113,10 @@ def _stack(shape, row, col, wgt, undirected):
 def _sum_in_order(key, wgt):
     """The distinct keys, sorted, and the weights of each summed in input
     order from 0.0; zero sums are dropped."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.empty(key.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    group = np.cumsum(new)
-    group -= 1
-    summed = np.zeros(group[-1] + 1)
-    np.add.at(summed, group, wgt[order])
+    key, group = np.unique(key, return_inverse=True)
+    summed = np.bincount(group, weights=wgt)
     keep = summed != 0.0
-    return key[new][keep], summed[keep]
+    return key[keep], summed[keep]
 
 
 def _one_weight_per_pair(n, key, wgt):
@@ -154,12 +147,23 @@ def adjacency_from_edges(node_count: int, src, dst, weight,
     return stacked_adjacency(node_count, 1, src, dst, weight, undirected)[0]
 
 
+def _mirror_data(M):
+    """For a canonical CSR matrix whose transpose has the same sparsity
+    pattern, the values of M^T in M's storage order (a new array); None for
+    any other matrix. Costs one transposed copy of M."""
+    if not M.has_canonical_format:
+        return None
+    T = M.T.tocsr()
+    if np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices):
+        return T.data
+    return None
+
+
 def _exactly_symmetric(A: sparse.csr_array) -> bool:
-    """A == A^T entry for entry, for a canonical CSR matrix: its transpose,
-    converted back to (sorted) CSR, must have the same arrays."""
-    T = A.T.tocsr()
-    return (np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)
-            and np.array_equal(A.data, T.data))
+    """A == A^T entry for entry, for a canonical CSR matrix: the mirrored
+    values exist and equal the stored ones."""
+    mirror = _mirror_data(A)
+    return mirror is not None and np.array_equal(A.data, mirror)
 
 
 @dataclass(frozen=True)
@@ -298,6 +302,34 @@ def _compact(M) -> sparse.csr_array:
     return M
 
 
+def _symmetric_part(M) -> sparse.csr_array:
+    """0.5 (M + M^T), exactly as ``_compact(0.5 * (M + M.T))`` gives it; built
+    in M's own arrays, which it consumes, when M^T has M's pattern."""
+    mirror = _mirror_data(M)
+    if mirror is None:
+        return _compact(0.5 * (M + M.T))
+    M.data += mirror
+    del mirror
+    M.data *= 0.5
+    M.eliminate_zeros()
+    return M
+
+
+def _weighted_slice_sum(stacked, w) -> sparse.csr_array:
+    """sum_t w[t] S_t of the n x n slices S_t stacked as the (tau n) x n CSR
+    matrix ``stacked``, canonical: P @ stacked with P = [w_0 I ... w_{tau-1} I]
+    adds each entry's weighted slices in time order and drops exact-zero
+    sums, as a running sum of the slices does, in one output buffer. P takes
+    the index dtype of ``stacked``, so int32 slices give an int32 sum."""
+    n, tau, idx = stacked.shape[1], len(w), stacked.indices.dtype
+    cols = np.arange(tau * n, dtype=idx).reshape(tau, n).T.ravel()
+    P = sparse.csr_array((np.tile(np.asarray(w, dtype=np.float64), n), cols,
+                          np.arange(0, tau * n + 1, tau, dtype=idx)), shape=(n, tau * n))
+    S = P @ stacked
+    S.sort_indices()
+    return S
+
+
 def degree_matrix(A) -> sparse.csr_array:
     """Diagonal weighted out-degree matrix: the row sums of A."""
     A = sparse.csr_array(A)
@@ -410,8 +442,7 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
     A = sparse.csr_array(A, dtype=np.float64)
     P = transition_matrix(A)  # refuses negative weights
     phi = stationary_vector(P, total_weight=float(A.sum()), teleport=teleport)
-    S = _scale_rows(P, phi)
-    return _compact(0.5 * (S + S.T))
+    return _symmetric_part(_scale_rows(P, phi))
 
 
 def spectral_radius(A) -> float:
@@ -445,20 +476,19 @@ def spectral_radius(A) -> float:
 def katz_omega_bound(A) -> float:
     """Largest admissible Katz damping: ``KATZ_SAFETY / rho(A)`` by power estimate,
     widened by the closed-form minimum-degree bound on unweighted undirected
-    input (which certifies convergence on its own)."""
-    A = sparse.csr_array(A, dtype=np.float64)
+    input (which certifies convergence on its own). Duplicate entries are
+    summed before the unweighted and symmetry tests."""
+    A = _compact(sparse.csr_array(A, dtype=np.float64, copy=True))
     rho = spectral_radius(A)
     bound = np.inf if rho == 0.0 else KATZ_SAFETY / rho
-    if A.nnz and np.all(A.data == 1.0):
-        diff = A - A.T
-        if diff.nnz == 0 or np.abs(diff.data).max() == 0.0:
-            deg = np.asarray(A.sum(axis=1)).ravel()
-            delta = float(deg.min())
-            m = A.nnz / 2.0
-            n = A.shape[0]
-            root = np.sqrt((delta + 1.0) ** 2 + 4.0 * (2.0 * m - delta * n))
-            closed = 2.0 / (delta - 1.0 + root)
-            bound = max(bound, closed)
+    if A.nnz and np.all(A.data == 1.0) and _exactly_symmetric(A):
+        deg = np.asarray(A.sum(axis=1)).ravel()
+        delta = float(deg.min())
+        m = A.nnz / 2.0
+        n = A.shape[0]
+        root = np.sqrt((delta + 1.0) ** 2 + 4.0 * (2.0 * m - delta * n))
+        closed = 2.0 / (delta - 1.0 + root)
+        bound = max(bound, closed)
     return float(bound)
 
 
@@ -466,10 +496,10 @@ def katz_adjacency(A, omega: float) -> sparse.csr_array:
     """Katz path-counting kernel A_w = sum_{l>=1} w^{l-1} A^l = (I - w A)^{-1} A.
 
     Requires omega below the admissible bound (see :func:`katz_omega_bound`).
-    The kernel is one dense LAPACK solve of (I - w A) X = A, symmetrized when
-    A is symmetric to 1e-12. omega = 0 returns A itself. The kernel of a
-    connected graph is dense, so omega > 0 is refused above
-    ``KATZ_MAX_NODES`` nodes.
+    The kernel is one dense LAPACK solve of (I - w A) X = A, symmetrized
+    exactly when A == A^T, with no tolerance that the weights' unit could
+    meet. omega = 0 returns A itself. The kernel of a connected graph is
+    dense, so omega > 0 is refused above ``KATZ_MAX_NODES`` nodes.
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
@@ -478,7 +508,7 @@ def katz_adjacency(A, omega: float) -> sparse.csr_array:
         raise ValueError(
             f"Katz kernel on n={n} nodes exceeds the limit of {KATZ_MAX_NODES}: "
             "its output is dense, with up to n^2 nonzeros per slice")
-    A = _compact(sparse.csr_array(A, dtype=np.float64))
+    A = _compact(sparse.csr_array(A, dtype=np.float64, copy=True))
     if omega == 0.0:
         return A.copy()
     bound = katz_omega_bound(A)
@@ -488,6 +518,6 @@ def katz_adjacency(A, omega: float) -> sparse.csr_array:
             "(safety-margined inverse spectral radius)")
     D = A.toarray()
     K = np.linalg.solve(np.eye(n) - omega * D, D)
-    if np.abs(D - D.T).max(initial=0.0) <= 1e-12:
+    if _exactly_symmetric(A):
         K = 0.5 * (K + K.T)
     return _compact(sparse.csr_array(K))

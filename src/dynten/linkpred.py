@@ -280,12 +280,10 @@ def auc_roc(scores, labels) -> float:
     s = np.asarray(scores, dtype=np.float64)
     if s.size != pos.size:
         raise ValueError("scores and labels must align")
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    starts = np.flatnonzero(np.concatenate([[True], s_sorted[1:] != s_sorted[:-1]]))
-    ends = np.append(starts[1:], s.size)
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)  # 1-based midranks
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True,
+                                 equal_nan=False)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (ends - counts + ends + 1))[group]  # 1-based midranks
     p = int(pos.sum())
     q = int(pos.size - p)
     return float((ranks[pos].sum() - p * (p + 1) / 2.0) / (p * q))
@@ -300,15 +298,11 @@ def average_precision(scores, labels) -> float:
     """
     pos = _check_two_class(labels)
     s = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    hits = pos[order].astype(np.float64)
-    # threshold boundaries: last index of every run of equal scores
-    last_in_group = np.flatnonzero(np.diff(s_sorted) != 0.0)
-    bounds = np.concatenate([last_in_group, [s_sorted.size - 1]])
-    tp = np.cumsum(hits)[bounds]
-    totals = bounds + 1.0
-    precision = tp / totals
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True,
+                                 equal_nan=False)
+    # one threshold per distinct score, highest first
+    tp = np.cumsum(np.bincount(group, weights=pos)[::-1])
+    precision = tp / np.cumsum(counts[::-1])
     recall = tp / pos.sum()
     prev_recall = np.concatenate([[0.0], recall[:-1]])
     return float(((recall - prev_recall) * precision).sum())

@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .graphs import ConvergenceError, spectral_radius
+from .graphs import ConvergenceError, _mirror_data, spectral_radius
 from .seeding import derived_rng
 
 # Largest n solved densely. At n = 1000 the dense solve is slower than ARPACK
@@ -40,18 +40,6 @@ class EigenPairs:
 
     def __len__(self):
         return len(self.values)
-
-
-def _mirror_data(M):
-    """For a canonical CSR matrix whose transpose has the same sparsity
-    pattern, the values of M^T in M's storage order (a new array); None for
-    any other matrix. Costs one transposed copy of M."""
-    if not M.has_canonical_format:
-        return None
-    T = M.T.tocsr()
-    if np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices):
-        return T.data
-    return None
 
 
 def _check_symmetric(M, atol=1e-12):

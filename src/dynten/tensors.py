@@ -23,8 +23,9 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from .graphs import _symmetric_part, _weighted_slice_sum
 from .seeding import derived_rng
-from .spectral import _extreme_pairs, _mirror_data
+from .spectral import _extreme_pairs
 
 
 class DecompositionError(RuntimeError):
@@ -205,21 +206,6 @@ class CPModel:
 # ALS internals
 
 
-def _slice_sum(Z: SparseTensor3) -> sparse.csr_array:
-    """S = sum_t Z[:, :, t], canonical: P @ Z.stacked with P = [I I ... I] adds
-    each entry's slices in time order and drops exact-zero sums, as a running
-    sum of the slices does, in one output buffer. P takes the tensor's index
-    dtype, so an int32 tensor gives an int32 sum."""
-    n, _, tau = Z.dims
-    idx = Z.stacked.indices.dtype
-    cols = np.arange(tau * n, dtype=idx).reshape(tau, n).T.ravel()
-    P = sparse.csr_array((np.ones(tau * n), cols, np.arange(0, tau * n + 1, tau, dtype=idx)),
-                         shape=(n, tau * n))
-    S = P @ Z.stacked
-    S.sort_indices()
-    return S
-
-
 def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
     """Warm-start factors.
 
@@ -227,24 +213,16 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
     of the sparse symmetrized time-summed slice 0.5 (S + S^T),
     S = sum_t Z[:, :, t], and the time factor is constant 1/sqrt(tau) per
     column (exact in the identical-slices limit); seeded random unit columns
-    fill beyond the node count n. When S^T has the pattern of S (any
-    symmetric or symmetrized input) the two are averaged in place, with the
-    entries of S + S^T that cancel to 0 dropped as the sparse sum drops
-    them. The eigenpairs come from the shared residual-checked eigensolver,
-    so the start costs O(nnz + n rank) memory and no n x n array.
+    fill beyond the node count n. S and its symmetric part come from the
+    shared sparse helpers, which average S with S^T in place when they have
+    one pattern. The eigenpairs come from the shared residual-checked
+    eigensolver, so the start costs O(nnz + n rank) memory and no n x n
+    array.
     """
     n, _, tau = Z.dims
     r = cfg.rank
     C = np.full((tau, r), 1.0 / np.sqrt(tau))
-    S = _slice_sum(Z)
-    mirror = _mirror_data(S)
-    if mirror is None:
-        S = 0.5 * (S + S.T)
-    else:
-        S.data += mirror
-        del mirror
-        S.eliminate_zeros()
-        S.data *= 0.5
+    S = _symmetric_part(_weighted_slice_sum(Z.stacked, np.ones(tau)))
     k = min(r, n)
     lead = _extreme_pairs(S, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
     if r > k:

@@ -157,6 +157,30 @@ def test_resolve_config_rejects_unknown_and_bad_values():
         resolve_config({"d": "eight"})
 
 
+@pytest.mark.parametrize("argv", [["embed", "--tol", "nan"],
+                                  ["cluster", "--threshold", "nan"],
+                                  ["linkpred", "--variant", "katz", "--omega", "inf"]],
+                         ids=["tol", "threshold", "omega"])
+def test_non_finite_flag_is_an_error_before_loading(dataset, tmp_path, capsys, argv):
+    with mock.patch.object(cli, "_load_net", side_effect=AssertionError("data loaded")):
+        rc = main([*argv, "--data", str(dataset), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_config_value_is_an_error_before_loading(dataset, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = dynacpd\nteleport = -inf\n")
+    with mock.patch.object(cli, "_load_net", side_effect=AssertionError("data loaded")):
+        rc = main(["linkpred", "--data", str(dataset), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: teleport must be finite")
+    assert not (tmp_path / "o").exists()
+
+
 def test_invalid_katz_omega_fails_with_bound(dataset, tmp_path, capsys):
     rc = main(["embed", "--data", str(dataset), "--method", "dynacpd",
                "--d", "4", "--variant", "katz", "--omega", "99.0",

@@ -1,10 +1,13 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dynten import embed
 from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
                           convolve_snapshots, default_rank, dynamic_embedding,
                           make_weights, mode_orientations, precondition,
@@ -125,6 +128,31 @@ class TestConvolve:
         net = net_from_matrices([A, B])
         M = convolve_snapshots(net.snapshots, make_weights("uniform", 2)).toarray()
         assert abs(M[0, 1] - 0.5) < 1e-12 and abs(M[2, 3] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_time_ordered_loop(self, seed):
+        """Bitwise the running sum the average was once taken by: the slices
+        added in time order, zero-weight slices skipped, then divided by the
+        weight sum. Integer values make partial sums cancel to exactly 0, and
+        those entries must be dropped."""
+        rng = np.random.default_rng(700 + seed)
+        n, tau = int(rng.integers(4, 30)), int(rng.integers(1, 7))
+        slices = tuple(sp.csr_array(np.where(rng.random((n, n)) < rng.uniform(0.1, 0.8),
+                                             rng.integers(-3, 4, (n, n)), 0.0))
+                       for _ in range(tau))
+        vals = rng.choice([0.0, 0.25, 0.5, 1.0], tau)
+        vals[rng.integers(tau)] = 1.0
+        w = TemporalWeights(vals)
+        acc = w.values[0] * slices[0]
+        for t in range(1, tau):
+            if w.values[t] != 0.0:
+                acc = acc + w.values[t] * slices[t]
+        want = sp.csr_array(acc / float(w.values.sum()))
+        got = convolve_snapshots(slices, w)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.has_canonical_format and np.all(got.data != 0)
 
     def test_zero_weights_rejected(self):
         # all-zero weights cannot even be constructed (sup-norm must be 1)
@@ -285,7 +313,8 @@ def test_dynamic_embedding_memory_is_linear():
     (2.03 before MTTKRP ran in column blocks); the bound leaves 36% headroom.
     One more CSR copy of the tensor would add about 0.9. Keeping the
     preconditioned slices alive through ALS reads 2.23, which the bound no
-    longer catches (2.91 with the unblocked kernel)."""
+    longer catches (2.91 with the unblocked kernel);
+    ``test_conditioned_slices_are_freed_before_als`` catches it instead."""
     n, tau, rank = 10000, 8, 32
     rng = np.random.default_rng(25)
     snaps = []
@@ -305,3 +334,27 @@ def test_dynamic_embedding_memory_is_linear():
         tracemalloc.stop()
     assert res.model.sweeps <= 3 and res.embedding.shape == (n, 16)
     assert peak <= 2.5 * (nnz + n * tau * rank) * 8
+
+
+def test_conditioned_slices_are_freed_before_als(monkeypatch):
+    """The tensor copies the preconditioned slices, so none of them is alive
+    when ALS starts: kept alive, they would add a second copy of the tensor
+    to the working set of every sweep."""
+    net, _ = dynamic_sbm(60, 4, seed=3)
+    refs, alive = [], []
+    real_precondition, real_als = embed.precondition, embed.cp_als
+
+    def precondition_spy(*args):
+        out = real_precondition(*args)
+        refs.extend(weakref.ref(M) for M in out)
+        return out
+
+    def als_spy(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return real_als(*args)
+
+    monkeypatch.setattr(embed, "precondition", precondition_spy)
+    monkeypatch.setattr(embed, "cp_als", als_spy)
+    dynamic_embedding(net, config(net, 4))
+    assert len(refs) == net.tau and alive == [0]

@@ -417,6 +417,17 @@ class TestKatz:
         K = katz_adjacency(A, 0.0)
         assert np.allclose(K.toarray(), A.toarray())
 
+    def test_kernel_and_bound_do_not_touch_their_input(self):
+        """A stored zero and a duplicate that sums to 1: both functions
+        canonicalize a copy, so the bound sees the unweighted 2-cycle and takes
+        its closed form, 1, and the caller's arrays keep their bytes."""
+        A = sp.csr_array((np.array([0.0, 0.5, 0.5, 1.0]), np.array([0, 1, 1, 0]),
+                          np.array([0, 3, 4])), shape=(2, 2))
+        arrays = [x.copy() for x in (A.data, A.indices, A.indptr)]
+        assert katz_omega_bound(A) == 1.0
+        assert np.allclose(katz_adjacency(A, 0.5).toarray(), [[2 / 3, 4 / 3], [4 / 3, 2 / 3]])
+        assert all(np.array_equal(x, y) for x, y in zip((A.data, A.indices, A.indptr), arrays))
+
     def test_path_closed_form(self):
         K = katz_adjacency(csr([[0, 1], [1, 0]]), 0.5).toarray()
         assert abs(K[0, 1] - 4 / 3) < 1e-12
@@ -435,13 +446,17 @@ class TestKatz:
             katz_adjacency(A, 0.1)
         assert katz_adjacency(A, 0.0).nnz == A.nnz
 
-    def test_weighted_digraph_matches_series_and_stays_asymmetric(self):
+    @staticmethod
+    def weighted_digraph():
         rng = np.random.default_rng(6)
         n = 12
         # a directed cycle plus random weighted chords: strongly connected, aperiodic
         src = np.concatenate([np.arange(n), rng.integers(n, size=20)])
         dst = np.concatenate([(np.arange(n) + 1) % n, rng.integers(n, size=20)])
-        A = adjacency_from_edges(n, src, dst, rng.uniform(0.5, 2.0, src.size))
+        return adjacency_from_edges(n, src, dst, rng.uniform(0.5, 2.0, src.size))
+
+    def test_weighted_digraph_matches_series_and_stays_asymmetric(self):
+        A = self.weighted_digraph()
         omega = 0.5 * katz_omega_bound(A)
         dense = A.toarray()
         assert omega * np.abs(np.linalg.eigvals(dense)).max() < 0.6
@@ -453,6 +468,13 @@ class TestKatz:
         K = katz_adjacency(A, omega).toarray()
         assert np.abs(K - series).max() <= 1e-12 * np.abs(series).max()
         assert np.abs(K - K.T).max() > 1e-3
+
+    def test_tiny_weights_leave_a_digraph_kernel_asymmetric(self):
+        """Only A == A^T symmetrizes the kernel: the same digraph in a unit
+        1e13 times larger, with omega scaled to match, keeps its asymmetry."""
+        A = self.weighted_digraph()
+        K = katz_adjacency(1e-13 * A, 1e13 * 0.5 * katz_omega_bound(A)).toarray()
+        assert np.abs(K - K.T).max() > 1e-3 * np.abs(K).max()
 
     def test_disconnected_components_stay_blocks(self):
         rng = np.random.default_rng(8)
@@ -474,6 +496,29 @@ class TestKatz:
         # the closed-form minimum-degree bound must not exceed 1/rho
         rho = np.abs(np.linalg.eigvalsh(A.toarray())).max()
         assert katz_omega_bound(A) <= 1.0 / rho + 1e-9
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 15), st.booleans(),
+       st.sampled_from([1.0, 0.1, 5e-324]))
+def test_symmetric_part_matches_the_sparse_sum(seed, n, mirrored, scale):
+    """The in-place symmetric part gives the bytes of the sparse sum, with
+    a pattern that is mirrored or (almost always) not. Integer values make
+    entries of M + M^T cancel to exactly 0, and at the smallest subnormal
+    halving rounds sums to 0 as well; both must be dropped."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+    if mirrored:
+        mask |= mask.T
+    M = sp.csr_array(np.where(mask, scale * rng.choice([-3, -2, -1, 1, 2, 3], (n, n)), 0.0))
+    assert M.has_canonical_format
+    if mirrored:
+        assert graphs._mirror_data(M) is not None
+    want = graphs._compact(0.5 * (M + M.T))
+    got = graphs._symmetric_part(M.copy())
+    for name in ("indptr", "indices", "data"):
+        ref = getattr(want, name)
+        assert getattr(got, name).dtype == ref.dtype
+        assert getattr(got, name).tobytes() == ref.tobytes()
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 12))

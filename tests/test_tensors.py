@@ -9,13 +9,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dynten import tensors
+from dynten import graphs, tensors
 from dynten.embed import DynEmbedConfig, dynamic_embedding, make_weights
 from dynten.linkpred import evaluate_link_prediction, holdout_split
 from dynten.spectral import DENSE_MAX_N
 from dynten.synth import dynamic_sbm
-from dynten.tensors import (_FIT_FLOOR, AlsConfig, SparseTensor3, _slice_sum, cp_als,
-                            initial_factors, max_rank, mttkrp, ocp_als, principal_angle)
+from dynten.tensors import (_FIT_FLOOR, AlsConfig, SparseTensor3, cp_als, initial_factors,
+                            max_rank, mttkrp, ocp_als, principal_angle)
 
 
 def dense_rank_k(n1, n2, n3, lambdas, seed, orthogonal=True):
@@ -398,7 +398,7 @@ class TestInitAndRankRules:
         want = Z.stacked[:n]
         for t in range(1, Z.dims[2]):
             want = want + Z.stacked[t * n:(t + 1) * n]
-        got = _slice_sum(Z)
+        got = graphs._weighted_slice_sum(Z.stacked, np.ones(Z.dims[2]))
         for name in ("indptr", "indices", "data"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.indices.dtype == got.indptr.dtype == np.int32
@@ -423,9 +423,9 @@ class TestInitAndRankRules:
         slices = [np.where(mask, 8.0 * rng.choice([-3, -2, -1, 1, 2, 3], (n, n)), 0.0)]
         slices += [np.where(mask, rng.integers(1, 4, (n, n)), 0.0) for _ in range(tau - 1)]
         Z = SparseTensor3.from_slices([sp.csr_array(D) for D in slices])
-        S = _slice_sum(Z)
+        S = graphs._weighted_slice_sum(Z.stacked, np.ones(tau))
         want = 0.5 * (S + S.T)
-        assert (tensors._mirror_data(S) is not None) == mirrored
+        assert (graphs._mirror_data(S) is not None) == mirrored
         assert want.nnz < S.nnz if mirrored else want.nnz > S.nnz
         seen, real = [], tensors._extreme_pairs
 
