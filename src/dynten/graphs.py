@@ -150,8 +150,11 @@ def adjacency_from_edges(node_count: int, src, dst, weight,
 def _mirror_data(M):
     """For a canonical CSR matrix whose transpose has the same sparsity
     pattern, the values of M^T in M's storage order (a new array); None for
-    any other matrix. Costs one transposed copy of M."""
-    if not M.has_canonical_format:
+    any other matrix. Costs one transposed copy of M, made only once every
+    column holds as many entries as the row of the same index (a necessary
+    condition read off the indices alone)."""
+    if not M.has_canonical_format or not np.array_equal(
+            np.bincount(M.indices, minlength=M.shape[0]), np.diff(M.indptr)):
         return None
     T = M.T.tocsr()
     if np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices):
@@ -313,6 +316,23 @@ def _symmetric_part(M) -> sparse.csr_array:
     M.data *= 0.5
     M.eliminate_zeros()
     return M
+
+
+def _stack_slices(slices) -> sparse.csr_array:
+    """The n x n CSR slices stacked as one (tau n) x n CSR matrix, entry for
+    entry as ``sparse.vstack`` stacks them, but with int32 index arrays
+    whenever the shape and nnz fit, whatever index dtype the slices hold."""
+    n = slices[0].shape[0]
+    for A in slices:
+        if A.shape != (n, n):
+            raise ValueError(f"slice shape {A.shape} != ({n}, {n})")
+    ends = np.cumsum([0] + [A.nnz for A in slices])
+    index = np.int32 if max(len(slices) * n, ends[-1]) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0]] + [A.indptr[1:] + end for A, end in zip(slices, ends)],
+                            dtype=index)
+    return sparse.csr_array((np.concatenate([A.data for A in slices]),
+                             np.concatenate([A.indices for A in slices], dtype=index),
+                             indptr), shape=(len(slices) * n, n))
 
 
 def _weighted_slice_sum(stacked, w) -> sparse.csr_array:

@@ -5,13 +5,16 @@ eigenpairs come from one of two library routines, chosen by size: LAPACK's
 dense ``eigh`` for small matrices (and whenever k is at least half of n, where
 ARPACK's Lanczos basis would be as large as the dense matrix), and ARPACK's
 implicitly restarted Lanczos (``eigsh``) on the sparse matrix otherwise,
-started from a seeded vector so the result is reproducible. Whichever routine
-ran, every returned pair must meet the residual bound tol * max(1, s), where
-the largest absolute row sum s bounds every |lambda| and, like a
-backward-stable solver's residual, scales with the matrix. The check cannot
-see a missed copy of a repeated eigenvalue: Lanczos from one start vector can
-skip copies that sit in disconnected blocks, which is why
-``resistance_embedding`` solves each connected component separately.
+started from a seeded vector so the result is reproducible. ARPACK stops on
+its own test at the caller's tol, ||r|| <= tol * |lambda| (ARPACK Users'
+Guide, Lehoucq, Sorensen & Yang 1998, section 4.6), which is never looser than
+the check that follows. Whichever routine ran, that check is the gate: every
+returned pair must meet the residual bound tol * max(1, s), where the largest
+absolute row sum s bounds every |lambda| and, like a backward-stable solver's
+residual, scales with the matrix. The check cannot see a missed copy of a
+repeated eigenvalue: Lanczos from one start vector can skip copies that sit
+in disconnected blocks, which is why ``resistance_embedding`` solves each
+connected component separately.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .graphs import ConvergenceError, _mirror_data, spectral_radius
+# spectral_radius is not used here, but perfbench/tracing.py wraps it under this module
+from .graphs import ConvergenceError, _mirror_data, spectral_radius  # noqa: F401
 from .seeding import derived_rng
 
 # Largest n solved densely. At n = 1000 the dense solve is slower than ARPACK
@@ -60,6 +64,11 @@ def _fix_sign(v):
     return -v if v[k] < 0 else v
 
 
+def _row_sum_bound(M) -> float:
+    """The largest absolute row sum of M, a Gershgorin bound on every |lambda|."""
+    return float(abs(M).sum(axis=1).max())
+
+
 def _extreme_pairs(M, k, which, tol, max_iter, seed) -> EigenPairs:
     """The k largest (``which="LA"``, descending), smallest (``"SA"``,
     ascending) or largest-magnitude (``"LM"``, by descending |lambda|)
@@ -81,7 +90,7 @@ def _extreme_pairs(M, k, which, tol, max_iter, seed) -> EigenPairs:
     else:
         v0 = derived_rng(seed, "eigs").standard_normal(n)
         try:
-            values, vectors = eigsh(M, k, which=which, v0=v0, tol=0, maxiter=max_iter)
+            values, vectors = eigsh(M, k, which=which, v0=v0, tol=tol, maxiter=max_iter)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"ARPACK converged {len(exc.eigenvalues)} of {k} eigenpairs in "
@@ -90,7 +99,7 @@ def _extreme_pairs(M, k, which, tol, max_iter, seed) -> EigenPairs:
     order = np.argsort(key, kind="stable")
     values, vectors = values[order], vectors[:, order]
     residuals = np.linalg.norm(M @ vectors - vectors * values[None, :], axis=0)
-    bound = tol * max(1.0, float(abs(M).sum(axis=1).max()))
+    bound = tol * max(1.0, _row_sum_bound(M))
     bad = np.flatnonzero(residuals > bound)
     if bad.size:
         raise ConvergenceError(
@@ -107,10 +116,12 @@ def top_k_eigs(M, k: int, tol: float = 1e-10, max_iter: int = 5000,
 
     Dense LAPACK ``eigh`` for n <= DENSE_MAX_N or 2k >= n, ARPACK ``eigsh``
     (at most ``max_iter`` restarts, start vector drawn from ``seed``)
-    otherwise. Each returned pair satisfies ||M v - lambda v|| <= tol * max(1, s),
-    where s is the largest absolute row sum of M (an upper bound on every
-    |lambda|, so the bound scales with M), and its largest-magnitude entry is
-    positive; ConvergenceError is raised otherwise.
+    otherwise. ARPACK stops on its own test ||r|| <= tol * |lambda|; the
+    residual check stays the gate: each returned pair satisfies
+    ||M v - lambda v|| <= tol * max(1, s), where s is the largest absolute
+    row sum of M (an upper bound on every |lambda|, so the bound scales with
+    M), and its largest-magnitude entry is positive; ConvergenceError is
+    raised otherwise.
     """
     return _extreme_pairs(M, k, "LA", tol, max_iter, seed)
 
@@ -120,9 +131,9 @@ def bottom_k_eigs(M, k: int, tol: float = 1e-10, max_iter: int = 5000,
     """The k algebraically smallest eigenpairs of a symmetric matrix, in
     ascending order.
 
-    Same solver choice, residual bound ||M v - lambda v|| <= tol * max(1, s)
-    and sign gauge as ``top_k_eigs``; ConvergenceError is raised when a pair
-    misses the bound.
+    Same solver choice, ARPACK stop at tol, residual bound
+    ||M v - lambda v|| <= tol * max(1, s) as the gate, and sign gauge as
+    ``top_k_eigs``; ConvergenceError is raised when a pair misses the bound.
     """
     return _extreme_pairs(M, k, "SA", tol, max_iter, seed)
 
@@ -145,18 +156,20 @@ def resistance_embedding(L, d: int, seed: int = 0) -> np.ndarray:
 
     L is block diagonal over its connected components, so each component is
     solved on its own and the d smallest nonzero eigenvalues are taken from
-    the union. A component has exactly one kernel mode (eigenvalue below
-    1e-9 * lambda_max), so d can be at most n - c. An isolated node has no
-    other mode and gets a zero row. One Lanczos solve on the whole matrix
-    would see a single direction of the c-fold kernel and could return
-    fewer kernel modes than there are components.
+    the union. A component has exactly one kernel mode (eigenvalue at most
+    1e-9 * s, with s the largest absolute row sum of L, for which
+    lambda_max <= s <= 2 lambda_max on a Laplacian), so d can be at most
+    n - c. An isolated node has no other mode and gets a zero row. One
+    Lanczos solve on the whole matrix would see a single direction of the
+    c-fold kernel and could return fewer kernel modes than there are
+    components.
     """
     L = sparse.csr_array(L, dtype=np.float64)
     n = L.shape[0]
     c, labels = connected_components(abs(L), directed=False)
     if d < 1 or d > n - c:
         raise ValueError(f"d must be in [1, n - c] with {c} detected components")
-    cutoff = 1e-9 * max(spectral_radius(L), 1e-300)
+    cutoff = 1e-9 * max(1e-300, _row_sum_bound(L))
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     modes = []  # (eigenvalue, component nodes, eigenvector on those nodes)
     for nodes in members:

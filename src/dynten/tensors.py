@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .graphs import _symmetric_part, _weighted_slice_sum
+from .graphs import _stack_slices, _symmetric_part, _weighted_slice_sum
 from .seeding import derived_rng
 from .spectral import _extreme_pairs
 
@@ -67,12 +67,7 @@ class SparseTensor3:
         """Stack square sparse matrices as the frontal slices Z[:, :, t]."""
         if len(slices) == 0:
             raise ValueError("need at least one slice")
-        mats = [sparse.csr_array(S) for S in slices]
-        n = mats[0].shape[0]
-        for S in mats:
-            if S.shape != (n, n):
-                raise ValueError(f"slice shape {S.shape} != ({n}, {n})")
-        return cls._canonical(sparse.vstack(mats, format="csr"))
+        return cls._canonical(_stack_slices([sparse.csr_array(S) for S in slices]))
 
     @classmethod
     def from_dense(cls, array) -> "SparseTensor3":

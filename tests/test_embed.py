@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from dynten import embed
 from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
-                          convolve_snapshots, default_rank, dynamic_embedding,
-                          make_weights, mode_orientations, precondition,
-                          res_wt_embedding, weighted_modes)
+                          adj_wt_embedding, convolve_snapshots, default_rank,
+                          dynamic_embedding, make_weights, mode_orientations,
+                          precondition, res_wt_embedding, weighted_modes)
 from dynten.graphs import DynamicNetwork, laplacian
 from dynten.spectral import adjacency_embedding, resistance_embedding
 from dynten.synth import dynamic_sbm
@@ -285,6 +285,23 @@ class TestBaselines:
         L = sum(wt * laplacian(A) for wt, A in zip(w.values, net.snapshots)) / w.values.sum()
         want = resistance_embedding(L, 3)
         assert np.abs(res_wt_embedding(net, w, 3) - want).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [60, 600])
+    def test_int32_stack_embeds_as_the_int64_stack(self, monkeypatch, n):
+        """The convolution stacks the network's int64-indexed slices with int32
+        indices; adj_wt and res_wt are byte-identical to those built from
+        sparse.vstack's int64 copy, on the dense (n = 60) and ARPACK (n = 600)
+        eigensolver paths."""
+        net, _ = dynamic_sbm(n, 4, p_in=0.05, seed=13)
+        w = make_weights("exponential", 4, alpha=1.0)
+        assert net.snapshots[0].indices.dtype == np.int64
+        assert convolve_snapshots(net.snapshots, w).indices.dtype == np.int32
+        got = [adj_wt_embedding(net, w, 4), res_wt_embedding(net, w, 4)]
+        monkeypatch.setattr(embed, "_stack_slices", lambda slices: sp.vstack(slices, format="csr"))
+        assert convolve_snapshots(net.snapshots, w).indices.dtype == np.int64
+        want = [adj_wt_embedding(net, w, 4), res_wt_embedding(net, w, 4)]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 @given(st.integers(0, 10 ** 6))

@@ -521,6 +521,26 @@ def test_symmetric_part_matches_the_sparse_sum(seed, n, mirrored, scale):
         assert getattr(got, name).tobytes() == ref.tobytes()
 
 
+def test_mirror_data_transposes_only_when_the_counts_agree(monkeypatch):
+    """A digraph whose column counts differ from its row counts has no
+    mirrored pattern, and ``_mirror_data`` says so without a transpose; equal
+    counts with another pattern (a directed 3-cycle) still need one."""
+    calls = []
+    transpose = sp.csr_array.transpose
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.shape)
+        return transpose(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_array, "transpose", spy)
+    star = adjacency_from_edges(4, [0, 0, 0], [1, 2, 3], np.ones(3))
+    assert graphs._mirror_data(star) is None and calls == []
+    cycle = adjacency_from_edges(3, [0, 1, 2], [1, 2, 0], np.ones(3))
+    assert graphs._mirror_data(cycle) is None and len(calls) == 1
+    path = adjacency_from_edges(3, [0, 1], [1, 2], [1.0, 2.0], undirected=True)
+    assert np.array_equal(graphs._mirror_data(path), path.data) and len(calls) == 2
+
+
 @given(st.integers(0, 10 ** 6), st.integers(2, 12))
 def test_laplacian_psd_and_zero_row_sums(seed, n):
     A = random_connected_graph(n, np.random.default_rng(seed), weighted=True)

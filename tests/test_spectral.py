@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import eigsh
 
+from dynten import graphs, spectral
 from dynten.graphs import ConvergenceError, laplacian
 from dynten.spectral import (DENSE_MAX_N, _extreme_pairs, adjacency_embedding,
                              bottom_k_eigs, effective_resistance,
@@ -180,6 +182,33 @@ class TestSparsePath:
             top_k_eigs(self.graph(), 8, max_iter=1)
         assert info.value.residual > 1e-10
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("which", ["LA", "SA", "LM"])
+    def test_arpack_stop_meets_the_residual_bound(self, which, tol):
+        """ARPACK stops at the caller's tol (||r|| <= tol |lambda|), which
+        never leaves a pair above the checked bound tol * max(1, s)."""
+        A = self.graph()
+        M = laplacian(A) if which == "SA" else A
+        pairs = _extreme_pairs(M, 8, which, tol, 5000, 0)
+        residuals = np.linalg.norm(M @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
+        assert residuals.max() <= tol * max(1.0, abs(M).sum(axis=1).max())
+        dense = np.linalg.eigvalsh(M.toarray())
+        want = {"LA": dense[::-1], "SA": dense,
+                "LM": dense[np.argsort(-np.abs(dense), kind="stable")]}[which][:8]
+        assert np.abs(pairs.values - want).max() < 1e-8
+
+    def test_caller_tol_reaches_arpack(self, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["tol"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", spy)
+        top_k_eigs(self.graph(), 8, tol=1e-9)
+        bottom_k_eigs(laplacian(self.graph()), 8, tol=1e-11)
+        assert seen == [1e-9, 1e-11]
+
 
 SCALES = (1e-6, 1.0, 1e6, 1e9)
 
@@ -319,6 +348,36 @@ class TestResistanceEmbedding:
         L = laplacian(sp.csr_array(sp.block_diag([core] + edges)))
         emb = resistance_embedding(L, 16)
         self.assert_rank_d_identity(L, emb, 16)
+
+    @pytest.fixture
+    def no_power_estimate(self, monkeypatch):
+        """The kernel cutoff scales with the row-sum bound, not a power
+        estimate of the spectral radius."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("resistance_embedding must not estimate the spectral radius")
+
+        monkeypatch.setattr(graphs, "spectral_radius", unreachable)
+        monkeypatch.setattr(spectral, "spectral_radius", unreachable)
+
+    def test_cutoff_without_spectral_radius(self, no_power_estimate):
+        for n in (30, 600):  # the dense and the ARPACK eigensolver path
+            L = laplacian(random_connected_graph(n, np.random.default_rng(34), weighted=True))
+            self.assert_rank_d_identity(L, resistance_embedding(L, 8), 8)
+        L, nodes = self.core_with_isolated(1000, 600, seed=31)
+        emb = resistance_embedding(L, 16)
+        assert np.all(np.delete(emb, nodes, axis=0) == 0.0)
+        self.assert_rank_d_identity(L, emb, 16)
+
+    @pytest.mark.parametrize("n", [40, 600])
+    def test_near_disconnected_component_refused(self, n, no_power_estimate):
+        """Two halves joined by one link of weight 1e-12 have a second
+        eigenvalue far below 1e-9 * s, so the component shows two kernel modes."""
+        rng = np.random.default_rng(35)
+        halves = [random_connected_graph(n // 2, rng, weighted=True) for _ in range(2)]
+        A = sp.lil_array(sp.block_diag(halves))
+        A[0, n // 2] = A[n // 2, 0] = 1e-12
+        with pytest.raises(ValueError, match="near-disconnected"):
+            resistance_embedding(laplacian(sp.csr_array(A)), 4)
 
     def test_isolated_nodes_full_rank_resistance(self):
         L, nodes = self.core_with_isolated(600, 30, seed=32)
