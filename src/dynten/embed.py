@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import (DynamicNetwork, _compact, _stack_slices, _symmetric_part,
-                     _weighted_slice_sum, katz_adjacency, laplacian, symmetrized_adjacency)
+from .graphs import (DynamicNetwork, _compact, _symmetric_part, _weighted_slice_sum,
+                     katz_adjacency, laplacian, symmetrized_adjacency)
 from .spectral import adjacency_embedding, resistance_embedding
 from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_als
 
@@ -95,7 +95,7 @@ def convolve_snapshots(slices: tuple, w: TemporalWeights) -> sparse.csr_array:
     average of the slice Laplacians."""
     if len(w) != len(slices):
         raise ValueError(f"need {len(slices)} weights, got {len(w)}")
-    S = _weighted_slice_sum(_stack_slices([sparse.csr_array(A) for A in slices]), w.values)
+    S = _weighted_slice_sum(sparse.vstack(slices, format="csr"), w.values)
     return S / float(w.values.sum())
 
 

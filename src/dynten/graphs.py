@@ -50,7 +50,9 @@ def stacked_adjacency(node_count: int, slice_count: int, row, col, weight,
     ``slice_count`` slices, built at once as one stacked
     (slice_count * node_count) x node_count CSR matrix and cut into slices:
     edge k runs from node ``row[k] % node_count`` to ``col[k]`` with weight
-    ``weight[k]`` in slice ``row[k] // node_count``.
+    ``weight[k]`` in slice ``row[k] // node_count``. The slices are views of
+    that one stacked build and share its index arrays, which are int32
+    whenever its shape and nnz fit.
 
     Per slice, duplicate pairs are summed in input order and zero sums are
     dropped. With ``undirected=True`` every off-diagonal edge is mirrored so
@@ -79,14 +81,11 @@ def stacked_adjacency(node_count: int, slice_count: int, row, col, weight,
             key, wgt = _one_weight_per_pair(n, key, wgt)
         A, _ = _stack(shape, key // n, key % n, wgt, undirected)
     A.eliminate_zeros()
-    # int64 index arrays, as a csr_array built from int64 columns keeps them
-    indptr = A.indptr.astype(np.int64, copy=False)
-    indices = A.indices.astype(np.int64, copy=False)
     slices = []
     for t in range(slice_count):
-        ptr = indptr[t * n:(t + 1) * n + 1]
+        ptr = A.indptr[t * n:(t + 1) * n + 1]
         lo, hi = ptr[0], ptr[-1]
-        slices.append(sparse.csr_array((A.data[lo:hi], indices[lo:hi], ptr - lo),
+        slices.append(sparse.csr_array((A.data[lo:hi], A.indices[lo:hi], ptr - lo),
                                        shape=(n, n)))
     return tuple(slices)
 
@@ -316,23 +315,6 @@ def _symmetric_part(M) -> sparse.csr_array:
     M.data *= 0.5
     M.eliminate_zeros()
     return M
-
-
-def _stack_slices(slices) -> sparse.csr_array:
-    """The n x n CSR slices stacked as one (tau n) x n CSR matrix, entry for
-    entry as ``sparse.vstack`` stacks them, but with int32 index arrays
-    whenever the shape and nnz fit, whatever index dtype the slices hold."""
-    n = slices[0].shape[0]
-    for A in slices:
-        if A.shape != (n, n):
-            raise ValueError(f"slice shape {A.shape} != ({n}, {n})")
-    ends = np.cumsum([0] + [A.nnz for A in slices])
-    index = np.int32 if max(len(slices) * n, ends[-1]) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.concatenate([[0]] + [A.indptr[1:] + end for A, end in zip(slices, ends)],
-                            dtype=index)
-    return sparse.csr_array((np.concatenate([A.data for A in slices]),
-                             np.concatenate([A.indices for A in slices], dtype=index),
-                             indptr), shape=(len(slices) * n, n))
 
 
 def _weighted_slice_sum(stacked, w) -> sparse.csr_array:

@@ -97,13 +97,14 @@ class _Text:
         return key
 
     def factor(self, starts, lengths):
-        """The sorted distinct tokens of ``lengths[k]`` units at ``starts[k]``,
-        as str, and each token's index among them.
+        """The distinct tokens of ``lengths[k]`` units at ``starts[k]``, as
+        str in no particular order, and each token's index among them, an
+        array of ``index`` integers.
 
         Tokens are grouped by length, and within a group matched on their
         units read as uint64 words, one word position at a time, so that no
         key is wider than its own token. Only one token of each distinct
-        value is decoded; the distinct values are then sorted as str."""
+        value is decoded."""
         per = 8 // self.unit
         ids = np.empty(starts.size, dtype=self.index)
         strings = []
@@ -124,10 +125,7 @@ class _Text:
             local += len(strings)
             ids[group] = local
             strings.extend(self.decode(s, s + length) for s in first.tolist())
-        order = sorted(range(len(strings)), key=strings.__getitem__)
-        rank = np.empty(len(strings), dtype=self.index)
-        rank[order] = np.arange(len(strings))
-        return [strings[k] for k in order], rank[ids]
+        return strings, ids
 
     def changes(self, starts, lengths):
         """Which tokens differ from the one before them (the first always does)."""
@@ -168,13 +166,14 @@ class _EdgeFile:
     """One edge-list file, parsed with array passes over its whole text.
 
     ``declared`` holds the labels of its ``# nodes:`` directives, ``labels``
-    the sorted distinct endpoint labels, and ``src`` / ``dst`` / ``weight``
-    the edge columns, with endpoints as indices into ``labels``. With a time
-    column, ``slice_of`` gives each edge's slice (a new slice starts wherever
-    the time token changes); without one, all lines form one slice and
-    ``slice_of`` is None. Lines are those of ``str.splitlines()`` and fields
-    those of ``str.split()``; a bad line raises ``ValueError`` naming the
-    first bad line, as a line-by-line reader would.
+    the distinct endpoint labels in no particular order, and ``src`` /
+    ``dst`` / ``weight`` the edge columns, with endpoints as indices into
+    ``labels``. With a time column, ``slice_of`` gives each edge's slice (a
+    new slice starts wherever the time token changes); without one, all
+    lines form one slice and ``slice_of`` is None. Lines are those of
+    ``str.splitlines()`` and fields those of ``str.split()``; a bad line
+    raises ``ValueError`` naming the first bad line, as a line-by-line reader
+    would.
     """
 
     def __init__(self, path, with_time: bool):

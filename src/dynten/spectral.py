@@ -157,26 +157,27 @@ def resistance_embedding(L, d: int, seed: int = 0) -> np.ndarray:
     L is block diagonal over its connected components, so each component is
     solved on its own and the d smallest nonzero eigenvalues are taken from
     the union. A component has exactly one kernel mode (eigenvalue at most
-    1e-9 * s, with s the largest absolute row sum of L, for which
-    lambda_max <= s <= 2 lambda_max on a Laplacian), so d can be at most
-    n - c. An isolated node has no other mode and gets a zero row. One
+    1e-9 * s, with s the largest absolute row sum of the component's own
+    block, for which lambda_max <= s <= 2 lambda_max on a Laplacian, so the
+    test does not depend on the weights of other components), so d can be at
+    most n - c. An isolated node has no other mode and gets a zero row. One
     Lanczos solve on the whole matrix would see a single direction of the
     c-fold kernel and could return fewer kernel modes than there are
     components.
     """
     L = sparse.csr_array(L, dtype=np.float64)
     n = L.shape[0]
-    c, labels = connected_components(abs(L), directed=False)
+    c, labels = connected_components(L, directed=False)  # reads only the pattern
     if d < 1 or d > n - c:
         raise ValueError(f"d must be in [1, n - c] with {c} detected components")
-    cutoff = 1e-9 * max(1e-300, _row_sum_bound(L))
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     modes = []  # (eigenvalue, component nodes, eigenvector on those nodes)
     for nodes in members:
         if nodes.size == 1:
             continue
-        pairs = bottom_k_eigs(L[nodes][:, nodes], min(d + 1, nodes.size), seed=seed)
-        kernel = int((pairs.values <= cutoff).sum())
+        block = L[nodes][:, nodes]
+        pairs = bottom_k_eigs(block, min(d + 1, nodes.size), seed=seed)
+        kernel = int((pairs.values <= 1e-9 * max(1e-300, _row_sum_bound(block))).sum())
         if kernel != 1:
             raise ValueError(f"kernel multiplicity {kernel} in a connected component; "
                              "graph is near-disconnected")

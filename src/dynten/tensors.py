@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .graphs import _stack_slices, _symmetric_part, _weighted_slice_sum
+from .graphs import _symmetric_part, _weighted_slice_sum
 from .seeding import derived_rng
 from .spectral import _extreme_pairs
 
@@ -40,7 +40,9 @@ class SparseTensor3:
     ``stacked`` is the (tau n) x n matrix whose row t n + i is Z[i, :, t]:
     duplicates summed, explicit zeros dropped, column indices sorted, and
     int32 index arrays whenever the shape and nnz fit (12 instead of 16 bytes
-    per nonzero). Any other shape is refused.
+    per nonzero): a network's slices, which hold int32 index arrays whenever
+    they fit, stack as they are, and wider ones are narrowed. Any other shape
+    is refused.
     """
 
     stacked: sparse.csr_array = field(repr=False)
@@ -67,7 +69,12 @@ class SparseTensor3:
         """Stack square sparse matrices as the frontal slices Z[:, :, t]."""
         if len(slices) == 0:
             raise ValueError("need at least one slice")
-        return cls._canonical(_stack_slices([sparse.csr_array(S) for S in slices]))
+        mats = [sparse.csr_array(S) for S in slices]
+        n = mats[0].shape[0]
+        for S in mats:
+            if S.shape != (n, n):
+                raise ValueError(f"slice shape {S.shape} != ({n}, {n})")
+        return cls._canonical(sparse.vstack(mats, format="csr"))
 
     @classmethod
     def from_dense(cls, array) -> "SparseTensor3":

@@ -11,11 +11,12 @@ from dynten import embed
 from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
                           adj_wt_embedding, convolve_snapshots, default_rank,
                           dynamic_embedding, make_weights, mode_orientations,
-                          precondition, res_wt_embedding, weighted_modes)
+                          precondition, res_last_embedding, res_wt_embedding,
+                          weighted_modes)
 from dynten.graphs import DynamicNetwork, laplacian
 from dynten.spectral import adjacency_embedding, resistance_embedding
 from dynten.synth import dynamic_sbm
-from dynten.tensors import AlsConfig
+from dynten.tensors import AlsConfig, SparseTensor3
 
 
 def net_from_matrices(mats, directed=False):
@@ -287,20 +288,30 @@ class TestBaselines:
         assert np.abs(res_wt_embedding(net, w, 3) - want).max() < 1e-10
 
     @pytest.mark.parametrize("n", [60, 600])
-    def test_int32_stack_embeds_as_the_int64_stack(self, monkeypatch, n):
-        """The convolution stacks the network's int64-indexed slices with int32
-        indices; adj_wt and res_wt are byte-identical to those built from
-        sparse.vstack's int64 copy, on the dense (n = 60) and ARPACK (n = 600)
-        eigensolver paths."""
+    def test_embeddings_do_not_depend_on_the_index_width(self, n):
+        """A network's slices hold int32 index arrays, and so do the tensor
+        and the convolution built from them. An int64-widened copy of the
+        same network gives byte-identical embeddings for all six methods, on
+        the dense (n = 60) and ARPACK (n = 600) eigensolver paths."""
         net, _ = dynamic_sbm(n, 4, p_in=0.05, seed=13)
         w = make_weights("exponential", 4, alpha=1.0)
-        assert net.snapshots[0].indices.dtype == np.int64
-        assert convolve_snapshots(net.snapshots, w).indices.dtype == np.int32
-        got = [adj_wt_embedding(net, w, 4), res_wt_embedding(net, w, 4)]
-        monkeypatch.setattr(embed, "_stack_slices", lambda slices: sp.vstack(slices, format="csr"))
-        assert convolve_snapshots(net.snapshots, w).indices.dtype == np.int64
-        want = [adj_wt_embedding(net, w, 4), res_wt_embedding(net, w, 4)]
-        for a, b in zip(got, want):
+        wide = DynamicNetwork(labels=net.labels, snapshots=tuple(
+            sp.csr_array((A.data, A.indices.astype(np.int64), A.indptr.astype(np.int64)),
+                         shape=A.shape) for A in net.snapshots))
+        for A, B in zip(net.snapshots, wide.snapshots):
+            assert A.indices.dtype == A.indptr.dtype == np.int32
+            assert B.indices.dtype == B.indptr.dtype == np.int64
+        for M in (SparseTensor3.from_slices(net.snapshots).stacked,
+                  convolve_snapshots(net.snapshots, w)):
+            assert M.indices.dtype == M.indptr.dtype == np.int32
+
+        def embeddings(g):
+            return [dynamic_embedding(g, config(g, 4, pre=w)).embedding,
+                    dynamic_embedding(g, config(g, 4, pre=w, orthogonal=True)).embedding,
+                    adj_last_embedding(g, 4), res_last_embedding(g, 4),
+                    adj_wt_embedding(g, w, 4), res_wt_embedding(g, w, 4)]
+
+        for a, b in zip(embeddings(net), embeddings(wide)):
             assert a.tobytes() == b.tobytes()
 
 

@@ -600,5 +600,5 @@ def test_undirected_edges_match_loop_reference(edges):
         return
     got = adjacency_from_edges(5, *edge_arrays(edges), undirected=True)
     assert entries(got) == want
-    assert got.indices.dtype == np.int64 and got.dtype == np.float64
+    assert got.indices.dtype == got.indptr.dtype == np.int32 and got.dtype == np.float64
     assert got.has_canonical_format

@@ -280,9 +280,10 @@ def _reference_adjacency(n, src, dst, wgt, undirected):
         src, dst, wgt = _reference_canonical(n, np.concatenate([lo_u, hi_u[off]]),
                                              np.concatenate([hi_u, lo_u[off]]),
                                              np.concatenate([w_u, w_u[off]]))
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    # int32 index arrays, as the loader keeps them whenever they fit
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return sp.csr_array((wgt, dst, indptr), shape=(n, n))
+    return sp.csr_array((wgt, dst.astype(np.int32), indptr), shape=(n, n))
 
 
 def _reference_time_key(token):

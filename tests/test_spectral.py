@@ -379,6 +379,26 @@ class TestResistanceEmbedding:
         with pytest.raises(ValueError, match="near-disconnected"):
             resistance_embedding(laplacian(sp.csr_array(A)), 4)
 
+    @pytest.mark.parametrize("k", [0, 6, 9, 12])
+    def test_light_component_keeps_its_own_cutoff(self, k):
+        """A 30-node weighted component plus a 10-node one scaled by 10^-k:
+        each component's kernel test reads its own row sums, so the light one
+        embeds at full rank d = n - c. Oracle: the pseudoinverse of each
+        component's dense block, which does not mix the two weight scales as
+        one global cutoff would."""
+        rng = np.random.default_rng(36)
+        blocks = [random_connected_graph(30, rng, weighted=True),
+                  10.0 ** -k * random_connected_graph(10, rng, weighted=True)]
+        L = laplacian(sp.csr_array(sp.block_diag(blocks)))
+        emb = resistance_embedding(L, L.shape[0] - 2)
+        P = sp.block_diag([np.linalg.pinv(laplacian(B).toarray(), hermitian=True)
+                           for B in blocks]).toarray()
+        p = np.diag(P)
+        want = p[:, None] + p[None, :] - 2 * P
+        sq = np.einsum("id,id->i", emb, emb)
+        got = sq[:, None] + sq[None, :] - 2 * emb @ emb.T
+        assert np.all(np.abs(got - want) <= 1e-9 * (p[:, None] + p[None, :]))
+
     def test_isolated_nodes_full_rank_resistance(self):
         L, nodes = self.core_with_isolated(600, 30, seed=32)
         emb = resistance_embedding(L, 29)

@@ -57,6 +57,27 @@ class TestTensorType:
         with pytest.raises(ValueError):
             SparseTensor3.from_slices([sp.csr_array((2, 2)), sp.csr_array((3, 3))])
 
+    @pytest.mark.parametrize("shapes", [[(3, 2), (1, 2)], [(3, 3), (6, 3)], [(2, 4), (2, 4)]])
+    def test_non_square_slices_refused(self, shapes):
+        """Stacked, these slices have a row count that is a multiple of their
+        column count, which the stacked shape check alone would accept."""
+        with pytest.raises(ValueError, match="slice shape"):
+            SparseTensor3.from_slices([sp.csr_array(shape) for shape in shapes])
+
+    def test_int64_slices_give_int32_tensor(self):
+        rng = np.random.default_rng(44)
+        slices = [sp.csr_array(sp.random(6, 6, density=0.4, random_state=rng)) for _ in range(3)]
+        wide = []
+        for S in slices:
+            W = S.copy()
+            W.indices, W.indptr = S.indices.astype(np.int64), S.indptr.astype(np.int64)
+            wide.append(W)
+        got = SparseTensor3.from_slices(wide).stacked
+        want = SparseTensor3.from_slices(slices).stacked
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_duplicates_summed_zeros_dropped(self):
         # slice 0 stores (0, 1) twice, slice 1 stores an explicit zero at (1, 0)
         dup = sp.csr_array(([1.0, 2.0], [1, 1], [0, 2, 2]), shape=(2, 2))
