@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import (DynamicNetwork, _compact, _symmetric_part, _weighted_slice_sum,
-                     katz_adjacency, laplacian, symmetrized_adjacency)
+from .graphs import (DynamicNetwork, _compact, _slices_of, _symmetric_part,
+                     _weighted_slice_sum, katz_adjacency, laplacian, symmetrized_adjacency)
 from .spectral import adjacency_embedding, resistance_embedding
 from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_als
 
@@ -157,7 +157,8 @@ def _variant_slices(slices: tuple, cfg: DynEmbedConfig):
     if cfg.adjacency_variant == "raw":
         return slices
     if cfg.adjacency_variant == "symmetrized":
-        return [symmetrized_adjacency(A, teleport=cfg.teleport) for A in slices]
+        stack = sparse.vstack(slices, format="csr")
+        return _slices_of(symmetrized_adjacency(stack, teleport=cfg.teleport), len(slices))
     return [katz_adjacency(A, cfg.katz_omega) for A in slices]
 
 

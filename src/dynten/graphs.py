@@ -11,7 +11,6 @@ and every matrix builder here returns the same canonical form.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -45,14 +44,13 @@ class ReducibleChainError(ValueError):
 
 
 def stacked_adjacency(node_count: int, slice_count: int, row, col, weight,
-                      undirected: bool = False) -> tuple:
+                      undirected: bool = False) -> sparse.csr_array:
     """Canonical ``node_count`` x ``node_count`` adjacency of each of
-    ``slice_count`` slices, built at once as one stacked
-    (slice_count * node_count) x node_count CSR matrix and cut into slices:
-    edge k runs from node ``row[k] % node_count`` to ``col[k]`` with weight
-    ``weight[k]`` in slice ``row[k] // node_count``. The slices are views of
-    that one stacked build and share its index arrays, which are int32
-    whenever its shape and nnz fit.
+    ``slice_count`` slices, built at once and stacked as one
+    (slice_count * node_count) x node_count CSR matrix, whose index arrays
+    are int32 whenever its shape and nnz fit: edge k runs from node
+    ``row[k] % node_count`` to ``col[k]`` with weight ``weight[k]`` in slice
+    ``row[k] // node_count``. :func:`_slices_of` cuts it into slices.
 
     Per slice, duplicate pairs are summed in input order and zero sums are
     dropped. With ``undirected=True`` every off-diagonal edge is mirrored so
@@ -81,13 +79,44 @@ def stacked_adjacency(node_count: int, slice_count: int, row, col, weight,
             key, wgt = _one_weight_per_pair(n, key, wgt)
         A, _ = _stack(shape, key // n, key % n, wgt, undirected)
     A.eliminate_zeros()
+    return A
+
+
+def _slices_of(stack, slice_count: int) -> tuple:
+    """The n x n slices of the (slice_count n) x n CSR matrix ``stack``, as
+    views that share its data and index arrays."""
+    n = stack.shape[1]
     slices = []
     for t in range(slice_count):
-        ptr = A.indptr[t * n:(t + 1) * n + 1]
+        ptr = stack.indptr[t * n:(t + 1) * n + 1]
         lo, hi = ptr[0], ptr[-1]
-        slices.append(sparse.csr_array((A.data[lo:hi], A.indices[lo:hi], ptr - lo),
+        slices.append(sparse.csr_array((stack.data[lo:hi], stack.indices[lo:hi], ptr - lo),
                                        shape=(n, n)))
     return tuple(slices)
+
+
+def _block_offsets(M, n: int) -> np.ndarray:
+    """For a CSR matrix whose rows come in blocks of n, the first column of
+    each stored entry's diagonal n x n block, in M's index dtype."""
+    step = n or 1  # n = 0 leaves no rows
+    return np.repeat(np.arange(0, M.shape[0], step, dtype=M.indices.dtype),
+                     np.diff(M.indptr[::step]))
+
+
+def _block_diagonal(stack, n: int) -> sparse.csr_array:
+    """The (tau n) x (tau n) block-diagonal CSR matrix whose diagonal blocks
+    are the n x n slices of the (tau n) x n CSR matrix ``stack``. It shares
+    the stack's data and row pointers; only the column indices are new."""
+    m = stack.shape[0]
+    return sparse.csr_array((stack.data, stack.indices + _block_offsets(stack, n),
+                             stack.indptr), shape=(m, m))
+
+
+def _diagonal_blocks(M, n: int) -> sparse.csr_array:
+    """The diagonal n x n blocks of the block-diagonal CSR matrix M stacked
+    as a (tau n) x n matrix: the inverse of :func:`_block_diagonal`."""
+    return sparse.csr_array((M.data, M.indices - _block_offsets(M, n), M.indptr),
+                            shape=(M.shape[0], n))
 
 
 def _stack(shape, row, col, wgt, undirected):
@@ -139,11 +168,11 @@ def _one_weight_per_pair(n, key, wgt):
 def adjacency_from_edges(node_count: int, src, dst, weight,
                          undirected: bool = False) -> sparse.csr_array:
     """Canonical ``node_count`` x ``node_count`` adjacency of the edges
-    src[k] -> dst[k] with weight[k]: one slice of :func:`stacked_adjacency`,
+    src[k] -> dst[k] with weight[k]: :func:`stacked_adjacency` of one slice,
     under the same summing rules."""
     if node_count < 0:
         raise ValueError("node_count must be >= 0")
-    return stacked_adjacency(node_count, 1, src, dst, weight, undirected)[0]
+    return stacked_adjacency(node_count, 1, src, dst, weight, undirected)
 
 
 def _mirror_data(M):
@@ -168,6 +197,25 @@ def _exactly_symmetric(A: sparse.csr_array) -> bool:
     return mirror is not None and np.array_equal(A.data, mirror)
 
 
+def _check_slice(A, n: int, directed: bool, name: str) -> None:
+    """Raise ValueError, naming ``name``, unless A is a canonical n x n
+    float64 ``csr_array`` (duplicates summed, no explicit zeros, sorted
+    indices) that, unless ``directed``, equals its transpose exactly. A
+    block-diagonal matrix passes exactly when each of its diagonal blocks
+    would, so one call on the block-diagonal form checks every slice."""
+    if not (isinstance(A, sparse.csr_array) and A.shape == (n, n)
+            and A.dtype == np.float64 and A.has_canonical_format
+            and np.all(A.data != 0.0)):
+        raise ValueError(
+            f"{name} is not a canonical {n} x {n} float64 csr_array "
+            "(duplicates summed, no explicit zeros, sorted indices)")
+    if not directed and not _exactly_symmetric(A):
+        raise ValueError(
+            f"{name} of an undirected network is not symmetric: "
+            "store both orientations of every link with equal weight, "
+            "or pass directed=True")
+
+
 @dataclass(frozen=True)
 class DynamicNetwork:
     """Aligned snapshot sequence over a common labeled node set.
@@ -189,17 +237,7 @@ class DynamicNetwork:
         if len(set(self.labels)) != n:
             raise ValueError("node labels must be unique")
         for t, A in enumerate(self.snapshots):
-            if not (isinstance(A, sparse.csr_array) and A.shape == (n, n)
-                    and A.dtype == np.float64 and A.has_canonical_format
-                    and np.all(A.data != 0.0)):
-                raise ValueError(
-                    f"snapshot {t} is not a canonical {n} x {n} float64 csr_array "
-                    "(duplicates summed, no explicit zeros, sorted indices)")
-            if not self.directed and not _exactly_symmetric(A):
-                raise ValueError(
-                    f"snapshot {t} of an undirected network is not symmetric: "
-                    "store both orientations of every link with equal weight, "
-                    "or pass directed=True")
+            _check_slice(A, n, self.directed, f"snapshot {t}")
 
     @property
     def n(self) -> int:
@@ -212,13 +250,20 @@ class DynamicNetwork:
     def adjacency(self, t: int) -> sparse.csr_array:
         return self.snapshots[t]
 
+    @classmethod
+    def _unchecked(cls, labels: tuple, snapshots: tuple, directed: bool) -> DynamicNetwork:
+        """The network of fields that have passed ``__post_init__``'s checks
+        already, built without running them again."""
+        net = object.__new__(cls)
+        for field, value in (("labels", labels), ("snapshots", snapshots),
+                             ("directed", directed)):
+            object.__setattr__(net, field, value)
+        return net
+
     def _without_last(self) -> DynamicNetwork:
         """The network of all slices but the last, sharing this one's labels
-        and matrices. They passed ``__post_init__``'s checks here, so none is
-        run again."""
-        head = copy.copy(self)  # copies the fields without calling __init__
-        object.__setattr__(head, "snapshots", self.snapshots[:-1])
-        return head
+        and matrices."""
+        return DynamicNetwork._unchecked(self.labels, self.snapshots[:-1], self.directed)
 
 
 def align_snapshots(snapshot_edges: Sequence[Sequence], *,
@@ -267,7 +312,11 @@ def aligned_network(parts, declared: Sequence[Sequence], directed: bool) -> Dyna
     ``declared[t]`` declares labels present at t even if isolated; a label
     repeated within one declaration is rejected. The union of the declared
     and part labels, sorted by ``str``, is the node order of every slice.
+    The slices are checked as ``DynamicNetwork`` checks them, in one pass
+    over their block-diagonal form.
     """
+    if not declared:
+        raise ValueError("need at least one snapshot")
     union: set = set()
     for t, labels_t in enumerate(declared):
         seen: set = set()
@@ -289,8 +338,14 @@ def aligned_network(parts, declared: Sequence[Sequence], directed: bool) -> Dyna
         col.append(remap[dst])
         weight.append(wgt)
     row, col, weight = (x[0] if len(x) == 1 else np.concatenate(x) for x in (row, col, weight))
-    snaps = stacked_adjacency(n, len(declared), row, col, weight, undirected=not directed)
-    return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
+    stack = stacked_adjacency(n, len(declared), row, col, weight, undirected=not directed)
+    del row, col, weight  # the check below stays under the build's peak
+    snaps = _slices_of(stack, len(declared))
+    try:  # every slice at once; on a fault the per-slice checks name the slice
+        _check_slice(_block_diagonal(stack, n), stack.shape[0], directed, "stack")
+    except ValueError:
+        return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
+    return DynamicNetwork._unchecked(labels, snaps, directed)
 
 
 # ---------------------------------------------------------------------------
@@ -368,70 +423,112 @@ def _scale_rows(A, factor) -> sparse.csr_array:
     return _compact(sparse.csr_array((data, A.indices.copy(), A.indptr.copy()), shape=A.shape))
 
 
-def _strongly_connected(P) -> bool:
-    ncomp, _ = connected_components(P, directed=True, connection="strong")
-    return ncomp == 1
+def _slice_count(P) -> int:
+    """The number tau of n x n slices in P: 1 for an n x n matrix, tau for
+    a (tau n) x n stack of slices."""
+    m, n = P.shape
+    tau = m // n if n else 0
+    if tau * n != m:
+        raise ValueError("P must be n x n or a (tau n) x n stack of n x n slices")
+    if tau == 0:
+        raise ValueError("empty chain")
+    return tau
 
 
-def stationary_vector(P, total_weight: float = 1.0, *,
+def _chain_operator(Q, chains) -> sparse.csc_array:
+    """Q_t^T for each slice t in ``chains`` of the (tau n) x n stack Q, as
+    one block-diagonal CSC operator: a transposed view of the CSR
+    block-diagonal matrix, so block t of its product with x is x_t Q_t,
+    summed in the order the slice's own transposed view sums it."""
+    n = Q.shape[1]
+    if chains.size < Q.shape[0] // n:
+        Q = Q[(chains[:, None] * n + np.arange(n)).ravel()]
+    return _block_diagonal(Q, n).T
+
+
+def stationary_vector(P, total_weight=1.0, *,
                       teleport: float | None = None) -> np.ndarray:
     """Positive left fixed vector of P, scaled so its entries sum to ``total_weight``.
 
-    Computed by power iteration on the lazy chain (I + T)/2, which has the
-    same fixed vectors as T but no periodicity, with T = (1 - eps) P + eps J / n
-    and eps = ``teleport`` (0 without it). The iteration stops once the l1
-    residual ||normalize(phi T) - phi|| falls below ``STATIONARY_TOL``;
-    ``ConvergenceError``, carrying that residual, is raised after
-    ``STATIONARY_MAX_ITER`` steps. Each step takes one product, phi P, for both
-    the residual of phi and the next iterate.
+    P is one n x n transition matrix, or tau of them stacked as a
+    (tau n) x n matrix. For a stack, row t of the returned (tau, n) array
+    is the vector of slice t, scaled to ``total_weight[t]`` when one weight
+    per slice is given, with the bits that slice t alone gives.
+
+    Each vector comes from power iteration on the lazy chain (I + T)/2,
+    which has the same fixed vectors as T but no periodicity, with
+    T = (1 - eps) P + eps J / n and eps = ``teleport`` (0 without it). A
+    chain stops once the l1 residual ||normalize(phi T) - phi|| falls below
+    ``STATIONARY_TOL``; ``ConvergenceError``, carrying that residual, is
+    raised after ``STATIONARY_MAX_ITER`` steps. Each step takes one
+    product, phi P, for both the residual of phi and the next iterate. All
+    chains step together through one block-diagonal product; a chain that
+    stops leaves it, and it is rebuilt from the chains still running.
     P must be irreducible (strongly connected with no zero rows); otherwise pass
     ``teleport=eps`` to iterate on the regularized chain T instead, which is a
     documented deviation from the strict fixed-vector contract. With zero rows
-    T loses mass, and its normalized Perron left vector is returned.
+    T loses mass, and its normalized Perron left vector is returned. Where
+    several slices fail, the error is the one the first of them raises on
+    its own, and it names that slice.
     """
     P = sparse.csr_array(P, dtype=np.float64)
-    n = P.shape[0]
-    if P.shape[0] != P.shape[1]:
-        raise ValueError("P must be square")
-    if n == 0:
-        raise ValueError("empty chain")
+    tau, n = _slice_count(P), P.shape[1]
+    if P.nnz and P.data.min() < 0:
+        raise ValueError("transition probabilities must be nonnegative")
+    weight = np.broadcast_to(np.asarray(total_weight, dtype=np.float64), (tau,))
 
+    def of(t):
+        return f" of slice {t}" if tau > 1 else ""
+
+    faults = {}  # slice -> the error that slice raises on its own
     if teleport is not None:
         if not 0.0 < teleport < 1.0:
             raise ValueError("teleport must be in (0, 1)")
     else:
-        rows = np.asarray(P.sum(axis=1)).ravel()
-        if np.any(rows <= STATIONARY_TOL) or not _strongly_connected(P):
-            raise ReducibleChainError(
-                "transition matrix is reducible; no unique positive stationary "
+        rows = np.asarray(P.sum(axis=1)).reshape(tau, n)
+        _, comp = connected_components(_block_diagonal(P, n), directed=True,
+                                       connection="strong")
+        comp = comp.reshape(tau, n)
+        for t in np.flatnonzero(np.any(rows <= STATIONARY_TOL, axis=1)
+                                | np.any(comp != comp[:, :1], axis=1)):
+            faults[t] = ReducibleChainError(
+                f"transition matrix{of(t)} is reducible; no unique positive stationary "
                 "vector. Pass teleport=1e-3 or preprocess with a Katz kernel.")
 
     eps = teleport or 0.0
-    # a CSC view: Pt @ x is x @ ((1 - eps) P), bit for bit, without __rmatmul__;
+    # Q_t^T @ x is x @ ((1 - eps) P_t), bit for bit, without __rmatmul__;
     # x T is that plus eps / n where x sums to 1, and exactly x P when eps = 0
-    Pt = ((1.0 - eps) * P).T
-    phi = np.full(n, 1.0 / n)
-    step, residual = Pt @ phi + eps / n, float("inf")
+    Q = (1.0 - eps) * P
+    phi = np.full((tau, n), 1.0 / n)
+    live = np.array([t for t in range(tau) if t not in faults], dtype=np.intp)
+    Qt = _chain_operator(Q, live)
+    x = phi[live]
+    step = (Qt @ x.ravel()).reshape(x.shape) + eps / n
+    residual = np.full(live.size, np.inf)
     for _ in range(STATIONARY_MAX_ITER):
-        nxt = 0.5 * (phi + step)
-        s = nxt.sum()
-        if s <= 0:
-            raise ConvergenceError("stationary iteration collapsed to zero", float("inf"))
-        phi = nxt / s
-        step = Pt @ phi + eps / n
-        residual = float(np.abs(step / step.sum() - phi).sum())
-        if residual < STATIONARY_TOL:
+        if not live.size:
             break
-    else:
-        raise ConvergenceError(
-            f"stationary vector did not converge in {STATIONARY_MAX_ITER} iterations "
-            f"(residual {residual:.3e})", residual)
-
-    if phi.min() <= 0:
-        raise ReducibleChainError(
-            "stationary vector has non-positive entries; chain is effectively "
-            "reducible. Pass teleport=1e-3 or preprocess with a Katz kernel.")
-    return phi * (total_weight / phi.sum())
+        nxt = 0.5 * (x + step)
+        x = nxt / nxt.sum(axis=1, keepdims=True)
+        step = (Qt @ x.ravel()).reshape(x.shape) + eps / n
+        residual = np.abs(step / step.sum(axis=1, keepdims=True) - x).sum(axis=1)
+        done = residual < STATIONARY_TOL
+        if done.any():
+            phi[live[done]] = x[done]
+            live, x, step, residual = (a[~done] for a in (live, x, step, residual))
+            Qt = _chain_operator(Q, live)
+    for t, r in zip(live, residual):
+        faults[t] = ConvergenceError(
+            f"stationary vector{of(t)} did not converge in {STATIONARY_MAX_ITER} "
+            f"iterations (residual {r:.3e})", float(r))
+    for t in np.flatnonzero(phi.min(axis=1) <= 0):
+        faults.setdefault(t, ReducibleChainError(
+            f"stationary vector{of(t)} has non-positive entries; chain is effectively "
+            "reducible. Pass teleport=1e-3 or preprocess with a Katz kernel."))
+    if faults:
+        raise faults[min(faults)]
+    phi *= (weight / phi.sum(axis=1))[:, None]
+    return phi if tau > 1 else phi[0]
 
 
 def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_array:
@@ -440,11 +537,22 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
     scaled to the total weight; equals A when A is symmetric. Its Laplacian
     ``laplacian(symmetrized_adjacency(A))`` is Chung's directed Laplacian
     Phi - (Phi P + P^T Phi)/2 on an irreducible chain. Entry (i, j) is
-    0.5 (S[i, j] + S[j, i]) with S = Phi P, so M == M.T holds exactly."""
+    0.5 (S[i, j] + S[j, i]) with S = Phi P, so M == M.T holds exactly.
+
+    A is one n x n adjacency, or tau slices stacked as a (tau n) x n
+    matrix; the result has A's shape, and its slice t has the bits that
+    slice t alone gives. One ``stationary_vector`` call serves every slice,
+    and the symmetric parts are taken together on the block-diagonal form.
+    """
     A = sparse.csr_array(A, dtype=np.float64)
+    tau, n = _slice_count(A), A.shape[1]
     P = transition_matrix(A)  # refuses negative weights
-    phi = stationary_vector(P, total_weight=float(A.sum()), teleport=teleport)
-    return _symmetric_part(_scale_rows(P, phi))
+    A.sum_duplicates()  # as A.sum() does, so each total sums the same entries
+    ptr = A.indptr[::n]
+    totals = [float(A.data[ptr[t]:ptr[t + 1]].sum()) for t in range(tau)]
+    phi = stationary_vector(P, total_weight=totals, teleport=teleport)
+    S = _scale_rows(P, phi.ravel())
+    return _diagonal_blocks(_symmetric_part(_block_diagonal(S, n)), n)
 
 
 def spectral_radius(A) -> float:

@@ -191,7 +191,14 @@ def resistance_embedding(L, d: int, seed: int = 0) -> np.ndarray:
 
 def effective_resistance(L, x: int, y: int) -> float:
     """Effective resistance between nodes x and y via the dense Laplacian
-    pseudoinverse L+ = O Sigma O^T (test oracle; guarded to n <= 2000)."""
+    pseudoinverse L+ = O Sigma O^T (test oracle; guarded to n <= 2000).
+
+    L+ is block diagonal over the connected components, so each block is
+    its own component's pseudoinverse, which drops eigenvalues at most
+    1e-9 times that component's largest: a component whose weights are
+    far below another's is not read as all kernel. Between components the
+    off-diagonal block is zero, and the value is L+[x, x] + L+[y, y].
+    """
     L = sparse.csr_array(L, dtype=np.float64)
     n = L.shape[0]
     if n > 2000:
@@ -200,9 +207,21 @@ def effective_resistance(L, x: int, y: int) -> float:
         raise ValueError("node index out of range")
     if x == y:
         return 0.0
-    dense = L.toarray()
-    vals, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
-    cutoff = 1e-9 * max(abs(vals).max(), 1e-300)
-    inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-    pinv = (vecs * inv[None, :]) @ vecs.T
-    return float(pinv[x, x] + pinv[y, y] - 2.0 * pinv[x, y])
+    _, comp = connected_components(L, directed=False)  # reads only the pattern
+    blocks = {}  # component -> (its nodes, ascending; its block of L+)
+    for c in (comp[x], comp[y]):
+        if c not in blocks:
+            nodes = np.flatnonzero(comp == c)
+            dense = L[nodes][:, nodes].toarray()
+            vals, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
+            cutoff = 1e-9 * max(abs(vals).max(), 1e-300)
+            inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
+            blocks[c] = nodes, (vecs * inv[None, :]) @ vecs.T
+
+    def pinv(i, j):
+        if comp[i] != comp[j]:
+            return 0.0
+        nodes, block = blocks[comp[i]]
+        return block[np.searchsorted(nodes, i), np.searchsorted(nodes, j)]
+
+    return float(pinv(x, x) + pinv(y, y) - 2.0 * pinv(x, y))

@@ -411,6 +411,82 @@ class TestOneProductLoops:
         assert all(np.array_equal(x, y) for x, y in zip((A.data, A.indices, A.indptr), arrays))
 
 
+def mixed_stack(seed, n, tau, teleport):
+    """tau random n-node digraph slices and their (tau n) x n stack: strongly
+    connected ones for the strict chain, and with ``teleport`` a mix of those
+    and slices with zero rows."""
+    rng = np.random.default_rng(seed)
+    slices = [digraph_with_zero_rows(n, rng) if teleport is not None and rng.random() < 0.5
+              else random_strong_digraph(n, rng) for _ in range(tau)]
+    return slices, sp.vstack(slices, format="csr")
+
+
+def outcome(call):
+    try:
+        return call()
+    except (graphs.ConvergenceError, ReducibleChainError) as exc:
+        return exc
+
+
+class TestStackedChains:
+    """A (tau n) x n stack of slices goes through one stationary loop and one
+    symmetrization, and every slice gets the bits it gets on its own."""
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 30), st.integers(1, 6),
+           st.sampled_from([None, 1e-3]))
+    def test_rows_are_the_per_slice_vectors(self, seed, n, tau, teleport):
+        slices, stack = mixed_stack(seed, n, tau, teleport)
+        got = stationary_vector(transition_matrix(stack), total_weight=2.0, teleport=teleport)
+        want = [stationary_vector(transition_matrix(A), total_weight=2.0, teleport=teleport)
+                for A in slices]
+        assert np.array_equal(got, want[0] if tau == 1 else np.array(want))
+        got = symmetrized_adjacency(stack, teleport=teleport)
+        for t, A in enumerate(slices):
+            assert_same_csr(got[t * n:(t + 1) * n], symmetrized_adjacency(A, teleport=teleport))
+
+    @example(seed=3, n=20, budget=5, teleport=None)
+    @example(seed=3, n=20, budget=5, teleport=1e-3)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 20), st.integers(0, 60),
+           st.sampled_from([None, 1e-3]))
+    def test_an_exhausted_budget_names_the_first_slice_that_misses_it(
+            self, seed, n, budget, teleport):
+        """Under any step budget, the stack fails exactly when some slice
+        fails on its own, with the first such slice's error and residual."""
+        slices, stack = mixed_stack(seed, n, 4, teleport)
+        with mock.patch.object(graphs, "STATIONARY_MAX_ITER", budget):
+            got = outcome(lambda: stationary_vector(transition_matrix(stack),
+                                                    teleport=teleport))
+            alone = [outcome(lambda: stationary_vector(transition_matrix(A),
+                                                       teleport=teleport))
+                     for A in slices]
+        failed = [t for t, r in enumerate(alone) if isinstance(r, Exception)]
+        if not failed:
+            assert np.array_equal(got, np.array(alone))
+            return
+        t = failed[0]
+        assert type(got) is type(alone[t]) is graphs.ConvergenceError
+        assert got.residual == alone[t].residual > graphs.STATIONARY_TOL
+        assert str(got) == str(alone[t]).replace("vector", f"vector of slice {t}", 1)
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 20), st.integers(0, 3))
+    def test_a_reducible_slice_in_a_strict_stack_is_named(self, seed, n, t):
+        slices, _ = mixed_stack(seed, n, 4, None)
+        slices[t] = digraph_with_zero_rows(n, np.random.default_rng(seed))
+        stack = sp.vstack(slices, format="csr")
+        with pytest.raises(ReducibleChainError, match=f"of slice {t} is reducible"):
+            stationary_vector(transition_matrix(stack))
+        with pytest.raises(ReducibleChainError, match=f"of slice {t} is reducible"):
+            symmetrized_adjacency(stack)
+
+    def test_shapes_and_signs(self):
+        with pytest.raises(ValueError, match="stack of n x n slices"):
+            stationary_vector(sp.csr_array((5, 2)))
+        with pytest.raises(ValueError, match="empty chain"):
+            stationary_vector(sp.csr_array((0, 0)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            stationary_vector(csr([[0, -1], [1, 0]]), teleport=1e-3)
+
+
 class TestKatz:
     def test_omega_zero_returns_adjacency(self):
         A = csr([[0, 2], [1, 0]])

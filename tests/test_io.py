@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from dynten import io
+from dynten import graphs, io
 from dynten.graphs import DynamicNetwork, adjacency_from_edges, align_snapshots
 from dynten.io import (load_dynamic_network, load_embedding_csv, write_dynamic_network,
                        write_embedding_csv)
@@ -482,6 +482,54 @@ def test_directory_loader_matches_reference(tmp_path_factory, texts, directed):
     for k, text in enumerate(texts):
         (folder / f"{k:02d}.txt").write_bytes(text.encode("utf-8"))
     assert_same_outcome(folder, directed)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), directed=st.booleans(), as_directory=st.booleans())
+def test_loaded_networks_pass_the_per_slice_check(tmp_path_factory, data, directed,
+                                                  as_directory):
+    """The loader checks its slices once, on their block-diagonal form; every
+    network it returns passes DynamicNetwork's per-slice check as it is."""
+    if as_directory:
+        path = tmp_path_factory.mktemp("snaps")
+        for k, text in enumerate(data.draw(st.lists(edge_texts(with_time=False),
+                                                    min_size=1, max_size=3))):
+            (path / f"{k:02d}.txt").write_bytes(text.encode("utf-8"))
+    else:
+        path = tmp_path_factory.mktemp("combined") / "net.edges"
+        path.write_bytes(data.draw(edge_texts(with_time=True)).encode("utf-8"))
+    net = outcome(load_dynamic_network, path, directed)
+    if not isinstance(net, tuple):
+        DynamicNetwork(labels=net.labels, snapshots=net.snapshots, directed=net.directed)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("asymmetric", "of an undirected network is not symmetric"),
+    ("explicit zero", "is not a canonical 4 x 4 float64 csr_array")])
+@pytest.mark.parametrize("t", [0, 2])
+def test_a_faulty_slice_of_the_loaded_stack_is_named(monkeypatch, tmp_path, t, fault,
+                                                     message):
+    """One entry of slice t spoilt in the stacked build: the load is refused
+    with the message DynamicNetwork gives for that slice alone."""
+    path = tmp_path / "net.edges"
+    path.write_text("0 a b\n0 b c\n1 a c\n1 b c\n2 a b\n2 c d\n")
+    build, built = graphs.stacked_adjacency, []
+
+    def spoilt(*args, **kwargs):
+        stack = build(*args, **kwargs)
+        first = stack.indptr[t * stack.shape[1]]  # slice t's first entry, off the diagonal
+        stack.data[first] = 2.0 * stack.data[first] if fault == "asymmetric" else 0.0
+        built.append(stack)
+        return stack
+
+    monkeypatch.setattr(graphs, "stacked_adjacency", spoilt)
+    with pytest.raises(ValueError) as got:
+        load_dynamic_network(path)
+    assert str(got.value).startswith(f"snapshot {t} {message}")
+    with pytest.raises(ValueError) as alone:
+        DynamicNetwork(labels=("a", "b", "c", "d"),
+                       snapshots=graphs._slices_of(built[0], 3), directed=False)
+    assert str(got.value) == str(alone.value)
 
 
 def test_separators_and_boundaries_match_str_methods():

@@ -419,6 +419,24 @@ class TestEffectiveResistance:
     def test_same_node_zero(self):
         assert effective_resistance(P3_L, 1, 1) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12])
+    def test_each_component_has_its_own_cutoff(self, scale):
+        """A 10-node component whose weights are ``scale`` times those of a
+        30-node one: within each, the resistance is the component's own
+        dense pseudoinverse's, not zero, and the full-rank embedding agrees."""
+        rng = np.random.default_rng(7)
+        heavy = laplacian(random_connected_graph(30, rng, weighted=True))
+        light = scale * laplacian(random_connected_graph(10, rng, weighted=True))
+        L = sp.block_diag([heavy, light], format="csr")
+        emb = resistance_embedding(L, 38)
+        for block, offset in ((heavy, 0), (light, 30)):
+            pinv = np.linalg.pinv(block.toarray(), hermitian=True)
+            for i, j in ((0, 1), (2, 9), (4, 7)):
+                want = pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j]
+                got = effective_resistance(L, offset + i, offset + j)
+                assert abs(got - want) <= 1e-9 * want
+                assert abs(np.sum((emb[offset + i] - emb[offset + j]) ** 2) - got) <= 1e-8 * got
+
     def test_size_guard(self):
         big = sp.identity(2001, format="csr")
         with pytest.raises(ValueError, match="2000"):
