@@ -544,7 +544,7 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
     slice t alone gives. One ``stationary_vector`` call serves every slice,
     and the symmetric parts are taken together on the block-diagonal form.
     """
-    A = sparse.csr_array(A, dtype=np.float64)
+    A = sparse.csr_array(A, dtype=np.float64, copy=True)  # sum_duplicates works in place
     tau, n = _slice_count(A), A.shape[1]
     P = transition_matrix(A)  # refuses negative weights
     A.sum_duplicates()  # as A.sum() does, so each total sums the same entries

@@ -240,7 +240,13 @@ def _stratified_folds(labels, folds):
 def cross_validated_scores(sample: EdgeSample, folds: int = 5):
     """Stratified CV of the classifier. Returns ``(cv_auc, pooled)``: the
     mean of the fold AUCs and each sample's probability under the model
-    fitted without its fold."""
+    fitted without its fold.
+
+    Each fold's model is fitted on the training separations standardized by
+    their own mean and standard deviation (a zero spread divides by 1), and
+    the held-out fold is mapped the same way, so the scores do not depend on
+    the embedding's scale: the fixed loss weight would otherwise make the
+    l1 penalty win on small separations and read every pair as chance."""
     y = np.asarray(sample.labels, dtype=np.float64)
     x = np.asarray(sample.separations, dtype=np.float64)
     n_pos, n_neg = int((y > 0).sum()), int((y < 0).sum())
@@ -255,8 +261,10 @@ def cross_validated_scores(sample: EdgeSample, folds: int = 5):
     fold_aucs = []
     for f in range(folds_eff):
         hold = assign == f
-        w, c = _fit_wc(x[~hold], y[~hold])
-        pooled[hold] = expit(x[hold] * w + c)
+        train = x[~hold]
+        mean, spread = train.mean(), train.std() or 1.0
+        w, c = _fit_wc((train - mean) / spread, y[~hold])
+        pooled[hold] = expit((x[hold] - mean) / spread * w + c)
         fold_aucs.append(auc_roc(pooled[hold], y[hold]))
     return float(np.mean(fold_aucs)), pooled
 

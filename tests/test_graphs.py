@@ -410,6 +410,27 @@ class TestOneProductLoops:
         assert P.nnz == 2  # 1e-320 / 1e10 underflows to zero and is dropped
         assert all(np.array_equal(x, y) for x, y in zip((A.data, A.indices, A.indptr), arrays))
 
+    @pytest.mark.parametrize("call", [
+        transition_matrix, laplacian, degree_matrix, katz_omega_bound,
+        lambda A: stationary_vector(A, teleport=1e-3),
+        lambda A: symmetrized_adjacency(A, teleport=1e-3)],
+        ids=["transition", "laplacian", "degree", "katz_bound", "stationary", "symmetrized"])
+    def test_non_canonical_input_is_left_alone(self, call):
+        # a duplicate (0, 1) entry and unsorted indices in row 0
+        A = sp.csr_array((np.ones(5), np.array([2, 1, 1, 0, 0]), np.array([0, 3, 4, 5])),
+                         shape=(3, 3))
+        arrays = [x.copy() for x in (A.data, A.indices, A.indptr)]
+        call(A)
+        assert all(np.array_equal(x, y) for x, y in zip((A.data, A.indices, A.indptr), arrays))
+
+    def test_symmetrized_non_canonical_input_gives_the_canonical_result(self):
+        A = sp.csr_array((np.ones(5), np.array([2, 1, 1, 0, 0]), np.array([0, 3, 4, 5])),
+                         shape=(3, 3))
+        got = symmetrized_adjacency(A, teleport=1e-3)
+        want = symmetrized_adjacency(csr([[0, 2, 1], [1, 0, 0], [1, 0, 0]]), teleport=1e-3)
+        assert all(np.array_equal(x, y) for x, y in
+                   zip((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr)))
+
 
 def mixed_stack(seed, n, tau, teleport):
     """tau random n-node digraph slices and their (tau n) x n stack: strongly

@@ -532,3 +532,19 @@ def test_separation_values_matches_scalar_functions():
     for k, (i, j) in enumerate(pairs):
         assert l2[k] == pytest.approx(l2_separation(emb, i, j))
         assert had[k] == pytest.approx(hadamard_separation(emb, i, j))
+
+
+@given(seed=st.integers(0, 10 ** 6), metric=st.sampled_from(["l2", "hadamard"]),
+       noise=st.sampled_from([0.3, 1.0, 3.0]))
+@settings(max_examples=20, deadline=None)
+def test_scores_do_not_depend_on_the_embedding_scale(seed, metric, noise):
+    """AP, AUC and cv_auc of an embedding multiplied by 10^k, k = -6..6, are
+    those of the embedding itself, to within one discordant pair."""
+    net, membership = dynamic_sbm(60, 4, seed=21)
+    rng = np.random.default_rng(seed)
+    emb = np.eye(2)[membership[-1]] + noise * rng.standard_normal((net.n, 2))
+    n_pos = 40
+    scores = [(rep["AP"], rep["AUC"], rep["cv_auc"]) for rep in
+              (linkpred.evaluate_link_prediction(net, 3, emb * 10.0 ** k, metric, n_pos, seed)
+               for k in range(-6, 7))]
+    assert np.ptp(scores, axis=0).max() <= 1.0 / (n_pos * n_pos)

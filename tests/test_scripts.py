@@ -1,37 +1,65 @@
-"""Smoke runs of the scripts under scripts/, in-process with a patched argv."""
+"""Smoke runs of scripts/bench.py, in-process with a patched argv, and of the README example."""
 
+import contextlib
+import io
+import json
 import runpy
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from dynten.cli import METHODS, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+METRICS = ["l2", "hadamard"]
 
 
-def run_script(name, argv, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [name, *argv])
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    return capsys.readouterr().out.splitlines()
+def run_bench(argv):
+    """The whitespace-split rows below the header of an in-process bench.py run."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "argv", ["bench.py", *argv]), contextlib.redirect_stdout(out):
+        runpy.run_path(str(SCRIPTS / "bench.py"), run_name="__main__")
+    header, *rows = out.getvalue().splitlines()
+    assert header.split() == ["network", "method", "d", "metric", "AP", "AUC", "secs"]
+    return [row.split() for row in rows]
 
 
-def table_rows(lines):
-    """The whitespace-split rows below the table's header line."""
-    header = next(k for k, line in enumerate(lines) if line.startswith("method"))
-    return [line.split() for line in lines[header + 1:]]
+@pytest.fixture(scope="module")
+def synthetic(tmp_path_factory):
+    """The printed rows and the --json record of one block-model run."""
+    path = tmp_path_factory.mktemp("bench") / "sbm.json"
+    rows = run_bench(["--n", "40", "--tau", "4", "--dims", "4", "--json", str(path)])
+    return rows, json.loads(path.read_text())
 
 
-def test_sbm_benchmark_prints_every_method(monkeypatch, capsys):
-    lines = run_script("run_sbm_benchmark.py", ["--n", "40", "--tau", "4", "--d", "4"],
-                       monkeypatch, capsys)
-    rows = table_rows(lines)
-    assert [r[0] for r in rows] == [*METHODS, "er-control"]
+def test_synthetic_mode_prints_every_method_and_the_control(synthetic):
+    rows, _ = synthetic
+    assert [tuple(r[:4]) for r in rows] == \
+        [("sbm", m, "4", metric) for m in METHODS for metric in METRICS] + \
+        [("er-control", "dynacpd", "4", metric) for metric in METRICS]
+
+
+def test_scores_are_in_the_unit_interval(synthetic):
+    rows, record = synthetic
     for row in rows:
-        scores = [float(x) for x in row[1:5]]
-        assert all(0.0 <= x <= 1.0 for x in scores), row
-    assert all(len(r) == 6 for r in rows[:-1]) and len(rows[-1]) == 5
+        assert all(0.0 <= float(x) <= 1.0 for x in row[4:6]), row
+    for row in record["rows"]:
+        assert 0.0 <= row["AP"] <= 1.0 and 0.0 <= row["AUC"] <= 1.0, row
+
+
+def test_json_rows_equal_the_printed_rows(synthetic):
+    rows, record = synthetic
+    assert [[r["network"], r["method"], str(r["d"]), r["metric"], f"{r['AP']:.4f}",
+             f"{r['AUC']:.4f}", f"{r['seconds']:.2f}"] for r in record["rows"]] == rows
+    assert record["input"] == {"sbm": {"n": 40, "tau": 4, "blocks": 2, "p_in": 0.2,
+                                       "p_out": 0.01, "drift": 0.05, "seed": 0}}
+    assert record["peak_rss_mb"] > 0 and record["environment"]["cpu_count"] >= 1
+    for row in record["rows"]:
+        assert row["protocol"] == {"metric": row["metric"], "normalize": False,
+                                   "negatives": "uniform"}
+        assert ("stop_reason" in row) == (row["method"] in ("dynacpd", "dynaocpd"))
 
 
 @pytest.fixture(scope="module")
@@ -42,16 +70,12 @@ def edges_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize("directed", [False, True])
-def test_dataset_sweep_prints_method_rows(edges_file, directed, monkeypatch, capsys):
+def test_dataset_mode_prints_one_row_per_method_dimension_and_metric(edges_file, directed):
     methods = ["dynacpd", "dynaocpd", "adj_last", "res_wt"]
-    argv = [str(edges_file), "--methods", *methods, "--dims", "4", "--n-pos", "50"]
-    lines = run_script("run_dataset.py", argv + (["--directed"] if directed else []),
-                       monkeypatch, capsys)
-    assert lines[0] == f"{edges_file}: n=40 tau=4"
-    rows = table_rows(lines)
-    assert [(r[0], r[1]) for r in rows] == [(m, "4") for m in methods]
-    for row in rows:
-        assert all(0.0 <= float(x) <= 1.0 for x in row[2:4]), row
+    argv = [str(edges_file), "--methods", *methods, "--dims", "4", "6", "--n-pos", "50"]
+    rows = run_bench(argv + (["--directed"] if directed else []))
+    assert [tuple(r[:4]) for r in rows] == \
+        [("sbm", m, d, metric) for m in methods for d in ("4", "6") for metric in METRICS]
 
 
 def test_readme_library_snippet_runs(capsys):
