@@ -27,6 +27,7 @@ STATIONARY_TOL = 1e-12       # l1 residual that ends stationary_vector
 STATIONARY_MAX_ITER = 20000  # power steps before stationary_vector gives up
 RADIUS_ITERS = 100           # power steps of spectral_radius
 RADIUS_TOL = 1e-8            # relative change of the estimate that ends spectral_radius
+_CHECK_ENTRIES = 1 << 15     # stored entries of a slice group that _check_stack checks at once
 
 
 class ConvergenceError(RuntimeError):
@@ -43,56 +44,117 @@ class ReducibleChainError(ValueError):
     (e.g. Katz preprocessing)."""
 
 
-def stacked_adjacency(node_count: int, slice_count: int, row, col, weight,
+def stacked_adjacency(node_count: int, ends, row, col, weight,
                       undirected: bool = False) -> sparse.csr_array:
     """Canonical ``node_count`` x ``node_count`` adjacency of each of
-    ``slice_count`` slices, built at once and stacked as one
-    (slice_count * node_count) x node_count CSR matrix, whose index arrays
-    are int32 whenever its shape and nnz fit: edge k runs from node
-    ``row[k] % node_count`` to ``col[k]`` with weight ``weight[k]`` in slice
-    ``row[k] // node_count``. :func:`_slices_of` cuts it into slices.
+    ``len(ends)`` slices, stacked as one (len(ends) * node_count) x
+    node_count CSR matrix, whose index arrays are int32 whenever its shape
+    and nnz fit. Slice t holds the edges ``ends[t - 1]`` (0 for t = 0) up to
+    ``ends[t]``: edge k runs from node ``row[k]`` to ``col[k]`` with weight
+    ``weight[k]``, or 1.0 when ``weight`` is None. :func:`_slices_of` cuts
+    the stack into slices.
 
     Per slice, duplicate pairs are summed in input order and zero sums are
     dropped. With ``undirected=True`` every off-diagonal edge is mirrored so
     both orientations carry the weight; duplicates are summed per orientation
     first, and a pair listed in both orientations must agree in weight.
-    Input without repeated keys takes one counting-sort COO -> CSR pass;
-    only input where some key repeats is summed entry by entry.
+
+    The slices are built one at a time, each from its sorted keys
+    row * n + col (int32 whenever n^2 fits), straight into stacked arrays
+    sized for every edge and its mirror, so the scratch is one slice's
+    worth. Only a slice where some key repeats is summed entry by entry.
     """
-    n = node_count
-    row = np.asarray(row, dtype=np.int64).ravel()
-    col = np.asarray(col, dtype=np.int64).ravel()
-    wgt = np.asarray(weight, dtype=np.float64).ravel()
-    if not row.size == col.size == wgt.size:
+    n, tau = node_count, len(ends)
+    row, col = (np.asarray(ids).ravel() for ids in (row, col))
+    row, col = (ids if ids.dtype.kind in "iu" else ids.astype(np.int64) for ids in (row, col))
+    wgt = None if weight is None else np.asarray(weight, dtype=np.float64).ravel()
+    if not row.size == col.size == (row.size if wgt is None else wgt.size):
         raise ValueError("src, dst and weight must have equal length")
-    if row.size and (min(row.min(), col.min()) < 0 or row.max() >= slice_count * n
-                     or col.max() >= n):
+    if tau < 1 or ends[-1] != row.size or np.any(np.diff(ends, prepend=0) < 0):
+        raise ValueError("slice ends must rise to the number of edges")
+    if row.size and (min(row.min(), col.min()) < 0 or max(row.max(), col.max()) >= n):
         raise ValueError(f"edge endpoint out of range [0, {n})")
-    if not np.all(np.isfinite(wgt)):
+    if wgt is not None and not np.isfinite(wgt).all():
         raise ValueError("edge weights must be finite")
-    shape = (slice_count * n, n)
-    A, entries = _stack(shape, row, col, wgt, undirected)
-    if A.nnz < entries:  # some key repeats: sum in input order as the contract says
-        del A
-        key, wgt = _sum_in_order(row * n + col, wgt)
+    size = row.size + (int(np.count_nonzero(row != col)) if undirected else 0)
+    index = np.int32 if max(tau * n, size) <= np.iinfo(np.int32).max else np.int64
+    key_type = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    data, indices = np.empty(size), np.empty(size, dtype=index)
+    indptr = np.zeros(tau * n + 1, dtype=index)
+    row_ends = np.arange(1, n + 1, dtype=key_type) * n  # the key that ends each row
+    lo = stop = 0
+    for t, hi in enumerate(ends):
+        key, value = _slice_entries(n, key_type, row[lo:hi], col[lo:hi],
+                                    None if wgt is None else wgt[lo:hi], undirected)
+        start, stop = stop, stop + key.size
+        np.remainder(key, n, out=indices[start:stop], casting="unsafe")
+        data[start:stop] = value
+        ptr = indptr[t * n + 1:(t + 1) * n + 1]
+        ptr[:] = key.searchsorted(row_ends)
+        ptr += start
+        lo = hi
+    data.resize(stop, refcheck=False)  # repeated keys and zero sums leave room over
+    indices.resize(stop, refcheck=False)
+    return sparse.csr_array((data, indices, indptr), shape=(tau * n, n))
+
+
+def _slice_entries(n, key_type, row, col, wgt, undirected):
+    """The stored entries of one slice's canonical adjacency, under the rules
+    of :func:`stacked_adjacency`: their sorted keys row * n + col, of
+    ``key_type``, and their values (1.0 for all when ``wgt`` is None)."""
+    listed = row.astype(key_type)
+    listed *= n
+    listed += col
+    if undirected:
+        off = row != col
+        key = np.concatenate([listed, col[off].astype(key_type) * n + row[off]])
+        value = None if wgt is None else np.concatenate([wgt, wgt[off]])
+        del off
+    else:
+        key, value = listed.copy(), wgt
+    if value is None:
+        key.sort()
+    else:
+        order = key.argsort()
+        key = key[order]
+        value = value[order]
+        del order
+    if np.any(key[1:] == key[:-1]):  # a key repeats: sum in input order
+        del key, value
+        listed, value = _sum_in_order(listed, np.ones(listed.size) if wgt is None else wgt)
         if undirected:
-            key, wgt = _one_weight_per_pair(n, key, wgt)
-        A, _ = _stack(shape, key // n, key % n, wgt, undirected)
-    A.eliminate_zeros()
-    return A
+            listed, value = _one_weight_per_pair(n, listed, value)
+        return _slice_entries(n, key_type, *np.divmod(listed, n), value, undirected)
+    if value is None:
+        return key, 1.0
+    nonzero = value != 0.0
+    if not nonzero.all():
+        key, value = key[nonzero], value[nonzero]
+    return key, value
+
+
+def _csr_of(data, indices, indptr, shape) -> sparse.csr_array:
+    """The CSR matrix of these consistent arrays, sharing them even when they
+    are views: it is made empty and then handed the arrays, because scipy's
+    constructor copies any view under half its base array (``prune``)."""
+    M = sparse.csr_array(shape)
+    M.data, M.indices, M.indptr = data, indices, indptr
+    return M
+
+
+def _slice_rows(stack, t: int, u: int) -> sparse.csr_array:
+    """Slices t .. u - 1 of the (tau n) x n CSR matrix ``stack`` as one
+    ((u - t) n) x n CSR view that shares its data and index arrays."""
+    n = stack.shape[1]
+    ptr = stack.indptr[t * n:u * n + 1]
+    lo, hi = ptr[0], ptr[-1]
+    return _csr_of(stack.data[lo:hi], stack.indices[lo:hi], ptr - lo, ((u - t) * n, n))
 
 
 def _slices_of(stack, slice_count: int) -> tuple:
     """The n x n slices of the (slice_count n) x n CSR matrix ``stack``, as
     views that share its data and index arrays."""
-    n = stack.shape[1]
-    slices = []
-    for t in range(slice_count):
-        ptr = stack.indptr[t * n:(t + 1) * n + 1]
-        lo, hi = ptr[0], ptr[-1]
-        slices.append(sparse.csr_array((stack.data[lo:hi], stack.indices[lo:hi], ptr - lo),
-                                       shape=(n, n)))
-    return tuple(slices)
+    return tuple(_slice_rows(stack, t, t + 1) for t in range(slice_count))
 
 
 def _block_offsets(M, n: int) -> np.ndarray:
@@ -108,8 +170,7 @@ def _block_diagonal(stack, n: int) -> sparse.csr_array:
     are the n x n slices of the (tau n) x n CSR matrix ``stack``. It shares
     the stack's data and row pointers; only the column indices are new."""
     m = stack.shape[0]
-    return sparse.csr_array((stack.data, stack.indices + _block_offsets(stack, n),
-                             stack.indptr), shape=(m, m))
+    return _csr_of(stack.data, stack.indices + _block_offsets(stack, n), stack.indptr, (m, m))
 
 
 def _diagonal_blocks(M, n: int) -> sparse.csr_array:
@@ -117,25 +178,6 @@ def _diagonal_blocks(M, n: int) -> sparse.csr_array:
     as a (tau n) x n matrix: the inverse of :func:`_block_diagonal`."""
     return sparse.csr_array((M.data, M.indices - _block_offsets(M, n), M.indptr),
                             shape=(M.shape[0], n))
-
-
-def _stack(shape, row, col, wgt, undirected):
-    """The stacked CSR of the edges (mirrored off the diagonal when
-    undirected) with repeated keys summed, and the number of entries fed in:
-    fewer stored entries than that means a key repeated."""
-    index = np.int32 if shape[0] <= np.iinfo(np.int32).max else np.int64
-    if undirected:
-        src = row % shape[1] if row.size else row
-        off = np.flatnonzero(src != col)
-        size = row.size + off.size
-        r, c, w = np.empty(size, index), np.empty(size, index), np.empty(size)
-        r[:row.size], c[:row.size], w[:row.size] = row, col, wgt
-        r[row.size:] = row[off] - src[off] + col[off]
-        c[row.size:], w[row.size:] = src[off], wgt[off]
-        row, col, wgt = r, c, w
-    else:
-        row, col = row.astype(index), col.astype(index)
-    return sparse.coo_array((wgt, (row, col)), shape=shape).tocsr(), wgt.size
 
 
 def _sum_in_order(key, wgt):
@@ -148,21 +190,21 @@ def _sum_in_order(key, wgt):
 
 
 def _one_weight_per_pair(n, key, wgt):
-    """Each unordered pair among the sorted, distinct directed edges ``key``
-    (row * n + col) once, keyed by its upper-triangle orientation and with
-    that orientation's weight when both are present, which must then agree."""
+    """Each unordered pair among the distinct directed edges ``key``
+    (row * n + col) once, keyed by its upper-triangle orientation, with the
+    weight of its orientations, which must agree when both are present."""
     row, col = np.divmod(key, n)
-    src = row % n
-    lower = np.flatnonzero(src > col)
-    mirror = (row[lower] - src[lower] + col[lower]) * n + src[lower]
-    lower_w = wgt[lower]
-    upper = np.ones(key.size, dtype=bool)
-    upper[lower] = False
-    key, wgt = key[upper], wgt[upper]
-    both = np.isin(mirror, key, assume_unique=True)
-    if np.any(wgt[np.searchsorted(key, mirror[both])] != lower_w[both]):
+    pair = np.minimum(row, col) * n + np.maximum(row, col)
+    del row, col
+    order = np.argsort(pair, kind="stable")
+    pair, wgt = pair[order], wgt[order]
+    del order
+    both = np.flatnonzero(pair[1:] == pair[:-1])  # the first of the two orientations
+    if np.any(wgt[both] != wgt[both + 1]):
         raise ValueError("conflicting weights for undirected edge")
-    return np.concatenate([key, mirror[~both]]), np.concatenate([wgt, lower_w[~both]])
+    keep = np.ones(pair.size, dtype=bool)
+    keep[both + 1] = False
+    return pair[keep], wgt[keep]
 
 
 def adjacency_from_edges(node_count: int, src, dst, weight,
@@ -172,7 +214,7 @@ def adjacency_from_edges(node_count: int, src, dst, weight,
     under the same summing rules."""
     if node_count < 0:
         raise ValueError("node_count must be >= 0")
-    return stacked_adjacency(node_count, 1, src, dst, weight, undirected)
+    return stacked_adjacency(node_count, [np.size(src)], src, dst, weight, undirected)
 
 
 def _mirror_data(M):
@@ -293,27 +335,28 @@ def align_snapshots(snapshot_edges: Sequence[Sequence], *,
     def indexed(k):
         column = chain.from_iterable(edges[k] for edges in snapshot_edges)
         return np.fromiter((index.setdefault(lab, len(index)) for lab in column),
-                           dtype=np.int64, count=sum(sizes))
+                           dtype=np.int32, count=sum(sizes))
 
     src, dst = indexed(0), indexed(1)
-    slice_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     declared = [()] * len(sizes) if snapshot_labels is None else snapshot_labels
-    return aligned_network([(list(index), slice_of, src, dst, np.concatenate(weights))],
+    return aligned_network(list(index), np.cumsum(sizes), src, dst, np.concatenate(weights),
                            declared, directed)
 
 
-def aligned_network(parts, declared: Sequence[Sequence], directed: bool) -> DynamicNetwork:
-    """The network of edge ``parts`` over the union node set, one slice per
-    entry of ``declared``.
+def aligned_network(labels, ends, src, dst, weight, declared: Sequence[Sequence],
+                    directed: bool) -> DynamicNetwork:
+    """The network of the edges src[k] -> dst[k], int32 indices into
+    ``labels``, with ``weight[k]`` (1.0 when ``weight`` is None), over the
+    union node set; slice t holds the edges ``ends[t - 1]`` (0 for t = 0) up
+    to ``ends[t]``, and there is one slice per entry of ``declared``.
 
-    A part is ``(labels, slice_of, src, dst, weight)``: its edge k runs from
-    ``labels[src[k]]`` to ``labels[dst[k]]`` with ``weight[k]`` in slice
-    ``slice_of[k]`` (an array, or one slice number for the whole part).
     ``declared[t]`` declares labels present at t even if isolated; a label
     repeated within one declaration is rejected. The union of the declared
-    and part labels, sorted by ``str``, is the node order of every slice.
-    The slices are checked as ``DynamicNetwork`` checks them, in one pass
-    over their block-diagonal form.
+    labels and ``labels``, sorted by ``str``, is the node order of every
+    slice; ``src`` and ``dst`` are rewritten in place, a slice at a time,
+    to index it. :func:`stacked_adjacency` builds the slices, and they are
+    checked as ``DynamicNetwork`` checks them, a few at a time on their
+    block-diagonal form (see :func:`_check_stack`).
     """
     if not declared:
         raise ValueError("need at least one snapshot")
@@ -325,27 +368,44 @@ def aligned_network(parts, declared: Sequence[Sequence], directed: bool) -> Dyna
                 raise ValueError(f"duplicate label {lab!r} in snapshot {t}")
             seen.add(lab)
         union |= seen
-    for part in parts:
-        union.update(part[0])
-    labels = tuple(sorted(union, key=str))
-    index = {lab: i for i, lab in enumerate(labels)}.__getitem__
-    n = len(labels)
-    row, col, weight = [], [], []
-    for part_labels, slice_of, src, dst, wgt in parts:
-        remap = np.fromiter(map(index, part_labels), dtype=np.int64, count=len(part_labels))
-        row.append(remap[src])
-        row[-1] += np.multiply(slice_of, n, dtype=np.int64)
-        col.append(remap[dst])
-        weight.append(wgt)
-    row, col, weight = (x[0] if len(x) == 1 else np.concatenate(x) for x in (row, col, weight))
-    stack = stacked_adjacency(n, len(declared), row, col, weight, undirected=not directed)
-    del row, col, weight  # the check below stays under the build's peak
+    union.update(labels)
+    order = tuple(sorted(union, key=str))
+    index = {lab: i for i, lab in enumerate(order)}
+    remap = np.fromiter(map(index.__getitem__, labels), dtype=np.int32, count=len(labels))
+    del union, index
+    lo = 0
+    for hi in ends:
+        for ids in (src, dst):
+            ids[lo:hi] = remap[ids[lo:hi]]
+        lo = hi
+    stack = stacked_adjacency(len(order), ends, src, dst, weight, undirected=not directed)
     snaps = _slices_of(stack, len(declared))
-    try:  # every slice at once; on a fault the per-slice checks name the slice
-        _check_slice(_block_diagonal(stack, n), stack.shape[0], directed, "stack")
-    except ValueError:
-        return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
-    return DynamicNetwork._unchecked(labels, snaps, directed)
+    try:
+        _check_stack(stack, directed)
+    except ValueError:  # the per-slice checks name the first faulty slice
+        return DynamicNetwork(labels=order, snapshots=snaps, directed=directed)
+    return DynamicNetwork._unchecked(order, snaps, directed)
+
+
+def _check_stack(stack, directed: bool) -> None:
+    """Raise ValueError unless every n x n slice of the (tau n) x n CSR
+    matrix ``stack`` passes ``DynamicNetwork``'s check. Consecutive slices
+    are checked together on their block-diagonal form, in groups of at most
+    ``_CHECK_ENTRIES`` stored entries or of one slice, so that the check's
+    fixed cost is paid once per group and its scratch, a transposed copy of
+    the group, stays one group's worth."""
+    n = stack.shape[1]
+    if not n:
+        return
+    tau, first = stack.shape[0] // n, stack.indptr[::n]  # first entry of each slice, then nnz
+    t = 0
+    while t < tau:
+        u = t + 1
+        while u < tau and first[u + 1] - first[t] <= _CHECK_ENTRIES:
+            u += 1
+        _check_slice(_block_diagonal(_slice_rows(stack, t, u), n), (u - t) * n, directed,
+                     "stack")
+        t = u
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +496,25 @@ def _slice_count(P) -> int:
 
 
 def _chain_operator(Q, chains) -> sparse.csc_array:
-    """Q_t^T for each slice t in ``chains`` of the (tau n) x n stack Q, as
-    one block-diagonal CSC operator: a transposed view of the CSR
-    block-diagonal matrix, so block t of its product with x is x_t Q_t,
-    summed in the order the slice's own transposed view sums it."""
-    n = Q.shape[1]
-    if chains.size < Q.shape[0] // n:
-        Q = Q[(chains[:, None] * n + np.arange(n)).ravel()]
-    return _block_diagonal(Q, n).T
+    """Q_t^T for each slice t in ``chains`` of the (tau n) x n CSR stack Q,
+    as one block-diagonal CSC operator built from those slices' arrays (Q's
+    own when every slice is a chain): the transpose of their block-diagonal
+    CSR matrix, so block k of its product with x is x_k Q_t for the k-th
+    chain t, summed in the order the slice's own transposed view sums it."""
+    n, ptr = Q.shape[1], Q.indptr
+    if chains.size == Q.shape[0] // n:
+        data, rows, cols = Q.data, Q.indices + _block_offsets(Q, n), ptr
+    else:
+        data, rows, cols, size = [Q.data[:0]], [Q.indices[:0]], [ptr[:1]], 0
+        for k, t in enumerate(chains.tolist()):
+            lo, hi = ptr[t * n], ptr[(t + 1) * n]
+            data.append(Q.data[lo:hi])
+            rows.append(Q.indices[lo:hi] + k * n)
+            cols.append(ptr[t * n + 1:(t + 1) * n + 1] + (size - lo))
+            size += hi - lo
+        data, rows, cols = (np.concatenate(a) for a in (data, rows, cols))
+    m = chains.size * n
+    return sparse.csc_array((data, rows, cols), shape=(m, m))
 
 
 def stationary_vector(P, total_weight=1.0, *,
@@ -516,7 +587,8 @@ def stationary_vector(P, total_weight=1.0, *,
         if done.any():
             phi[live[done]] = x[done]
             live, x, step, residual = (a[~done] for a in (live, x, step, residual))
-            Qt = _chain_operator(Q, live)
+            if live.size:
+                Qt = _chain_operator(Q, live)
     for t, r in zip(live, residual):
         faults[t] = ConvergenceError(
             f"stationary vector{of(t)} did not converge in {STATIONARY_MAX_ITER} "

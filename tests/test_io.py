@@ -455,33 +455,52 @@ def edge_texts(draw, with_time):
     return text if draw(st.booleans()) else text[:-1]
 
 
+# the loader's chunk size, in bytes: a few bytes, so that line ends, CRLF
+# pairs, multi-byte code points, bad lines and slice changes straddle chunk
+# edges, or the module's own
+CHUNKS = st.one_of(st.integers(1, 16), st.just(io.CHUNK))
+
+
+def assert_same_outcome_in_chunks(path, directed, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "CHUNK", chunk)
+        assert_same_outcome(path, directed)
+
+
 @settings(max_examples=150)
-@given(text=edge_texts(with_time=True), directed=st.booleans())
-@example(text="1 a b\nnan b c\n0 a c\n", directed=False)
-@example(text="0 a b 2\r\n0 b a 2\r\n0 a b 1\r\n0 a b -1\n", directed=False)
-@example(text="# nodes: x y x\n0 a b\n", directed=True)
-@example(text="0 a b 2\n0 b a 3\n1 c c 0\n", directed=False)
-@example(text="0 a b\x1c0 b c\x1e1 a\x01 c\n", directed=True)
-@example(text="0 \u00e9 b\n0 b \u00e9\xa0 2\n1 \u00e9\u00e9 \u00e9\n", directed=True)
-@example(text="# \u65e5\n0 a\u2003b\u3000c\n0 \u65e5\u672c b\n", directed=False)
-@example(text="0 \U0001f600x a\n1 \U0001f600 \U0001f600x\u2028", directed=False)
+@given(text=edge_texts(with_time=True), directed=st.booleans(), chunk=CHUNKS)
+@example(text="1 a b\nnan b c\n0 a c\n", directed=False, chunk=io.CHUNK)
+@example(text="0 a b 2\r\n0 b a 2\r\n0 a b 1\r\n0 a b -1\n", directed=False, chunk=io.CHUNK)
+@example(text="# nodes: x y x\n0 a b\n", directed=True, chunk=io.CHUNK)
+@example(text="0 a b 2\n0 b a 3\n1 c c 0\n", directed=False, chunk=io.CHUNK)
+@example(text="0 a b\x1c0 b c\x1e1 a\x01 c\n", directed=True, chunk=io.CHUNK)
+@example(text="0 \u00e9 b\n0 b \u00e9\xa0 2\n1 \u00e9\u00e9 \u00e9\n", directed=True,
+         chunk=io.CHUNK)
+@example(text="# \u65e5\n0 a\u2003b\u3000c\n0 \u65e5\u672c b\n", directed=False, chunk=io.CHUNK)
+@example(text="0 \U0001f600x a\n1 \U0001f600 \U0001f600x\u2028", directed=False, chunk=io.CHUNK)
 @example(text="1234567890123 abcdefghijklmnopqrstu a\n1234567890124 abcdefghijklmnopqrstv a\n"
-              "x abcdefghijklmnopqrstu bbcdefghijklmnopqrstu\nx\x00 b\x00 b\n", directed=True)
-def test_combined_loader_matches_reference(tmp_path_factory, text, directed):
-    """Bitwise-equal networks, index dtypes included, or the same error."""
+              "x abcdefghijklmnopqrstu bbcdefghijklmnopqrstu\nx\x00 b\x00 b\n", directed=True,
+         chunk=io.CHUNK)
+@example(text="0 a b\r\n0 b c x\r\n", directed=False, chunk=6)  # CRLF across a read
+@example(text="0 \u00e9 b\r\n1 b \u65e5\n", directed=True, chunk=3)  # a split code point
+@example(text="0 a b\n1 b c\n1 c a\n0 a c\n", directed=False, chunk=7)  # times out of order
+@example(text="0 a b\n0 b c\n1 c a 2\n", directed=False, chunk=1)
+def test_combined_loader_matches_reference(tmp_path_factory, text, directed, chunk):
+    """Bitwise-equal networks, index dtypes included, or the same error, at
+    the module's chunk size and at chunks of a few bytes."""
     path = tmp_path_factory.mktemp("combined") / "net.edges"
     path.write_bytes(text.encode("utf-8"))
-    assert_same_outcome(path, directed)
+    assert_same_outcome_in_chunks(path, directed, chunk)
 
 
 @settings(max_examples=60)
 @given(texts=st.lists(edge_texts(with_time=False), min_size=1, max_size=3),
-       directed=st.booleans())
-def test_directory_loader_matches_reference(tmp_path_factory, texts, directed):
+       directed=st.booleans(), chunk=CHUNKS)
+def test_directory_loader_matches_reference(tmp_path_factory, texts, directed, chunk):
     folder = tmp_path_factory.mktemp("snaps")
     for k, text in enumerate(texts):
         (folder / f"{k:02d}.txt").write_bytes(text.encode("utf-8"))
-    assert_same_outcome(folder, directed)
+    assert_same_outcome_in_chunks(folder, directed, chunk)
 
 
 @settings(max_examples=60)
@@ -559,24 +578,37 @@ def write_generated_network(path, lines, n=1000, tau=8, seed=0, names=None, head
     path.write_text(header + "# nodes: " + " ".join(names) + "\n" + body, encoding="utf-8")
 
 
+def array_bytes(net):
+    """The bytes of the arrays that hold a network's slices."""
+    return sum(a.nbytes for A in net.snapshots for a in (A.data, A.indices, A.indptr))
+
+
 @pytest.mark.parametrize("variant", [
     {},
     {"header": "# source: " + "x" * 1000 + "\n"},
     {"names": [f"v{i:04d}" for i in range(999)] + ["w" * 200]},
     {"header": "# r\u00e9seau\n"},
     {"names": [f"\u65e5{i:04d}" for i in range(1000)]},
-], ids=["ascii", "long-comment-token", "long-label", "latin-1-comment", "cjk-labels"])
+    {"n": 10_000, "lines": 400_000},
+], ids=["ascii", "long-comment-token", "long-label", "latin-1-comment", "cjk-labels", "n-10000"])
 def test_loader_memory_per_file_byte(tmp_path, variant):
-    """Peak traced memory of loading a 100 000-line combined file (1.4 to
-    1.8 MB), per byte of the file. The line-by-line loader that the array
-    passes replaced peaked at 14.55 bytes per file byte on the ASCII input,
-    with one str object per line and per token, and that ratio is the bound
-    for every variant: a 1 000-character comment token or a 200-character
-    label must not widen the keys of the other tokens, and text outside
-    ASCII must not cost a 4-byte unit per character when 1 or 2 bytes hold
-    it. The array loader peaks at 9.2 to 9.8 bytes per file byte."""
+    """Peak traced memory of loading a combined file of 100 000 lines over
+    1 000 nodes (1.4 to 1.8 MB), or of 400 000 lines over 10 000 nodes
+    (5.7 MB), per byte of the file and per byte of the arrays of the network
+    it returns. The line-by-line loader that the array passes replaced
+    peaked at 14.55 bytes per file byte on the ASCII input, with one str
+    object per line and per token, and that ratio is the bound for every
+    variant: a 1 000-character comment token or a 200-character label must
+    not widen the keys of the other tokens, and text outside ASCII must not
+    cost a 4-byte unit per character when 1 or 2 bytes hold it. The load
+    parses the text in chunks and builds the slices one at a time, so its
+    scratch beyond the network stays a fraction of it: the peak is bounded
+    by 2.5 times the network's array bytes. It is 2.0 to 2.1 times here
+    (2.7 to 3.6 bytes per file byte), against 5.7 to 6.9 times for a
+    whole-file parse and an all-slices build."""
     path = tmp_path / "big.edges"
-    write_generated_network(path, 100_000, **variant)
+    options = dict(variant)
+    write_generated_network(path, options.pop("lines", 100_000), **options)
     load_dynamic_network(path)  # first-call imports and caches stay out of the peak
     tracemalloc.start()
     try:
@@ -584,5 +616,24 @@ def test_loader_memory_per_file_byte(tmp_path, variant):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert net.n == 1000 and net.tau == 8
+    assert net.n == options.get("n", 1000) and net.tau == 8
     assert peak <= 14.55 * path.stat().st_size
+    assert peak <= 2.5 * array_bytes(net)
+
+
+def test_writer_memory_per_file_byte(tmp_path):
+    """The writer builds and writes one slice's lines at a time: on the
+    100 000-line network of test_loader_memory_per_file_byte it peaks at
+    about 1 byte of traced memory per byte of the file, where joining every
+    line of the file at once peaked at 6.2."""
+    write_generated_network(tmp_path / "in.edges", 100_000)
+    net = load_dynamic_network(tmp_path / "in.edges")
+    path = tmp_path / "out.edges"
+    write_dynamic_network(path, net)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        write_dynamic_network(path, net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * path.stat().st_size
