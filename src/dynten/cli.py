@@ -170,6 +170,7 @@ def cmd_linkpred(cfg) -> int:
     payload = {
         "method": cfg["method"],
         "metric": cfg["metric"],
+        "normalize": cfg["normalize"],
         "d": cfg["d"],
         "AP": report["AP"],
         "AUC": report["AUC"],

@@ -27,7 +27,6 @@ STATIONARY_TOL = 1e-12       # l1 residual that ends stationary_vector
 STATIONARY_MAX_ITER = 20000  # power steps before stationary_vector gives up
 RADIUS_ITERS = 100           # power steps of spectral_radius
 RADIUS_TOL = 1e-8            # relative change of the estimate that ends spectral_radius
-_CHECK_ENTRIES = 1 << 15     # stored entries of a slice group that _check_stack checks at once
 
 
 class ConvergenceError(RuntimeError):
@@ -142,19 +141,15 @@ def _csr_of(data, indices, indptr, shape) -> sparse.csr_array:
     return M
 
 
-def _slice_rows(stack, t: int, u: int) -> sparse.csr_array:
-    """Slices t .. u - 1 of the (tau n) x n CSR matrix ``stack`` as one
-    ((u - t) n) x n CSR view that shares its data and index arrays."""
-    n = stack.shape[1]
-    ptr = stack.indptr[t * n:u * n + 1]
-    lo, hi = ptr[0], ptr[-1]
-    return _csr_of(stack.data[lo:hi], stack.indices[lo:hi], ptr - lo, ((u - t) * n, n))
-
-
 def _slices_of(stack, slice_count: int) -> tuple:
     """The n x n slices of the (slice_count n) x n CSR matrix ``stack``, as
     views that share its data and index arrays."""
-    return tuple(_slice_rows(stack, t, t + 1) for t in range(slice_count))
+    n, slices = stack.shape[1], []
+    for t in range(slice_count):
+        ptr = stack.indptr[t * n:(t + 1) * n + 1]
+        lo, hi = ptr[0], ptr[-1]
+        slices.append(_csr_of(stack.data[lo:hi], stack.indices[lo:hi], ptr - lo, (n, n)))
+    return tuple(slices)
 
 
 def _block_offsets(M, n: int) -> np.ndarray:
@@ -226,7 +221,7 @@ def _mirror_data(M):
     if not M.has_canonical_format or not np.array_equal(
             np.bincount(M.indices, minlength=M.shape[0]), np.diff(M.indptr)):
         return None
-    T = M.T.tocsr()
+    T = M.tocsc()
     if np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices):
         return T.data
     return None
@@ -242,9 +237,7 @@ def _exactly_symmetric(A: sparse.csr_array) -> bool:
 def _check_slice(A, n: int, directed: bool, name: str) -> None:
     """Raise ValueError, naming ``name``, unless A is a canonical n x n
     float64 ``csr_array`` (duplicates summed, no explicit zeros, sorted
-    indices) that, unless ``directed``, equals its transpose exactly. A
-    block-diagonal matrix passes exactly when each of its diagonal blocks
-    would, so one call on the block-diagonal form checks every slice."""
+    indices) that, unless ``directed``, equals its transpose exactly."""
     if not (isinstance(A, sparse.csr_array) and A.shape == (n, n)
             and A.dtype == np.float64 and A.has_canonical_format
             and np.all(A.data != 0.0)):
@@ -354,9 +347,8 @@ def aligned_network(labels, ends, src, dst, weight, declared: Sequence[Sequence]
     repeated within one declaration is rejected. The union of the declared
     labels and ``labels``, sorted by ``str``, is the node order of every
     slice; ``src`` and ``dst`` are rewritten in place, a slice at a time,
-    to index it. :func:`stacked_adjacency` builds the slices, and they are
-    checked as ``DynamicNetwork`` checks them, a few at a time on their
-    block-diagonal form (see :func:`_check_stack`).
+    to index it. :func:`stacked_adjacency` builds the slices, and
+    ``DynamicNetwork`` checks them one at a time.
     """
     if not declared:
         raise ValueError("need at least one snapshot")
@@ -379,33 +371,8 @@ def aligned_network(labels, ends, src, dst, weight, declared: Sequence[Sequence]
             ids[lo:hi] = remap[ids[lo:hi]]
         lo = hi
     stack = stacked_adjacency(len(order), ends, src, dst, weight, undirected=not directed)
-    snaps = _slices_of(stack, len(declared))
-    try:
-        _check_stack(stack, directed)
-    except ValueError:  # the per-slice checks name the first faulty slice
-        return DynamicNetwork(labels=order, snapshots=snaps, directed=directed)
-    return DynamicNetwork._unchecked(order, snaps, directed)
-
-
-def _check_stack(stack, directed: bool) -> None:
-    """Raise ValueError unless every n x n slice of the (tau n) x n CSR
-    matrix ``stack`` passes ``DynamicNetwork``'s check. Consecutive slices
-    are checked together on their block-diagonal form, in groups of at most
-    ``_CHECK_ENTRIES`` stored entries or of one slice, so that the check's
-    fixed cost is paid once per group and its scratch, a transposed copy of
-    the group, stays one group's worth."""
-    n = stack.shape[1]
-    if not n:
-        return
-    tau, first = stack.shape[0] // n, stack.indptr[::n]  # first entry of each slice, then nnz
-    t = 0
-    while t < tau:
-        u = t + 1
-        while u < tau and first[u + 1] - first[t] <= _CHECK_ENTRIES:
-            u += 1
-        _check_slice(_block_diagonal(_slice_rows(stack, t, u), n), (u - t) * n, directed,
-                     "stack")
-        t = u
+    return DynamicNetwork(labels=order, snapshots=_slices_of(stack, len(declared)),
+                          directed=directed)
 
 
 # ---------------------------------------------------------------------------
@@ -497,22 +464,19 @@ def _slice_count(P) -> int:
 
 def _chain_operator(Q, chains) -> sparse.csc_array:
     """Q_t^T for each slice t in ``chains`` of the (tau n) x n CSR stack Q,
-    as one block-diagonal CSC operator built from those slices' arrays (Q's
-    own when every slice is a chain): the transpose of their block-diagonal
-    CSR matrix, so block k of its product with x is x_k Q_t for the k-th
-    chain t, summed in the order the slice's own transposed view sums it."""
+    as one block-diagonal CSC operator built from copies of those slices'
+    arrays: the transpose of their block-diagonal CSR matrix, so block k of
+    its product with x is x_k Q_t for the k-th chain t, summed in the order
+    the slice's own transposed view sums it."""
     n, ptr = Q.shape[1], Q.indptr
-    if chains.size == Q.shape[0] // n:
-        data, rows, cols = Q.data, Q.indices + _block_offsets(Q, n), ptr
-    else:
-        data, rows, cols, size = [Q.data[:0]], [Q.indices[:0]], [ptr[:1]], 0
-        for k, t in enumerate(chains.tolist()):
-            lo, hi = ptr[t * n], ptr[(t + 1) * n]
-            data.append(Q.data[lo:hi])
-            rows.append(Q.indices[lo:hi] + k * n)
-            cols.append(ptr[t * n + 1:(t + 1) * n + 1] + (size - lo))
-            size += hi - lo
-        data, rows, cols = (np.concatenate(a) for a in (data, rows, cols))
+    data, rows, cols, size = [Q.data[:0]], [Q.indices[:0]], [ptr[:1]], 0
+    for k, t in enumerate(chains.tolist()):
+        lo, hi = ptr[t * n], ptr[(t + 1) * n]
+        data.append(Q.data[lo:hi])
+        rows.append(Q.indices[lo:hi] + k * n)
+        cols.append(ptr[t * n + 1:(t + 1) * n + 1] + (size - lo))
+        size += hi - lo
+    data, rows, cols = (np.concatenate(a) for a in (data, rows, cols))
     m = chains.size * n
     return sparse.csc_array((data, rows, cols), shape=(m, m))
 

@@ -111,7 +111,7 @@ def test_linkpred_report(dataset, tmp_path, capsys):
                "--metric", "l2", "--out", str(out), "--dump-scores"])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
-    for key in ("method", "metric", "d", "AP", "AUC", "seed", "timing_ms"):
+    for key in ("method", "metric", "normalize", "d", "AP", "AUC", "seed", "timing_ms"):
         assert key in report
     assert 0.0 <= report["AP"] <= 1.0 and 0.0 <= report["AUC"] <= 1.0
     lines = (out / "scores.csv").read_text().splitlines()

@@ -620,16 +620,17 @@ def test_symmetric_part_matches_the_sparse_sum(seed, n, mirrored, scale):
 
 def test_mirror_data_transposes_only_when_the_counts_agree(monkeypatch):
     """A digraph whose column counts differ from its row counts has no
-    mirrored pattern, and ``_mirror_data`` says so without a transpose; equal
-    counts with another pattern (a directed 3-cycle) still need one."""
+    mirrored pattern, and ``_mirror_data`` says so without a transposed copy
+    (``tocsc``); equal counts with another pattern (a directed 3-cycle) still
+    need one."""
     calls = []
-    transpose = sp.csr_array.transpose
+    tocsc = sp.csr_array.tocsc
 
     def spy(self, *args, **kwargs):
         calls.append(self.shape)
-        return transpose(self, *args, **kwargs)
+        return tocsc(self, *args, **kwargs)
 
-    monkeypatch.setattr(sp.csr_array, "transpose", spy)
+    monkeypatch.setattr(sp.csr_array, "tocsc", spy)
     star = adjacency_from_edges(4, [0, 0, 0], [1, 2, 3], np.ones(3))
     assert graphs._mirror_data(star) is None and calls == []
     cycle = adjacency_from_edges(3, [0, 1, 2], [1, 2, 0], np.ones(3))

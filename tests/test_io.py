@@ -507,8 +507,8 @@ def test_directory_loader_matches_reference(tmp_path_factory, texts, directed, c
 @given(data=st.data(), directed=st.booleans(), as_directory=st.booleans())
 def test_loaded_networks_pass_the_per_slice_check(tmp_path_factory, data, directed,
                                                   as_directory):
-    """The loader checks its slices once, on their block-diagonal form; every
-    network it returns passes DynamicNetwork's per-slice check as it is."""
+    """Every network the loader returns passes DynamicNetwork's per-slice
+    check as it is."""
     if as_directory:
         path = tmp_path_factory.mktemp("snaps")
         for k, text in enumerate(data.draw(st.lists(edge_texts(with_time=False),
@@ -590,21 +590,25 @@ def array_bytes(net):
     {"header": "# r\u00e9seau\n"},
     {"names": [f"\u65e5{i:04d}" for i in range(1000)]},
     {"n": 10_000, "lines": 400_000},
-], ids=["ascii", "long-comment-token", "long-label", "latin-1-comment", "cjk-labels", "n-10000"])
+    {"lines": 40_000},
+], ids=["ascii", "long-comment-token", "long-label", "latin-1-comment", "cjk-labels", "n-10000",
+        "lines-40000"])
 def test_loader_memory_per_file_byte(tmp_path, variant):
     """Peak traced memory of loading a combined file of 100 000 lines over
-    1 000 nodes (1.4 to 1.8 MB), or of 400 000 lines over 10 000 nodes
-    (5.7 MB), per byte of the file and per byte of the arrays of the network
-    it returns. The line-by-line loader that the array passes replaced
-    peaked at 14.55 bytes per file byte on the ASCII input, with one str
-    object per line and per token, and that ratio is the bound for every
-    variant: a 1 000-character comment token or a 200-character label must
-    not widen the keys of the other tokens, and text outside ASCII must not
-    cost a 4-byte unit per character when 1 or 2 bytes hold it. The load
-    parses the text in chunks and builds the slices one at a time, so its
-    scratch beyond the network stays a fraction of it: the peak is bounded
-    by 2.5 times the network's array bytes. It is 2.0 to 2.1 times here
-    (2.7 to 3.6 bytes per file byte), against 5.7 to 6.9 times for a
+    1 000 nodes (1.4 to 1.8 MB), of 400 000 lines over 10 000 nodes
+    (5.7 MB), or of 40 000 lines over 1 000 nodes (0.57 MB, eight slices of
+    about 10 000 stored entries, as in the benchmark's inputs), per byte of
+    the file and per byte of the arrays of the network it returns. The
+    line-by-line loader that the array passes replaced peaked at 14.55
+    bytes per file byte on the ASCII input, with one str object per line
+    and per token, and that ratio is the bound for every variant: a
+    1 000-character comment token or a 200-character label must not widen
+    the keys of the other tokens, and text outside ASCII must not cost a
+    4-byte unit per character when 1 or 2 bytes hold it. The load parses
+    the text in chunks and builds and checks the slices one at a time, so
+    its scratch beyond the network stays a fraction of it: the peak is
+    bounded by 2.5 times the network's array bytes. It is 2.0 to 2.1 times
+    here (2.7 to 3.6 bytes per file byte), against 5.7 to 6.9 times for a
     whole-file parse and an all-slices build."""
     path = tmp_path / "big.edges"
     options = dict(variant)
