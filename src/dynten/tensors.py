@@ -104,11 +104,16 @@ _ONE_BLOCK = 1 << 16
 
 
 def _column_blocks(n: int, tau: int, r: int) -> list:
-    """Slices of w factor columns, w = ceil(2 r / tau), so that a block's
-    (tau n) x w operand holds about 2 n r entries; one block for small
-    operands."""
-    w = r if tau * n * r <= _ONE_BLOCK else -(-2 * r // tau)
-    return [slice(s, min(s + w, r)) for s in range(0, r, w)]
+    """Slices of w factor columns, w = max(ceil(2 r / tau), 2), so that a
+    block's (tau n) x w operand holds about 2 n r entries; one block for
+    small operands. No block is one column wide unless r is: einsum sums a
+    one-column contraction with its contiguous dot kernel, in another order
+    than the r-column one, so a trailing column joins the block before it."""
+    w = r if tau * n * r <= _ONE_BLOCK else max(-(-2 * r // tau), 2)
+    starts = list(range(0, r, w))
+    if len(starts) > 1 and starts[-1] == r - 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [r])]
 
 
 def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
@@ -116,8 +121,8 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
 
     ``factors`` is the triple (A, B, C) of shapes n x r, n x r and tau x r;
     the factor of the requested mode is ignored. The product runs on blocks
-    of w = ceil(2 r / tau) factor columns (all r when the (tau n) x r operand
-    is small), after Bader & Kolda's column-wise MTTKRP. Modes 1 and 3
+    of w = max(ceil(2 r / tau), 2) factor columns (all r when the (tau n) x r
+    operand is small), after Bader & Kolda's column-wise MTTKRP. Modes 1 and 3
     multiply the stacked slices by the block of B and contract the
     (tau, n, w) result with the other factor; mode 2 multiplies their
     transpose by the (tau n, w) Khatri-Rao rows C[t, s] * A[i, s]. Each costs

@@ -158,7 +158,8 @@ class TestMttkrp:
         CSC kernel sums each output in the same order), modes 1 and 3 to
         rounding (einsum's order depends on the operands' layout). With
         ``blocked`` every shape splits, so rank < tau, rank not a multiple of
-        the block width, tau = 1 and F-ordered factors all run blocked."""
+        the block width, tau = 1 and F-ordered factors all run blocked; no
+        block is one column wide unless rank is."""
         rng = np.random.default_rng(seed)
         Z = SparseTensor3.from_slices(
             [sp.random(n, n, density=0.3, random_state=rng, format="csr",
@@ -171,7 +172,9 @@ class TestMttkrp:
             blocks = tensors._column_blocks(n, tau, r)
             got = {mode: mttkrp(Z, (A, B, C), mode) for mode in (1, 2, 3)}
         assert [i for s in blocks for i in range(r)[s]] == list(range(r))
-        assert len(blocks) == (math.ceil(r / math.ceil(2 * r / tau)) if blocked else 1)
+        w = max(math.ceil(2 * r / tau), 2)
+        assert len(blocks) == (math.ceil(r / w) - (r > w and r % w == 1) if blocked else 1)
+        assert all(s.stop - s.start > 1 for s in blocks) or r == 1
         assert got[2].tobytes() == one[2].tobytes()
         for mode in (1, 3):
             np.testing.assert_allclose(got[mode], one[mode], rtol=1e-13, atol=0)
