@@ -207,7 +207,7 @@ def _cluster_common(cfg):
     assignments = clustering.assign_clusters(state, matrix)
     scores = clustering.anomaly_scores(state, matrix)
     threshold = cfg["threshold"] if cfg["threshold"] >= 0 else \
-        clustering.suggest_threshold(scores, cfg["threshold_pct"])
+        clustering.suggest_threshold(scores)
     flags = clustering.classify_anomalies(scores, threshold)
     return labels, assignments, scores, flags, threshold, diag
 
@@ -320,8 +320,7 @@ _LINKPRED_OPTS = _EMBED_OPTS + [
 _CLUSTER_OPTS = _EMBED_OPTS + [
     ("embedding", str, "", "use an existing embedding.csv instead of embedding"),
     ("k", int, 2, "number of clusters"),
-    ("threshold", float, -1.0, "anomaly threshold (-1 = percentile rule)"),
-    ("threshold_pct", float, 95.0, "percentile for the default threshold"),
+    ("threshold", float, -1.0, "anomaly threshold (-1 = 95th percentile of the scores)"),
 ]
 
 _SYNTH_OPTS = [

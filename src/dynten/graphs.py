@@ -22,11 +22,9 @@ from scipy.sparse.csgraph import connected_components
 # katz_adjacency's output is dense whenever the graph is connected, so it is
 # refused above this many nodes instead of filling every slice with n^2 entries
 KATZ_MAX_NODES = 2048
-KATZ_SAFETY = 0.99           # admissible Katz damping is this fraction of 1 / rho(A)
+KATZ_SAFETY = 0.99           # admissible Katz damping is this fraction of 1 / spectral_radius(A)
 STATIONARY_TOL = 1e-12       # l1 residual that ends stationary_vector
 STATIONARY_MAX_ITER = 20000  # power steps before stationary_vector gives up
-RADIUS_ITERS = 100           # power steps of spectral_radius
-RADIUS_TOL = 1e-8            # relative change of the estimate that ends spectral_radius
 
 
 class ConvergenceError(RuntimeError):
@@ -592,50 +590,31 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
 
 
 def spectral_radius(A) -> float:
-    """Power-iteration estimate of the spectral radius: at most
-    ``RADIUS_ITERS`` steps, stopping once the estimate changes by at most
-    ``RADIUS_TOL`` relative.
+    """rho(A) for symmetric A; a certified upper bound on it for any other A.
 
-    The start vector is a fixed pseudo-random draw: a structured start such
-    as the all-ones vector can be exactly orthogonal to the dominant
-    eigenvector (it is the kernel of every Laplacian) and would stall at 0.
+    Symmetric A (entry for entry) gives its largest |lambda|, which is exact.
+    Any other A gives lambda_max((|A| + |A|^T) / 2) >= rho(|A|) >= rho(A): the
+    Rayleigh quotient at |A|'s nonnegative Perron vector, and Perron-Frobenius.
+    Both come from the residual-checked ``spectral._extreme_pairs``, with
+    duplicate entries summed first.
     """
-    A = sparse.csr_array(A, dtype=np.float64)
-    n = A.shape[0]
-    if n == 0:
+    from .spectral import _extreme_pairs  # spectral imports this module
+
+    A = _compact(sparse.csr_array(A, dtype=np.float64, copy=True))
+    if A.shape[0] == 0:
         return 0.0
-    v = np.random.default_rng(0x5EED).standard_normal(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(RADIUS_ITERS):
-        w = A @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        if est > 0 and abs(nw - est) <= RADIUS_TOL * est:
-            return nw
-        est = nw
-        v = w / nw
-    return est
+    if not _exactly_symmetric(A):
+        A = _symmetric_part(abs(A))
+    pairs = _extreme_pairs(A, 1, "LM", tol=1e-10, max_iter=5000, seed=0)
+    return float(abs(pairs.values[0]))
 
 
 def katz_omega_bound(A) -> float:
-    """Largest admissible Katz damping: ``KATZ_SAFETY / rho(A)`` by power estimate,
-    widened by the closed-form minimum-degree bound on unweighted undirected
-    input (which certifies convergence on its own). Duplicate entries are
-    summed before the unweighted and symmetry tests."""
-    A = _compact(sparse.csr_array(A, dtype=np.float64, copy=True))
+    """Largest admissible Katz damping, ``KATZ_SAFETY / spectral_radius(A)``
+    (inf when that is 0): exact on symmetric input and, since the radius of
+    any other A is an upper bound, certified below 1 / rho(A) on digraphs."""
     rho = spectral_radius(A)
-    bound = np.inf if rho == 0.0 else KATZ_SAFETY / rho
-    if A.nnz and np.all(A.data == 1.0) and _exactly_symmetric(A):
-        deg = np.asarray(A.sum(axis=1)).ravel()
-        delta = float(deg.min())
-        m = A.nnz / 2.0
-        n = A.shape[0]
-        root = np.sqrt((delta + 1.0) ** 2 + 4.0 * (2.0 * m - delta * n))
-        closed = 2.0 / (delta - 1.0 + root)
-        bound = max(bound, closed)
-    return float(bound)
+    return np.inf if rho == 0.0 else KATZ_SAFETY / rho
 
 
 def katz_adjacency(A, omega: float) -> sparse.csr_array:
@@ -661,7 +640,7 @@ def katz_adjacency(A, omega: float) -> sparse.csr_array:
     if omega >= bound:
         raise ValueError(
             f"omega={omega} is not below the admissible Katz bound {bound:.6g} "
-            "(safety-margined inverse spectral radius)")
+            "(safety-margined inverse of the radius or, on a digraph, of its upper bound)")
     D = A.toarray()
     K = np.linalg.solve(np.eye(n) - omega * D, D)
     if _exactly_symmetric(A):

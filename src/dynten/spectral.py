@@ -58,12 +58,6 @@ def _check_symmetric(M, atol=1e-12):
             raise ValueError("matrix is not symmetric within tolerance")
 
 
-def _fix_sign(v):
-    # deterministic gauge: the largest-magnitude entry is positive
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
-
-
 def _row_sum_bound(M) -> float:
     """The largest absolute row sum of M, a Gershgorin bound on every |lambda|."""
     return float(abs(M).sum(axis=1).max())
@@ -105,7 +99,9 @@ def _extreme_pairs(M, k, which, tol, max_iter, seed) -> EigenPairs:
         raise ConvergenceError(
             f"eigenpairs {bad.tolist()} of {k} miss the residual bound {bound:g} "
             f"(residuals {residuals[bad]})", float(residuals[bad].max()))
-    vectors = np.column_stack([_fix_sign(v) for v in vectors.T])
+    # deterministic gauge: each column's largest-magnitude entry is positive
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)]
+    vectors = np.multiply(vectors, np.where(lead < 0, -1.0, 1.0), order="C")
     return EigenPairs(values=values, vectors=vectors)
 
 
@@ -191,13 +187,14 @@ def resistance_embedding(L, d: int, seed: int = 0) -> np.ndarray:
 
 def effective_resistance(L, x: int, y: int) -> float:
     """Effective resistance between nodes x and y via the dense Laplacian
-    pseudoinverse L+ = O Sigma O^T (test oracle; guarded to n <= 2000).
+    pseudoinverse L+ (test oracle; guarded to n <= 2000).
 
     L+ is block diagonal over the connected components, so each block is
-    its own component's pseudoinverse, which drops eigenvalues at most
-    1e-9 times that component's largest: a component whose weights are
-    far below another's is not read as all kernel. Between components the
-    off-diagonal block is zero, and the value is L+[x, x] + L+[y, y].
+    its own component's pseudoinverse (NumPy's ``pinv`` of the symmetric
+    part), which drops eigenvalues at most 1e-9 times that component's
+    largest: a component whose weights are far below another's is not read
+    as all kernel. Between components the off-diagonal block is zero, and
+    the value is L+[x, x] + L+[y, y].
     """
     L = sparse.csr_array(L, dtype=np.float64)
     n = L.shape[0]
@@ -213,10 +210,8 @@ def effective_resistance(L, x: int, y: int) -> float:
         if c not in blocks:
             nodes = np.flatnonzero(comp == c)
             dense = L[nodes][:, nodes].toarray()
-            vals, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
-            cutoff = 1e-9 * max(abs(vals).max(), 1e-300)
-            inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-            blocks[c] = nodes, (vecs * inv[None, :]) @ vecs.T
+            blocks[c] = nodes, np.linalg.pinv(0.5 * (dense + dense.T), rcond=1e-9,
+                                              hermitian=True)
 
     def pinv(i, j):
         if comp[i] != comp[j]:

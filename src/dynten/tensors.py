@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import subspace_angles
 
 from .graphs import _symmetric_part, _weighted_slice_sum
 from .seeding import derived_rng
@@ -191,7 +192,7 @@ class CPModel:
     state before it) or ``"zero"`` (an all-zero tensor). ``b_angle`` is the
     largest principal angle, in radians, between the column spaces of the
     node factor B at the start and at the end, i.e. how far ALS moved the
-    embedding's subspace.
+    embedding's subspace (SciPy's ``subspace_angles``).
     """
 
     lambdas: np.ndarray
@@ -290,24 +291,6 @@ def _normalize_columns(F, fallback):
     return out, norms
 
 
-def _orth(F):
-    """Orthonormal basis of the column space of F (SVD, numerical rank)."""
-    U, s, _ = np.linalg.svd(F, full_matrices=False)
-    return U[:, s > s[0] * max(F.shape) * np.finfo(float).eps]
-
-
-def principal_angle(F0, F1) -> float:
-    """Largest principal angle between the column spaces of F0 and F1.
-
-    Taken from its sine, sigma_max((I - Q0 Q0^T) Q1) with orthonormal bases
-    Q0 and Q1, which keeps full relative accuracy for small angles where the
-    arccos of the cosine loses every digit.
-    """
-    Q0, Q1 = _orth(F0), _orth(F1)
-    sine = np.linalg.norm(Q1 - Q0 @ (Q0.T @ Q1), 2)
-    return float(np.arcsin(min(sine, 1.0)))
-
-
 def max_rank(n: int, tau: int, orthogonal_b: bool = False) -> int:
     """Largest rank ALS accepts on an n x n x tau tensor: min(n tau, n^2), and
     at most n with an orthonormal node factor."""
@@ -373,7 +356,7 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
 
     # the first sweep is never rejected (prev_fit is inf), so one was accepted;
     # the angle's SVD scratch comes before the sorted copies of the factors
-    b_angle = principal_angle(B_start, B)
+    b_angle = float(subspace_angles(B_start, B).max())
     order = np.argsort(-lam, kind="stable")
     return CPModel(lambdas=lam[order], factor_a=A[:, order], factor_b=B[:, order],
                    factor_c=C[:, order], fit=fits[-1], sweeps=len(fits),

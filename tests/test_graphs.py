@@ -516,12 +516,12 @@ class TestKatz:
 
     def test_kernel_and_bound_do_not_touch_their_input(self):
         """A stored zero and a duplicate that sums to 1: both functions
-        canonicalize a copy, so the bound sees the unweighted 2-cycle and takes
-        its closed form, 1, and the caller's arrays keep their bytes."""
+        canonicalize a copy, so the bound sees the 2-cycle, whose radius is 1,
+        and the caller's arrays keep their bytes."""
         A = sp.csr_array((np.array([0.0, 0.5, 0.5, 1.0]), np.array([0, 1, 1, 0]),
                           np.array([0, 3, 4])), shape=(2, 2))
         arrays = [x.copy() for x in (A.data, A.indices, A.indptr)]
-        assert katz_omega_bound(A) == 1.0
+        assert katz_omega_bound(A) == pytest.approx(0.99, rel=1e-12)
         assert np.allclose(katz_adjacency(A, 0.5).toarray(), [[2 / 3, 4 / 3], [4 / 3, 2 / 3]])
         assert all(np.array_equal(x, y) for x, y in zip((A.data, A.indices, A.indptr), arrays))
 
@@ -587,10 +587,21 @@ class TestKatz:
         with pytest.raises(ValueError, match="bound"):
             katz_adjacency(A, 1.5)
 
+    def test_feeder_digraph_is_refused_above_its_bound(self):
+        """a -> c, b -> c, c -> d, d -> c: rho = 1 (the 2-cycle c <-> d), and
+        lambda_max of the symmetric part 1.22 puts the bound near 0.81. At
+        omega = 1.5 the series diverges, and the solve alone would return a
+        kernel of negative entries."""
+        A = adjacency_from_edges(4, [0, 1, 2, 3], [2, 2, 3, 2], np.ones(4))
+        bound = katz_omega_bound(A)
+        assert bound < 0.99
+        with pytest.raises(ValueError, match=f"admissible Katz bound {bound:.6g}"):
+            katz_adjacency(A, 1.5)
+
     def test_unweighted_bound_is_safe(self):
         rng = np.random.default_rng(7)
         A = random_connected_graph(10, rng)
-        # the closed-form minimum-degree bound must not exceed 1/rho
+        # the bound must not exceed 1/rho
         rho = np.abs(np.linalg.eigvalsh(A.toarray())).max()
         assert katz_omega_bound(A) <= 1.0 / rho + 1e-9
 
@@ -659,6 +670,37 @@ def test_kernel_multiplicity_counts_components(seed, n, parts):
     vals = np.linalg.eigvalsh(L)
     near_zero = int((vals < 1e-9 * max(vals.max(), 1.0)).sum())
     assert near_zero == bfs_component_count(A)
+
+
+@given(st.integers(0, 10 ** 6),
+       st.one_of(st.tuples(st.integers(2, 14), st.integers(2, 14)), st.integers(3, 60)))
+def test_katz_bound_is_certified_on_digraphs(seed, size):
+    """On any digraph, omega at the bound keeps omega rho(A) <= KATZ_SAFETY,
+    with rho from the dense eigenvalues: the bound rests on an upper bound of
+    the radius, never on an estimate that can fall short of it. The inputs are
+    two groups of the given sizes with links, at density 0.5, only across
+    the groups, and 0/1 digraphs on n nodes at density 0.4."""
+    rng = np.random.default_rng(seed)
+    if isinstance(size, tuple):
+        group = np.repeat([0, 1], size)
+        mask = (rng.random((group.size, group.size)) < 0.5) & (group[:, None] != group[None, :])
+    else:
+        mask = rng.random((size, size)) < 0.4
+    dense = mask.astype(np.float64)
+    rho = np.abs(np.linalg.eigvals(dense)).max()
+    # an empty draw has rho = 0 and bound inf: every omega is admissible
+    assert rho == 0.0 or katz_omega_bound(sp.csr_array(dense)) * rho <= \
+        graphs.KATZ_SAFETY * (1 + 1e-9)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 30), st.booleans())
+def test_radius_of_symmetric_input_is_exact(seed, n, signed):
+    """On symmetric input, unsigned or signed (its Laplacian), the radius is
+    the largest |lambda| of the matrix itself."""
+    A = random_connected_graph(n, np.random.default_rng(seed), weighted=True)
+    M = laplacian(A) if signed else A
+    rho = np.abs(np.linalg.eigvalsh(M.toarray())).max()
+    assert abs(spectral_radius(M) - rho) <= 1e-10 * rho
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 10))
