@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .graphs import ConvergenceError, DynamicNetwork
 from .seeding import derived_rng
@@ -157,12 +156,23 @@ def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
 # classifier
 
 
-def _softplus_change(z, e) -> float:
-    """sum_e log(1 + exp(z + e)) - log(1 + exp(z)), each term computed once: as
-    log1p(sigma(z) expm1(e)) where |e| < 1, which tiny e survives, else directly."""
+def _logistic(z):
+    """The pair (sigma(z), sigma(-z)) of the logistic sigma(z) = 1 / (1 + exp(-z)),
+    from one exp of -|z|, which never overflows."""
+    e = np.exp(-np.abs(z))
+    hi = 1.0 / (1.0 + e)  # sigma(|z|)
+    lo = e * hi           # sigma(-|z|)
+    pos = z >= 0
+    return np.where(pos, hi, lo), np.where(pos, lo, hi)
+
+
+def _softplus_change(z, p, e) -> float:
+    """sum_e log(1 + exp(z + e)) - log(1 + exp(z)), given p = sigma(z), each
+    term computed once: as log1p(p expm1(e)) where |e| < 1, which tiny e
+    survives, else directly."""
     out = np.empty_like(e)
     small = np.abs(e) < 1.0
-    out[small] = np.log1p(expit(z[small]) * np.expm1(e[small]))
+    out[small] = np.log1p(p[small] * np.expm1(e[small]))
     z, e = z[~small], e[~small]
     out[~small] = np.logaddexp(0.0, z + e) - np.logaddexp(0.0, z)
     return float(out.sum())
@@ -195,9 +205,9 @@ def _fit_wc(x, y):
     w = 0.0
     for _ in range(_NEWTON_MAX_ITER):
         z = -y * (x * w + c)  # the loss of each sample is log(1 + exp(z))
-        p = expit(z)
+        p, p_minus = _logistic(z)
         q = y * p
-        h = _LOSS_WEIGHT * p * expit(-z)
+        h = _LOSS_WEIGHT * p * p_minus
         g_w = sign - _LOSS_WEIGHT * float(q @ x)
         g_c = -_LOSS_WEIGHT * float(q.sum())
         # Newton step in the coordinates (w, c + x_bar w), where the Hessian is
@@ -213,7 +223,7 @@ def _fit_wc(x, y):
         d_z = -y * (x * d_w + d_c)
         t = 1.0
         for _ in range(_NEWTON_MAX_ITER):
-            change = sign * t * d_w + _LOSS_WEIGHT * _softplus_change(z, t * d_z)
+            change = sign * t * d_w + _LOSS_WEIGHT * _softplus_change(z, p, t * d_z)
             if change <= -_ARMIJO * t * decrement:
                 break
             t *= 0.5
@@ -264,7 +274,7 @@ def cross_validated_scores(sample: EdgeSample, folds: int = 5):
         train = x[~hold]
         mean, spread = train.mean(), train.std() or 1.0
         w, c = _fit_wc((train - mean) / spread, y[~hold])
-        pooled[hold] = expit((x[hold] - mean) / spread * w + c)
+        pooled[hold] = _logistic((x[hold] - mean) / spread * w + c)[0]
         fold_aucs.append(auc_roc(pooled[hold], y[hold]))
     return float(np.mean(fold_aucs)), pooled
 

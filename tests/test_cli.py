@@ -385,6 +385,25 @@ print(compute_stack())
     assert done.stderr == "error: --data is required\n"
 
 
+def test_linkpred_loads_no_special_functions(dataset, tmp_path):
+    """``linkpred`` with every method, each in a new interpreter, leaves
+    ``scipy.special`` unloaded: the classifier's logistic is NumPy's."""
+    code = """
+import sys
+from dynten.cli import main
+assert main(sys.argv[1:]) == 0
+print("scipy.special" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(dynten.__file__).resolve().parents[1]))
+    for method in cli.METHODS:
+        argv = ["linkpred", "--data", str(dataset), "--method", method, "--d", "3",
+                "--out", str(tmp_path / method)]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False", method
+
+
 def periodic_edges(tmp_path, weight=""):
     """Three slices of the chain 0 -> 1, 1 -> 0, 2 -> 0, whose closed class
     {0, 1} has period 2."""

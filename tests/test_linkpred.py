@@ -1,4 +1,5 @@
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -385,11 +386,38 @@ def classifier_data(seed, kind, scale, n_pos, n_neg):
 
 def two_branch_softplus_reference(z, e):
     """The earlier line-search term: both softplus values over every sample,
-    then the |e| < 1 entries overwritten by the log1p form."""
+    then the |e| < 1 entries overwritten by the log1p form. Its logistic is
+    the package's, so ``==`` compares the two-branch structure, not the last
+    bit of one logistic against another's."""
     out = np.logaddexp(0.0, z + e) - np.logaddexp(0.0, z)
     small = np.abs(e) < 1.0
-    out[small] = np.log1p(expit(z[small]) * np.expm1(e[small]))
+    out[small] = np.log1p(linkpred._logistic(z)[0][small] * np.expm1(e[small]))
     return float(out.sum())
+
+
+def ulps_apart(a, b):
+    """How many doubles lie between a and b, elementwise (same-sign inputs)."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+@given(z=st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from([-1e300, 1e300])),
+                  min_size=1, max_size=60))
+def test_logistic_pair_matches_scipy(z):
+    """(sigma(z), sigma(-z)) from one exp agrees with SciPy's ``expit`` within
+    4 ulp wherever SciPy's value is a normal double, sums to 1 within 2 ulp,
+    and overflows nowhere. Where SciPy's value is subnormal (z below about
+    -708) it flushes to 0 once exp(-z) overflows; there both are below the
+    smallest normal double."""
+    z = np.array(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p, p_minus = linkpred._logistic(z)
+    tiny = np.finfo(np.float64).tiny
+    for got, ref in ((p, expit(z)), (p_minus, expit(-z))):
+        normal = ref >= tiny
+        assert ulps_apart(got[normal], ref[normal]).max(initial=0) <= 4
+        assert (got[~normal] < tiny).all()
+    assert np.abs(p + p_minus - 1.0).max() <= 2 * np.spacing(1.0)
 
 
 @given(z=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=60),
@@ -399,7 +427,8 @@ def two_branch_softplus_reference(z, e):
 def test_softplus_change_matches_two_branch_reference(z, e):
     z = np.array(z)
     e = np.array(e[:z.size])
-    assert linkpred._softplus_change(z, e) == two_branch_softplus_reference(z, e)
+    p = linkpred._logistic(z)[0]
+    assert linkpred._softplus_change(z, p, e) == two_branch_softplus_reference(z, e)
 
 
 class TestNewtonFit:
