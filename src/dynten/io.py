@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import codecs
 import re
-from itertools import filterfalse, islice, repeat
+from itertools import filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,6 @@ _OTHER_BREAKS = "".join(map(chr, _BREAKS[1:]))  # the line boundaries but "\n", 
 # bytes of scratch per byte of text, and each chunk costs a fixed 0.3 to
 # 0.45 ms (2 vCPU), about a tenth of the parse of 128 KiB of edge lines
 CHUNK = 1 << 17
-# rows of an embedding CSV built and written at once: a block of d = 16 rows
-# holds about 2.3 MiB of Python floats while it is written
-CSV_BLOCK_ROWS = 4096
 
 
 class _Text:
@@ -472,19 +469,14 @@ def csv_field(text: str) -> str:
 def write_embedding_csv(path, labels, embedding) -> None:
     """Write the header ``node,dim_0,..`` and one row per label: the label as
     a CSV field (see :func:`csv_field`), then the row's floats as ``repr``,
-    which round-trips exactly. The rows are built and written
-    ``CSV_BLOCK_ROWS`` at a time."""
+    which round-trips exactly."""
     emb = np.asarray(embedding, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] != len(labels):
         raise ValueError("embedding must be n x d with one row per label")
-    labels = iter(labels)
-    with open(path, "w") as fh:
-        fh.write("node," + ",".join(f"dim_{k}" for k in range(emb.shape[1])) + "\n")
-        for start in range(0, emb.shape[0], CSV_BLOCK_ROWS):
-            rows = emb[start:start + CSV_BLOCK_ROWS].tolist()
-            fh.writelines(csv_field(str(lab)) + "," + ",".join(map(repr, row)) + "\n"
-                          for lab, row in zip(islice(labels, len(rows)), rows))
-            del rows  # else two blocks' floats are alive while the next is built
+    header = "node," + ",".join(f"dim_{k}" for k in range(emb.shape[1]))
+    lines = [header] + [csv_field(str(lab)) + "," + ",".join(map(repr, row))
+                        for lab, row in zip(labels, emb.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_embedding_csv(path):

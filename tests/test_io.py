@@ -208,47 +208,6 @@ def test_embedding_csv_quoted_labels_roundtrip(tmp_path):
     assert np.array_equal(got, emb)
 
 
-def one_string_embedding_csv(labels, emb):
-    """The embedding CSV as one string, every row joined at once."""
-    header = "node," + ",".join(f"dim_{k}" for k in range(emb.shape[1]))
-    return "\n".join([header] + [io.csv_field(str(lab)) + "," + ",".join(map(repr, row))
-                                 for lab, row in zip(labels, emb.tolist())]) + "\n"
-
-
-@pytest.mark.parametrize("block_rows", [1, 2, 3, None])
-def test_embedding_csv_blocks_write_the_one_string_bytes(tmp_path, monkeypatch, block_rows):
-    """Rows written a block at a time give the bytes of one joined string,
-    with quoted labels on both sides of each block boundary."""
-    if block_rows is not None:
-        monkeypatch.setattr(io, "CSV_BLOCK_ROWS", block_rows)
-    edge = io.CSV_BLOCK_ROWS
-    special = ['a,b', 'say "hi"', '",', "x\ny", ","]
-    labels = [f"v{i}" for i in range(edge + 4)]
-    for k, at in enumerate((0, edge - 2, edge - 1, edge, edge + 3)):
-        labels[at] = special[k]
-    emb = np.random.default_rng(5).standard_normal((len(labels), 3))
-    path = tmp_path / "blocks.csv"
-    write_embedding_csv(path, tuple(labels), emb)
-    assert path.read_bytes() == one_string_embedding_csv(labels, emb).encode()
-
-
-def test_embedding_csv_writer_memory(tmp_path):
-    """The writer builds one block of rows at a time: at n = 50 000, d = 16
-    its traced peak is below the embedding's own bytes, where building every
-    row's text at once peaked at about 8 times them."""
-    emb = np.random.default_rng(6).standard_normal((50_000, 16))
-    labels = [f"node{i}" for i in range(len(emb))]
-    path = tmp_path / "e.csv"
-    write_embedding_csv(path, labels[:10], emb[:10])  # first-call work stays out of the peak
-    tracemalloc.start()
-    try:
-        write_embedding_csv(path, labels, emb)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < emb.nbytes
-
-
 @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
                 min_size=1, max_size=6, unique=True))
 @settings(max_examples=60)
