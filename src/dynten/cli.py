@@ -152,6 +152,13 @@ def cmd_embed(cfg) -> int:
 
 
 def cmd_linkpred(cfg) -> int:
+    # refused before the data is loaded, so no embedding runs for nothing
+    if cfg["metric"] not in ("l2", "hadamard"):
+        raise ValueError(f"--metric must be l2 or hadamard, not {cfg['metric']!r}")
+    if cfg["n_pos"] < 0:
+        raise ValueError(f"--n-pos must be >= 0 (0 = every held-out link), not {cfg['n_pos']}")
+    if cfg["folds"] < 2:
+        raise ValueError(f"--folds must be >= 2, not {cfg['folds']}")
     net = _load_net(cfg)
     from . import io, linkpred
 
@@ -192,6 +199,8 @@ def cmd_linkpred(cfg) -> int:
 
 
 def _cluster_common(cfg):
+    if cfg["k"] < 1:
+        raise ValueError(f"--k must be >= 1, not {cfg['k']}")
     if cfg.get("embedding"):
         from . import io
 

@@ -5,9 +5,10 @@ Z[:, :, t], one n x n adjacency matrix per time step, stacked as a (tau n) x n
 matrix, the transpose of the mode-2 unfolding. The ALS inner kernel, a
 matricized-tensor-times-Khatri-Rao product (MTTKRP), is a sparse-times-dense
 product on that matrix (modes 1 and 3) or on its transpose, a CSC view of the
-same arrays (mode 2), plus one small contraction, run on blocks of about
-2 rank / tau factor columns: O(nnz rank + n tau rank) time and O(n rank)
-scratch, with no n^2 operand and no second copy of the tensor. The orthogonal
+same arrays (mode 2), plus one small contraction, run on b near-equal
+blocks of factor columns, b = min(max(1, tau n r // max(_ONE_BLOCK, 2 n r)),
+max(1, r // 2)): O(nnz rank + n tau rank) time and O(n rank) scratch, with no
+n^2 operand and no second copy of the tensor. The orthogonal
 variant replaces the node-factor least-squares update with the orthogonal
 Procrustes solution (polar factor of the MTTKRP matrix), which keeps that
 factor's columns exactly orthonormal. Every block update of either solver is
@@ -99,37 +100,35 @@ class SparseTensor3:
         return float(np.linalg.norm(self.stacked.data))
 
 
-# Khatri-Rao operands of at most this many entries run as one column block:
-# below it the per-block calls cost more time than the scratch is worth
+# MTTKRP's column blocks each hold about max(_ONE_BLOCK, 2 n r) entries of the
+# (tau n) x r Khatri-Rao operand, so one of at most this many entries runs as
+# one block: below it the per-block calls cost more time than the scratch is worth
 _ONE_BLOCK = 1 << 16
 
 
 def _column_blocks(n: int, tau: int, r: int) -> list:
-    """Slices of w factor columns, w = max(ceil(2 r / tau), 2), so that a
-    block's (tau n) x w operand holds about 2 n r entries; one block for
-    small operands. No block is one column wide unless r is: einsum sums a
-    one-column contraction with its contiguous dot kernel, in another order
-    than the r-column one, so a trailing column joins the block before it."""
-    w = r if tau * n * r <= _ONE_BLOCK else max(-(-2 * r // tau), 2)
-    starts = list(range(0, r, w))
-    if len(starts) > 1 and starts[-1] == r - 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [r])]
+    """b near-equal slices of the r factor columns in order, b = min(max(1,
+    tau n r // max(_ONE_BLOCK, 2 n r)), max(1, r // 2)): one block for
+    operands of at most _ONE_BLOCK entries, at most tau / 2 blocks of about
+    2 n r operand entries each otherwise, and no block narrower than two
+    columns unless r = 1."""
+    b = min(max(1, tau * n * r // max(_ONE_BLOCK, 2 * n * r)), max(1, r // 2))
+    return [slice(k * r // b, (k + 1) * r // b) for k in range(b)]
 
 
 def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 
     ``factors`` is the triple (A, B, C) of shapes n x r, n x r and tau x r;
-    the factor of the requested mode is ignored. The product runs on blocks
-    of w = max(ceil(2 r / tau), 2) factor columns (all r when the (tau n) x r
-    operand is small), after Bader & Kolda's column-wise MTTKRP. Modes 1 and 3
-    multiply the stacked slices by the block of B and contract the
-    (tau, n, w) result with the other factor; mode 2 multiplies their
-    transpose by the (tau n, w) Khatri-Rao rows C[t, s] * A[i, s]. Each costs
-    O(nnz r + tau n r) time and O(n r) scratch. Every output entry sums the
-    same terms in the same order whatever the block width, so mode 2 is
-    bitwise independent of it.
+    the factor of the requested mode is ignored. The product runs on b
+    near-equal column blocks, b = min(max(1, tau n r // max(_ONE_BLOCK,
+    2 n r)), max(1, r // 2)) (``_column_blocks``), after Bader & Kolda's
+    column-wise MTTKRP. Modes 1 and 3 multiply the stacked slices by the
+    block of B and contract the (tau, n, w) result with the other factor;
+    mode 2 multiplies their transpose by the (tau n, w) Khatri-Rao rows
+    C[t, s] * A[i, s]. Each costs O(nnz r + tau n r) time and O(n r)
+    scratch. Every output entry sums the same terms in the same order
+    whatever the block width, so mode 2 is bitwise independent of it.
     """
     if mode not in (1, 2, 3):
         raise ValueError("mode must be 1, 2 or 3")

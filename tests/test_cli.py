@@ -170,6 +170,21 @@ def test_non_finite_flag_is_an_error_before_loading(dataset, tmp_path, capsys, a
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["linkpred", "--metric", "foo"], "--metric"), (["linkpred", "--n-pos", "-1"], "--n-pos"),
+    (["linkpred", "--folds", "0"], "--folds"), (["linkpred", "--folds", "1"], "--folds"),
+    (["cluster", "--k", "0"], "--k"), (["anomaly", "--k", "-2"], "--k")],
+    ids=["metric", "n_pos", "folds0", "folds1", "cluster_k", "anomaly_k"])
+def test_bad_evaluation_option_is_an_error_before_loading(dataset, tmp_path, capsys,
+                                                          argv, option):
+    with mock.patch("dynten.io.load_dynamic_network") as load:
+        rc = main([*argv, "--data", str(dataset), "--out", str(tmp_path / "o")])
+    assert rc == 1 and not load.called
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} must be ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_finite_config_value_is_an_error_before_loading(dataset, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("method = dynacpd\nteleport = -inf\n")

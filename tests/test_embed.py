@@ -337,8 +337,9 @@ def test_dynamic_embedding_memory_is_linear():
     """Peak traced memory of a whole dynacpd embedding at n = 10 000
     (preconditioning, tensor build, spectral start, three ALS sweeps and
     selection) stays within a small constant times the tensor's nonzeros
-    plus the n x tau x rank MTTKRP scratch. The ratio measured here is 1.84
-    (2.03 before MTTKRP ran in column blocks); the bound leaves 36% headroom.
+    plus the n x tau x rank MTTKRP scratch. The ratio measured here is 1.838
+    (four 8-column MTTKRP blocks; 2.03 before MTTKRP ran in column blocks);
+    the bound leaves 36% headroom.
     One more CSR copy of the tensor would add about 0.9. Keeping the
     preconditioned slices alive through ALS reads 2.23, which the bound no
     longer catches (2.91 with the unblocked kernel);

@@ -1,5 +1,4 @@
 import logging
-import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -155,50 +154,75 @@ class TestMttkrp:
     @given(n=st.integers(1, 30), tau=st.integers(1, 9), r=st.integers(1, 12),
            order=st.sampled_from("CF"), blocked=st.booleans(), seed=st.integers(0, 2**16))
     def test_column_blocks_match_the_one_product_formulas(self, n, tau, r, order, blocked, seed):
-        """Every block width gives the one-product MTTKRP: mode 2 bitwise (the
-        CSC kernel sums each output in the same order), modes 1 and 3 to
-        rounding (einsum's order depends on the operands' layout). With
-        ``blocked`` every shape splits, so rank < tau, rank not a multiple of
-        the block width, tau = 1 and F-ordered factors all run blocked; no
-        block is one column wide unless rank is."""
+        """The blocks partition the columns in order into b = min(max(1,
+        tau n r // max(_ONE_BLOCK, 2 n r)), max(1, r // 2)) near-equal parts:
+        one whenever tau n r <= _ONE_BLOCK, and none narrower than two
+        columns unless r = 1. With ``blocked`` (``_ONE_BLOCK`` = 0) most
+        shapes split, so rank < tau, uneven widths, tau = 1 and F-ordered
+        factors all run blocked. Every split gives the one-product MTTKRP:
+        mode 2 bitwise (the CSC kernel sums each output in the same order),
+        modes 1 and 3 within (tau + n) eps times the same formulas on |Z|,
+        |A|, |B|, |C| (einsum's summation order over t or i depends on the
+        operands' layout, and a cancelling sum has no relative bound)."""
         rng = np.random.default_rng(seed)
         Z = SparseTensor3.from_slices(
             [sp.random(n, n, density=0.3, random_state=rng, format="csr",
                        data_rvs=rng.standard_normal) for _ in range(tau)])
         A, B, C = (np.asarray(rng.standard_normal((m, r)), order=order) for m in (n, n, tau))
-        one = {1: np.einsum("tir,tr->ir", (Z.stacked @ B).reshape(tau, n, r), C),
-               2: Z.stacked.T @ (C[:, None, :] * A[None, :, :]).reshape(tau * n, r),
-               3: np.einsum("tir,ir->tr", (Z.stacked @ B).reshape(tau, n, r), A)}
-        with mock.patch.object(tensors, "_ONE_BLOCK", 0 if blocked else tensors._ONE_BLOCK):
+
+        def one(Z, A, B, C):
+            ZB = (Z @ B).reshape(tau, n, r)
+            return {1: np.einsum("tir,tr->ir", ZB, C),
+                    2: Z.T @ (C[:, None, :] * A[None, :, :]).reshape(tau * n, r),
+                    3: np.einsum("tir,ir->tr", ZB, A)}
+
+        exact, size = one(Z.stacked, A, B, C), one(abs(Z.stacked), *map(np.abs, (A, B, C)))
+        one_block = 0 if blocked else tensors._ONE_BLOCK
+        with mock.patch.object(tensors, "_ONE_BLOCK", one_block):
             blocks = tensors._column_blocks(n, tau, r)
             got = {mode: mttkrp(Z, (A, B, C), mode) for mode in (1, 2, 3)}
+        widths = [s.stop - s.start for s in blocks]
         assert [i for s in blocks for i in range(r)[s]] == list(range(r))
-        w = max(math.ceil(2 * r / tau), 2)
-        assert len(blocks) == (math.ceil(r / w) - (r > w and r % w == 1) if blocked else 1)
-        assert all(s.stop - s.start > 1 for s in blocks) or r == 1
-        assert got[2].tobytes() == one[2].tobytes()
+        b = min(max(1, tau * n * r // max(one_block, 2 * n * r)), max(1, r // 2))
+        assert len(blocks) == b and max(widths) - min(widths) <= 1
+        assert len(blocks) == 1 or tau * n * r > one_block
+        assert min(widths) >= 2 or r == 1
+        assert got[2].tobytes() == exact[2].tobytes()
         for mode in (1, 3):
-            np.testing.assert_allclose(got[mode], one[mode], rtol=1e-13, atol=0)
+            bound = (tau + n) * np.finfo(float).eps * size[mode]
+            assert np.all(np.abs(got[mode] - exact[mode]) <= bound), mode
+
+    @pytest.mark.parametrize("n, tau, r, widths", [
+        (100, 7, 16, [16]), (500, 7, 32, [32]), (1000, 7, 32, [10, 11, 11]),
+        (10000, 7, 32, [10, 11, 11]), (10000, 8, 32, [8] * 4)])
+    def test_column_block_widths(self, n, tau, r, widths):
+        """The 7-slice training tensor of a linkpred run on 8 slices splits in
+        three at the tensor benchmark's n = 1 000, not into 10/10/10/2, and
+        stays one block at the small benchmark's n = 100."""
+        assert [s.stop - s.start for s in tensors._column_blocks(n, tau, r)] == widths
 
     def test_scratch_is_linear_in_n_rank(self):
-        """Each mode's traced peak above entry stays within 4 n rank doubles;
-        the one-product kernel's (tau n) x rank operand alone is 8 of them."""
-        n, tau, r = 2000, 8, 32
+        """Each mode's traced peak above entry stays within 4 n rank doubles,
+        on 7 slices (three blocks of 10-11 columns) and 8 (four of 8); the
+        one-product kernel's (tau n) x rank operand alone is 7-8 of them."""
+        n, r = 2000, 32
         rng = np.random.default_rng(47)
-        Z = SparseTensor3.from_slices(
-            [sp.random(n, n, density=10 / n, random_state=rng, format="csr") for _ in range(tau)])
-        # A F-ordered, as the ALS factor solve returns it
-        F = (np.asfortranarray(rng.standard_normal((n, r))), rng.standard_normal((n, r)),
-             rng.standard_normal((tau, r)))
-        for mode in (1, 2, 3):
-            tracemalloc.start()
-            try:
-                entry = tracemalloc.get_traced_memory()[0]
-                mttkrp(Z, F, mode)
-                peak = tracemalloc.get_traced_memory()[1] - entry
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4 * n * r * 8, f"mode {mode}: {peak} bytes"
+        for tau in (7, 8):
+            Z = SparseTensor3.from_slices(
+                [sp.random(n, n, density=10 / n, random_state=rng, format="csr")
+                 for _ in range(tau)])
+            # A F-ordered, as the ALS factor solve returns it
+            F = (np.asfortranarray(rng.standard_normal((n, r))), rng.standard_normal((n, r)),
+                 rng.standard_normal((tau, r)))
+            for mode in (1, 2, 3):
+                tracemalloc.start()
+                try:
+                    entry = tracemalloc.get_traced_memory()[0]
+                    mttkrp(Z, F, mode)
+                    peak = tracemalloc.get_traced_memory()[1] - entry
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 4 * n * r * 8, f"tau {tau}, mode {mode}: {peak} bytes"
 
     def test_shape_mismatch(self):
         Z, _ = sparse_random_tensor((4, 4, 3), 0.5, 4)
