@@ -1,12 +1,16 @@
 """Temporal conditioning and the dynamic tensor embeddings.
 
 Pipeline: precondition the snapshot sequence with a backward linear
-recurrence, build per-slice (possibly symmetrized or Katz-kernel) adjacency
-matrices, stack them into a sparse 3-tensor, run CP or orthogonal-CP ALS at a
-rank above the target dimension, then post-condition: score every component
+recurrence, form per-slice (possibly symmetrized or Katz-kernel) adjacency
+matrices as a sparse 3-tensor, run CP or orthogonal-CP ALS at a rank above
+the target dimension, then post-condition: score every component
 by sigma_i = sqrt(lambda_i) <w_hat, c_i>, keep the d strongest, and emit the
-node factor columns scaled by sigma. Static one-matrix baselines (last slice
-or weighted convolution of slices) live here too.
+node factor columns scaled by sigma. Raw slices enter the recurrence
+linearly, so their preconditioned tensor is the network's own slice stack
+blended along time, and nothing is preconditioned or copied; the symmetrized
+and Katz variants transform each preconditioned slice and build their
+tensor. Static one-matrix baselines (last slice or weighted convolution of
+slices) live here too.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import (DynamicNetwork, _compact, _slices_of, _symmetric_part,
+from .graphs import (DynamicNetwork, _backward_blend, _compact, _symmetric_part,
                      _weighted_slice_sum, katz_adjacency, laplacian, symmetrized_adjacency)
 from .spectral import adjacency_embedding, resistance_embedding
 from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_als
@@ -79,14 +83,9 @@ def precondition(slices: tuple, w: TemporalWeights) -> tuple:
     weights leave the slices unchanged, and a link weight present in every
     slice from t on is preserved in G'_t regardless of the weights.
     """
-    tau = len(slices)
-    if len(w) != tau:
-        raise ValueError(f"need {tau} weights, got {len(w)}")
-    out = [None] * tau
-    out[-1] = w.values[-1] * slices[-1]
-    for t in range(tau - 2, -1, -1):
-        out[t] = w.values[t] * slices[t] + (1.0 - w.values[t]) * out[t + 1]
-    return tuple(_compact(M) for M in out)
+    if len(w) != len(slices):
+        raise ValueError(f"need {len(slices)} weights, got {len(w)}")
+    return tuple(_compact(M) for M in reversed(list(_backward_blend(slices, w.values))))
 
 
 def convolve_snapshots(slices: tuple, w: TemporalWeights) -> sparse.csr_array:
@@ -153,13 +152,19 @@ def mode_orientations(model: CPModel) -> np.ndarray:
     return signs
 
 
-def _variant_slices(slices: tuple, cfg: DynEmbedConfig):
+def _conditioned_tensor(net: DynamicNetwork, cfg: DynEmbedConfig) -> SparseTensor3:
+    """The preconditioned tensor of the configured slice variant. Raw slices
+    enter linearly, so their tensor is the network's own stack blended by
+    the pre weights, shared, not copied. The symmetrized and Katz variants
+    transform each preconditioned slice, so theirs is built, and the
+    preconditioned slices die on return, before ALS."""
     if cfg.adjacency_variant == "raw":
-        return slices
+        return SparseTensor3._shared(net._stacked(), cfg.pre_weights.values)
+    slices = precondition(net.snapshots, cfg.pre_weights)
     if cfg.adjacency_variant == "symmetrized":
-        stack = sparse.vstack(slices, format="csr")
-        return _slices_of(symmetrized_adjacency(stack, teleport=cfg.teleport), len(slices))
-    return [katz_adjacency(A, cfg.katz_omega) for A in slices]
+        return SparseTensor3._canonical(symmetrized_adjacency(
+            sparse.vstack(slices, format="csr"), teleport=cfg.teleport))
+    return SparseTensor3.from_slices([katz_adjacency(A, cfg.katz_omega) for A in slices])
 
 
 def default_rank(net: DynamicNetwork, d: int, orthogonal: bool) -> int:
@@ -170,12 +175,10 @@ def default_rank(net: DynamicNetwork, d: int, orthogonal: bool) -> int:
 
 def dynamic_embedding(net: DynamicNetwork, cfg: DynEmbedConfig) -> DynEmbedResult:
     """Run the full pipeline and keep the decomposition diagnostics."""
-    if len(cfg.post_weights) != net.tau:  # checked here, not after ALS
-        raise ValueError(f"need {net.tau} post weights, got {len(cfg.post_weights)}")
-    # the tensor copies every slice, so the conditioned ones die here, before ALS
-    Z = SparseTensor3.from_slices(
-        _variant_slices(precondition(net.snapshots, cfg.pre_weights), cfg))
-    model = (ocp_als if cfg.orthogonal else cp_als)(Z, cfg.als)
+    for name, w in (("pre", cfg.pre_weights), ("post", cfg.post_weights)):
+        if len(w) != net.tau:  # checked here, not after ALS
+            raise ValueError(f"need {net.tau} {name} weights, got {len(w)}")
+    model = (ocp_als if cfg.orthogonal else cp_als)(_conditioned_tensor(net, cfg), cfg.als)
 
     # orient each weighted mode so anti-proximity components rank negative,
     # mirroring the algebraically-largest rule of the static adjacency

@@ -11,7 +11,7 @@ and every matrix builder here returns the same canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -262,6 +262,10 @@ class DynamicNetwork:
     labels: tuple
     snapshots: tuple
     directed: bool = False
+    # the (T n) x n CSR matrix, T >= tau, whose first tau n rows the slices
+    # are views of (see aligned_network); None when they are separate matrices
+    _stack: sparse.csr_array | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if len(self.snapshots) < 1:
@@ -284,19 +288,34 @@ class DynamicNetwork:
         return self.snapshots[t]
 
     @classmethod
-    def _unchecked(cls, labels: tuple, snapshots: tuple, directed: bool) -> DynamicNetwork:
+    def _unchecked(cls, labels: tuple, snapshots: tuple, directed: bool,
+                   stack=None) -> DynamicNetwork:
         """The network of fields that have passed ``__post_init__``'s checks
-        already, built without running them again."""
+        already, built without running them again; ``stack``, when given,
+        is the CSR matrix whose leading rows the slices are views of."""
         net = object.__new__(cls)
-        for field, value in (("labels", labels), ("snapshots", snapshots),
-                             ("directed", directed)):
-            object.__setattr__(net, field, value)
+        for name, value in (("labels", labels), ("snapshots", snapshots),
+                            ("directed", directed), ("_stack", stack)):
+            object.__setattr__(net, name, value)
         return net
 
     def _without_last(self) -> DynamicNetwork:
-        """The network of all slices but the last, sharing this one's labels
-        and matrices."""
-        return DynamicNetwork._unchecked(self.labels, self.snapshots[:-1], self.directed)
+        """The network of all slices but the last, sharing this one's labels,
+        matrices and stack."""
+        return DynamicNetwork._unchecked(self.labels, self.snapshots[:-1], self.directed,
+                                         self._stack)
+
+    def _stacked(self) -> sparse.csr_array:
+        """The slices stacked as one canonical (tau n) x n CSR matrix: the
+        first tau n rows of the stack they were cut from, as a view that
+        shares its arrays, or, for slices that are separate matrices, one
+        new stack of them."""
+        if self._stack is None:
+            return sparse.vstack(self.snapshots, format="csr")
+        rows = self.tau * self.n
+        ptr = self._stack.indptr[:rows + 1]
+        end = ptr[-1]
+        return _csr_of(self._stack.data[:end], self._stack.indices[:end], ptr, (rows, self.n))
 
 
 def align_snapshots(snapshot_edges: Sequence[Sequence], *,
@@ -369,8 +388,9 @@ def aligned_network(labels, ends, src, dst, weight, declared: Sequence[Sequence]
             ids[lo:hi] = remap[ids[lo:hi]]
         lo = hi
     stack = stacked_adjacency(len(order), ends, src, dst, weight, undirected=not directed)
-    return DynamicNetwork(labels=order, snapshots=_slices_of(stack, len(declared)),
-                          directed=directed)
+    net = DynamicNetwork(labels=order, snapshots=_slices_of(stack, len(declared)),
+                         directed=directed)
+    return DynamicNetwork._unchecked(net.labels, net.snapshots, directed, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +430,19 @@ def _weighted_slice_sum(stacked, w) -> sparse.csr_array:
     S = P @ stacked
     S.sort_indices()
     return S
+
+
+def _backward_blend(slices, w):
+    """The slices G'_t = w_t G_t + (1 - w_t) G'_{t+1} of the backward
+    recurrence from G'_tau = w_tau G_tau, yielded from the last to the
+    first, each as it is formed from the one before; none is compacted.
+    On the rows of the tau x tau identity it yields the rows of the
+    upper-triangular W with G'_t = sum_s W[t, s] G_s."""
+    blended = None
+    for t in range(len(slices) - 1, -1, -1):
+        blended = w[t] * slices[t] if blended is None else \
+            w[t] * slices[t] + (1.0 - w[t]) * blended
+        yield blended
 
 
 def degree_matrix(A) -> sparse.csr_array:

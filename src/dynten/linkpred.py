@@ -80,8 +80,9 @@ def _edge_keys(net: DynamicNetwork, t: int) -> np.ndarray:
 
 def holdout_split(net: DynamicNetwork):
     """Hold out the final slice: ``(train, target_slice, n_links)``, with
-    ``train`` the slices 1..tau-1 (the input's own matrices, not checked
-    again) and ``n_links`` counted as the sampler does."""
+    ``train`` the slices 1..tau-1 (the input's own matrices, and the stack
+    they are views of, not checked again) and ``n_links`` counted as the
+    sampler does."""
     if net.tau < 2:
         raise ValueError("link prediction needs tau >= 2 (one slice is held out)")
     target = net.tau - 1

@@ -1,14 +1,18 @@
 """Sparse n x n x tau tensors and CP / orthogonality-constrained CP by ALS.
 
-The tensor is stored once, as one canonical CSR matrix: its frontal slices
-Z[:, :, t], one n x n adjacency matrix per time step, stacked as a (tau n) x n
-matrix, the transpose of the mode-2 unfolding. The ALS inner kernel, a
-matricized-tensor-times-Khatri-Rao product (MTTKRP), is a sparse-times-dense
-product on that matrix (modes 1 and 3) or on its transpose, a CSC view of the
-same arrays (mode 2), plus one small contraction, run on b near-equal
-blocks of factor columns, b = min(max(1, tau n r // max(_ONE_BLOCK, 2 n r)),
-max(1, r // 2)): O(nnz rank + n tau rank) time and O(n rank) scratch, with no
-n^2 operand and no second copy of the tensor. The orthogonal
+The tensor is stored once, as one canonical CSR matrix: frontal slices
+S[:, :, t], one n x n adjacency matrix per time step, stacked as a (tau n) x n
+matrix, the transpose of the mode-2 unfolding. That matrix may be shared, a
+network's own stack, and the tensor may blend its slices along time by a
+backward recurrence, Z = S x_3 W with an upper-triangular tau x tau W, which
+is never formed: every ALS quantity reads S and W (Kolda & Bader 2009). The
+ALS inner kernel, a matricized-tensor-times-Khatri-Rao product (MTTKRP), is a
+sparse-times-dense product on that matrix (modes 1 and 3) or on its
+transpose, a CSC view of the same arrays (mode 2), plus one small
+contraction, run on b near-equal blocks of factor columns, b = min(max(1,
+tau n r // max(_ONE_BLOCK, 2 n r)), max(1, r // 2)): O(nnz rank + n tau rank)
+time and O(n rank) scratch, with no n^2 operand and no second copy of the
+tensor. The orthogonal
 variant replaces the node-factor least-squares update with the orthogonal
 Procrustes solution (polar factor of the MTTKRP matrix), which keeps that
 factor's columns exactly orthonormal. Every block update of either solver is
@@ -19,13 +23,14 @@ error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import subspace_angles
 
-from .graphs import _symmetric_part, _weighted_slice_sum
+from .graphs import _backward_blend, _slices_of, _symmetric_part, _weighted_slice_sum
 from .seeding import derived_rng
 from .spectral import _extreme_pairs
 
@@ -37,34 +42,49 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SparseTensor3:
-    """Sparse n x n x tau tensor held as one canonical CSR matrix.
+    """Sparse n x n x tau tensor held as one canonical CSR matrix, optionally
+    blended along time.
 
-    ``stacked`` is the (tau n) x n matrix whose row t n + i is Z[i, :, t]:
+    ``stacked`` is the (tau n) x n matrix whose row t n + i is S[i, :, t]:
     duplicates summed, explicit zeros dropped, column indices sorted, and
     int32 index arrays whenever the shape and nnz fit (12 instead of 16 bytes
     per nonzero): a network's slices, which hold int32 index arrays whenever
     they fit, stack as they are, and wider ones are narrowed. Any other shape
-    is refused.
+    is refused. Without ``blend`` the tensor Z is S. With per-slice weights
+    ``blend`` = w it is the backward recurrence Z_t = w_t S_t + (1 - w_t)
+    Z_{t+1} from Z_tau = w_tau S_tau, the mode-3 product S x_3 W with the
+    upper-triangular tau x tau matrix W (``mix``), which is never formed:
+    ``nnz`` counts the entries of S, the only ones stored.
     """
 
     stacked: sparse.csr_array = field(repr=False)
+    blend: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         rows, n = self.stacked.shape
         if n < 1 or rows < n or rows % n:
             raise ValueError(f"stacked shape {self.stacked.shape} is not (tau n) x n")
+        if self.blend is not None and np.shape(self.blend) != (rows // n,):
+            raise ValueError(f"need {rows // n} blend weights, got shape {np.shape(self.blend)}")
 
     @classmethod
     def _canonical(cls, stacked) -> "SparseTensor3":
         """Canonicalize a freshly built stacked matrix in place and wrap it."""
         stacked.sum_duplicates()
         stacked.eliminate_zeros()
+        return cls._shared(stacked)
+
+    @classmethod
+    def _shared(cls, stacked, blend=None) -> "SparseTensor3":
+        """Wrap a canonical stacked matrix, whose arrays are shared, not
+        copied or written to: only wider index arrays are replaced by int32
+        copies. Non-finite values are refused."""
         if not np.all(np.isfinite(stacked.data)):
             raise ValueError("tensor values must be finite")
         if max(*stacked.shape, stacked.nnz) <= np.iinfo(np.int32).max:
             stacked.indices = stacked.indices.astype(np.int32, copy=False)
             stacked.indptr = stacked.indptr.astype(np.int32, copy=False)
-        return cls(stacked)
+        return cls(stacked, blend)
 
     @classmethod
     def from_slices(cls, slices: Sequence) -> "SparseTensor3":
@@ -96,8 +116,25 @@ class SparseTensor3:
     def nnz(self) -> int:
         return int(self.stacked.nnz)
 
+    @cached_property
+    def mix(self) -> np.ndarray | None:
+        """W with Z = S x_3 W, the recurrence run on the identity's rows;
+        None without a blend."""
+        if self.blend is None:
+            return None
+        return np.array(list(_backward_blend(np.eye(self.dims[2]), self.blend))[::-1])
+
+    def _parts(self):
+        """Sparse matrices that hold Z's entries between them, one at a
+        time: the stack itself, or, with a blend, the slices Z_tau, ...,
+        Z_1, each formed from the one before (one slice of scratch)."""
+        if self.blend is None:
+            yield self.stacked
+        else:
+            yield from _backward_blend(_slices_of(self.stacked, self.dims[2]), self.blend)
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.stacked.data))
+        return float(np.sqrt(sum(np.dot(P.data, P.data) for P in self._parts())))
 
 
 # MTTKRP's column blocks each hold about max(_ONE_BLOCK, 2 n r) entries of the
@@ -120,7 +157,9 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 
     ``factors`` is the triple (A, B, C) of shapes n x r, n x r and tau x r;
-    the factor of the requested mode is ignored. The product runs on b
+    the factor of the requested mode is ignored. A blended tensor S x_3 W
+    runs the product of S, with W^T C in place of C in modes 1 and 2 and
+    W times S's product in mode 3. The product runs on b
     near-equal column blocks, b = min(max(1, tau n r // max(_ONE_BLOCK,
     2 n r)), max(1, r // 2)) (``_column_blocks``), after Bader & Kolda's
     column-wise MTTKRP. Modes 1 and 3 multiply the stacked slices by the
@@ -138,6 +177,9 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
     for M, m in ((A, n), (B, n), (C, tau)):
         if M.shape != (m, r):
             raise ValueError(f"factor shape {M.shape} inconsistent with n {n}, tau {tau}, rank {r}")
+    W = Z.mix
+    if W is not None and mode != 3:
+        C = W.T @ C
     out = np.empty((tau if mode == 3 else n, r))
     for s in _column_blocks(n, tau, r):
         # each block's operand is a temporary of its statement, so only one
@@ -149,7 +191,7 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
             out[:, s] = np.einsum("tir,tr->ir", (Z.stacked @ B[:, s]).reshape(tau, n, -1), C[:, s])
         else:
             out[:, s] = np.einsum("tir,ir->tr", (Z.stacked @ B[:, s]).reshape(tau, n, -1), A[:, s])
-    return out
+    return out if W is None or mode != 3 else W @ out
 
 
 @dataclass(frozen=True)
@@ -217,21 +259,23 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
     """Warm-start factors.
 
     Both node factors start from the ``rank`` largest-magnitude eigenvectors
-    of the sparse symmetrized time-summed slice 0.5 (S + S^T),
-    S = sum_t Z[:, :, t], and the time factor is constant 1/sqrt(tau) per
+    of the sparse symmetrized time-summed slice 0.5 (M + M^T),
+    M = sum_t Z[:, :, t], and the time factor is constant 1/sqrt(tau) per
     column (exact in the identical-slices limit); seeded random unit columns
-    fill beyond the node count n. S and its symmetric part come from the
-    shared sparse helpers, which average S with S^T in place when they have
-    one pattern. The eigenpairs come from the shared residual-checked
-    eigensolver, so the start costs O(nnz + n rank) memory and no n x n
-    array.
+    fill beyond the node count n. M comes from the stored slices in one
+    weighted sum, with weight 1 each or, for a blended tensor S x_3 W, the
+    column sums of W; it and its symmetric part come from the shared sparse
+    helpers, which average M with M^T in place when they have one pattern.
+    The eigenpairs come from the shared residual-checked eigensolver, so
+    the start costs O(nnz + n rank) memory and no n x n array.
     """
     n, _, tau = Z.dims
     r = cfg.rank
     C = np.full((tau, r), 1.0 / np.sqrt(tau))
-    S = _symmetric_part(_weighted_slice_sum(Z.stacked, np.ones(tau)))
+    M = _symmetric_part(_weighted_slice_sum(
+        Z.stacked, np.ones(tau) if Z.mix is None else Z.mix.sum(axis=0)))
     k = min(r, n)
-    lead = _extreme_pairs(S, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
+    lead = _extreme_pairs(M, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
     if r > k:
         extra = derived_rng(cfg.seed, "als-init").uniform(-1.0, 1.0, size=(n, r - k))
         extra /= np.maximum(np.linalg.norm(extra, axis=0), 1e-300)
@@ -308,9 +352,9 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
         raise ValueError(f"rank {r} above the cap {cap} for a {Z.dims} tensor")
 
     norm_z = Z.norm()
-    if norm_z == 0.0 and Z.nnz:
+    if norm_z == 0.0 and (nonzero := sum(P.count_nonzero() for P in Z._parts())):
         raise DecompositionError(
-            f"the norm of a tensor with {Z.nnz} nonzero entries underflows to 0; "
+            f"the norm of a tensor with {nonzero} nonzero entries underflows to 0; "
             "input scaling is pathological")
     A, B, C = initial_factors(Z, cfg)
     if norm_z == 0.0:

@@ -1,19 +1,21 @@
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dynten import embed
+from dynten import embed, io
 from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
                           adj_wt_embedding, convolve_snapshots, default_rank,
                           dynamic_embedding, make_weights, mode_orientations,
                           precondition, res_last_embedding, res_wt_embedding,
                           weighted_modes)
 from dynten.graphs import DynamicNetwork, laplacian
+from dynten.linkpred import holdout_split
 from dynten.spectral import adjacency_embedding, resistance_embedding
 from dynten.synth import dynamic_sbm
 from dynten.tensors import AlsConfig, SparseTensor3
@@ -334,16 +336,15 @@ def test_precondition_keeps_nonnegativity_and_support(seed):
 
 
 def test_dynamic_embedding_memory_is_linear():
-    """Peak traced memory of a whole dynacpd embedding at n = 10 000
-    (preconditioning, tensor build, spectral start, three ALS sweeps and
-    selection) stays within a small constant times the tensor's nonzeros
-    plus the n x tau x rank MTTKRP scratch. The ratio measured here is 1.838
-    (four 8-column MTTKRP blocks; 2.03 before MTTKRP ran in column blocks);
-    the bound leaves 36% headroom.
-    One more CSR copy of the tensor would add about 0.9. Keeping the
-    preconditioned slices alive through ALS reads 2.23, which the bound no
-    longer catches (2.91 with the unblocked kernel);
-    ``test_conditioned_slices_are_freed_before_als`` catches it instead."""
+    """Peak traced memory of a whole dynacpd embedding at n = 10 000 (one
+    stack of the raw slices, spectral start, three ALS sweeps and selection)
+    stays within a small constant times the preconditioned tensor's nonzeros
+    plus the n x tau x rank MTTKRP scratch. These slices share no links, so
+    that tensor holds 4.5 times the raw nonzeros. The ratio measured here is
+    0.771 (1.838 while the preconditioned tensor was built, with four
+    8-column MTTKRP blocks; 2.03 before MTTKRP ran in column blocks).
+    Building that tensor again, or a CSR copy of it, would add about 0.9;
+    ``test_raw_tensor_is_the_network_stack`` checks that neither is made."""
     n, tau, rank = 10000, 8, 32
     rng = np.random.default_rng(25)
     snaps = []
@@ -366,9 +367,9 @@ def test_dynamic_embedding_memory_is_linear():
 
 
 def test_conditioned_slices_are_freed_before_als(monkeypatch):
-    """The tensor copies the preconditioned slices, so none of them is alive
-    when ALS starts: kept alive, they would add a second copy of the tensor
-    to the working set of every sweep."""
+    """The symmetrized variant's tensor is built from the preconditioned
+    slices, so none of them is alive when ALS starts: kept alive, they would
+    add a second copy of the tensor to the working set of every sweep."""
     net, _ = dynamic_sbm(60, 4, seed=3)
     refs, alive = [], []
     real_precondition, real_als = embed.precondition, embed.cp_als
@@ -385,5 +386,45 @@ def test_conditioned_slices_are_freed_before_als(monkeypatch):
 
     monkeypatch.setattr(embed, "precondition", precondition_spy)
     monkeypatch.setattr(embed, "cp_als", als_spy)
-    dynamic_embedding(net, config(net, 4))
+    dynamic_embedding(net, replace(config(net, 4), adjacency_variant="symmetrized"))
     assert len(refs) == net.tau and alive == [0]
+
+
+def test_raw_tensor_is_the_network_stack(tmp_path, monkeypatch):
+    """On the raw variant ALS runs on the training prefix of the loaded
+    network's own stack, blended by the pre weights: nothing is
+    preconditioned or stacked again, and the tensor shares the slices'
+    arrays. A network of separate slices is stacked once."""
+    path = tmp_path / "net.edges"
+    path.write_text("".join(f"{t} {i} {(i + t + 1) % 9} {1.0 + t}\n"
+                            for t in range(4) for i in range(9)))
+    calls, tensors_seen = [], []
+    real_als = embed.cp_als
+    monkeypatch.setattr(embed, "precondition", lambda *a: calls.append("precondition"))
+    monkeypatch.setattr(SparseTensor3, "from_slices",
+                        classmethod(lambda cls, *a: calls.append("from_slices")))
+    monkeypatch.setattr(embed, "cp_als", lambda Z, cfg: tensors_seen.append(Z) or real_als(Z, cfg))
+    net = io.load_dynamic_network(path)
+    train, _, _ = holdout_split(net)
+    w = make_weights("exponential", train.tau, alpha=1.0)
+    dynamic_embedding(train, config(train, 2, pre=w))
+    synthetic, _ = dynamic_sbm(30, 3, seed=4)
+    dynamic_embedding(synthetic, config(synthetic, 2))
+    assert calls == []
+    loaded, stacked = tensors_seen
+    assert loaded.dims == (9, 9, 3) and loaded.blend is w.values
+    assert np.shares_memory(loaded.stacked.data, net.snapshots[0].data)
+    assert np.shares_memory(loaded.stacked.indices, net.snapshots[0].indices)
+    assert stacked.nnz == sum(A.nnz for A in synthetic.snapshots)
+    assert not np.shares_memory(stacked.stacked.data, synthetic.snapshots[0].data)
+
+
+def test_weights_that_zero_every_slice_give_the_zero_model():
+    """Weights that zero every nonempty training slice leave an all-zero
+    preconditioned tensor, decomposed as the zero model, not refused as a
+    tensor whose norm underflows."""
+    link = [[0.0, 1.0], [1.0, 0.0]]
+    net = net_from_matrices([link, link, np.zeros((2, 2))])
+    res = dynamic_embedding(net, config(net, 1, pre=TemporalWeights([0.0, 0.0, 1.0])))
+    assert res.model.stop_reason == "zero" and res.model.fit == 0.0
+    assert not res.embedding.any()

@@ -10,7 +10,8 @@ from scipy.linalg import subspace_angles
 from hypothesis import given, settings, strategies as st
 
 from dynten import graphs, tensors
-from dynten.embed import DynEmbedConfig, dynamic_embedding, make_weights
+from dynten.embed import (DynEmbedConfig, TemporalWeights, dynamic_embedding, make_weights,
+                          precondition)
 from dynten.linkpred import evaluate_link_prediction, holdout_split
 from dynten.spectral import DENSE_MAX_N
 from dynten.synth import dynamic_sbm
@@ -232,6 +233,45 @@ class TestMttkrp:
         good = (np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="mode must be"):
             mttkrp(Z, good, 4)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_blended_tensor_matches_the_preconditioned_one(seed):
+    """The stack of the raw slices blended by pre weights w, S x_3 W with W
+    never formed, gives the MTTKRP of every mode, the norm and the start's
+    summed slice of the built preconditioned tensor within 1e-13 relative:
+    of the sum of the terms' magnitudes (the same formulas on |S| and the
+    factors' absolute values) entry by entry, and of the norm. The weights
+    include zeros, and slices may be empty."""
+    rng = np.random.default_rng(seed)
+    n, tau, r = int(rng.integers(2, 8)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    slices = tuple(sp.csr_array(np.where(rng.random((n, n)) < rng.choice([0.0, 0.3, 0.8]),
+                                         rng.standard_normal((n, n)), 0.0))
+                   for _ in range(tau))
+    vals = rng.choice([0.0, 1.0, 0.5], size=tau)
+    vals[vals == 0.5] = rng.random(np.count_nonzero(vals == 0.5))
+    vals[rng.integers(tau)] = 1.0
+    w = TemporalWeights(vals)
+    built = SparseTensor3.from_slices(precondition(slices, w))
+    stack = sp.vstack(slices, format="csr")
+    blended = SparseTensor3._shared(stack, w.values)
+    magnitude = SparseTensor3._shared(abs(stack), w.values)
+    F = tuple(rng.standard_normal((m, r)) for m in built.dims)
+    for mode in (1, 2, 3):
+        err = np.abs(mttkrp(blended, F, mode) - mttkrp(built, F, mode))
+        assert np.all(err <= 1e-13 * mttkrp(magnitude, tuple(map(np.abs, F)), mode))
+    assert abs(blended.norm() - built.norm()) <= 1e-13 * built.norm()
+
+    def start_slice(Z):
+        seen, solve = [], tensors._extreme_pairs
+        with mock.patch.object(tensors, "_extreme_pairs",
+                               lambda M, *a, **kw: seen.append(M.toarray()) or solve(M, *a, **kw)):
+            initial_factors(Z, AlsConfig(rank=1))
+        return seen[0]
+
+    err = np.abs(start_slice(blended) - start_slice(built))
+    assert np.all(err <= 1e-13 * start_slice(magnitude))
 
 
 class TestCpAls:
