@@ -159,10 +159,10 @@ def _conditioned_tensor(net: DynamicNetwork, cfg: DynEmbedConfig) -> SparseTenso
     transform each preconditioned slice, so theirs is built, and the
     preconditioned slices die on return, before ALS."""
     if cfg.adjacency_variant == "raw":
-        return SparseTensor3._shared(net._stacked(), cfg.pre_weights.values)
+        return SparseTensor3(net._stacked(), cfg.pre_weights.values)
     slices = precondition(net.snapshots, cfg.pre_weights)
     if cfg.adjacency_variant == "symmetrized":
-        return SparseTensor3._canonical(symmetrized_adjacency(
+        return SparseTensor3(symmetrized_adjacency(
             sparse.vstack(slices, format="csr"), teleport=cfg.teleport))
     return SparseTensor3.from_slices([katz_adjacency(A, cfg.katz_omega) for A in slices])
 

@@ -15,7 +15,6 @@ passes over line-aligned chunks of the text. Floats are written with
 
 from __future__ import annotations
 
-import codecs
 import re
 from itertools import filterfalse, repeat
 from pathlib import Path
@@ -39,9 +38,10 @@ _SPACE_RUNS = ((9, 13), (28, 32))
 _BREAK_RUNS = ((10, 13), (28, 30))
 _OTHER_BREAKS = "".join(map(chr, _BREAKS[1:]))  # the line boundaries but "\n", as text
 
-# bytes of a file read and parsed at once. A chunk's parse holds about 12
-# bytes of scratch per byte of text, and each chunk costs a fixed 0.3 to
-# 0.45 ms (2 vCPU), about a tenth of the parse of 128 KiB of edge lines
+# characters of a file read and parsed at once. A chunk's parse holds about
+# 12 bytes of scratch per character of ASCII text, and each chunk costs a
+# fixed 0.3 to 0.45 ms (2 vCPU), about a tenth of the parse of 2^17
+# characters of edge lines
 CHUNK = 1 << 17
 
 
@@ -192,15 +192,14 @@ def _ranks(key):
 
 def _chunks(path):
     """The text of the file at ``path``, decoded as ``Path.read_text()``
-    decodes it, as a :class:`_Text` per piece of about ``CHUNK`` bytes (or
-    the rest of it) that ends at a line boundary, except the last. A "\\r"
-    at the end of a piece waits for the next one, which may start with the
-    "\\n" of its CRLF pair."""
+    decodes it, as a :class:`_Text` per piece of about ``CHUNK`` characters
+    (or the rest of it) that ends at a line boundary, except the last. A
+    "\\r" at the end of a piece waits for the next one, which may start
+    with the "\\n" of its CRLF pair."""
     with open(path, newline="") as fh:
-        decode = codecs.getincrementaldecoder(fh.encoding)(fh.errors).decode
         carry = ""
-        while data := fh.buffer.read(CHUNK):
-            text = carry + decode(data)
+        while data := fh.read(CHUNK):
+            text = carry + data
             del data
             limit = len(text) - text.endswith("\r")
             cut = text.rfind("\n", 0, limit) + 1
@@ -209,7 +208,6 @@ def _chunks(path):
             if cut:
                 text = _Text(text[:cut])  # the str goes, so only the chunk's units stay
                 yield text
-        carry += decode(b"", final=True)
     if carry:
         yield _Text(carry)
 
@@ -469,10 +467,12 @@ def csv_field(text: str) -> str:
 def write_embedding_csv(path, labels, embedding) -> None:
     """Write the header ``node,dim_0,..`` and one row per label: the label as
     a CSV field (see :func:`csv_field`), then the row's floats as ``repr``,
-    which round-trips exactly."""
+    which round-trips exactly. An embedding with no columns is refused."""
     emb = np.asarray(embedding, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] != len(labels):
         raise ValueError("embedding must be n x d with one row per label")
+    if emb.shape[1] == 0:
+        raise ValueError("embedding has no columns: a CSV row needs d >= 1 values")
     header = "node," + ",".join(f"dim_{k}" for k in range(emb.shape[1]))
     lines = [header] + [csv_field(str(lab)) + "," + ",".join(map(repr, row))
                         for lab, row in zip(labels, emb.tolist())]
@@ -511,4 +511,4 @@ def load_embedding_csv(path):
                              f"header names {d}")
         labels.append(label)
         rows.append([float(x) for x in values])
-    return labels, np.asarray(rows)
+    return labels, np.asarray(rows, dtype=np.float64).reshape(len(rows), d)

@@ -9,15 +9,13 @@ is never formed: every ALS quantity reads S and W (Kolda & Bader 2009). The
 ALS inner kernel, a matricized-tensor-times-Khatri-Rao product (MTTKRP), is a
 sparse-times-dense product on that matrix (modes 1 and 3) or on its
 transpose, a CSC view of the same arrays (mode 2), plus one small
-contraction, run on b near-equal blocks of factor columns, b = min(max(1,
-tau n r // max(_ONE_BLOCK, 2 n r)), max(1, r // 2)): O(nnz rank + n tau rank)
-time and O(n rank) scratch, with no n^2 operand and no second copy of the
-tensor. The orthogonal
-variant replaces the node-factor least-squares update with the orthogonal
-Procrustes solution (polar factor of the MTTKRP matrix), which keeps that
-factor's columns exactly orthonormal. Every block update of either solver is
-an exact proximal minimizer, so no sweep can raise the fit beyond rounding
-error.
+contraction, run on blocks of factor columns (``_column_blocks``):
+O(nnz rank + n tau rank) time and O(n rank) scratch, with no n^2 operand and
+no second copy of the tensor. The orthogonal variant replaces the
+node-factor least-squares update with the orthogonal Procrustes solution
+(polar factor of the MTTKRP matrix), which keeps that factor's columns
+exactly orthonormal. Every block update of either solver is an exact
+proximal minimizer, so no sweep can raise the fit beyond rounding error.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import subspace_angles
 
-from .graphs import _backward_blend, _slices_of, _symmetric_part, _weighted_slice_sum
+from .graphs import (_backward_blend, _compact, _csr_of, _slices_of, _symmetric_part,
+                     _weighted_slice_sum)
 from .seeding import derived_rng
 from .spectral import _extreme_pairs
 
@@ -45,46 +44,42 @@ class SparseTensor3:
     """Sparse n x n x tau tensor held as one canonical CSR matrix, optionally
     blended along time.
 
-    ``stacked`` is the (tau n) x n matrix whose row t n + i is S[i, :, t]:
-    duplicates summed, explicit zeros dropped, column indices sorted, and
-    int32 index arrays whenever the shape and nnz fit (12 instead of 16 bytes
-    per nonzero): a network's slices, which hold int32 index arrays whenever
-    they fit, stack as they are, and wider ones are narrowed. Any other shape
-    is refused. Without ``blend`` the tensor Z is S. With per-slice weights
-    ``blend`` = w it is the backward recurrence Z_t = w_t S_t + (1 - w_t)
-    Z_{t+1} from Z_tau = w_tau S_tau, the mode-3 product S x_3 W with the
-    upper-triangular tau x tau matrix W (``mix``), which is never formed:
-    ``nnz`` counts the entries of S, the only ones stored.
+    ``stacked`` is the (tau n) x n matrix whose row t n + i is S[i, :, t].
+    The constructor is the one way in, and it refuses any other shape, an
+    unsorted row, a duplicate entry, a stored zero and a non-finite value
+    (``from_slices`` and ``from_dense`` compact their input first). It holds
+    int32 index arrays whenever the shape and nnz fit (12 instead of 16
+    bytes per nonzero): an int32 matrix, such as a network's own stack, is
+    held as it is, and a wider one is narrowed in a new matrix over the same
+    data, so the caller's matrix is never written. Without ``blend`` the
+    tensor Z is S. With per-slice weights ``blend`` = w it is the backward
+    recurrence Z_t = w_t S_t + (1 - w_t) Z_{t+1} from Z_tau = w_tau S_tau,
+    the mode-3 product S x_3 W with the upper-triangular tau x tau matrix W
+    (``mix``), which is never formed: ``nnz`` counts the entries of S, the
+    only ones stored.
     """
 
     stacked: sparse.csr_array = field(repr=False)
     blend: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        rows, n = self.stacked.shape
+        S = self.stacked
+        rows, n = S.shape
         if n < 1 or rows < n or rows % n:
-            raise ValueError(f"stacked shape {self.stacked.shape} is not (tau n) x n")
+            raise ValueError(f"stacked shape {S.shape} is not (tau n) x n")
         if self.blend is not None and np.shape(self.blend) != (rows // n,):
             raise ValueError(f"need {rows // n} blend weights, got shape {np.shape(self.blend)}")
-
-    @classmethod
-    def _canonical(cls, stacked) -> "SparseTensor3":
-        """Canonicalize a freshly built stacked matrix in place and wrap it."""
-        stacked.sum_duplicates()
-        stacked.eliminate_zeros()
-        return cls._shared(stacked)
-
-    @classmethod
-    def _shared(cls, stacked, blend=None) -> "SparseTensor3":
-        """Wrap a canonical stacked matrix, whose arrays are shared, not
-        copied or written to: only wider index arrays are replaced by int32
-        copies. Non-finite values are refused."""
-        if not np.all(np.isfinite(stacked.data)):
+        if not S.has_canonical_format:
+            raise ValueError("stacked column indices are unsorted" if not S.has_sorted_indices
+                             else "stacked matrix holds duplicate entries")
+        if not np.all(np.isfinite(S.data)):
             raise ValueError("tensor values must be finite")
-        if max(*stacked.shape, stacked.nnz) <= np.iinfo(np.int32).max:
-            stacked.indices = stacked.indices.astype(np.int32, copy=False)
-            stacked.indptr = stacked.indptr.astype(np.int32, copy=False)
-        return cls(stacked, blend)
+        if not np.all(S.data):
+            raise ValueError("stacked matrix stores an explicit zero")
+        if (S.indices.dtype, S.indptr.dtype) != (np.int32, np.int32) and \
+                max(rows, S.nnz) <= np.iinfo(np.int32).max:
+            object.__setattr__(self, "stacked", _csr_of(
+                S.data, *(a.astype(np.int32, copy=False) for a in (S.indices, S.indptr)), S.shape))
 
     @classmethod
     def from_slices(cls, slices: Sequence) -> "SparseTensor3":
@@ -96,7 +91,7 @@ class SparseTensor3:
         for S in mats:
             if S.shape != (n, n):
                 raise ValueError(f"slice shape {S.shape} != ({n}, {n})")
-        return cls._canonical(sparse.vstack(mats, format="csr"))
+        return cls(_compact(sparse.vstack(mats, format="csr")))
 
     @classmethod
     def from_dense(cls, array) -> "SparseTensor3":
@@ -105,7 +100,7 @@ class SparseTensor3:
         if array.ndim != 3 or array.shape[0] != array.shape[1]:
             raise ValueError(f"expected an n x n x tau array, got shape {array.shape}")
         n, _, tau = array.shape
-        return cls._canonical(sparse.csr_array(array.transpose(2, 0, 1).reshape(tau * n, n)))
+        return cls(sparse.csr_array(array.transpose(2, 0, 1).reshape(tau * n, n)))
 
     @property
     def dims(self) -> tuple:
@@ -137,9 +132,8 @@ class SparseTensor3:
         return float(np.sqrt(sum(np.dot(P.data, P.data) for P in self._parts())))
 
 
-# MTTKRP's column blocks each hold about max(_ONE_BLOCK, 2 n r) entries of the
-# (tau n) x r Khatri-Rao operand, so one of at most this many entries runs as
-# one block: below it the per-block calls cost more time than the scratch is worth
+# an MTTKRP operand of at most this many entries runs as one column block:
+# below it the per-block calls cost more time than the scratch is worth
 _ONE_BLOCK = 1 << 16
 
 
@@ -159,15 +153,14 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
     ``factors`` is the triple (A, B, C) of shapes n x r, n x r and tau x r;
     the factor of the requested mode is ignored. A blended tensor S x_3 W
     runs the product of S, with W^T C in place of C in modes 1 and 2 and
-    W times S's product in mode 3. The product runs on b
-    near-equal column blocks, b = min(max(1, tau n r // max(_ONE_BLOCK,
-    2 n r)), max(1, r // 2)) (``_column_blocks``), after Bader & Kolda's
-    column-wise MTTKRP. Modes 1 and 3 multiply the stacked slices by the
-    block of B and contract the (tau, n, w) result with the other factor;
-    mode 2 multiplies their transpose by the (tau n, w) Khatri-Rao rows
-    C[t, s] * A[i, s]. Each costs O(nnz r + tau n r) time and O(n r)
-    scratch. Every output entry sums the same terms in the same order
-    whatever the block width, so mode 2 is bitwise independent of it.
+    W times S's product in mode 3. The product runs on the column blocks
+    of ``_column_blocks``, after Bader & Kolda's column-wise MTTKRP. Modes
+    1 and 3 multiply the stacked slices by the block of B and contract the
+    (tau, n, w) result with the other factor; mode 2 multiplies their
+    transpose by the (tau n, w) Khatri-Rao rows C[t, s] * A[i, s]. Each
+    costs O(nnz r + tau n r) time and O(n r) scratch. Every output entry
+    sums the same terms in the same order whatever the block width, so
+    mode 2 is bitwise independent of it.
     """
     if mode not in (1, 2, 3):
         raise ValueError("mode must be 1, 2 or 3")

@@ -38,6 +38,17 @@ class TestKmeans:
         with pytest.raises(ValueError, match="distinct"):
             kmeans(pts, 2, seed=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_underflowing_distances_seed_distinct_points_and_reseed(self, seed):
+        """Two distinct points 1e-200 apart: their squared distance underflows
+        to 0, so the second centroid is seeded on the other distinct point
+        rather than drawn with zero probabilities. Lloyd's first assignment,
+        tied at 0, puts both points in cluster 0, and the emptied cluster 1
+        is reseeded on the farthest point, the first of the tie."""
+        state = kmeans(np.array([[0.0], [1e-200]]), 2, seed=seed)
+        assert state.counts.tolist() == [2.0, 0.0]
+        assert state.centroids.ravel().tolist() == [5e-201, 0.0]
+
     def test_lloyd_objective_nonincreasing(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((60, 3))

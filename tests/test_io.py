@@ -175,6 +175,27 @@ def test_embedding_csv_roundtrip(tmp_path):
     assert np.array_equal(got, emb)  # repr floats round-trip exactly
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_embedding_csv_with_no_rows_roundtrips(tmp_path, d):
+    """An embedding of no nodes is its header alone and reads back as a
+    0 x d matrix."""
+    path = tmp_path / "empty.csv"
+    write_embedding_csv(path, [], np.empty((0, d)))
+    assert path.read_text() == "node," + ",".join(f"dim_{k}" for k in range(d)) + "\n"
+    got_labels, got = load_embedding_csv(path)
+    assert got_labels == [] and got.shape == (0, d) and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_embedding_csv_refuses_no_columns(tmp_path, n):
+    """An n x 0 embedding has no row the loader could read back, so nothing
+    is written."""
+    path = tmp_path / "none.csv"
+    with pytest.raises(ValueError, match="no columns"):
+        write_embedding_csv(path, ["a", "b"][:n], np.empty((n, 0)))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("M", [
     np.array([[-0.0, 5e-324, 1e300], [0.1 + 0.2, np.inf, np.nan], [-np.inf, 1.0, -7.25]]),
     np.array([[0.1, -0.0, 3.4e38], [np.nan, 1e-45, -np.inf]], dtype=np.float32),

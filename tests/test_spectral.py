@@ -56,6 +56,19 @@ class TestTopK:
         with pytest.raises(ValueError, match="symmetric"):
             top_k_eigs(csr([[0, 1], [0, 0]]), 1)
 
+    def test_residual_gate_raises_with_the_largest_residual(self):
+        """On the dense path no pair can meet a tol below rounding: the
+        residual gate raises ConvergenceError naming every pair and carrying
+        the largest residual."""
+        M = np.random.default_rng(13).standard_normal((6, 6))
+        M = csr(M + M.T)
+        pairs = top_k_eigs(M, 3)
+        residuals = np.linalg.norm(M @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
+        assert np.all(residuals > 0)
+        with pytest.raises(ConvergenceError, match=r"eigenpairs \[0, 1, 2\] of 3 miss") as info:
+            top_k_eigs(M, 3, tol=1e-300)
+        assert info.value.residual == pytest.approx(residuals.max(), rel=1e-9, abs=0)
+
     def test_symmetry_tolerance_scales_with_the_largest_entry(self):
         """Asymmetry up to 1e-12 times max(1, max |M|) passes and beyond it
         raises, both where the two patterns agree and where an entry's

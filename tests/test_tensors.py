@@ -96,6 +96,39 @@ class TestTensorType:
                 SparseTensor3(sp.csr_array(shape))
         assert SparseTensor3(sp.csr_array((6, 3))).dims == (3, 3, 2)
 
+    @pytest.mark.parametrize("entries, message", [
+        (([1.0, 2.0], [1, 1], [0, 2, 2, 2, 2]), "duplicate entries"),
+        (([1.0, 0.0], [0, 1], [0, 1, 1, 2, 2]), "explicit zero"),
+        (([1.0, 2.0], [1, 0], [0, 2, 2, 2, 2]), "unsorted"),
+        (([1.0, np.inf], [0, 1], [0, 1, 2, 2, 2]), "finite"),
+        (([np.nan], [0], [0, 0, 0, 1, 1]), "finite"),
+    ], ids=["duplicates", "stored-zero", "unsorted", "inf", "nan"])
+    def test_constructor_refuses_a_non_canonical_stack(self, entries, message):
+        """Each broken invariant of the stacked matrix is refused with its
+        own message, and the caller's matrix is left as it was."""
+        M = sp.csr_array(entries, shape=(4, 2))
+        before = [getattr(M, name).copy() for name in ("data", "indices", "indptr")]
+        with pytest.raises(ValueError, match=message):
+            SparseTensor3(M)
+        for name, was in zip(("data", "indices", "indptr"), before):
+            assert getattr(M, name).tobytes() == was.tobytes()
+
+    def test_constructor_narrows_a_wide_stack_and_holds_an_int32_one(self):
+        """A fitting int64 stack is held as a new int32 matrix over the same
+        data, and the caller's arrays stay int64; an int32 stack is held as
+        it is."""
+        M = sparse_random_tensor((6, 6, 3), 0.4, 47)[0].stacked
+        assert M.indices.dtype == M.indptr.dtype == np.int32
+        assert SparseTensor3(M).stacked is M
+        W = M.copy()
+        W.indices, W.indptr = M.indices.astype(np.int64), M.indptr.astype(np.int64)
+        got = SparseTensor3(W).stacked
+        assert got is not W and np.shares_memory(got.data, W.data)
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        assert W.indices.dtype == W.indptr.dtype == np.int64
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(M, name).tobytes()
+
     def test_from_dense_matches_the_stacked_slices(self):
         rng = np.random.default_rng(46)
         dense = np.where(rng.random((5, 5, 3)) < 0.4, rng.standard_normal((5, 5, 3)), 0.0)
@@ -121,12 +154,16 @@ class TestMttkrp:
         assert np.abs(mttkrp(Z, (A, B, C), 3) - o3).max() < 1e-12
 
     def test_int32_layout_is_bitwise_equal_to_int64(self):
+        """int64 index arrays, which a stack above 2^31 entries keeps, give
+        the bits of int32 ones. The constructor narrows a stack that fits,
+        so the wide one is set on a constructed tensor."""
         Z, _ = sparse_random_tensor((40, 40, 5), 0.1, 42)
         M = Z.stacked
         assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
         W = M.copy()
         W.indices, W.indptr = M.indices.astype(np.int64), M.indptr.astype(np.int64)
-        wide = SparseTensor3(W)
+        wide = SparseTensor3(M)
+        object.__setattr__(wide, "stacked", W)
         rng = np.random.default_rng(43)
         F = tuple(rng.standard_normal((n, 6)) for n in Z.dims)
         for mode in (1, 2, 3):
@@ -255,8 +292,8 @@ def test_blended_tensor_matches_the_preconditioned_one(seed):
     w = TemporalWeights(vals)
     built = SparseTensor3.from_slices(precondition(slices, w))
     stack = sp.vstack(slices, format="csr")
-    blended = SparseTensor3._shared(stack, w.values)
-    magnitude = SparseTensor3._shared(abs(stack), w.values)
+    blended = SparseTensor3(stack, w.values)
+    magnitude = SparseTensor3(abs(stack), w.values)
     F = tuple(rng.standard_normal((m, r)) for m in built.dims)
     for mode in (1, 2, 3):
         err = np.abs(mttkrp(blended, F, mode) - mttkrp(built, F, mode))
@@ -751,6 +788,18 @@ def test_dense_oracle_trajectory_equivalence():
         ref = reference_dense_als(dense, cfg)
         got = model.fit_history[:len(ref)]
         assert np.abs(np.array(got) - np.array(ref[:len(got)])).max() < 1e-8
+
+
+def test_dead_columns_take_the_fallback_with_zero_norm():
+    """A column whose norm is below the smallest normal float, here one of
+    zeros and one of subnormals, is replaced by the fallback's column and
+    keeps norm 0, so its component weight is 0; live columns are scaled to
+    unit norm, and the input is not written."""
+    F = np.array([[3.0, 0.0, 1e-310], [4.0, 0.0, -1e-310]])
+    out, norms = tensors._normalize_columns(F, np.arange(6.0).reshape(2, 3))
+    assert norms.tolist() == [5.0, 0.0, 0.0]
+    assert out.tolist() == [[0.6, 1.0, 2.0], [0.8, 4.0, 5.0]]
+    assert F.tolist() == [[3.0, 0.0, 1e-310], [4.0, 0.0, -1e-310]]
 
 
 def test_gram_solve_zero_gram_takes_the_ridge():
