@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 # katz_adjacency's output is dense whenever the graph is connected, so it is
 # refused above this many nodes instead of filling every slice with n^2 entries
@@ -551,6 +550,8 @@ def stationary_vector(P, total_weight=1.0, *,
         if not 0.0 < teleport < 1.0:
             raise ValueError("teleport must be in (0, 1)")
     else:
+        from scipy.sparse.csgraph import connected_components  # see spectral.resistance_embedding
+
         rows = np.asarray(P.sum(axis=1)).reshape(tau, n)
         _, comp = connected_components(_block_diagonal(P, n), directed=True,
                                        connection="strong")

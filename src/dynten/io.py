@@ -467,16 +467,19 @@ def csv_field(text: str) -> str:
 def write_embedding_csv(path, labels, embedding) -> None:
     """Write the header ``node,dim_0,..`` and one row per label: the label as
     a CSV field (see :func:`csv_field`), then the row's floats as ``repr``,
-    which round-trips exactly. An embedding with no columns is refused."""
+    which round-trips exactly. Rows are formatted and written one at a time,
+    so the text held is O(d), not the whole file. An embedding with no
+    columns is refused."""
     emb = np.asarray(embedding, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] != len(labels):
         raise ValueError("embedding must be n x d with one row per label")
     if emb.shape[1] == 0:
         raise ValueError("embedding has no columns: a CSV row needs d >= 1 values")
     header = "node," + ",".join(f"dim_{k}" for k in range(emb.shape[1]))
-    lines = [header] + [csv_field(str(lab)) + "," + ",".join(map(repr, row))
-                        for lab, row in zip(labels, emb.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(csv_field(str(lab)) + "," + ",".join(map(repr, row.tolist())) + "\n"
+                      for lab, row in zip(labels, emb))
 
 
 def load_embedding_csv(path):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 # spectral_radius is not used here, but perfbench/tracing.py wraps it under this module
@@ -161,6 +160,10 @@ def resistance_embedding(L, d: int, seed: int = 0) -> np.ndarray:
     c-fold kernel and could return fewer kernel modes than there are
     components.
     """
+    # scipy.sparse.csgraph is imported only where components are counted, so
+    # the tensor and adjacency paths never load its extension modules
+    from scipy.sparse.csgraph import connected_components
+
     L = sparse.csr_array(L, dtype=np.float64)
     n = L.shape[0]
     c, labels = connected_components(L, directed=False)  # reads only the pattern
@@ -204,6 +207,8 @@ def effective_resistance(L, x: int, y: int) -> float:
         raise ValueError("node index out of range")
     if x == y:
         return 0.0
+    from scipy.sparse.csgraph import connected_components  # see resistance_embedding
+
     _, comp = connected_components(L, directed=False)  # reads only the pattern
     blocks = {}  # component -> (its nodes, ascending; its block of L+)
     for c in (comp[x], comp[y]):

@@ -129,7 +129,8 @@ class SparseTensor3:
             yield from _backward_blend(_slices_of(self.stacked, self.dims[2]), self.blend)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(np.dot(P.data, P.data) for P in self._parts())))
+        # einsum, not a BLAS dot: its sum does not depend on the thread count
+        return float(np.sqrt(sum(np.einsum("i,i->", P.data, P.data) for P in self._parts())))
 
 
 # an MTTKRP operand of at most this many entries runs as one column block:
@@ -321,7 +322,6 @@ def _normalize_columns(F, fallback):
     out = F.copy()
     if dead.any():
         out[:, dead] = fallback[:, dead]
-        norms = np.where(dead, 0.0, norms)
     live = ~dead
     out[:, live] = out[:, live] / norms[live]
     return out, norms
@@ -407,7 +407,9 @@ def _sweep(Z, A, B, C, lam, orthogonal_b):
     A = _gram_solve((B.T @ B) * (C.T @ C), mttkrp(Z, (A, B, C), 1), A * lam[None, :])
     if orthogonal_b:
         M = mttkrp(Z, (A, B, C), 2)
-        B = _polar(M + (_PROX * np.linalg.norm(M) / np.sqrt(M.shape[1])) * B)
+        # ||M|| by einsum, as in SparseTensor3.norm: np.linalg.norm is a BLAS dot
+        norm_m = np.sqrt(np.einsum("ij,ij->", M, M))
+        B = _polar(M + (_PROX * norm_m / np.sqrt(M.shape[1])) * B)
     else:
         B = _gram_solve((A.T @ A) * (C.T @ C), mttkrp(Z, (A, B, C), 2), B)
     M3 = mttkrp(Z, (A, B, C), 3)

@@ -400,23 +400,42 @@ print(compute_stack())
     assert done.stderr == "error: --data is required\n"
 
 
-def test_linkpred_loads_no_special_functions(dataset, tmp_path):
-    """``linkpred`` with every method, each in a new interpreter, leaves
-    ``scipy.special`` unloaded: the classifier's logistic is NumPy's."""
-    code = """
+def loads_module(module, argv):
+    """Whether ``module`` is in ``sys.modules`` after ``main(argv)`` succeeds
+    in a new interpreter."""
+    code = f"""
 import sys
 from dynten.cli import main
 assert main(sys.argv[1:]) == 0
-print("scipy.special" in sys.modules)
+print({module!r} in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(dynten.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_linkpred_loads_no_special_functions(dataset, tmp_path):
+    """``linkpred`` with every method, each in a new interpreter, leaves
+    ``scipy.special`` unloaded: the classifier's logistic is NumPy's."""
     for method in cli.METHODS:
         argv = ["linkpred", "--data", str(dataset), "--method", method, "--d", "3",
                 "--out", str(tmp_path / method)]
-        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False", method
+        assert not loads_module("scipy.special", argv), method
+
+
+def test_only_component_counts_load_the_graph_module(dataset, tmp_path):
+    """``scipy.sparse.csgraph`` is imported only where connected components
+    are counted: ``linkpred`` with the tensor methods and the adjacency
+    baselines, and ``embed``, each in a new interpreter, leave it unloaded,
+    while the resistance baseline ``res_last`` loads it."""
+    runs = [["linkpred", "--method", method] for method in
+            ("dynacpd", "dynaocpd", "adj_last", "adj_wt", "res_last")]
+    for command in runs + [["embed", "--method", "dynacpd"]]:
+        out = tmp_path / "-".join(command)
+        argv = command + ["--data", str(dataset), "--d", "3", "--out", str(out)]
+        assert loads_module("scipy.sparse.csgraph", argv) == (command[-1] == "res_last"), argv
 
 
 def periodic_edges(tmp_path, weight=""):

@@ -241,6 +241,56 @@ def test_embedding_csv_any_label_roundtrips(tmp_path_factory, labels):
     assert np.array_equal(got, emb)
 
 
+@st.composite
+def labelled_embeddings(draw):
+    """Labels with commas, quotes, line breaks and non-ASCII text, and an
+    n x d embedding (n = 0 included) whose entries take any float64 value."""
+    label = st.text(st.sampled_from(',"\r\n') | st.characters(blacklist_categories=("Cs",)),
+                    max_size=6)
+    value = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e-5])
+    d = draw(st.integers(1, 4))
+    labels = draw(st.lists(label, max_size=6))
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                         min_size=len(labels), max_size=len(labels)))
+    return labels, np.array(rows, dtype=np.float64).reshape(len(labels), d)
+
+
+@given(labelled_embeddings())
+@example(([], np.empty((0, 2))))
+@example((["a,b", 'say "hi"', "x\r\ny", "東京"],
+          np.array([[-0.0, 5e-324], [1e16, 1e-5], [-1e16, -5e-324], [0.1, 1e-5]])))
+@settings(max_examples=80)
+def test_streamed_embedding_csv_is_the_joined_text(tmp_path_factory, case):
+    """The writer, which writes row by row, gives the bytes of the header and
+    every row joined into one text."""
+    labels, emb = case
+    path = tmp_path_factory.mktemp("stream") / "e.csv"
+    write_embedding_csv(path, labels, emb)
+    header = "node," + ",".join(f"dim_{k}" for k in range(emb.shape[1]))
+    rows = [io.csv_field(lab) + "," + ",".join(repr(float(x)) for x in row)
+            for lab, row in zip(labels, emb)]
+    assert path.read_bytes() == ("\n".join([header] + rows) + "\n").encode()
+
+
+def test_embedding_csv_writer_memory_does_not_grow_with_n(tmp_path):
+    """The writer holds one row's text at a time: its traced peak at
+    n = 20 000, d = 16 is at most 1.5 times its peak at n = 1 000, where
+    joining the whole file first grew about twentyfold."""
+    rng = np.random.default_rng(0)
+    peaks = []
+    for n in (1_000, 20_000):
+        labels, emb = [f"v{i}" for i in range(n)], rng.standard_normal((n, 16))
+        path = tmp_path / f"e{n}.csv"
+        write_embedding_csv(path, labels, emb)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            write_embedding_csv(path, labels, emb)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_embedding_csv_rejects_other_files(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("label,x\na,1.0\n")
