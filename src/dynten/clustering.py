@@ -51,14 +51,19 @@ def assign_clusters(state: ClusterState, points) -> np.ndarray:
 def kmeans(points, k: int, max_iter: int = 100, seed: int = 0) -> ClusterState:
     """Lloyd iteration from k-means++ style seeding.
 
-    Stops when the assignment stabilizes or the iteration budget runs out;
-    an emptied cluster is reseeded to the point farthest from its centroid.
+    Stops when the assignment stabilizes or the iteration budget runs out.
+    A point leaves its cluster only for a strictly nearer centroid, and an
+    emptied cluster takes the point farthest from its centroid among the
+    clusters of two or more, so every returned cluster holds a point, even
+    where squared distances underflow to ties.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[0]
     distinct = np.unique(points, axis=0).shape[0]
     if k < 1 or k > distinct:
         raise ValueError(f"k must be in [1, {distinct}] (distinct points)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
 
     rng = derived_rng(seed, "kmeans")
     centroids = np.empty((k, points.shape[1]))
@@ -74,19 +79,25 @@ def kmeans(points, k: int, max_iter: int = 100, seed: int = 0) -> ClusterState:
         else:
             centroids[c] = points[rng.choice(n, p=d2 / total)]
 
-    labels = np.full(n, -1)
+    labels, rows = None, np.arange(n)
     for _ in range(max_iter):
-        new_labels = np.argmin(_pairwise_sq(points, centroids), axis=1)
-        if np.array_equal(new_labels, labels):
-            break
+        d2 = _pairwise_sq(points, centroids)
+        new_labels = np.argmin(d2, axis=1)
+        if labels is not None:
+            # on a tie a point keeps its cluster, so a reseeded point stays
+            new_labels = np.where(d2[rows, labels] <= d2[rows, new_labels], labels, new_labels)
+            if np.array_equal(new_labels, labels):
+                break
         labels = new_labels
+        sizes = np.bincount(labels, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
+            # while a cluster is empty, one holds two or more points (n >= k)
+            far = np.argmax(np.where(sizes[labels] > 1, d2[rows, labels], -1.0))
+            sizes[labels[far]] -= 1
+            sizes[c] = 1
+            labels[far] = c
         for c in range(k):
-            members = points[labels == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-            else:
-                far = np.argmax(_pairwise_sq(points, centroids).min(axis=1))
-                centroids[c] = points[far]
+            centroids[c] = points[labels == c].mean(axis=0)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     return ClusterState(centroids=centroids, counts=counts)
 

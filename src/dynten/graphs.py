@@ -465,6 +465,53 @@ def laplacian(A) -> sparse.csr_array:
     return _compact(degree_matrix(A) - A)
 
 
+def connected_components(A) -> tuple[int, np.ndarray]:
+    """The weak components of the stored pattern of the square matrix A: their
+    count c and each node's label in [0, c), numbered in order of their
+    smallest node, as ``scipy.sparse.csgraph.connected_components(A,
+    directed=False)`` numbers them. Every stored entry links its row and its
+    column, whatever its value."""
+    A = sparse.csr_array(A)
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError("adjacency must be square")
+    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    root, _ = _component_roots(n, rows, A.indices)
+    is_root = root == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root, dtype=np.int32) - 1)[root]
+
+
+def _component_roots(n: int, u, v):
+    """The smallest node of each node's weak component over the links
+    u[k] - v[k], and the number of rounds that took.
+
+    FastSV (Zhang, Azad & Hu 2020, after Shiloach & Vishkin 1982): each node
+    keeps a parent f, starting at itself, and each round is O(n + links)
+    array work. With gf = f[f] the grandparents, the parent of every node
+    hooks to the smallest grandparent among that node's neighbours
+    (stochastic hooking), the node itself does too (aggressive hooking), and
+    every node moves up to its grandparent (shortcutting). Parents only
+    fall and stay within the component, so a round that leaves gf unchanged
+    has made every tree a star rooted at its component's smallest node; that
+    takes O(log n) rounds."""
+    f = np.arange(n)
+    gf = f.copy()
+    rounds = 0
+    while True:
+        rounds += 1
+        low = gf.copy()  # the smallest grandparent next to each node, or its own
+        np.minimum.at(low, u, gf[v])
+        np.minimum.at(low, v, gf[u])
+        hooked = f.copy()
+        np.minimum.at(hooked, f, low)
+        np.minimum(hooked, low, out=hooked)
+        np.minimum(hooked, gf, out=hooked)
+        f, grand = hooked, hooked[hooked]
+        if np.array_equal(grand, gf):
+            return f, rounds
+        gf = grand
+
+
 def transition_matrix(A) -> sparse.csr_array:
     """Row-stochastic P with P[i, j] = w_ij / sum_k w_ik; zero rows stay zero."""
     A = sparse.csr_array(A)
@@ -550,11 +597,12 @@ def stationary_vector(P, total_weight=1.0, *,
         if not 0.0 < teleport < 1.0:
             raise ValueError("teleport must be in (0, 1)")
     else:
-        from scipy.sparse.csgraph import connected_components  # see spectral.resistance_embedding
+        # strong components need scipy.sparse.csgraph, imported only here, so
+        # no other path loads it
+        from scipy.sparse.csgraph import connected_components as components
 
         rows = np.asarray(P.sum(axis=1)).reshape(tau, n)
-        _, comp = connected_components(_block_diagonal(P, n), directed=True,
-                                       connection="strong")
+        _, comp = components(_block_diagonal(P, n), directed=True, connection="strong")
         comp = comp.reshape(tau, n)
         for t in np.flatnonzero(np.any(rows <= STATIONARY_TOL, axis=1)
                                 | np.any(comp != comp[:, :1], axis=1)):

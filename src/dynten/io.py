@@ -15,6 +15,7 @@ passes over line-aligned chunks of the text. Floats are written with
 
 from __future__ import annotations
 
+import codecs
 import re
 from itertools import filterfalse, repeat
 from pathlib import Path
@@ -38,10 +39,9 @@ _SPACE_RUNS = ((9, 13), (28, 32))
 _BREAK_RUNS = ((10, 13), (28, 30))
 _OTHER_BREAKS = "".join(map(chr, _BREAKS[1:]))  # the line boundaries but "\n", as text
 
-# characters of a file read and parsed at once. A chunk's parse holds about
-# 12 bytes of scratch per character of ASCII text, and each chunk costs a
-# fixed 0.3 to 0.45 ms (2 vCPU), about a tenth of the parse of 2^17
-# characters of edge lines
+# bytes of a file read and parsed at once. A chunk's parse holds about 12
+# bytes of scratch per byte of ASCII text, and each chunk costs a fixed 0.3
+# to 0.45 ms (2 vCPU), about a tenth of the parse of 128 KiB of edge lines
 CHUNK = 1 << 17
 
 
@@ -192,14 +192,17 @@ def _ranks(key):
 
 def _chunks(path):
     """The text of the file at ``path``, decoded as ``Path.read_text()``
-    decodes it, as a :class:`_Text` per piece of about ``CHUNK`` characters
-    (or the rest of it) that ends at a line boundary, except the last. A
-    "\\r" at the end of a piece waits for the next one, which may start
-    with the "\\n" of its CRLF pair."""
+    decodes it, as a :class:`_Text` per piece of about ``CHUNK`` bytes (or
+    the rest of it) that ends at a line boundary, except the last. The bytes
+    go through an incremental decoder, which holds back a character split
+    across two reads, with no decoded buffer of its own. A "\\r" at the end
+    of a piece waits for the next one, which may start with the "\\n" of its
+    CRLF pair."""
     with open(path, newline="") as fh:
+        decode = codecs.getincrementaldecoder(fh.encoding)(fh.errors).decode
         carry = ""
-        while data := fh.read(CHUNK):
-            text = carry + data
+        while data := fh.buffer.read(CHUNK):
+            text = carry + decode(data)
             del data
             limit = len(text) - text.endswith("\r")
             cut = text.rfind("\n", 0, limit) + 1
@@ -208,6 +211,7 @@ def _chunks(path):
             if cut:
                 text = _Text(text[:cut])  # the str goes, so only the chunk's units stay
                 yield text
+        carry += decode(b"", final=True)
     if carry:
         yield _Text(carry)
 
@@ -406,7 +410,7 @@ def load_dynamic_network(path, directed: bool = False) -> DynamicNetwork:
     declares labels for its own snapshot, or for the first one in a
     combined file.
 
-    The text is parsed in line-aligned chunks of ``CHUNK`` characters into
+    The text is parsed in line-aligned chunks of ``CHUNK`` bytes into
     int32 label ids and the weights, and the slices are built from them one
     at a time (see :func:`~dynten.graphs.stacked_adjacency`), so a load's
     scratch beyond the network it returns stays a fraction of it."""

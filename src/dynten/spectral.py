@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+from .graphs import ConvergenceError, _mirror_data, connected_components
 # spectral_radius is not used here, but perfbench/tracing.py wraps it under this module
-from .graphs import ConvergenceError, _mirror_data, spectral_radius  # noqa: F401
+from .graphs import spectral_radius  # noqa: F401
 from .seeding import derived_rng
 
 # Largest n solved densely. At n = 1000 the dense solve is slower than ARPACK
@@ -81,6 +81,10 @@ def _extreme_pairs(M, k, which, tol, max_iter, seed) -> EigenPairs:
         # ARPACK cannot start on the zero operator; any basis is an eigenbasis
         values, vectors = np.zeros(k), np.eye(n, k)
     else:
+        # ARPACK is imported only where it runs: with it come scipy.sparse.linalg
+        # and scipy.linalg, which no dense solve needs
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
         v0 = derived_rng(seed, "eigs").standard_normal(n)
         try:
             values, vectors = eigsh(M, k, which=which, v0=v0, tol=tol, maxiter=max_iter)
@@ -160,13 +164,9 @@ def resistance_embedding(L, d: int, seed: int = 0) -> np.ndarray:
     c-fold kernel and could return fewer kernel modes than there are
     components.
     """
-    # scipy.sparse.csgraph is imported only where components are counted, so
-    # the tensor and adjacency paths never load its extension modules
-    from scipy.sparse.csgraph import connected_components
-
     L = sparse.csr_array(L, dtype=np.float64)
     n = L.shape[0]
-    c, labels = connected_components(L, directed=False)  # reads only the pattern
+    c, labels = connected_components(L)  # reads only the pattern
     if d < 1 or d > n - c:
         raise ValueError(f"d must be in [1, n - c] with {c} detected components")
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
@@ -207,9 +207,7 @@ def effective_resistance(L, x: int, y: int) -> float:
         raise ValueError("node index out of range")
     if x == y:
         return 0.0
-    from scipy.sparse.csgraph import connected_components  # see resistance_embedding
-
-    _, comp = connected_components(L, directed=False)  # reads only the pattern
+    _, comp = connected_components(L)  # reads only the pattern
     blocks = {}  # component -> (its nodes, ascending; its block of L+)
     for c in (comp[x], comp[y]):
         if c not in blocks:

@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import subspace_angles
 
 from .graphs import (_backward_blend, _compact, _csr_of, _slices_of, _symmetric_part,
                      _weighted_slice_sum)
@@ -227,7 +226,8 @@ class CPModel:
     state before it) or ``"zero"`` (an all-zero tensor). ``b_angle`` is the
     largest principal angle, in radians, between the column spaces of the
     node factor B at the start and at the end, i.e. how far ALS moved the
-    embedding's subspace (SciPy's ``subspace_angles``).
+    embedding's subspace (``_largest_principal_angle``, SciPy's
+    ``subspace_angles`` algorithm on NumPy's LAPACK).
     """
 
     lambdas: np.ndarray
@@ -392,11 +392,42 @@ def _als(Z: SparseTensor3, cfg: AlsConfig, orthogonal_b: bool) -> CPModel:
 
     # the first sweep is never rejected (prev_fit is inf), so one was accepted;
     # the angle's SVD scratch comes before the sorted copies of the factors
-    b_angle = float(subspace_angles(B_start, B).max())
+    b_angle = _largest_principal_angle(B_start, B)
     order = np.argsort(-lam, kind="stable")
     return CPModel(lambdas=lam[order], factor_a=A[:, order], factor_b=B[:, order],
                    factor_c=C[:, order], fit=fits[-1], sweeps=len(fits),
                    fit_history=tuple(fits), stop_reason=stop_reason, b_angle=b_angle)
+
+
+def _orth(F):
+    """An orthonormal basis of the column space of F, Fortran-ordered, from
+    the SVD with the rank rule of SciPy's ``orth``: singular values above
+    max(m, n) eps s_max count."""
+    u, s, vh = np.linalg.svd(F, full_matrices=False)
+    tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(u.shape[0], vh.shape[1]))
+    return np.asfortranarray(u)[:, :np.sum(s > tol, dtype=int)]
+
+
+def _largest_principal_angle(F0, F1) -> float:
+    """The largest principal angle, in radians, between the column spaces
+    of F0 and F1: the largest of SciPy's ``subspace_angles(F0, F1)``, by the
+    same steps (Knyazev & Argentati 2002). The cosines are the singular
+    values of Q0^T Q1 for orthonormal bases Q0, Q1; an angle whose cosine
+    has cos^2 >= 1/2 is read off the sines instead, the singular values of
+    the smaller basis less its projection on the larger one, which keep full
+    relative accuracy near 0. The bases are Fortran-ordered, as SciPy's are,
+    so each product hands BLAS the same layout: where NumPy's LAPACK build
+    and SciPy's agree, so does the angle, bit for bit."""
+    Q0, Q1 = _orth(F0), _orth(F1)
+    cross = Q0.T @ Q1
+    cos = np.linalg.svd(cross, compute_uv=False)
+    mask = cos ** 2 >= 0.5
+    if mask.any():
+        rest = Q1 - Q0 @ cross if Q0.shape[1] >= Q1.shape[1] else Q0 - Q1 @ cross.T
+        sin = np.arcsin(np.clip(np.linalg.svd(rest, compute_uv=False), -1.0, 1.0))
+    else:
+        sin = 0.0
+    return float(np.where(mask, sin, np.arccos(np.clip(cos[::-1], -1.0, 1.0))).max())
 
 
 def _sweep(Z, A, B, C, lam, orthogonal_b):

@@ -400,20 +400,20 @@ print(compute_stack())
     assert done.stderr == "error: --data is required\n"
 
 
-def loads_module(module, argv):
-    """Whether ``module`` is in ``sys.modules`` after ``main(argv)`` succeeds
-    in a new interpreter."""
+def loaded_modules(modules, argv):
+    """Which of ``modules`` are in ``sys.modules`` after ``main(argv)``
+    succeeds in a new interpreter."""
     code = f"""
-import sys
+import json, sys
 from dynten.cli import main
 assert main(sys.argv[1:]) == 0
-print({module!r} in sys.modules)
+print(json.dumps(sorted(set({list(modules)!r}) & sys.modules.keys())))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(dynten.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1] == "True"
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_linkpred_loads_no_special_functions(dataset, tmp_path):
@@ -422,20 +422,41 @@ def test_linkpred_loads_no_special_functions(dataset, tmp_path):
     for method in cli.METHODS:
         argv = ["linkpred", "--data", str(dataset), "--method", method, "--d", "3",
                 "--out", str(tmp_path / method)]
-        assert not loads_module("scipy.special", argv), method
+        assert not loaded_modules(["scipy.special"], argv), method
+
+
+SOLVER_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 
 
 def test_only_component_counts_load_the_graph_module(dataset, tmp_path):
-    """``scipy.sparse.csgraph`` is imported only where connected components
-    are counted: ``linkpred`` with the tensor methods and the adjacency
-    baselines, and ``embed``, each in a new interpreter, leave it unloaded,
-    while the resistance baseline ``res_last`` loads it."""
-    runs = [["linkpred", "--method", method] for method in
-            ("dynacpd", "dynaocpd", "adj_last", "adj_wt", "res_last")]
-    for command in runs + [["embed", "--method", "dynacpd"]]:
-        out = tmp_path / "-".join(command)
-        argv = command + ["--data", str(dataset), "--d", "3", "--out", str(out)]
-        assert loads_module("scipy.sparse.csgraph", argv) == (command[-1] == "res_last"), argv
+    """``scipy.sparse.csgraph`` is loaded only where strong components are
+    counted (``graphs.stationary_vector`` on a strict chain, which the CLI
+    never asks for), and SciPy's linear algebra only where ARPACK runs. At
+    n <= DENSE_MAX_N every eigenproblem is a dense NumPy ``eigh``, the weak
+    components come from ``graphs.connected_components`` and ``b_angle``
+    from NumPy, so ``linkpred`` with every method, ``embed``, ``cluster`` and
+    ``anomaly``, each in a new interpreter, leave SciPy's linear algebra
+    (``scipy.linalg``, ``scipy.sparse.linalg``) and ``scipy.sparse.csgraph``
+    unloaded."""
+    source = ["--data", str(dataset)]
+    embedding = tmp_path / "e" / "embedding.csv"
+    assert main(["embed", *source, "--d", "3", "--out", str(embedding.parent)]) == 0
+    runs = [["linkpred", "--method", method, *source, "--d", "3"] for method in cli.METHODS]
+    runs += [["embed", "--method", "dynacpd", *source, "--d", "3"],
+             ["cluster", "--method", "dynacpd", *source, "--d", "3", "--k", "2"],
+             ["anomaly", "--embedding", str(embedding), "--k", "2"]]
+    for k, argv in enumerate(runs):
+        assert loaded_modules(SOLVER_MODULES, argv + ["--out", str(tmp_path / str(k))]) == [], argv
+
+
+def test_arpack_runs_load_sparse_linalg(tmp_path):
+    """The positive control: above DENSE_MAX_N the adjacency baseline runs
+    ARPACK, which loads ``scipy.sparse.linalg``."""
+    data = tmp_path / "s500.edges"
+    assert main(["synth", "--n", "500", "--tau", "2", "--out", str(data)]) == 0
+    argv = ["linkpred", "--method", "adj_last", "--data", str(data), "--d", "3",
+            "--out", str(tmp_path / "run")]
+    assert "scipy.sparse.linalg" in loaded_modules(SOLVER_MODULES, argv)
 
 
 def periodic_edges(tmp_path, weight=""):

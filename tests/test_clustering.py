@@ -38,16 +38,33 @@ class TestKmeans:
         with pytest.raises(ValueError, match="distinct"):
             kmeans(pts, 2, seed=0)
 
+    def test_no_iteration_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans(np.array([[0.0], [1.0]]), 2, max_iter=0)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_underflowing_distances_seed_distinct_points_and_reseed(self, seed):
         """Two distinct points 1e-200 apart: their squared distance underflows
         to 0, so the second centroid is seeded on the other distinct point
         rather than drawn with zero probabilities. Lloyd's first assignment,
         tied at 0, puts both points in cluster 0, and the emptied cluster 1
-        is reseeded on the farthest point, the first of the tie."""
+        takes the farthest point, the first of the tie, which keeps it on the
+        next, again tied, assignment: no cluster is left empty."""
         state = kmeans(np.array([[0.0], [1e-200]]), 2, seed=seed)
-        assert state.counts.tolist() == [2.0, 0.0]
-        assert state.centroids.ravel().tolist() == [5e-201, 0.0]
+        assert state.counts.tolist() == [1.0, 1.0]
+        assert state.centroids.ravel().tolist() == [1e-200, 0.0]
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 12), st.integers(1, 4),
+           st.integers(1, 5), st.sampled_from([1.0, 1e-160, 1e-200, 1e-300]))
+    def test_no_cluster_is_empty(self, seed, n, k, max_iter, scale):
+        """Whatever the budget, and where squared distances underflow, every
+        returned cluster holds a point, and the counts add up to n."""
+        rng = np.random.default_rng(seed)
+        pts = scale * rng.integers(0, 3, size=(n, 2)).astype(float)
+        k = min(k, np.unique(pts, axis=0).shape[0])
+        state = kmeans(pts, k, max_iter=max_iter, seed=seed)
+        assert np.all(state.counts >= 1)
+        assert state.counts.sum() == n
 
     def test_lloyd_objective_nonincreasing(self):
         rng = np.random.default_rng(2)

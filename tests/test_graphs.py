@@ -1,9 +1,10 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynten import graphs
 from dynten.graphs import (KATZ_MAX_NODES, DynamicNetwork, ReducibleChainError,
@@ -661,6 +662,47 @@ def test_laplacian_psd_and_zero_row_sums(seed, n):
     L = laplacian(A).toarray()
     assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
     assert np.linalg.eigvalsh(L).min() >= -1e-10
+
+
+class TestConnectedComponents:
+    @settings(max_examples=300)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                       st.sampled_from([0.0, 1.0, -2.5])), max_size=2 * n))))
+    @example((1, []))
+    @example((4, []))
+    @example((1, [(0, 0, 1.0)]))
+    @example((3, [(0, 2, 0.0)]))
+    def test_matches_csgraph(self, draw):
+        """Count and labels equal csgraph's weak components on any stored
+        pattern: asymmetric, with self-loops, stored zeros and isolated
+        nodes, and with no entry at all."""
+        from scipy.sparse.csgraph import connected_components as oracle
+
+        n, links = draw
+        rows, cols, vals = (list(x) for x in zip(*links)) if links else ([], [], [])
+        A = sp.csr_array((vals, (rows, cols)), shape=(n, n))
+        count, labels = graphs.connected_components(A)
+        want, want_labels = oracle(A, directed=False)
+        assert count == want
+        assert np.array_equal(labels, want_labels)
+
+    @pytest.mark.parametrize("shape", ["path", "binary tree"])
+    def test_rounds_grow_with_log_n(self, shape):
+        """A path and a binary tree on n = 10^5 shuffled nodes end in at most
+        2 ceil(log2 n) hooking rounds; a version that only passes the
+        smallest label to neighbours takes O(n) rounds on the path."""
+        n = 10 ** 5
+        order = np.random.default_rng(5).permutation(n)
+        k = np.arange(1, n)
+        parent = k - 1 if shape == "path" else (k - 1) // 2
+        root, rounds = graphs._component_roots(n, order[k], order[parent])
+        assert rounds <= 2 * math.ceil(math.log2(n))
+        assert np.all(root == 0)
+
+    def test_refuses_a_rectangular_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            graphs.connected_components(sp.csr_array((2, 3)))
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 20), st.integers(1, 4))

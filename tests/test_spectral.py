@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
@@ -217,7 +218,8 @@ class TestSparsePath:
             seen.append(kwargs["tol"])
             return eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "eigsh", spy)
+        # spectral imports eigsh from scipy.sparse.linalg where ARPACK runs
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
         top_k_eigs(self.graph(), 8, tol=1e-9)
         bottom_k_eigs(laplacian(self.graph()), 8, tol=1e-11)
         assert seen == [1e-9, 1e-11]

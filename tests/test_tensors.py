@@ -707,29 +707,61 @@ def test_stop_reason_property(seed, tol, budget, orthogonal):
 
 
 class TestPrincipalAngle:
-    """The largest of SciPy's ``subspace_angles``, which ``b_angle`` records."""
+    """``tensors._largest_principal_angle``, which ``b_angle`` records: the
+    largest of SciPy's ``subspace_angles``, which serves as the oracle."""
 
     @pytest.mark.parametrize("theta", [1e-9, 1e-5, 0.3, 1.2, np.pi / 2])
     def test_rotation_oracle(self, theta):
         """One column of a 4-dimensional subspace turned by theta out of it.
         At theta = 1e-9 the cosine rounds to exactly 1, so an arccos would
         report 0; the sine keeps full relative accuracy."""
+        angle = tensors._largest_principal_angle
         rng = np.random.default_rng(44)
         Q = np.linalg.qr(rng.standard_normal((30, 5)))[0]
         F0, F1 = Q[:, :4], Q[:, :4].copy()
         F1[:, 2] = np.cos(theta) * Q[:, 2] + np.sin(theta) * Q[:, 4]
-        assert abs(subspace_angles(F0, F1).max() - theta) <= 1e-6 * theta
+        assert abs(angle(F0, F1) - theta) <= 1e-6 * theta
         # any basis of the same two spaces: unit-norm, non-orthogonal columns
         mix = F0 @ rng.standard_normal((4, 4))
         mix /= np.linalg.norm(mix, axis=0)
-        assert abs(subspace_angles(mix, F1[:, ::-1]).max() - theta) <= 1e-4 * theta
+        assert abs(angle(mix, F1[:, ::-1]) - theta) <= 1e-4 * theta
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-5, 0.3, 1.2, np.pi / 2])
+    def test_second_space_larger(self, theta):
+        """A 3-dimensional space against a 4-dimensional one that holds two of
+        its basis vectors and the third turned by theta: the largest angle
+        is theta, either way round, so the sines come from the first space
+        (the smaller) as well as from the second."""
+        angle = tensors._largest_principal_angle
+        Q = np.linalg.qr(np.random.default_rng(46).standard_normal((30, 6)))[0]
+        F0 = Q[:, :3]
+        F1 = np.column_stack([Q[:, :2], np.cos(theta) * Q[:, 2] + np.sin(theta) * Q[:, 4],
+                              Q[:, 5]])
+        assert abs(angle(F0, F1) - theta) <= 1e-6 * theta
+        assert abs(angle(F1, F0) - theta) <= 1e-6 * theta
 
     def test_same_span_and_rank_deficient_start(self):
+        angle = tensors._largest_principal_angle
         rng = np.random.default_rng(45)
         F = rng.standard_normal((20, 3))
-        assert subspace_angles(F, F @ rng.standard_normal((3, 3))).max() < 1e-14
+        assert angle(F, F @ rng.standard_normal((3, 3))) < 1e-14
         # more columns than rows, as when the start fills beyond n: full span
-        assert subspace_angles(rng.standard_normal((3, 5)), F[:3, :2]).max() < 1e-14
+        assert angle(rng.standard_normal((3, 5)), F[:3, :2]) < 1e-14
+
+    @pytest.mark.parametrize("m, k0, k1", [(1, 1, 1), (3, 5, 2), (2, 1, 4), (30, 4, 4),
+                                           (30, 2, 6), (30, 6, 2), (200, 8, 12)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subspace_angles_oracle(self, m, k0, k1, seed):
+        """Random pairs, close and far, full rank and rank deficient, either
+        space the larger, against ``subspace_angles``."""
+        rng = np.random.default_rng([m, k0, k1, seed])
+        F0, F1 = rng.standard_normal((m, k0)), rng.standard_normal((m, k1))
+        shared = min(k0, k1, m)
+        F1[:, :shared] = F0[:, :shared] + 10.0 ** -(3 * seed) * F1[:, :shared]
+        if seed == 2:
+            F0[:, -1] = F0[:, 0]  # a repeated column: the rank rule drops it
+        got = tensors._largest_principal_angle(F0, F1)
+        assert abs(got - subspace_angles(F0, F1).max()) < 1e-12
 
     def test_model_records_how_far_b_moved(self):
         n, tau = 6, 5
