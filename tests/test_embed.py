@@ -289,6 +289,37 @@ class TestBaselines:
         want = resistance_embedding(L, 3)
         assert np.abs(res_wt_embedding(net, w, 3) - want).max() < 1e-10
 
+    @pytest.mark.parametrize("reciprocal", [False, True])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_directed_baselines_embed_the_symmetric_part(self, seed, reciprocal):
+        """On a directed network every baseline reads (A + A^T)/2 of each
+        slice: it writes the bytes it writes on the undirected network of
+        those parts, formed densely, and leaves the network's arrays as they
+        were. The random slices hold self-loops and reciprocal links of
+        unequal weight, and one-way links too unless ``reciprocal``: with
+        every link reciprocal the symmetric part is summed in place, on the
+        stored values."""
+        rng = np.random.default_rng(900 + seed)
+        n, tau = 40, 4
+        mats = []
+        for _ in range(tau):
+            linked = rng.random((n, n)) < 0.15
+            if reciprocal:
+                linked |= linked.T
+            mats.append(np.where(linked, rng.uniform(0.5, 2.0, (n, n)), 0.0))
+        directed = net_from_matrices(mats, directed=True)
+        undirected = net_from_matrices([(M + M.T) / 2 for M in mats])
+        arrays = [(A.data.copy(), A.indices.copy(), A.indptr.copy())
+                  for A in directed.snapshots]
+        w = make_weights("exponential", tau, alpha=1.0)
+        for method in (adj_last_embedding, res_last_embedding,
+                       lambda g, d: adj_wt_embedding(g, w, d),
+                       lambda g, d: res_wt_embedding(g, w, d)):
+            assert method(directed, 4).tobytes() == method(undirected, 4).tobytes()
+            for A, saved in zip(directed.snapshots, arrays, strict=True):
+                for got, want in zip((A.data, A.indices, A.indptr), saved):
+                    assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [60, 600])
     def test_embeddings_do_not_depend_on_the_index_width(self, n):
         """A network's slices hold int32 index arrays, and so do the tensor
