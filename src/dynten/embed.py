@@ -5,12 +5,13 @@ recurrence, form per-slice (possibly symmetrized or Katz-kernel) adjacency
 matrices as a sparse 3-tensor, run CP or orthogonal-CP ALS at a rank above
 the target dimension, then post-condition: score every component
 by sigma_i = sqrt(lambda_i) <w_hat, c_i>, keep the d strongest, and emit the
-node factor columns scaled by sigma. Raw slices enter the recurrence
-linearly, so their preconditioned tensor is the network's own slice stack
-blended along time, and nothing is preconditioned or copied; the symmetrized
-and Katz variants transform each preconditioned slice and build their
-tensor. Static one-matrix baselines (last slice or weighted convolution of
-slices) live here too.
+node factor columns scaled by sigma. Slices pass between the steps as one
+(tau n) x n stack, a network's own store. Raw slices enter the recurrence
+linearly, so their preconditioned tensor is the network's stack blended
+along time, and nothing is preconditioned or copied; the symmetrized and
+Katz variants transform the preconditioned stack and build their tensor.
+Static one-matrix baselines (last slice or weighted convolution of slices)
+live here too.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import (DynamicNetwork, _backward_blend, _compact, _symmetric_part,
+from .graphs import (DynamicNetwork, _backward_blend, _compact, _slices_of, _symmetric_slices,
                      _weighted_slice_sum, katz_adjacency, laplacian, symmetrized_adjacency)
 from .spectral import adjacency_embedding, resistance_embedding
 from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_als
@@ -76,26 +77,29 @@ def make_weights(scheme: str, tau: int, *, alpha: float | None = None,
     return TemporalWeights(vals)
 
 
-def precondition(slices: tuple, w: TemporalWeights) -> tuple:
-    """Backward-in-time blend of link weights.
+def precondition(stack, w: TemporalWeights) -> sparse.csr_array:
+    """Backward-in-time blend of link weights, on the slices G_1, ..., G_tau
+    stacked as a (tau n) x n CSR matrix (a network's ``stack``); returns
+    the blended slices G'_1, ..., G'_tau, canonical and stacked the same way.
 
     G'_tau = w_tau G_tau and G'_t = w_t G_t + (1 - w_t) G'_{t+1}; all-ones
     weights leave the slices unchanged, and a link weight present in every
     slice from t on is preserved in G'_t regardless of the weights.
     """
-    if len(w) != len(slices):
-        raise ValueError(f"need {len(slices)} weights, got {len(w)}")
-    return tuple(_compact(M) for M in reversed(list(_backward_blend(slices, w.values))))
+    if len(w) * stack.shape[1] != stack.shape[0]:
+        raise ValueError(f"need one weight per slice of a {stack.shape} stack, got {len(w)}")
+    blended = reversed(list(_backward_blend(_slices_of(stack, len(w)), w.values)))
+    return sparse.vstack([_compact(M) for M in blended], format="csr")
 
 
-def convolve_snapshots(slices: tuple, w: TemporalWeights) -> sparse.csr_array:
-    """Normalized weighted average sum_t w_t A_t / sum_t w_t of the slices.
-    L = D - A is linear in A, so the Laplacian of this average is the same
-    average of the slice Laplacians."""
-    if len(w) != len(slices):
-        raise ValueError(f"need {len(slices)} weights, got {len(w)}")
-    S = _weighted_slice_sum(sparse.vstack(slices, format="csr"), w.values)
-    return S / float(w.values.sum())
+def convolve_snapshots(stack, w: TemporalWeights) -> sparse.csr_array:
+    """Normalized weighted average sum_t w_t A_t / sum_t w_t of the slices
+    A_1, ..., A_tau stacked as a (tau n) x n CSR matrix (a network's
+    ``stack``). L = D - A is linear in A, so the Laplacian of this average
+    is the same average of the slice Laplacians."""
+    if len(w) * stack.shape[1] != stack.shape[0]:
+        raise ValueError(f"need one weight per slice of a {stack.shape} stack, got {len(w)}")
+    return _weighted_slice_sum(stack, w.values) / float(w.values.sum())
 
 
 @dataclass(frozen=True)
@@ -156,15 +160,15 @@ def _conditioned_tensor(net: DynamicNetwork, cfg: DynEmbedConfig) -> SparseTenso
     """The preconditioned tensor of the configured slice variant. Raw slices
     enter linearly, so their tensor is the network's own stack blended by
     the pre weights, shared, not copied. The symmetrized and Katz variants
-    transform each preconditioned slice, so theirs is built, and the
-    preconditioned slices die on return, before ALS."""
+    transform the preconditioned stack, so theirs is built, and the
+    preconditioned stack dies on return, before ALS."""
     if cfg.adjacency_variant == "raw":
-        return SparseTensor3(net._stacked(), cfg.pre_weights.values)
-    slices = precondition(net.snapshots, cfg.pre_weights)
+        return SparseTensor3(net.stack, cfg.pre_weights.values)
+    pre = precondition(net.stack, cfg.pre_weights)
     if cfg.adjacency_variant == "symmetrized":
-        return SparseTensor3(symmetrized_adjacency(
-            sparse.vstack(slices, format="csr"), teleport=cfg.teleport))
-    return SparseTensor3.from_slices([katz_adjacency(A, cfg.katz_omega) for A in slices])
+        return SparseTensor3(symmetrized_adjacency(pre, teleport=cfg.teleport))
+    return SparseTensor3.from_slices([katz_adjacency(A, cfg.katz_omega)
+                                      for A in _slices_of(pre, net.tau)])
 
 
 def default_rank(net: DynamicNetwork, d: int, orthogonal: bool) -> int:
@@ -195,37 +199,35 @@ def dynamic_embedding(net: DynamicNetwork, cfg: DynEmbedConfig) -> DynEmbedResul
 # static baselines
 
 
-def _as_undirected(slices: tuple, directed: bool) -> tuple:
-    """Plain (A + A^T)/2 symmetrization of every slice of a directed network;
-    the slices themselves when it is undirected. The spectral baselines need
-    symmetric matrices, and a Laplacian built from an unsymmetrized digraph
-    slice is not positive semi-definite. The shared slices are not modified."""
-    if not directed:
-        return slices
-    return tuple(_symmetric_part(A.copy()) for A in slices)
+def _as_undirected(stack, directed: bool) -> sparse.csr_array:
+    """Plain (A + A^T)/2 of every slice A of a directed network's stack, or
+    of one slice, taken on a copy; the matrix itself when undirected. The
+    spectral baselines need symmetric matrices, and a Laplacian built from
+    an unsymmetrized digraph slice is not positive semi-definite."""
+    return _symmetric_slices(stack.copy()) if directed else stack
 
 
 def adj_last_embedding(net: DynamicNetwork, d: int, seed: int = 0) -> np.ndarray:
     """Spectral adjacency embedding of the final snapshot."""
-    A, = _as_undirected(net.snapshots[-1:], net.directed)
+    A = _as_undirected(net.snapshots[-1], net.directed)
     return adjacency_embedding(A, d, seed=seed)
 
 
 def res_last_embedding(net: DynamicNetwork, d: int, seed: int = 0) -> np.ndarray:
     """Resistance embedding of the final snapshot's Laplacian."""
-    A, = _as_undirected(net.snapshots[-1:], net.directed)
+    A = _as_undirected(net.snapshots[-1], net.directed)
     return resistance_embedding(laplacian(A), d, seed=seed)
 
 
 def adj_wt_embedding(net: DynamicNetwork, w: TemporalWeights, d: int,
                      seed: int = 0) -> np.ndarray:
     """Spectral adjacency embedding of the weighted snapshot convolution."""
-    M = convolve_snapshots(_as_undirected(net.snapshots, net.directed), w)
+    M = convolve_snapshots(_as_undirected(net.stack, net.directed), w)
     return adjacency_embedding(M, d, seed=seed)
 
 
 def res_wt_embedding(net: DynamicNetwork, w: TemporalWeights, d: int,
                      seed: int = 0) -> np.ndarray:
     """Resistance embedding of the weighted Laplacian convolution."""
-    M = convolve_snapshots(_as_undirected(net.snapshots, net.directed), w)
+    M = convolve_snapshots(_as_undirected(net.stack, net.directed), w)
     return resistance_embedding(laplacian(M), d, seed=seed)

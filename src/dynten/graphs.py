@@ -1,17 +1,20 @@
 """Dynamic-network data model and generalized adjacency/Laplacian constructions.
 
 A dynamic network is an ordered sequence of snapshots over a shared,
-label-aligned node set, and each snapshot is stored as its weighted n x n
-adjacency matrix: a canonical ``scipy.sparse.csr_array`` (float64, duplicates
-summed, no explicit zeros, sorted indices) with A[i, j] the weight of the
-link i -> j. An undirected snapshot stores both orientations of every link
-with equal weight. :func:`adjacency_from_edges` builds one from index arrays,
-and every matrix builder here returns the same canonical form.
+label-aligned node set, each its weighted n x n adjacency matrix in
+canonical form (float64, duplicates summed, no explicit zeros, sorted
+indices) with A[i, j] the weight of the link i -> j. An undirected snapshot
+stores both orientations of every link with equal weight. The tau snapshots
+are stored once, stacked as the rows of one (tau n) x n CSR matrix, and
+each is a ``scipy.sparse.csr_array`` view of it. :func:`stacked_adjacency`
+builds a stack from index arrays, and every matrix builder here returns the
+same canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -152,9 +155,7 @@ def _slices_of(stack, slice_count: int) -> tuple:
 def _block_offsets(M, n: int) -> np.ndarray:
     """For a CSR matrix whose rows come in blocks of n, the first column of
     each stored entry's diagonal n x n block, in M's index dtype."""
-    step = n or 1  # n = 0 leaves no rows
-    return np.repeat(np.arange(0, M.shape[0], step, dtype=M.indices.dtype),
-                     np.diff(M.indptr[::step]))
+    return np.repeat(np.arange(0, M.shape[0], n, dtype=M.indices.dtype), np.diff(M.indptr[::n]))
 
 
 def _block_diagonal(stack, n: int) -> sparse.csr_array:
@@ -235,9 +236,7 @@ def _check_slice(A, n: int, directed: bool, name: str) -> None:
     """Raise ValueError, naming ``name``, unless A is a canonical n x n
     float64 ``csr_array`` (duplicates summed, no explicit zeros, sorted
     indices) that, unless ``directed``, equals its transpose exactly."""
-    if not (isinstance(A, sparse.csr_array) and A.shape == (n, n)
-            and A.dtype == np.float64 and A.has_canonical_format
-            and np.all(A.data != 0.0)):
+    if not (_float_csr(A, n) and A.has_canonical_format and np.all(A.data != 0.0)):
         raise ValueError(
             f"{name} is not a canonical {n} x {n} float64 csr_array "
             "(duplicates summed, no explicit zeros, sorted indices)")
@@ -248,32 +247,53 @@ def _check_slice(A, n: int, directed: bool, name: str) -> None:
             "or pass directed=True")
 
 
-@dataclass(frozen=True)
+def _float_csr(A, n: int) -> bool:
+    """A is an n x n float64 ``csr_array``."""
+    return isinstance(A, sparse.csr_array) and A.shape == (n, n) and A.dtype == np.float64
+
+
+@dataclass(frozen=True, eq=False)
 class DynamicNetwork:
     """Aligned snapshot sequence over a common labeled node set.
 
-    ``snapshots[t]`` is slice t's canonical n x n adjacency ``csr_array``
-    (see the module docstring); the matrices are shared, not copied, so
-    callers must not modify them in place. With ``directed=False`` every
-    slice must equal its transpose exactly.
+    ``stack``, the network's one store, is the (tau n) x n CSR matrix of its
+    canonical slices (see the module docstring), the transpose of the mode-2
+    unfolding of the n x n x tau tensor; ``snapshots[t]`` is a view of its
+    rows t n to (t + 1) n - 1. The arrays are shared, not copied, so callers
+    must not modify them in place. With ``directed=False`` every slice must
+    equal its transpose exactly. A network equals only itself.
     """
 
     labels: tuple
-    snapshots: tuple
+    stack: sparse.csr_array = field(repr=False)
     directed: bool = False
-    # the (T n) x n CSR matrix, T >= tau, whose first tau n rows the slices
-    # are views of (see aligned_network); None when they are separate matrices
-    _stack: sparse.csr_array | None = field(default=None, init=False, repr=False,
-                                            compare=False)
 
     def __post_init__(self):
-        if len(self.snapshots) < 1:
-            raise ValueError("need at least one snapshot")
-        n = len(self.labels)
+        n, S = len(self.labels), self.stack
         if len(set(self.labels)) != n:
             raise ValueError("node labels must be unique")
+        if not (n and isinstance(S, sparse.csr_array) and S.shape[1] == n
+                and S.shape[0] >= n and S.shape[0] % n == 0):
+            raise ValueError(f"need at least one node, and a stack of shape (tau {n}) x {n} "
+                             "with tau >= 1 as a csr_array")
         for t, A in enumerate(self.snapshots):
             _check_slice(A, n, self.directed, f"snapshot {t}")
+
+    @classmethod
+    def from_snapshots(cls, labels: tuple, snapshots: Sequence,
+                       directed: bool = False) -> DynamicNetwork:
+        """The network of the separate n x n slices ``snapshots``, stacked
+        once into a new matrix and checked there by the constructor."""
+        if len(snapshots) < 1:
+            raise ValueError("need at least one snapshot")
+        for t, A in enumerate(snapshots):
+            if not _float_csr(A, len(labels)):  # stacking would convert it
+                _check_slice(A, len(labels), directed, f"snapshot {t}")
+        return cls(labels, sparse.vstack(snapshots, format="csr"), directed)
+
+    @cached_property
+    def snapshots(self) -> tuple:
+        return _slices_of(self.stack, self.tau)
 
     @property
     def n(self) -> int:
@@ -281,40 +301,24 @@ class DynamicNetwork:
 
     @property
     def tau(self) -> int:
-        return len(self.snapshots)
+        return self.stack.shape[0] // self.n
 
     def adjacency(self, t: int) -> sparse.csr_array:
         return self.snapshots[t]
 
-    @classmethod
-    def _unchecked(cls, labels: tuple, snapshots: tuple, directed: bool,
-                   stack=None) -> DynamicNetwork:
-        """The network of fields that have passed ``__post_init__``'s checks
-        already, built without running them again; ``stack``, when given,
-        is the CSR matrix whose leading rows the slices are views of."""
-        net = object.__new__(cls)
-        for name, value in (("labels", labels), ("snapshots", snapshots),
-                            ("directed", directed), ("_stack", stack)):
-            object.__setattr__(net, name, value)
+    def prefix(self, k: int) -> DynamicNetwork:
+        """The network of the first k slices, 1 <= k <= tau, whose stack is a
+        view of this one's first k n rows. It shares the labels, the arrays
+        and the slices, which are not checked again."""
+        if not 1 <= k <= self.tau:
+            raise ValueError(f"prefix length {k} is not in [1, {self.tau}]")
+        rows, S = k * self.n, self.stack
+        end = S.indptr[rows]
+        stack = _csr_of(S.data[:end], S.indices[:end], S.indptr[:rows + 1], (rows, self.n))
+        net = object.__new__(DynamicNetwork)  # the fields __init__ sets, unchecked
+        net.__dict__.update(labels=self.labels, stack=stack, directed=self.directed,
+                            snapshots=self.snapshots[:k])
         return net
-
-    def _without_last(self) -> DynamicNetwork:
-        """The network of all slices but the last, sharing this one's labels,
-        matrices and stack."""
-        return DynamicNetwork._unchecked(self.labels, self.snapshots[:-1], self.directed,
-                                         self._stack)
-
-    def _stacked(self) -> sparse.csr_array:
-        """The slices stacked as one canonical (tau n) x n CSR matrix: the
-        first tau n rows of the stack they were cut from, as a view that
-        shares its arrays, or, for slices that are separate matrices, one
-        new stack of them."""
-        if self._stack is None:
-            return sparse.vstack(self.snapshots, format="csr")
-        rows = self.tau * self.n
-        ptr = self._stack.indptr[:rows + 1]
-        end = ptr[-1]
-        return _csr_of(self._stack.data[:end], self._stack.indices[:end], ptr, (rows, self.n))
 
 
 def align_snapshots(snapshot_edges: Sequence[Sequence], *,
@@ -386,10 +390,8 @@ def aligned_network(labels, ends, src, dst, weight, declared: Sequence[Sequence]
         for ids in (src, dst):
             ids[lo:hi] = remap[ids[lo:hi]]
         lo = hi
-    stack = stacked_adjacency(len(order), ends, src, dst, weight, undirected=not directed)
-    net = DynamicNetwork(labels=order, snapshots=_slices_of(stack, len(declared)),
-                         directed=directed)
-    return DynamicNetwork._unchecked(net.labels, net.snapshots, directed, stack)
+    return DynamicNetwork(order, stacked_adjacency(len(order), ends, src, dst, weight,
+                                                   undirected=not directed), directed)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +416,14 @@ def _symmetric_part(M) -> sparse.csr_array:
     M.data *= 0.5
     M.eliminate_zeros()
     return M
+
+
+def _symmetric_slices(stack) -> sparse.csr_array:
+    """The stack of 0.5 (S_t + S_t^T) for the n x n slices S_t of the (tau n)
+    x n CSR matrix ``stack``, all taken at once on their block-diagonal
+    form, which :func:`_symmetric_part` consumes with the stack's arrays."""
+    n = stack.shape[1]
+    return _diagonal_blocks(_symmetric_part(_block_diagonal(stack, n)), n)
 
 
 def _weighted_slice_sum(stacked, w) -> sparse.csr_array:
@@ -540,22 +550,12 @@ def _slice_count(P) -> int:
 
 
 def _chain_operator(Q, chains) -> sparse.csc_array:
-    """Q_t^T for each slice t in ``chains`` of the (tau n) x n CSR stack Q,
-    as one block-diagonal CSC operator built from copies of those slices'
-    arrays: the transpose of their block-diagonal CSR matrix, so block k of
-    its product with x is x_k Q_t for the k-th chain t, summed in the order
-    the slice's own transposed view sums it."""
-    n, ptr = Q.shape[1], Q.indptr
-    data, rows, cols, size = [Q.data[:0]], [Q.indices[:0]], [ptr[:1]], 0
-    for k, t in enumerate(chains.tolist()):
-        lo, hi = ptr[t * n], ptr[(t + 1) * n]
-        data.append(Q.data[lo:hi])
-        rows.append(Q.indices[lo:hi] + k * n)
-        cols.append(ptr[t * n + 1:(t + 1) * n + 1] + (size - lo))
-        size += hi - lo
-    data, rows, cols = (np.concatenate(a) for a in (data, rows, cols))
-    m = chains.size * n
-    return sparse.csc_array((data, rows, cols), shape=(m, m))
+    """Q_t^T for each slice t in ``chains`` of the (tau n) x n CSR stack Q:
+    the CSC transpose of the block-diagonal form of a copy of those slices,
+    so block k of its product with x is x_k Q_t for the k-th chain t, summed
+    in the order the slice's own transposed view sums it."""
+    n = Q.shape[1]
+    return _block_diagonal(Q[(chains[:, None] * n + np.arange(n)).ravel()], n).T
 
 
 def stationary_vector(P, total_weight=1.0, *,
@@ -667,8 +667,7 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
     ptr = A.indptr[::n]
     totals = [float(A.data[ptr[t]:ptr[t + 1]].sum()) for t in range(tau)]
     phi = stationary_vector(P, total_weight=totals, teleport=teleport)
-    S = _scale_rows(P, phi.ravel())
-    return _diagonal_blocks(_symmetric_part(_block_diagonal(S, n)), n)
+    return _symmetric_slices(_scale_rows(P, phi.ravel()))
 
 
 def spectral_radius(A) -> float:

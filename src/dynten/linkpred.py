@@ -80,8 +80,8 @@ def _edge_keys(net: DynamicNetwork, t: int) -> np.ndarray:
 
 def holdout_split(net: DynamicNetwork):
     """Hold out the final slice: ``(train, target_slice, n_links)``, with
-    ``train`` the slices 1..tau-1 (the input's own matrices, and the stack
-    they are views of, not checked again) and ``n_links`` counted as the
+    ``train`` the slices 1..tau-1 (``net.prefix(tau - 1)``, a view of the
+    input's stack, not checked again) and ``n_links`` counted as the
     sampler does."""
     if net.tau < 2:
         raise ValueError("link prediction needs tau >= 2 (one slice is held out)")
@@ -94,7 +94,7 @@ def holdout_split(net: DynamicNetwork):
         n_links //= 2
     if n_links == 0:
         raise ValueError(f"held-out slice {target} has no links (self-loops do not count)")
-    return net._without_last(), target, n_links
+    return net.prefix(target), target, n_links
 
 
 def sample_training_set(net: DynamicNetwork, target_slice: int, emb,

@@ -5,18 +5,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import DynamicNetwork, adjacency_from_edges
+from .graphs import DynamicNetwork, stacked_adjacency
 from .seeding import derived_rng
 
 
-def _labels(n):
+def _network(n, iu, ju, picks) -> DynamicNetwork:
+    """The undirected network whose slice t links iu[k] and ju[k], with
+    weight 1.0, for each k in ``picks[t]``, over the labels v0000, v0001, ..."""
     width = max(4, len(str(n - 1)))
-    return tuple(f"v{i:0{width}d}" for i in range(n))
-
-
-def _undirected_snapshot(n, iu, ju, keep):
-    i, j = iu[keep], ju[keep]
-    return adjacency_from_edges(n, i, j, np.ones(i.size), undirected=True)
+    pick = np.concatenate(picks)
+    stack = stacked_adjacency(n, np.cumsum([p.size for p in picks]), iu[pick], ju[pick],
+                              None, undirected=True)
+    return DynamicNetwork(tuple(f"v{i:0{width}d}" for i in range(n)), stack)
 
 
 def dynamic_sbm(n: int, tau: int, blocks: int = 2, p_in: float = 0.2,
@@ -45,7 +45,7 @@ def dynamic_sbm(n: int, tau: int, blocks: int = 2, p_in: float = 0.2,
     iu, ju = np.triu_indices(n, k=1)
     membership = (np.arange(n) * blocks) // n
     edges = None
-    snaps, members = [], []
+    picks, members = [], []
     for t in range(tau):
         if t == 0:
             redraw = np.ones(iu.size, dtype=bool)
@@ -60,10 +60,9 @@ def dynamic_sbm(n: int, tau: int, blocks: int = 2, p_in: float = 0.2,
         p = np.where(same, p_in, p_out)
         fresh = rng.random(iu.size) < p
         edges = fresh if edges is None else np.where(redraw, fresh, edges)
-        snaps.append(_undirected_snapshot(n, iu, ju, edges))
+        picks.append(np.flatnonzero(edges))
         members.append(membership.copy())
-    net = DynamicNetwork(labels=_labels(n), snapshots=tuple(snaps), directed=False)
-    return net, members
+    return _network(n, iu, ju, picks), members
 
 
 def dynamic_er(n: int, tau: int, p: float, seed: int = 0) -> DynamicNetwork:
@@ -74,9 +73,7 @@ def dynamic_er(n: int, tau: int, p: float, seed: int = 0) -> DynamicNetwork:
         raise ValueError("p must be a probability")
     rng = derived_rng(seed, "synth-er")
     iu, ju = np.triu_indices(n, k=1)
-    snaps = [_undirected_snapshot(n, iu, ju, rng.random(iu.size) < p)
-             for _ in range(tau)]
-    return DynamicNetwork(labels=_labels(n), snapshots=tuple(snaps), directed=False)
+    return _network(n, iu, ju, [np.flatnonzero(rng.random(iu.size) < p) for _ in range(tau)])
 
 
 def sbm_matched_er(n: int, tau: int, blocks: int, p_in: float, p_out: float,

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dynten import embed, io
+from dynten import embed, graphs, io
 from dynten.embed import (DynEmbedConfig, TemporalWeights, adj_last_embedding,
                           adj_wt_embedding, convolve_snapshots, default_rank,
                           dynamic_embedding, make_weights, mode_orientations,
@@ -24,7 +24,12 @@ from dynten.tensors import AlsConfig, SparseTensor3
 def net_from_matrices(mats, directed=False):
     snaps = tuple(sp.csr_array(np.asarray(M, float)) for M in mats)
     labels = tuple(f"n{i}" for i in range(snaps[0].shape[0]))
-    return DynamicNetwork(labels=labels, snapshots=snaps, directed=directed)
+    return DynamicNetwork.from_snapshots(labels, snaps, directed)
+
+
+def slices(stack):
+    """The n x n slices of the (tau n) x n CSR matrix ``stack``."""
+    return graphs._slices_of(stack, stack.shape[0] // stack.shape[1])
 
 
 def config(net, d, *, pre=None, post=None, als=None, orthogonal=False):
@@ -66,8 +71,8 @@ class TestWeights:
 class TestPrecondition:
     def test_all_ones_identity(self):
         net, _ = dynamic_sbm(20, 4, seed=0)
-        out = precondition(net.snapshots, make_weights("uniform", 4))
-        for A, B in zip(net.snapshots, out):
+        out = precondition(net.stack, make_weights("uniform", 4))
+        for A, B in zip(net.snapshots, slices(out), strict=True):
             assert np.array_equal(A.indptr, B.indptr)
             assert np.array_equal(A.indices, B.indices)
             assert np.allclose(A.data, B.data)
@@ -77,8 +82,8 @@ class TestPrecondition:
         A = np.zeros((3, 3))
         A[0, 1] = A[1, 0] = 5.0
         net = net_from_matrices([A, A, A])
-        out = precondition(net.snapshots, TemporalWeights([0.3, 0.7, 1.0]))
-        for M in out:
+        out = precondition(net.stack, TemporalWeights([0.3, 0.7, 1.0]))
+        for M in slices(out):
             assert abs(M.toarray()[0, 1] - 5.0) < 1e-12
 
     def test_hand_recurrence(self):
@@ -86,8 +91,8 @@ class TestPrecondition:
         A2 = np.zeros((2, 2))
         A2[0, 1] = A2[1, 0] = 4.0
         net = net_from_matrices([A1, A2])
-        out = precondition(net.snapshots, TemporalWeights([0.5, 1.0]))
-        M = out[0].toarray()
+        out = precondition(net.stack, TemporalWeights([0.5, 1.0]))
+        M = slices(out)[0].toarray()
         assert abs(M[0, 1] - 2.0) < 1e-12
 
     def test_linear_in_link_weights(self):
@@ -98,9 +103,8 @@ class TestPrecondition:
         w = TemporalWeights([0.4, 1.0])
         a, b = 2.0, 3.0
         mix = [a * G + b * H, a * H + b * G]
-        out_mix = precondition(net_from_matrices(mix).snapshots, w)
-        out_g = precondition(net_from_matrices([G, H]).snapshots, w)
-        out_h = precondition(net_from_matrices([H, G]).snapshots, w)
+        out_mix, out_g, out_h = (slices(precondition(net_from_matrices(mats).stack, w))
+                                 for mats in (mix, [G, H], [H, G]))
         for t in range(2):
             lhs = out_mix[t].toarray()
             rhs = a * out_g[t].toarray() + b * out_h[t].toarray()
@@ -109,27 +113,27 @@ class TestPrecondition:
     def test_length_mismatch(self):
         net, _ = dynamic_sbm(10, 3, seed=1)
         with pytest.raises(ValueError):
-            precondition(net.snapshots, make_weights("uniform", 2))
+            precondition(net.stack, make_weights("uniform", 2))
 
 
 class TestConvolve:
     def test_single_nonzero_weight_picks_slice(self):
         net, _ = dynamic_sbm(15, 3, seed=2)
-        M = convolve_snapshots(net.snapshots, TemporalWeights([0.0, 0.0, 1.0]))
+        M = convolve_snapshots(net.stack, TemporalWeights([0.0, 0.0, 1.0]))
         assert np.abs(M.toarray() - net.adjacency(2).toarray()).max() < 1e-12
 
     def test_uniform_identical_slices(self):
         A = np.zeros((3, 3))
         A[0, 2] = A[2, 0] = 1.5
         net = net_from_matrices([A, A])
-        M = convolve_snapshots(net.snapshots, make_weights("uniform", 2))
+        M = convolve_snapshots(net.stack, make_weights("uniform", 2))
         assert np.abs(M.toarray() - A).max() < 1e-12
 
     def test_disjoint_average(self):
         A = np.zeros((4, 4)); A[0, 1] = A[1, 0] = 1.0
         B = np.zeros((4, 4)); B[2, 3] = B[3, 2] = 1.0
         net = net_from_matrices([A, B])
-        M = convolve_snapshots(net.snapshots, make_weights("uniform", 2)).toarray()
+        M = convolve_snapshots(net.stack, make_weights("uniform", 2)).toarray()
         assert abs(M[0, 1] - 0.5) < 1e-12 and abs(M[2, 3] - 0.5) < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
@@ -151,7 +155,7 @@ class TestConvolve:
             if w.values[t] != 0.0:
                 acc = acc + w.values[t] * slices[t]
         want = sp.csr_array(acc / float(w.values.sum()))
-        got = convolve_snapshots(slices, w)
+        got = convolve_snapshots(sp.vstack(slices, format="csr"), w)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
@@ -237,7 +241,7 @@ class TestDynamicEmbedding:
         rank = 6
         res = dynamic_embedding(net, config(net, rank, als=AlsConfig(rank=rank)))
         dense = np.stack([A.toarray() for A in
-                          precondition(net.snapshots, make_weights("uniform", 4))], axis=2)
+                          slices(precondition(net.stack, make_weights("uniform", 4)))], axis=2)
 
         def error(m, keep):
             approx = np.einsum("r,ir,jr,tr->ijt", m.lambdas[keep], m.factor_a[:, keep],
@@ -328,14 +332,14 @@ class TestBaselines:
         the dense (n = 60) and ARPACK (n = 600) eigensolver paths."""
         net, _ = dynamic_sbm(n, 4, p_in=0.05, seed=13)
         w = make_weights("exponential", 4, alpha=1.0)
-        wide = DynamicNetwork(labels=net.labels, snapshots=tuple(
-            sp.csr_array((A.data, A.indices.astype(np.int64), A.indptr.astype(np.int64)),
-                         shape=A.shape) for A in net.snapshots))
+        S = net.stack
+        wide = DynamicNetwork(net.labels, sp.csr_array(
+            (S.data, S.indices.astype(np.int64), S.indptr.astype(np.int64)), shape=S.shape))
         for A, B in zip(net.snapshots, wide.snapshots):
             assert A.indices.dtype == A.indptr.dtype == np.int32
             assert B.indices.dtype == B.indptr.dtype == np.int64
         for M in (SparseTensor3.from_slices(net.snapshots).stacked,
-                  convolve_snapshots(net.snapshots, w)):
+                  convolve_snapshots(net.stack, w)):
             assert M.indices.dtype == M.indptr.dtype == np.int32
 
         def embeddings(g):
@@ -361,8 +365,8 @@ def test_precondition_keeps_nonnegativity_and_support(seed):
     net = net_from_matrices(mats)
     vals = rng.uniform(0, 1, tau)
     vals[rng.integers(tau)] = 1.0
-    out = precondition(net.snapshots, TemporalWeights(vals))
-    for A in out:
+    out = precondition(net.stack, TemporalWeights(vals))
+    for A in slices(out):
         assert A.data.min() >= 0 if A.nnz else True
 
 
@@ -382,9 +386,9 @@ def test_dynamic_embedding_memory_is_linear():
     for _ in range(tau):
         S = sp.random(n, n, density=5 / n, random_state=rng, format="csr")
         snaps.append(sp.csr_array(S + S.T))
-    net = DynamicNetwork(labels=tuple(range(n)), snapshots=tuple(snaps), directed=False)
+    net = DynamicNetwork.from_snapshots(tuple(range(n)), snaps)
     pre = make_weights("exponential", tau, alpha=1.0)
-    nnz = sum(A.nnz for A in precondition(net.snapshots, pre))
+    nnz = precondition(net.stack, pre).nnz
     cfg = DynEmbedConfig(d=16, pre_weights=pre, post_weights=pre,
                          als=AlsConfig(rank=rank, max_sweeps=3))
     tracemalloc.start()
@@ -399,15 +403,15 @@ def test_dynamic_embedding_memory_is_linear():
 
 def test_conditioned_slices_are_freed_before_als(monkeypatch):
     """The symmetrized variant's tensor is built from the preconditioned
-    slices, so none of them is alive when ALS starts: kept alive, they would
-    add a second copy of the tensor to the working set of every sweep."""
+    stack, so it is not alive when ALS starts: kept alive, it would add a
+    second copy of the tensor to the working set of every sweep."""
     net, _ = dynamic_sbm(60, 4, seed=3)
     refs, alive = [], []
     real_precondition, real_als = embed.precondition, embed.cp_als
 
     def precondition_spy(*args):
         out = real_precondition(*args)
-        refs.extend(weakref.ref(M) for M in out)
+        refs.append(weakref.ref(out))
         return out
 
     def als_spy(*args):
@@ -418,14 +422,14 @@ def test_conditioned_slices_are_freed_before_als(monkeypatch):
     monkeypatch.setattr(embed, "precondition", precondition_spy)
     monkeypatch.setattr(embed, "cp_als", als_spy)
     dynamic_embedding(net, replace(config(net, 4), adjacency_variant="symmetrized"))
-    assert len(refs) == net.tau and alive == [0]
+    assert len(refs) == 1 and alive == [0]
 
 
 def test_raw_tensor_is_the_network_stack(tmp_path, monkeypatch):
     """On the raw variant ALS runs on the training prefix of the loaded
     network's own stack, blended by the pre weights: nothing is
     preconditioned or stacked again, and the tensor shares the slices'
-    arrays. A network of separate slices is stacked once."""
+    arrays, as it does for a synthetic network's stack."""
     path = tmp_path / "net.edges"
     path.write_text("".join(f"{t} {i} {(i + t + 1) % 9} {1.0 + t}\n"
                             for t in range(4) for i in range(9)))
@@ -447,7 +451,7 @@ def test_raw_tensor_is_the_network_stack(tmp_path, monkeypatch):
     assert np.shares_memory(loaded.stacked.data, net.snapshots[0].data)
     assert np.shares_memory(loaded.stacked.indices, net.snapshots[0].indices)
     assert stacked.nnz == sum(A.nnz for A in synthetic.snapshots)
-    assert not np.shares_memory(stacked.stacked.data, synthetic.snapshots[0].data)
+    assert np.shares_memory(stacked.stacked.data, synthetic.snapshots[0].data)
 
 
 def test_weights_that_zero_every_slice_give_the_zero_model():
@@ -459,3 +463,49 @@ def test_weights_that_zero_every_slice_give_the_zero_model():
     res = dynamic_embedding(net, config(net, 1, pre=TemporalWeights([0.0, 0.0, 1.0])))
     assert res.model.stop_reason == "zero" and res.model.fit == 0.0
     assert not res.embedding.any()
+
+
+def backward_blend(w, mu):
+    """p = W mu by the recurrence p_tau = w_tau mu_tau, p_t = w_t mu_t +
+    (1 - w_t) p_{t+1}, applied to each column of the tau x m array mu."""
+    p = np.empty_like(mu)
+    p[-1] = w[-1] * mu[-1]
+    for t in range(len(w) - 2, -1, -1):
+        p[t] = w[t] * mu[t] + (1.0 - w[t]) * p[t + 1]
+    return p
+
+
+@given(ratios=st.lists(st.floats(1.15, 1.3), min_size=8, max_size=8),
+       scheme=st.sampled_from(["uniform", "exponential"]), orthogonal=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=16, deadline=None)
+def test_exact_low_rank_slices_are_recovered(ratios, scheme, orthogonal, seed):
+    """Slices A_t = U diag(mu_t) U^T with orthonormal U (n x m) blend into the
+    tensor sum_r u_r o u_r o p_r with p = W mu, whose rank-m CP is unique for
+    generic positive mu (Kruskal). So the weighted modes are sigma_r =
+    <w, p_r> / sqrt(||p_r||), and the embedding's columns are +-sigma_r u_r
+    for the d largest.
+
+    Each mu_r is a random positive profile scaled to a drawn sigma_r, and
+    consecutive sigma_r lie 15-30 % apart, so the eigenvalues of the summed
+    slices, about sigma_r^2 apart, give the spectral start U itself. ALS
+    stops once its fit reads below 1e-8, near the fit's resolution, so the
+    bounds are set from the stop, not from rounding: over 3 000 draws the
+    worst errors were 2.3e-10 sigma_max on the embedding and 2.7e-7 sigma_max
+    on the sigmas (medians 5.6e-16 and 3.9e-9)."""
+    n, tau, m, d = 60, 6, 8, 4
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    w = make_weights(scheme, tau, alpha=1.0)
+    want = rng.permutation(np.cumprod(ratios))
+    profile = rng.uniform(0.8, 1.25, (tau, m))
+    q = backward_blend(w.values, profile)
+    mu = profile * (want * np.sqrt(np.linalg.norm(q, axis=0)) / (w.values @ q)) ** 2
+    net = net_from_matrices([(A + A.T) / 2 for A in ((U * mu_t) @ U.T for mu_t in mu)])
+    res = dynamic_embedding(net, config(net, d, pre=w, orthogonal=orthogonal))
+
+    p = backward_blend(w.values, mu)
+    sigma = (w.values @ p) / np.sqrt(np.linalg.norm(p, axis=0))
+    assert np.abs(np.sort(res.sigmas) - np.sort(sigma)).max() <= 1e-6 * sigma.max()
+    for column, r in zip(res.embedding.T, np.argsort(-sigma)[:d], strict=True):
+        assert match_up_to_sign(column, sigma[r] * U[:, r], 1e-8 * sigma.max())

@@ -11,6 +11,8 @@ from dynten.graphs import (KATZ_MAX_NODES, DynamicNetwork, ReducibleChainError,
                            adjacency_from_edges, degree_matrix, katz_adjacency,
                            katz_omega_bound, laplacian, spectral_radius,
                            stationary_vector, symmetrized_adjacency, transition_matrix)
+from dynten.io import load_dynamic_network
+from dynten.synth import dynamic_sbm
 
 from conftest import (align_edge_lists, bfs_component_count, entries,
                       random_connected_graph)
@@ -84,7 +86,9 @@ class TestMatrices:
 
     def test_network_requires_canonical_slices(self):
         good = adjacency_from_edges(2, [0], [1], [1.0], undirected=True)
-        assert DynamicNetwork(("a", "b"), (good,)).adjacency(0) is good
+        net = DynamicNetwork.from_snapshots(("a", "b"), (good,))
+        A = net.adjacency(0)
+        assert (A != good).nnz == 0 and np.shares_memory(A.data, net.stack.data)
         unsorted = sp.csr_array((np.array([1.0, 2.0]), np.array([1, 0]),
                                  np.array([0, 2, 2])), shape=(2, 2))
         duplicate = sp.csr_array((np.array([1.0, 2.0]), np.array([1, 1]),
@@ -94,7 +98,7 @@ class TestMatrices:
         for bad in (sp.csr_array((3, 3)), good.astype(np.float32), good.tocoo(),
                     unsorted, duplicate, explicit_zero):
             with pytest.raises(ValueError, match="snapshot 0 is not a canonical"):
-                DynamicNetwork(("a", "b"), (bad,))
+                DynamicNetwork.from_snapshots(("a", "b"), (bad,))
 
     def test_undirected_network_requires_symmetric_slices(self):
         # only A[1, 0] = 1: the writer keeps the upper triangle of an
@@ -103,12 +107,45 @@ class TestMatrices:
         sym = adjacency_from_edges(2, [0], [1], [1.0], undirected=True)
         with pytest.raises(ValueError, match="snapshot 1 of an undirected network "
                                              "is not symmetric"):
-            DynamicNetwork(("a", "b"), (sym, lower))
-        assert DynamicNetwork(("a", "b"), (sym, lower), directed=True).tau == 2
+            DynamicNetwork.from_snapshots(("a", "b"), (sym, lower))
+        assert DynamicNetwork.from_snapshots(("a", "b"), (sym, lower), directed=True).tau == 2
         # unequal weights on the two orientations are asymmetric too
         skew = adjacency_from_edges(2, [0, 1], [1, 0], [1.0, 2.0])
         with pytest.raises(ValueError, match="not symmetric"):
-            DynamicNetwork(("a", "b"), (skew,))
+            DynamicNetwork.from_snapshots(("a", "b"), (skew,))
+
+    def test_every_network_holds_its_slices_as_views_of_its_stack(self, tmp_path):
+        """Loaded, synthetic, built from slices or cut as a prefix, a network
+        keeps one store: each slice shares memory with its stack, and a
+        prefix's stack shares memory with the whole network's."""
+        path = tmp_path / "net.edges"
+        path.write_text("0 a b\n0 b c\n1 a c\n2 c d\n2 a d\n")
+        loaded = load_dynamic_network(path)
+        synthetic, _ = dynamic_sbm(20, 3, seed=1)
+        built = DynamicNetwork.from_snapshots(loaded.labels, loaded.snapshots)
+        for whole in (loaded, synthetic, built):
+            for net in (whole, whole.prefix(1), whole.prefix(2), whole.prefix(3)):
+                assert net.stack.shape == (net.tau * net.n, net.n)
+                assert all(np.shares_memory(A.data, net.stack.data)
+                           and np.shares_memory(A.indices, net.stack.indices)
+                           for A in net.snapshots)
+                assert np.shares_memory(net.stack.data, whole.stack.data)
+                assert net.labels is whole.labels and net.directed == whole.directed
+            assert all((A != B).nnz == 0 for A, B in zip(built.snapshots, loaded.snapshots))
+        with pytest.raises(ValueError, match="prefix length 4"):
+            loaded.prefix(4)
+        with pytest.raises(ValueError, match="prefix length 0"):
+            loaded.prefix(0)
+
+    def test_network_refuses_a_stack_of_another_shape(self):
+        good = adjacency_from_edges(2, [0], [1], [1.0], undirected=True)
+        for labels, stack in ((("a", "b"), sp.vstack([good, good])[:3]),
+                              (("a", "b", "c"), good), ((), sp.csr_array((0, 0))),
+                              (("a", "b"), good.tocoo()), (("a", "b"), sp.csr_array((0, 2)))):
+            with pytest.raises(ValueError, match="need at least one node, and a stack"):
+                DynamicNetwork(labels, stack)
+        with pytest.raises(ValueError, match="need at least one snapshot"):
+            DynamicNetwork.from_snapshots(("a", "b"), ())
 
     def test_degree_out(self):
         D = degree_matrix(csr([[0, 2], [0, 0]])).toarray()

@@ -80,8 +80,8 @@ def test_empty_slices_survive_roundtrip(tmp_path, directed):
     as one zero-weight placeholder line, so tau and the slice order hold."""
     empty = adjacency_from_edges(3, [], [], [])
     link = adjacency_from_edges(3, [0], [2], [1.5], undirected=not directed)
-    net = DynamicNetwork(labels=("a", "b", "c"), directed=directed,
-                         snapshots=(empty, link, empty, link, empty))
+    net = DynamicNetwork.from_snapshots(("a", "b", "c"), (empty, link, empty, link, empty),
+                                        directed)
     write_dynamic_network(tmp_path / "one.edges", net)
     back = load_dynamic_network(tmp_path / "one.edges", directed=directed)
     write_dynamic_network(tmp_path / "two.edges", back)
@@ -432,7 +432,7 @@ def reference_load(path, directed=False):
     snaps = tuple(_reference_adjacency(len(order), [index[x] for x in src],
                                        [index[x] for x in dst], wgt, not directed)
                   for src, dst, wgt in per_slice)
-    return DynamicNetwork(labels=order, snapshots=snaps, directed=directed)
+    return DynamicNetwork.from_snapshots(order, snaps, directed)
 
 
 def assert_bitwise_equal(got, want):
@@ -590,7 +590,7 @@ def test_loaded_networks_pass_the_per_slice_check(tmp_path_factory, data, direct
         path.write_bytes(data.draw(edge_texts(with_time=True)).encode("utf-8"))
     net = outcome(load_dynamic_network, path, directed)
     if not isinstance(net, tuple):
-        DynamicNetwork(labels=net.labels, snapshots=net.snapshots, directed=net.directed)
+        DynamicNetwork(net.labels, net.stack, net.directed)
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -617,8 +617,7 @@ def test_a_faulty_slice_of_the_loaded_stack_is_named(monkeypatch, tmp_path, t, f
         load_dynamic_network(path)
     assert str(got.value).startswith(f"snapshot {t} {message}")
     with pytest.raises(ValueError) as alone:
-        DynamicNetwork(labels=("a", "b", "c", "d"),
-                       snapshots=graphs._slices_of(built[0], 3), directed=False)
+        DynamicNetwork.from_snapshots(("a", "b", "c", "d"), graphs._slices_of(built[0], 3))
     assert str(got.value) == str(alone.value)
 
 

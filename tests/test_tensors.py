@@ -290,8 +290,8 @@ def test_blended_tensor_matches_the_preconditioned_one(seed):
     vals[vals == 0.5] = rng.random(np.count_nonzero(vals == 0.5))
     vals[rng.integers(tau)] = 1.0
     w = TemporalWeights(vals)
-    built = SparseTensor3.from_slices(precondition(slices, w))
     stack = sp.vstack(slices, format="csr")
+    built = SparseTensor3(precondition(stack, w))
     blended = SparseTensor3(stack, w.values)
     magnitude = SparseTensor3(abs(stack), w.values)
     F = tuple(rng.standard_normal((m, r)) for m in built.dims)
