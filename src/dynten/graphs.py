@@ -141,15 +141,29 @@ def _csr_of(data, indices, indptr, shape) -> sparse.csr_array:
     return M
 
 
+def _row_block(stack, start: int, stop: int) -> sparse.csr_array:
+    """Rows start..stop-1 of the CSR matrix ``stack`` as a CSR matrix that
+    shares its data and indices; only the rebased row pointers are new."""
+    ptr = stack.indptr[start:stop + 1]
+    at = slice(ptr[0], ptr[-1])  # the entries of these rows
+    return _csr_of(stack.data[at], stack.indices[at], ptr - ptr[0], (stop - start, stack.shape[1]))
+
+
 def _slices_of(stack, slice_count: int) -> tuple:
-    """The n x n slices of the (slice_count n) x n CSR matrix ``stack``, as
-    views that share its data and index arrays."""
-    n, slices = stack.shape[1], []
-    for t in range(slice_count):
-        ptr = stack.indptr[t * n:(t + 1) * n + 1]
-        lo, hi = ptr[0], ptr[-1]
-        slices.append(_csr_of(stack.data[lo:hi], stack.indices[lo:hi], ptr - lo, (n, n)))
-    return tuple(slices)
+    """The n x n slices of the (slice_count n) x n CSR ``stack``, as row-block views."""
+    n = stack.shape[1]
+    return tuple(_row_block(stack, t * n, (t + 1) * n) for t in range(slice_count))
+
+
+def _stored_pairs(A, upper: bool = False, loops: bool = True):
+    """The (row, col, value) of the CSR matrix A's stored entries, rows in its
+    index dtype, in stored order (row * n + col ascends when A is canonical);
+    with ``upper`` only those on or above the diagonal, without ``loops`` none on it."""
+    row = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+    if upper or not loops:
+        keep = (A.indices >= row if loops else A.indices > row) if upper else A.indices != row
+        return row[keep], A.indices[keep], A.data[keep]
+    return row, A.indices, A.data
 
 
 def _block_offsets(M, n: int) -> np.ndarray:
@@ -308,16 +322,13 @@ class DynamicNetwork:
 
     def prefix(self, k: int) -> DynamicNetwork:
         """The network of the first k slices, 1 <= k <= tau, whose stack is a
-        view of this one's first k n rows. It shares the labels, the arrays
+        :func:`_row_block` of this one's. It shares the labels, the arrays
         and the slices, which are not checked again."""
         if not 1 <= k <= self.tau:
             raise ValueError(f"prefix length {k} is not in [1, {self.tau}]")
-        rows, S = k * self.n, self.stack
-        end = S.indptr[rows]
-        stack = _csr_of(S.data[:end], S.indices[:end], S.indptr[:rows + 1], (rows, self.n))
         net = object.__new__(DynamicNetwork)  # the fields __init__ sets, unchecked
-        net.__dict__.update(labels=self.labels, stack=stack, directed=self.directed,
-                            snapshots=self.snapshots[:k])
+        net.__dict__.update(labels=self.labels, stack=_row_block(self.stack, 0, k * self.n),
+                            directed=self.directed, snapshots=self.snapshots[:k])
         return net
 
 
@@ -351,26 +362,25 @@ def align_snapshots(snapshot_edges: Sequence[Sequence], *,
                            dtype=np.int32, count=sum(sizes))
 
     src, dst = indexed(0), indexed(1)
-    declared = [()] * len(sizes) if snapshot_labels is None else snapshot_labels
     return aligned_network(list(index), np.cumsum(sizes), src, dst, np.concatenate(weights),
-                           declared, directed)
+                           () if snapshot_labels is None else snapshot_labels, directed)
 
 
 def aligned_network(labels, ends, src, dst, weight, declared: Sequence[Sequence],
                     directed: bool) -> DynamicNetwork:
     """The network of the edges src[k] -> dst[k], int32 indices into
     ``labels``, with ``weight[k]`` (1.0 when ``weight`` is None), over the
-    union node set; slice t holds the edges ``ends[t - 1]`` (0 for t = 0) up
-    to ``ends[t]``, and there is one slice per entry of ``declared``.
+    union node set; slice t, one per entry of ``ends``, holds the edges
+    ``ends[t - 1]`` (0 for t = 0) up to ``ends[t]``.
 
-    ``declared[t]`` declares labels present at t even if isolated; a label
-    repeated within one declaration is rejected. The union of the declared
-    labels and ``labels``, sorted by ``str``, is the node order of every
-    slice; ``src`` and ``dst`` are rewritten in place, a slice at a time,
-    to index it. :func:`stacked_adjacency` builds the slices, and
-    ``DynamicNetwork`` checks them one at a time.
+    ``declared[t]``, if given, declares labels present at t even if
+    isolated; a label repeated within one declaration is rejected. The
+    union of the declared labels and ``labels``, sorted by ``str``, is the
+    node order of every slice; ``src`` and ``dst`` are rewritten in place,
+    a slice at a time, to index it. :func:`stacked_adjacency` builds the
+    slices, and ``DynamicNetwork`` checks them one at a time.
     """
-    if not declared:
+    if not len(ends):
         raise ValueError("need at least one snapshot")
     union: set = set()
     for t, labels_t in enumerate(declared):
@@ -485,8 +495,7 @@ def connected_components(A) -> tuple[int, np.ndarray]:
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("adjacency must be square")
-    rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    root, _ = _component_roots(n, rows, A.indices)
+    root, _ = _component_roots(n, *_stored_pairs(A)[:2])
     is_root = root == np.arange(n)
     return int(is_root.sum()), (np.cumsum(is_root, dtype=np.int32) - 1)[root]
 
@@ -664,8 +673,7 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
     tau, n = _slice_count(A), A.shape[1]
     P = transition_matrix(A)  # refuses negative weights
     A.sum_duplicates()  # as A.sum() does, so each total sums the same entries
-    ptr = A.indptr[::n]
-    totals = [float(A.data[ptr[t]:ptr[t + 1]].sum()) for t in range(tau)]
+    totals = [float(S.data.sum()) for S in _slices_of(A, tau)]
     phi = stationary_vector(P, total_weight=totals, teleport=teleport)
     return _symmetric_slices(_scale_rows(P, phi.ravel()))
 

@@ -21,10 +21,9 @@ from itertools import filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 # align_snapshots is not used here, but perfbench/tracing.py wraps it under this module
-from .graphs import DynamicNetwork, align_snapshots, aligned_network  # noqa: F401
+from .graphs import DynamicNetwork, _stored_pairs, align_snapshots, aligned_network  # noqa: F401
 
 _NODES_DIRECTIVE = "# nodes:"
 # a double-quoted CSV field; group 1 is its text with inner quotes still doubled
@@ -422,10 +421,9 @@ def load_dynamic_network(path, directed: bool = False) -> DynamicNetwork:
             raise ValueError(f"no snapshot files in {path}")
         declared = [edges.read(f, with_time=False) for f in files]
     else:
-        declared = edges.read(path, with_time=True)
-        if not edges.size and not declared:
+        declared = [edges.read(path, with_time=True)]
+        if not edges.size and not declared[0]:
             raise ValueError(f"{path}: empty dataset")
-        declared = [declared] + [[]] * (len(edges.starts) - 1)
     ends = edges.starts[1:] + [edges.size]
     return aligned_network(list(edges.index), ends, *edges.columns(), declared, directed)
 
@@ -439,12 +437,12 @@ def _time_key(token: str):
 
 def write_dynamic_network(path, net: DynamicNetwork) -> None:
     """Write a combined edge-list file (with a node-list directive so globally
-    isolated nodes survive a round trip). An undirected network writes each
-    link once, from the upper triangle of its symmetric slices. A slice with
-    no links writes one zero-weight self-loop ``t v v 0.0``, which the loader
-    drops while keeping the slice, so tau survives as well. An empty label or
-    one holding a ``str.split()`` separator raises ``ValueError``. The
-    lines are built and written one slice at a time."""
+    isolated nodes survive a round trip): each slice's stored entries, loops
+    included, in stored order, and of an undirected one only the upper
+    triangle. A slice with no entries writes one zero-weight self-loop
+    ``t v v 0.0``, which the loader drops while keeping the slice, so tau
+    survives as well. An empty label or one holding a ``str.split()``
+    separator raises ``ValueError``. Lines are written a slice at a time."""
     labels = np.array([str(lab) for lab in net.labels], dtype=object)
     for lab in labels:
         if lab.split() != [lab]:
@@ -452,12 +450,11 @@ def write_dynamic_network(path, net: DynamicNetwork) -> None:
     with open(path, "w") as fh:
         fh.write(_NODES_DIRECTIVE + " " + " ".join(labels) + "\n")
         for t, A in enumerate(net.snapshots):
-            E = sparse.coo_array(A if net.directed else sparse.triu(A))
-            lines = [f"{t} {labels[0]} {labels[0]} 0.0"] if E.nnz == 0 and labels.size else []
-            lines.extend(map(" ".join, zip(repeat(str(t)), labels[E.row], labels[E.col],
-                                           map(repr, E.data.tolist()))))
-            if lines:
-                fh.write("\n".join(lines) + "\n")
+            row, col, value = _stored_pairs(A, upper=not net.directed)
+            lines = [] if value.size else [f"{t} {labels[0]} {labels[0]} 0.0"]
+            lines.extend(map(" ".join, zip(repeat(str(t)), labels[row], labels[col],
+                                           map(repr, value.tolist()))))
+            fh.write("\n".join(lines) + "\n")
 
 
 def csv_field(text: str) -> str:
@@ -487,17 +484,17 @@ def write_embedding_csv(path, labels, embedding) -> None:
 
 
 def load_embedding_csv(path):
-    """The labels and the n x d matrix of an embedding CSV, d being the
-    number of ``dim_`` columns in its header. A row that starts with ``"``
+    """The labels and the n x d matrix of an embedding CSV, whose header is
+    ``node,dim_0,..,dim_{d-1}`` with d >= 1. A row that starts with ``"``
     holds a quoted label, read back as the text :func:`write_embedding_csv`
     quoted (it may span lines); any other row's label is its text before the
     last d commas. Blank lines are skipped and ``\\r\\n`` line ends accepted."""
     with open(path, newline="") as fh:
         text = fh.read()
     header, _, body = text.partition("\n")
-    if not header.startswith("node,"):
-        raise ValueError(f"{path}: not an embedding CSV")
     d = header.count(",")
+    if d < 1 or header.removesuffix("\r") != "node," + ",".join(f"dim_{k}" for k in range(d)):
+        raise ValueError(f"{path}: not an embedding CSV")
     labels, rows, pos = [], [], 0
     while pos < len(body):
         quoted = _QUOTED_FIELD.match(body, pos) if body.startswith('"', pos) else None

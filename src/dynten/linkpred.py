@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ConvergenceError, DynamicNetwork
+from .graphs import ConvergenceError, DynamicNetwork, _stored_pairs
 from .seeding import derived_rng
 
 _LOSS_WEIGHT = 10.0    # multiplier on the data term, kept verbatim
@@ -68,30 +68,27 @@ def _pair_keys(i, j, n: int, directed: bool) -> np.ndarray:
     return i * n + j
 
 
+def _links(net: DynamicNetwork, t: int):
+    """Stored (row, col, value) of slice t's links: no loops, undirected pairs once, i < j."""
+    return _stored_pairs(net.adjacency(t), upper=not net.directed, loops=False)
+
+
 def _edge_keys(net: DynamicNetwork, t: int) -> np.ndarray:
-    """Links of slice t as the sampler sees them, as sorted unique pair keys:
-    no self-loops, and unordered pairs unless the network is directed."""
-    A = net.adjacency(t).tocoo()
-    links = A.row != A.col
-    # sort and drop repeats: NumPy's hash-based np.unique is many times slower
-    keys = np.sort(_pair_keys(A.row[links], A.col[links], net.n, net.directed))
-    return keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0: the first stays
+    """The int64 keys ``i * n + j`` of :func:`_links`, the pairs the sampler
+    draws from: sorted and unique, as a canonical slice stores them."""
+    row, col, _ = _links(net, t)
+    return row.astype(np.int64) * net.n + col
 
 
 def holdout_split(net: DynamicNetwork):
     """Hold out the final slice: ``(train, target_slice, n_links)``, with
     ``train`` the slices 1..tau-1 (``net.prefix(tau - 1)``, a view of the
-    input's stack, not checked again) and ``n_links`` counted as the
-    sampler does."""
+    input's stack, not checked again) and ``n_links`` the number of its
+    :func:`_links`, the pairs the sampler draws from."""
     if net.tau < 2:
         raise ValueError("link prediction needs tau >= 2 (one slice is held out)")
     target = net.tau - 1
-    A = net.adjacency(target)
-    # a canonical slice stores each link once and no zeros, and an undirected
-    # one both orientations of each pair: this is _edge_keys(net, target).size
-    n_links = A.nnz - int(np.count_nonzero(A.diagonal()))
-    if not net.directed:
-        n_links //= 2
+    n_links = _links(net, target)[0].size
     if n_links == 0:
         raise ValueError(f"held-out slice {target} has no links (self-loops do not count)")
     return net.prefix(target), target, n_links

@@ -50,12 +50,12 @@ class SparseTensor3:
     int32 index arrays whenever the shape and nnz fit (12 instead of 16
     bytes per nonzero): an int32 matrix, such as a network's own stack, is
     held as it is, and a wider one is narrowed in a new matrix over the same
-    data, so the caller's matrix is never written. Without ``blend`` the
-    tensor Z is S. With per-slice weights ``blend`` = w it is the backward
-    recurrence Z_t = w_t S_t + (1 - w_t) Z_{t+1} from Z_tau = w_tau S_tau,
-    the mode-3 product S x_3 W with the upper-triangular tau x tau matrix W
+    data, so the caller's matrix is never written. The tensor is the mode-3
+    product Z = S x_3 W with the upper-triangular tau x tau matrix W
     (``mix``), which is never formed: ``nnz`` counts the entries of S, the
-    only ones stored.
+    only ones stored. Without ``blend`` W is the identity and Z is S. With
+    per-slice weights ``blend`` = w, Z is the backward recurrence
+    Z_t = w_t S_t + (1 - w_t) Z_{t+1} from Z_tau = w_tau S_tau.
     """
 
     stacked: sparse.csr_array = field(repr=False)
@@ -111,12 +111,11 @@ class SparseTensor3:
         return int(self.stacked.nnz)
 
     @cached_property
-    def mix(self) -> np.ndarray | None:
-        """W with Z = S x_3 W, the recurrence run on the identity's rows;
-        None without a blend."""
-        if self.blend is None:
-            return None
-        return np.array(list(_backward_blend(np.eye(self.dims[2]), self.blend))[::-1])
+    def mix(self) -> np.ndarray:
+        """W with Z = S x_3 W: the recurrence run on the identity's rows,
+        or, without a blend, the tau x tau identity itself."""
+        eye = np.eye(self.dims[2])
+        return eye if self.blend is None else np.array(list(_backward_blend(eye, self.blend))[::-1])
 
     def _parts(self):
         """Sparse matrices that hold Z's entries between them, one at a
@@ -151,9 +150,10 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
     """Matricized-tensor-times-Khatri-Rao product for one mode (1, 2 or 3).
 
     ``factors`` is the triple (A, B, C) of shapes n x r, n x r and tau x r;
-    the factor of the requested mode is ignored. A blended tensor S x_3 W
-    runs the product of S, with W^T C in place of C in modes 1 and 2 and
-    W times S's product in mode 3. The product runs on the column blocks
+    the factor of the requested mode is ignored. The tensor S x_3 W, with
+    W = ``Z.mix``, runs the product of S, with W^T C in place of C in modes
+    1 and 2 and W times S's product in mode 3 (exact, up to the sign of a
+    zero, when W is the identity). The product runs on the column blocks
     of ``_column_blocks``, after Bader & Kolda's column-wise MTTKRP. Modes
     1 and 3 multiply the stacked slices by the block of B and contract the
     (tau, n, w) result with the other factor; mode 2 multiplies their
@@ -170,9 +170,8 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
     for M, m in ((A, n), (B, n), (C, tau)):
         if M.shape != (m, r):
             raise ValueError(f"factor shape {M.shape} inconsistent with n {n}, tau {tau}, rank {r}")
-    W = Z.mix
-    if W is not None and mode != 3:
-        C = W.T @ C
+    if mode != 3:
+        C = Z.mix.T @ C
     out = np.empty((tau if mode == 3 else n, r))
     for s in _column_blocks(n, tau, r):
         # each block's operand is a temporary of its statement, so only one
@@ -184,7 +183,7 @@ def mttkrp(Z: SparseTensor3, factors: Sequence[np.ndarray], mode: int) -> np.nda
             out[:, s] = np.einsum("tir,tr->ir", (Z.stacked @ B[:, s]).reshape(tau, n, -1), C[:, s])
         else:
             out[:, s] = np.einsum("tir,ir->tr", (Z.stacked @ B[:, s]).reshape(tau, n, -1), A[:, s])
-    return out if W is None or mode != 3 else W @ out
+    return Z.mix @ out if mode == 3 else out
 
 
 @dataclass(frozen=True)
@@ -256,9 +255,8 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
     of the sparse symmetrized time-summed slice 0.5 (M + M^T),
     M = sum_t Z[:, :, t], and the time factor is constant 1/sqrt(tau) per
     column (exact in the identical-slices limit); seeded random unit columns
-    fill beyond the node count n. M comes from the stored slices in one
-    weighted sum, with weight 1 each or, for a blended tensor S x_3 W, the
-    column sums of W; it and its symmetric part come from the shared sparse
+    fill beyond the node count n. M = sum_s (sum_t W[t, s]) S[:, :, s] for
+    Z = S x_3 W, and its symmetric part, come from the shared sparse
     helpers, which average M with M^T in place when they have one pattern.
     The eigenpairs come from the shared residual-checked eigensolver, so
     the start costs O(nnz + n rank) memory and no n x n array.
@@ -266,8 +264,7 @@ def initial_factors(Z: SparseTensor3, cfg: AlsConfig):
     n, _, tau = Z.dims
     r = cfg.rank
     C = np.full((tau, r), 1.0 / np.sqrt(tau))
-    M = _symmetric_part(_weighted_slice_sum(
-        Z.stacked, np.ones(tau) if Z.mix is None else Z.mix.sum(axis=0)))
+    M = _symmetric_part(_weighted_slice_sum(Z.stacked, Z.mix.sum(axis=0)))
     k = min(r, n)
     lead = _extreme_pairs(M, k, "LM", tol=1e-10, max_iter=5000, seed=cfg.seed).vectors
     if r > k:

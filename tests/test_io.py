@@ -298,6 +298,17 @@ def test_embedding_csv_rejects_other_files(tmp_path):
         load_embedding_csv(path)
 
 
+@pytest.mark.parametrize("header", ["node,a,b", "node,dim_1,dim_0", "node,dim_0,", "node",
+                                    "node,dim_0,dim_1,"])
+def test_embedding_csv_header_must_name_the_dim_columns(tmp_path, header):
+    """Only ``node,dim_0,..,dim_{d-1}`` is an embedding header: a header of
+    other column names is refused, not read as that many columns."""
+    path = tmp_path / "other.csv"
+    path.write_text(header + "\na,1.0,2.0\n")
+    with pytest.raises(ValueError, match="not an embedding CSV"):
+        load_embedding_csv(path)
+
+
 def test_embedding_csv_unquoted_label_is_text_before_last_d_commas(tmp_path):
     """Rows written without quoting (a comma in a label included), CRLF line
     ends and blank lines read back."""

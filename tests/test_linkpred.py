@@ -169,8 +169,12 @@ class TestHoldoutSplit:
     def test_count_matches_set_of_pairs(self, n, density, directed, self_loops, seed):
         A = random_slice(n, np.random.default_rng(seed), density, directed, self_loops)
         net = DynamicNetwork.from_snapshots(tuple(range(n)), (A, A), directed)
-        want = len(scalar_edge_set(net, 1))
-        assert linkpred._edge_keys(net, 1).size == want  # the keys the sampler draws from
+        pairs = sorted(scalar_edge_set(net, 1))
+        want = len(pairs)
+        keys = linkpred._edge_keys(net, 1)  # the keys the sampler draws from
+        assert keys.dtype == np.int64
+        np.testing.assert_array_equal(keys, np.array([i * n + j for i, j in pairs],
+                                                     dtype=np.int64).reshape(-1))
         if want == 0:
             with pytest.raises(ValueError, match="no links"):
                 holdout_split(net)
