@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import (DynamicNetwork, _backward_blend, _compact, _slices_of, _symmetric_slices,
+from .graphs import (DynamicNetwork, _blend_matrix, _slices_of, _symmetric_slices,
                      _weighted_slice_sum, katz_adjacency, laplacian, symmetrized_adjacency)
 from .spectral import adjacency_embedding, resistance_embedding
 from .tensors import AlsConfig, CPModel, SparseTensor3, cp_als, max_rank, ocp_als
@@ -82,14 +82,14 @@ def precondition(stack, w: TemporalWeights) -> sparse.csr_array:
     stacked as a (tau n) x n CSR matrix (a network's ``stack``); returns
     the blended slices G'_1, ..., G'_tau, canonical and stacked the same way.
 
-    G'_tau = w_tau G_tau and G'_t = w_t G_t + (1 - w_t) G'_{t+1}; all-ones
-    weights leave the slices unchanged, and a link weight present in every
-    slice from t on is preserved in G'_t regardless of the weights.
+    G'_tau = w_tau G_tau and G'_t = w_t G_t + (1 - w_t) G'_{t+1}, that is
+    G'_t = sum_s W[t, s] G_s with W = ``SparseTensor3.mix``: one product
+    (W (x) I_n) @ stack. All-ones weights leave the slices unchanged, and a
+    link weight in every slice from t on is kept in G'_t if some w_s = 1, s >= t.
     """
     if len(w) * stack.shape[1] != stack.shape[0]:
         raise ValueError(f"need one weight per slice of a {stack.shape} stack, got {len(w)}")
-    blended = reversed(list(_backward_blend(_slices_of(stack, len(w)), w.values)))
-    return sparse.vstack([_compact(M) for M in blended], format="csr")
+    return _weighted_slice_sum(stack, _blend_matrix(w.values))
 
 
 def convolve_snapshots(stack, w: TemporalWeights) -> sparse.csr_array:

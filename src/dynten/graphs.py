@@ -438,14 +438,18 @@ def _symmetric_slices(stack) -> sparse.csr_array:
 
 def _weighted_slice_sum(stacked, w) -> sparse.csr_array:
     """sum_t w[t] S_t of the n x n slices S_t stacked as the (tau n) x n CSR
-    matrix ``stacked``, canonical: P @ stacked with P = [w_0 I ... w_{tau-1} I]
-    adds each entry's weighted slices in time order and drops exact-zero
-    sums, as a running sum of the slices does, in one output buffer. P takes
-    the index dtype of ``stacked``, so int32 slices give an int32 sum."""
-    n, tau, idx = stacked.shape[1], len(w), stacked.indices.dtype
-    cols = np.arange(tau * n, dtype=idx).reshape(tau, n).T.ravel()
-    P = sparse.csr_array((np.tile(np.asarray(w, dtype=np.float64), n), cols,
-                          np.arange(0, tau * n + 1, tau, dtype=idx)), shape=(n, tau * n))
+    matrix ``stacked``, canonical; for an m x tau w, its m sums stacked
+    (m n) x n. P @ stacked with P = w (x) I_n over w's nonzeros adds each
+    entry's weighted slices in time order and drops exact-zero sums, as a
+    running sum of the slices does, in one output buffer. P takes the index
+    dtype of ``stacked``, so int32 slices give an int32 sum."""
+    W = np.atleast_2d(np.asarray(w, dtype=np.float64))
+    n, (m, tau), idx = stacked.shape[1], W.shape, stacked.indices.dtype
+    keep = np.broadcast_to((W != 0)[:, None, :], (m, n, tau))  # P[k n + i, t n + i] = W[k, t]
+    cols = np.arange(0, tau * n, n, dtype=idx) + np.arange(n, dtype=idx)[:, None]
+    indptr = np.insert(np.cumsum(np.repeat(np.count_nonzero(W, axis=1), n), dtype=idx), 0, 0)
+    P = sparse.csr_array((np.broadcast_to(W[:, None, :], keep.shape)[keep],
+                          np.broadcast_to(cols, keep.shape)[keep], indptr), shape=(m * n, tau * n))
     S = P @ stacked
     S.sort_indices()
     return S
@@ -454,14 +458,17 @@ def _weighted_slice_sum(stacked, w) -> sparse.csr_array:
 def _backward_blend(slices, w):
     """The slices G'_t = w_t G_t + (1 - w_t) G'_{t+1} of the backward
     recurrence from G'_tau = w_tau G_tau, yielded from the last to the
-    first, each as it is formed from the one before; none is compacted.
-    On the rows of the tau x tau identity it yields the rows of the
-    upper-triangular W with G'_t = sum_s W[t, s] G_s."""
+    first, each as it is formed from the one before; none is compacted."""
     blended = None
     for t in range(len(slices) - 1, -1, -1):
         blended = w[t] * slices[t] if blended is None else \
             w[t] * slices[t] + (1.0 - w[t]) * blended
         yield blended
+
+
+def _blend_matrix(w) -> np.ndarray:
+    """The W with G'_t = sum_s W[t, s] G_s: :func:`_backward_blend` on the identity's rows."""
+    return np.array(list(_backward_blend(np.eye(len(w)), w))[::-1])
 
 
 def degree_matrix(A) -> sparse.csr_array:
@@ -666,13 +673,17 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
 
     A is one n x n adjacency, or tau slices stacked as a (tau n) x n
     matrix; the result has A's shape, and its slice t has the bits that
-    slice t alone gives. One ``stationary_vector`` call serves every slice,
-    and the symmetric parts are taken together on the block-diagonal form.
+    slice t alone gives. A is never written: only a non-canonical A is
+    copied, to be summed, so it gives the bits of its canonical form. One
+    ``stationary_vector`` call serves every slice, and the symmetric parts
+    are taken together on the block-diagonal form.
     """
-    A = sparse.csr_array(A, dtype=np.float64, copy=True)  # sum_duplicates works in place
+    A = sparse.csr_array(A, dtype=np.float64)
+    if not A.has_canonical_format:  # sum_duplicates works in place
+        A = A.copy()
+        A.sum_duplicates()
     tau, n = _slice_count(A), A.shape[1]
     P = transition_matrix(A)  # refuses negative weights
-    A.sum_duplicates()  # as A.sum() does, so each total sums the same entries
     totals = [float(S.data.sum()) for S in _slices_of(A, tau)]
     phi = stationary_vector(P, total_weight=totals, teleport=teleport)
     return _symmetric_slices(_scale_rows(P, phi.ravel()))

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .graphs import (_backward_blend, _compact, _csr_of, _slices_of, _symmetric_part,
-                     _weighted_slice_sum)
+from .graphs import (_backward_blend, _blend_matrix, _compact, _csr_of, _slices_of,
+                     _symmetric_part, _weighted_slice_sum)
 from .seeding import derived_rng
 from .spectral import _extreme_pairs
 
@@ -114,8 +114,7 @@ class SparseTensor3:
     def mix(self) -> np.ndarray:
         """W with Z = S x_3 W: the recurrence run on the identity's rows,
         or, without a blend, the tau x tau identity itself."""
-        eye = np.eye(self.dims[2])
-        return eye if self.blend is None else np.array(list(_backward_blend(eye, self.blend))[::-1])
+        return np.eye(self.dims[2]) if self.blend is None else _blend_matrix(self.blend)
 
     def _parts(self):
         """Sparse matrices that hold Z's entries between them, one at a
