@@ -28,7 +28,7 @@ from pathlib import Path
 
 from dynten.cli import METHODS, compute_embedding, resolve_config
 from dynten.io import load_dynamic_network
-from dynten.linkpred import evaluate_link_prediction, holdout_split
+from dynten.linkpred import holdout_split, link_prediction_report, sample_training_set
 from dynten.synth import dynamic_sbm, sbm_matched_er
 
 METRICS = ("l2", "hadamard")
@@ -38,9 +38,10 @@ ROW = "{:12s} {:9s} {:>4} {:8s} {:>7} {:>7} {:>7}"
 
 
 def evaluate(name, net, methods, args):
-    """The rows of one network, each printed as soon as it is scored."""
+    """The rows of one network, each printed as soon as it is scored, all of one sample."""
     train, target, n_links = holdout_split(net)
     n_pos = min(args.n_pos, n_links)
+    sample = sample_training_set(net, target, n_pos, args.seed)
     rows = []
     for method in methods:
         for d in args.dims:
@@ -50,7 +51,7 @@ def evaluate(name, net, methods, args):
             emb, diag = compute_embedding(train, cfg)
             seconds = time.perf_counter() - t0
             for metric in args.metrics:
-                rep = evaluate_link_prediction(net, target, emb, metric, n_pos, seed=args.seed)
+                rep = link_prediction_report(sample, emb, metric)
                 rows.append({"network": name, "method": method, "d": d, "metric": metric,
                              "AP": rep["AP"], "AUC": rep["AUC"], "seconds": seconds,
                              "n_pos": n_pos, "protocol": {"metric": metric, "normalize": False,

@@ -190,7 +190,7 @@ def cmd_linkpred(cfg) -> int:
     if cfg["dump_scores"]:
         sample, probs = report["sample"], report["probabilities"]
         lines = ["i,j,separation,probability,label"]
-        for (i, j), x, p, y in zip(sample.pairs, sample.separations, probs, sample.labels):
+        for (i, j), x, p, y in zip(sample.pairs, report["separations"], probs, sample.labels):
             lines.append(f"{int(i)},{int(j)},{float(x)!r},{float(p)!r},{int(y)}")
         (outdir / "scores.csv").write_text("\n".join(lines) + "\n")
     print(f"{cfg['method']} {cfg['metric']} d={cfg['d']}: "

@@ -180,13 +180,6 @@ def _block_diagonal(stack, n: int) -> sparse.csr_array:
     return _csr_of(stack.data, stack.indices + _block_offsets(stack, n), stack.indptr, (m, m))
 
 
-def _diagonal_blocks(M, n: int) -> sparse.csr_array:
-    """The diagonal n x n blocks of the block-diagonal CSR matrix M stacked
-    as a (tau n) x n matrix: the inverse of :func:`_block_diagonal`."""
-    return sparse.csr_array((M.data, M.indices - _block_offsets(M, n), M.indptr),
-                            shape=(M.shape[0], n))
-
-
 def _sum_in_order(key, wgt):
     """The distinct keys, sorted, and the weights of each summed in input
     order from 0.0; zero sums are dropped."""
@@ -417,10 +410,13 @@ def _compact(M) -> sparse.csr_array:
 
 def _symmetric_part(M) -> sparse.csr_array:
     """0.5 (M + M^T), exactly as ``_compact(0.5 * (M + M.T))`` gives it; built
-    in M's own arrays, which it consumes, when M^T has M's pattern."""
+    in M's own arrays, which it consumes, when M^T has M's pattern, and
+    otherwise by halving the one sum M + M^T in place, which is exact."""
     mirror = _mirror_data(M)
     if mirror is None:
-        return _compact(0.5 * (M + M.T))
+        S = M + M.T
+        S.data *= 0.5
+        return _compact(S)
     M.data += mirror
     del mirror
     M.data *= 0.5
@@ -431,9 +427,14 @@ def _symmetric_part(M) -> sparse.csr_array:
 def _symmetric_slices(stack) -> sparse.csr_array:
     """The stack of 0.5 (S_t + S_t^T) for the n x n slices S_t of the (tau n)
     x n CSR matrix ``stack``, all taken at once on their block-diagonal
-    form, which :func:`_symmetric_part` consumes with the stack's arrays."""
-    n = stack.shape[1]
-    return _diagonal_blocks(_symmetric_part(_block_diagonal(stack, n)), n)
+    form. It consumes the stack's arrays: the block offsets are added to
+    its column indices in place, :func:`_symmetric_part` takes that form,
+    and the offsets are taken off the result's indices in place."""
+    m, n = stack.shape
+    stack.indices += _block_offsets(stack, n)
+    M = _symmetric_part(_csr_of(stack.data, stack.indices, stack.indptr, (m, m)))
+    M.indices -= _block_offsets(M, n)
+    return sparse.csr_array((M.data, M.indices, M.indptr), shape=(m, n))
 
 
 def _weighted_slice_sum(stacked, w) -> sparse.csr_array:
@@ -683,10 +684,12 @@ def symmetrized_adjacency(A, *, teleport: float | None = None) -> sparse.csr_arr
         A = A.copy()
         A.sum_duplicates()
     tau, n = _slice_count(A), A.shape[1]
-    P = transition_matrix(A)  # refuses negative weights
+    P = transition_matrix(A)  # refuses negative weights; a fresh matrix
     totals = [float(S.data.sum()) for S in _slices_of(A, tau)]
     phi = stationary_vector(P, total_weight=totals, teleport=teleport)
-    return _symmetric_slices(_scale_rows(P, phi.ravel()))
+    P.data *= np.repeat(phi.ravel(), np.diff(P.indptr))  # Phi P in P's own arrays
+    P.eliminate_zeros()
+    return _symmetric_slices(P)
 
 
 def spectral_radius(A) -> float:

@@ -30,15 +30,14 @@ _ARMIJO = 1e-4         # sufficient-decrease fraction of the line search
 
 @dataclass(frozen=True)
 class EdgeSample:
-    """Balanced labelled node pairs with their separation values."""
+    """Balanced labelled node pairs of one slice; any method scores them."""
 
-    pairs: np.ndarray        # (m, 2) int
-    labels: np.ndarray       # (m,) in {-1, +1}
-    separations: np.ndarray  # (m,) float
+    pairs: np.ndarray   # (m, 2) int
+    labels: np.ndarray  # (m,) in {-1, +1}
 
     def __post_init__(self):
-        if not (len(self.pairs) == len(self.labels) == len(self.separations)):
-            raise ValueError("pairs, labels and separations must align")
+        if len(self.pairs) != len(self.labels):
+            raise ValueError("pairs and labels must align")
         if len(self.pairs) and np.any(self.pairs[:, 0] == self.pairs[:, 1]):
             raise ValueError("self-pairs are not allowed")
 
@@ -94,10 +93,9 @@ def holdout_split(net: DynamicNetwork):
     return net.prefix(target), target, n_links
 
 
-def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
-                        metric: str, n_pos: int, seed: int) -> EdgeSample:
+def sample_training_set(net: DynamicNetwork, target_slice: int, n_pos: int, seed: int) -> EdgeSample:
     """n_pos existing links (+1) and n_pos uniform non-links (-1) of one slice,
-    shuffled, with their separations in the supplied embedding.
+    shuffled. No embedding is read, so one sample serves every method.
 
     Self-pairs are excluded; pairs are unordered for undirected networks.
     The ``"sampler"`` stream of ``seed`` first picks the links, n_pos of the
@@ -145,9 +143,7 @@ def sample_training_set(net: DynamicNetwork, target_slice: int, emb,
     pairs = np.column_stack([chosen // n, chosen % n])
     labels = np.concatenate([np.ones(n_pos), -np.ones(n_pos)]).astype(np.int64)
     shuffle = rng.permutation(len(labels))  # no class-order artifacts downstream
-    pairs, labels = pairs[shuffle], labels[shuffle]
-    seps = separation_values(emb, pairs, metric)
-    return EdgeSample(pairs=pairs, labels=labels, separations=seps)
+    return EdgeSample(pairs=pairs[shuffle], labels=labels[shuffle])
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +241,20 @@ def _stratified_folds(labels, folds):
     return assign
 
 
-def cross_validated_scores(sample: EdgeSample, folds: int = 5):
-    """Stratified CV of the classifier. Returns ``(cv_auc, pooled)``: the
-    mean of the fold AUCs and each sample's probability under the model
-    fitted without its fold.
+def cross_validated_scores(separations, labels, folds: int = 5):
+    """Stratified CV of the classifier on each pair's separation and label.
+    Returns ``(cv_auc, pooled)``: the mean of the fold AUCs and each pair's
+    probability under the model fitted without its fold.
 
     Each fold's model is fitted on the training separations standardized by
     their own mean and standard deviation (a zero spread divides by 1), and
     the held-out fold is mapped the same way, so the scores do not depend on
     the embedding's scale: the fixed loss weight would otherwise make the
     l1 penalty win on small separations and read every pair as chance."""
-    y = np.asarray(sample.labels, dtype=np.float64)
-    x = np.asarray(sample.separations, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    x = np.asarray(separations, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError("separations and labels must align")
     n_pos, n_neg = int((y > 0).sum()), int((y < 0).sum())
     if not (n_pos and n_neg):
         raise ValueError("sample must contain both classes")
@@ -264,7 +262,7 @@ def cross_validated_scores(sample: EdgeSample, folds: int = 5):
     if folds_eff < 2:
         raise ValueError("need at least 2 examples per class for cross-validation")
 
-    assign = _stratified_folds(sample.labels, folds_eff)
+    assign = _stratified_folds(y, folds_eff)
     pooled = np.zeros(len(y))
     fold_aucs = []
     for f in range(folds_eff):
@@ -324,18 +322,18 @@ def average_precision(scores, labels) -> float:
     return float(((recall - prev_recall) * precision).sum())
 
 
-def evaluate_link_prediction(net: DynamicNetwork, target_slice: int, emb,
-                             metric: str, n_pos: int, seed: int,
-                             folds: int = 5) -> dict:
-    """Sample a balanced set on the target slice, cross-validate the scalar
-    classifier, and report pooled held-out AP / AUC."""
-    sample = sample_training_set(net, target_slice, emb, metric, n_pos, seed)
-    cv_auc, pooled = cross_validated_scores(sample, folds)
-    return {
-        "metric": metric,
-        "AP": average_precision(pooled, sample.labels),
-        "AUC": auc_roc(pooled, sample.labels),
-        "cv_auc": cv_auc,
-        "sample": sample,
-        "probabilities": pooled,
-    }
+def link_prediction_report(sample: EdgeSample, emb, metric: str, folds: int = 5) -> dict:
+    """Score the sample's pairs by their separation in ``emb``, cross-validate
+    the scalar classifier on them, and report pooled held-out AP / AUC."""
+    seps = separation_values(emb, sample.pairs, metric)
+    cv_auc, pooled = cross_validated_scores(seps, sample.labels, folds)
+    return {"metric": metric, "AP": average_precision(pooled, sample.labels),
+            "AUC": auc_roc(pooled, sample.labels), "cv_auc": cv_auc, "sample": sample,
+            "separations": seps, "probabilities": pooled}
+
+
+def evaluate_link_prediction(net: DynamicNetwork, target_slice: int, emb, metric: str,
+                             n_pos: int, seed: int, folds: int = 5) -> dict:
+    """:func:`link_prediction_report` of a balanced sample of the target slice."""
+    sample = sample_training_set(net, target_slice, n_pos, seed)
+    return link_prediction_report(sample, emb, metric, folds)

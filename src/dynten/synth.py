@@ -28,8 +28,10 @@ def dynamic_sbm(n: int, tau: int, blocks: int = 2, p_in: float = 0.2,
     ``drift``; a dyad is redrawn (same-block probability p_in, cross-block
     p_out) when either endpoint switched or, at the same ``drift`` rate, by
     spontaneous churn. All other dyads persist from the previous slice, so
-    every slice is marginally an SBM for the current memberships while the
-    sequence carries the temporal signal the dynamic embeddings exploit.
+    every slice is marginally an SBM for the current memberships. The
+    sequence's temporal signal is that dyad persistence. Block switches are
+    memoryless, so no method that reads only the history can foresee them,
+    nor the links they redraw at the held-out slice.
     Returns the aligned network and the per-slice membership arrays for
     ground-truth checks.
     """

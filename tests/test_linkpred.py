@@ -37,12 +37,6 @@ def loss_value(w, c, x, y):
     return abs(w) + 10.0 * float(np.logaddexp(0.0, -y * (x * w + c)).sum())
 
 
-def make_sample(x, y):
-    m = len(y)
-    pairs = np.column_stack([np.arange(m), np.arange(m) + m])
-    return EdgeSample(pairs=pairs, labels=np.asarray(y), separations=np.asarray(x, float))
-
-
 class TestSeparations:
     def test_equal_vectors(self):
         emb = np.array([[1.0, 2.0], [1.0, 2.0]])
@@ -80,7 +74,7 @@ def scalar_edge_set(net, t):
             for i, j in zip(A.row.tolist(), A.col.tolist()) if i != j}
 
 
-def scalar_sampler(net, target_slice, emb, metric, n_pos, seed):
+def scalar_sampler(net, target_slice, n_pos, seed):
     """Reference sampler: rejects one (i, j) attempt at a time in Python."""
     n = net.n
     edges = sorted(scalar_edge_set(net, target_slice))
@@ -103,16 +97,13 @@ def scalar_sampler(net, target_slice, emb, metric, n_pos, seed):
     pairs = np.asarray(positives + negatives, dtype=np.int64)
     labels = np.concatenate([np.ones(n_pos), -np.ones(n_pos)]).astype(np.int64)
     shuffle = rng.permutation(len(labels))
-    pairs, labels = pairs[shuffle], labels[shuffle]
-    return EdgeSample(pairs=pairs, labels=labels,
-                      separations=separation_values(emb, pairs, metric))
+    return EdgeSample(pairs=pairs[shuffle], labels=labels[shuffle])
 
 
 def assert_same_sample(a, b):
     assert a.pairs.dtype == b.pairs.dtype and a.labels.dtype == b.labels.dtype
     assert np.array_equal(a.pairs, b.pairs)
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.separations, b.separations)
 
 
 def random_slice(n, rng, density, directed, self_loops):
@@ -159,10 +150,9 @@ class TestHoldoutSplit:
         for directed in (False, True):
             net = self.reciprocal_network(directed)
             _, target, n_links = holdout_split(net)
-            emb = np.zeros((net.n, 2))
-            sample_training_set(net, target, emb, "l2", n_links, seed=0)
+            sample_training_set(net, target, n_links, seed=0)
             with pytest.raises(ValueError, match="links < n_pos"):
-                sample_training_set(net, target, emb, "l2", n_links + 1, seed=0)
+                sample_training_set(net, target, n_links + 1, seed=0)
 
     @given(st.integers(2, 12), st.floats(0.05, 0.9), st.booleans(), st.booleans(),
            st.integers(0, 10 ** 6))
@@ -221,9 +211,7 @@ class TestHoldoutSplit:
 
 class TestSampler:
     def test_balanced_and_verified(self):
-        net = toy_network()
-        emb = np.random.default_rng(0).standard_normal((5, 3))
-        s = sample_training_set(net, 1, emb, "l2", 3, seed=5)
+        s = sample_training_set(toy_network(), 1, 3, seed=5)
         assert len(s) == 6
         assert (s.labels == 1).sum() == 3 and (s.labels == -1).sum() == 3
         edges = {(0, 1), (1, 2), (3, 4)}
@@ -233,27 +221,24 @@ class TestSampler:
 
     def test_deterministic_given_seed(self):
         net = toy_network()
-        emb = np.random.default_rng(1).standard_normal((5, 2))
-        a = sample_training_set(net, 1, emb, "l2", 2, seed=9)
-        b = sample_training_set(net, 1, emb, "l2", 2, seed=9)
+        a = sample_training_set(net, 1, 2, seed=9)
+        b = sample_training_set(net, 1, 2, seed=9)
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.labels, b.labels)
 
     def test_saturated_graph_rejected(self):
         net = align_edge_lists([[("a", "b"), ("b", "c"), ("a", "c")]])
-        emb = np.zeros((3, 2))
         with pytest.raises(ValueError, match="non-links"):
-            sample_training_set(net, 0, emb, "l2", 3, seed=0)
+            sample_training_set(net, 0, 3, seed=0)
 
     def test_too_few_edges_rejected(self):
         net = toy_network()
         with pytest.raises(ValueError, match="links"):
-            sample_training_set(net, 0, np.zeros((5, 2)), "l2", 4, seed=0)
+            sample_training_set(net, 0, 4, seed=0)
 
     def test_single_positive_enumeration(self):
         net = align_edge_lists([[("a", "b")]], snapshot_labels=[["a", "b", "c"]])
-        emb = np.random.default_rng(2).standard_normal((3, 2))
-        s = sample_training_set(net, 0, emb, "l2", 1, seed=3)
+        s = sample_training_set(net, 0, 1, seed=3)
         pos = s.pairs[s.labels == 1][0]
         neg = s.pairs[s.labels == -1][0]
         assert tuple(sorted(pos)) == (0, 1)
@@ -262,9 +247,9 @@ class TestSampler:
     @given(st.data())
     @settings(max_examples=150)
     def test_matches_scalar_sampler(self, data):
-        """Same pairs, labels and separations as the one-attempt-at-a-time
-        loop; the shuffle comes last, so this also checks that the generator
-        ends in the same state."""
+        """Same pairs and labels as the one-attempt-at-a-time loop; the
+        shuffle comes last, so this also checks that the generator ends in
+        the same state."""
         n = data.draw(st.integers(2, 12), label="n")
         directed = data.draw(st.booleans(), label="directed")
         rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6), label="graph"))
@@ -276,10 +261,8 @@ class TestSampler:
         assume(min(n_links, n_non) >= 1)
         n_pos = data.draw(st.integers(1, min(n_links, n_non)), label="n_pos")
         seed = data.draw(st.integers(0, 2 ** 63), label="seed")
-        metric = data.draw(st.sampled_from(["l2", "hadamard"]), label="metric")
-        emb = rng.standard_normal((n, 3))
-        assert_same_sample(sample_training_set(net, 0, emb, metric, n_pos, seed),
-                           scalar_sampler(net, 0, emb, metric, n_pos, seed))
+        assert_same_sample(sample_training_set(net, 0, n_pos, seed),
+                           scalar_sampler(net, 0, n_pos, seed))
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_saturated_sample_returns_every_non_link_once(self, directed):
@@ -292,20 +275,19 @@ class TestSampler:
         non_links = {(i, j) for i in range(n) for j in range(n)
                      if i != j and (directed or i < j)} - links
         assert len(links) >= len(non_links)
-        emb = np.random.default_rng(4).standard_normal((n, 2))
         t0 = time.perf_counter()
-        s = sample_training_set(net, 0, emb, "l2", len(non_links), seed=8)
+        s = sample_training_set(net, 0, len(non_links), seed=8)
         assert time.perf_counter() - t0 < 5.0
         negatives = [tuple(p) for p in s.pairs[s.labels == -1].tolist()]
         assert len(negatives) == len(set(negatives)) and set(negatives) == non_links
-        assert_same_sample(s, scalar_sampler(net, 0, emb, "l2", len(non_links), seed=8))
+        assert_same_sample(s, scalar_sampler(net, 0, len(non_links), seed=8))
 
 
 class TestLogistic:
     def test_separable_sample_perfect_cv(self):
         x = np.array([0.1, 0.2, 0.15, 0.9, 1.0, 0.8, 0.12, 0.95] * 3)
         y = np.array([1, 1, 1, -1, -1, -1, 1, -1] * 3)
-        assert cross_validated_scores(make_sample(x, y), 5)[0] == pytest.approx(1.0)
+        assert cross_validated_scores(x, y, 5)[0] == pytest.approx(1.0)
         slope, intercept = linkpred._fit_wc(x, y)
         probs = expit(np.array([0.1, 1.0]) * slope + intercept)
         assert probs[0] > probs[1]
@@ -317,7 +299,7 @@ class TestLogistic:
             x = rng.standard_normal(40)
             y = np.repeat([1, -1], 20)
             rng.shuffle(y)
-            aucs.append(cross_validated_scores(make_sample(x, y), 5)[0])
+            aucs.append(cross_validated_scores(x, y, 5)[0])
         assert abs(np.mean(aucs) - 0.5) < 0.1
 
     def test_constant_feature_majority_logit(self):
@@ -340,7 +322,7 @@ class TestLogistic:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="class"):
-            cross_validated_scores(make_sample(np.ones(4), np.ones(4, dtype=int)), 5)
+            cross_validated_scores(np.ones(4), np.ones(4, dtype=int), 5)
 
 
 def brent_fit_reference(x, y):
@@ -551,11 +533,14 @@ class TestMetrics:
 def test_cross_validated_scores_align_with_sample():
     net, _ = dynamic_sbm(40, 4, seed=20)
     emb = np.random.default_rng(7).standard_normal((40, 4))
-    s = sample_training_set(net, 3, emb, "l2", 20, seed=1)
-    cv_auc, pooled = cross_validated_scores(s, folds=5)
+    s = sample_training_set(net, 3, 20, seed=1)
+    cv_auc, pooled = cross_validated_scores(separation_values(emb, s.pairs, "l2"), s.labels,
+                                            folds=5)
     assert pooled.shape == (40,)
     assert np.all((pooled >= 0) & (pooled <= 1))
     assert np.isfinite(cv_auc)
+    with pytest.raises(ValueError, match="align"):
+        cross_validated_scores(np.ones(39), s.labels)
 
 
 def test_separation_values_matches_scalar_functions():

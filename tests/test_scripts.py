@@ -10,6 +10,7 @@ from unittest import mock
 
 import pytest
 
+from dynten import linkpred
 from dynten.cli import METHODS, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -28,21 +29,24 @@ def run_bench(argv):
 
 @pytest.fixture(scope="module")
 def synthetic(tmp_path_factory):
-    """The printed rows and the --json record of one block-model run."""
+    """The printed rows, the --json record and the sampler's calls of one
+    block-model run."""
     path = tmp_path_factory.mktemp("bench") / "sbm.json"
-    rows = run_bench(["--n", "40", "--tau", "4", "--dims", "4", "--json", str(path)])
-    return rows, json.loads(path.read_text())
+    with mock.patch.object(linkpred, "sample_training_set",
+                           wraps=linkpred.sample_training_set) as spy:
+        rows = run_bench(["--n", "40", "--tau", "4", "--dims", "4", "--json", str(path)])
+    return rows, json.loads(path.read_text()), spy.call_args_list
 
 
 def test_synthetic_mode_prints_every_method_and_the_control(synthetic):
-    rows, _ = synthetic
+    rows, _, _ = synthetic
     assert [tuple(r[:4]) for r in rows] == \
         [("sbm", m, "4", metric) for m in METHODS for metric in METRICS] + \
         [("er-control", "dynacpd", "4", metric) for metric in METRICS]
 
 
 def test_scores_are_in_the_unit_interval(synthetic):
-    rows, record = synthetic
+    rows, record, _ = synthetic
     for row in rows:
         assert all(0.0 <= float(x) <= 1.0 for x in row[4:6]), row
     for row in record["rows"]:
@@ -50,7 +54,7 @@ def test_scores_are_in_the_unit_interval(synthetic):
 
 
 def test_json_rows_equal_the_printed_rows(synthetic):
-    rows, record = synthetic
+    rows, record, _ = synthetic
     assert [[r["network"], r["method"], str(r["d"]), r["metric"], f"{r['AP']:.4f}",
              f"{r['AUC']:.4f}", f"{r['seconds']:.2f}"] for r in record["rows"]] == rows
     assert record["input"] == {"sbm": {"n": 40, "tau": 4, "blocks": 2, "p_in": 0.2,
@@ -60,6 +64,16 @@ def test_json_rows_equal_the_printed_rows(synthetic):
         assert row["protocol"] == {"metric": row["metric"], "normalize": False,
                                    "negatives": "uniform"}
         assert ("stop_reason" in row) == (row["method"] in ("dynacpd", "dynaocpd"))
+
+
+def test_one_sample_per_network(synthetic):
+    """The block model and its control are each sampled once, and that
+    sample serves all of the network's methods and metrics."""
+    _, record, calls = synthetic
+    assert len(record["rows"]) == 2 * len(METHODS) + 2
+    assert len(calls) == 2 and calls[0].args[0] is not calls[1].args[0]
+    assert {(row["network"], row["n_pos"]) for row in record["rows"]} == \
+        {("sbm", calls[0].args[2]), ("er-control", calls[1].args[2])}
 
 
 @pytest.fixture(scope="module")
