@@ -40,7 +40,7 @@ ROW = "{:12s} {:9s} {:>4} {:8s} {:>7} {:>7} {:>7}"
 def evaluate(name, net, methods, args):
     """The rows of one network, each printed as soon as it is scored, all of one sample."""
     train, target, n_links = holdout_split(net)
-    n_pos = min(args.n_pos, n_links)
+    n_pos = min(args.n_pos, n_links) if args.n_pos else n_links
     sample = sample_training_set(net, target, n_pos, args.seed)
     rows = []
     for method in methods:
@@ -60,6 +60,14 @@ def evaluate(name, net, methods, args):
                 print(ROW.format(name, method, d, metric, f"{rep['AP']:.4f}",
                                  f"{rep['AUC']:.4f}", f"{seconds:.2f}"), flush=True)
     return rows
+
+
+def link_count(text):
+    """An ``--n-pos`` value: a count of links, 0 for every held-out link."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = every held-out link), not {count}")
+    return count
 
 
 def environment():
@@ -87,8 +95,8 @@ def main():
     ap.add_argument("--pre", default="exponential")
     ap.add_argument("--alpha", type=float, default=1.0)
     ap.add_argument("--sigma", type=float, default=8.0)
-    ap.add_argument("--n-pos", type=int, default=1000,
-                    help="links, and non-links, sampled (at most the held-out links)")
+    ap.add_argument("--n-pos", type=link_count, default=1000,
+                    help="links, and non-links, sampled (at most the held-out links; 0 = all)")
     ap.add_argument("--seed", type=int, default=0,
                     help="seeds the block model, the embedding and the sampler")
     for flag, typ, default in (("--n", int, 100), ("--tau", int, 8), ("--blocks", int, 2),

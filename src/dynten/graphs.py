@@ -172,14 +172,6 @@ def _block_offsets(M, n: int) -> np.ndarray:
     return np.repeat(np.arange(0, M.shape[0], n, dtype=M.indices.dtype), np.diff(M.indptr[::n]))
 
 
-def _block_diagonal(stack, n: int) -> sparse.csr_array:
-    """The (tau n) x (tau n) block-diagonal CSR matrix whose diagonal blocks
-    are the n x n slices of the (tau n) x n CSR matrix ``stack``. It shares
-    the stack's data and row pointers; only the column indices are new."""
-    m = stack.shape[0]
-    return _csr_of(stack.data, stack.indices + _block_offsets(stack, n), stack.indptr, (m, m))
-
-
 def _sum_in_order(key, wgt):
     """The distinct keys, sorted, and the weights of each summed in input
     order from 0.0; zero sums are dropped."""
@@ -566,15 +558,6 @@ def _slice_count(P) -> int:
     return tau
 
 
-def _chain_operator(Q, chains) -> sparse.csc_array:
-    """Q_t^T for each slice t in ``chains`` of the (tau n) x n CSR stack Q:
-    the CSC transpose of the block-diagonal form of a copy of those slices,
-    so block k of its product with x is x_k Q_t for the k-th chain t, summed
-    in the order the slice's own transposed view sums it."""
-    n = Q.shape[1]
-    return _block_diagonal(Q[(chains[:, None] * n + np.arange(n)).ravel()], n).T
-
-
 def stationary_vector(P, total_weight=1.0, *,
                       teleport: float | None = None) -> np.ndarray:
     """Positive left fixed vector of P, scaled so its entries sum to ``total_weight``.
@@ -591,8 +574,10 @@ def stationary_vector(P, total_weight=1.0, *,
     ``STATIONARY_TOL``; ``ConvergenceError``, carrying that residual, is
     raised after ``STATIONARY_MAX_ITER`` steps. Each step takes one
     product, phi P, for both the residual of phi and the next iterate. All
-    chains step together through one block-diagonal product; a chain that
-    stops leaves it, and it is rebuilt from the chains still running.
+    chains step together through one operator, built once: the CSC
+    transpose of the block-diagonal form of (1 - eps) P, which shares P's
+    row pointers. A chain that stops, or is refused before the loop, keeps
+    stepping through it; its vector is the iterate at which it stopped.
     P must be irreducible (strongly connected with no zero rows); otherwise pass
     ``teleport=eps`` to iterate on the regularized chain T instead, which is a
     documented deviation from the strict fixed-vector contract. With zero rows
@@ -605,21 +590,27 @@ def stationary_vector(P, total_weight=1.0, *,
     if P.nnz and P.data.min() < 0:
         raise ValueError("transition probabilities must be nonnegative")
     weight = np.broadcast_to(np.asarray(total_weight, dtype=np.float64), (tau,))
+    if teleport is not None and not 0.0 < teleport < 1.0:
+        raise ValueError("teleport must be in (0, 1)")
+    eps = teleport or 0.0
+    # block t of Q.T @ x.ravel() is x[t] @ ((1 - eps) P_t), bit for bit, as the
+    # block reads only its own entries; x T is that plus eps / n where x sums
+    # to 1, and exactly x P when eps = 0. The offsets become the column indices
+    columns = _block_offsets(P, n)
+    columns += P.indices
+    Q = _csr_of((1.0 - eps) * P.data, columns, P.indptr, (tau * n, tau * n))
 
     def of(t):
         return f" of slice {t}" if tau > 1 else ""
 
     faults = {}  # slice -> the error that slice raises on its own
-    if teleport is not None:
-        if not 0.0 < teleport < 1.0:
-            raise ValueError("teleport must be in (0, 1)")
-    else:
+    if teleport is None:
         # strong components need scipy.sparse.csgraph, imported only here, so
         # no other path loads it
         from scipy.sparse.csgraph import connected_components as components
 
         rows = np.asarray(P.sum(axis=1)).reshape(tau, n)
-        _, comp = components(_block_diagonal(P, n), directed=True, connection="strong")
+        _, comp = components(Q, directed=True, connection="strong")
         comp = comp.reshape(tau, n)
         for t in np.flatnonzero(np.any(rows <= STATIONARY_TOL, axis=1)
                                 | np.any(comp != comp[:, :1], axis=1)):
@@ -627,29 +618,24 @@ def stationary_vector(P, total_weight=1.0, *,
                 f"transition matrix{of(t)} is reducible; no unique positive stationary "
                 "vector. Pass teleport=1e-3 or preprocess with a Katz kernel.")
 
-    eps = teleport or 0.0
-    # Q_t^T @ x is x @ ((1 - eps) P_t), bit for bit, without __rmatmul__;
-    # x T is that plus eps / n where x sums to 1, and exactly x P when eps = 0
-    Q = (1.0 - eps) * P
-    phi = np.full((tau, n), 1.0 / n)
+    Qt = Q.T
+    x = np.full((tau, n), 1.0 / n)
+    phi = x.copy()
     live = np.array([t for t in range(tau) if t not in faults], dtype=np.intp)
-    Qt = _chain_operator(Q, live)
-    x = phi[live]
-    step = (Qt @ x.ravel()).reshape(x.shape) + eps / n
+    step = (Qt @ x.ravel()).reshape(tau, n) + eps / n
     residual = np.full(live.size, np.inf)
     for _ in range(STATIONARY_MAX_ITER):
         if not live.size:
             break
         nxt = 0.5 * (x + step)
         x = nxt / nxt.sum(axis=1, keepdims=True)
-        step = (Qt @ x.ravel()).reshape(x.shape) + eps / n
-        residual = np.abs(step / step.sum(axis=1, keepdims=True) - x).sum(axis=1)
+        step = (Qt @ x.ravel()).reshape(tau, n) + eps / n
+        running = step[live]  # a refused chain's step can sum to 0: it is never read
+        residual = np.abs(running / running.sum(axis=1, keepdims=True) - x[live]).sum(axis=1)
         done = residual < STATIONARY_TOL
         if done.any():
-            phi[live[done]] = x[done]
-            live, x, step, residual = (a[~done] for a in (live, x, step, residual))
-            if live.size:
-                Qt = _chain_operator(Q, live)
+            phi[live[done]] = x[live[done]]
+            live, residual = live[~done], residual[~done]
     for t, r in zip(live, residual):
         faults[t] = ConvergenceError(
             f"stationary vector{of(t)} did not converge in {STATIONARY_MAX_ITER} "

@@ -12,6 +12,7 @@ import pytest
 
 from dynten import linkpred
 from dynten.cli import METHODS, main
+from dynten.io import load_dynamic_network
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 METRICS = ["l2", "hadamard"]
@@ -90,6 +91,21 @@ def test_dataset_mode_prints_one_row_per_method_dimension_and_metric(edges_file,
     rows = run_bench(argv + (["--directed"] if directed else []))
     assert [tuple(r[:4]) for r in rows] == \
         [("sbm", m, d, metric) for m in methods for d in ("4", "6") for metric in METRICS]
+
+
+def test_n_pos_zero_takes_every_held_out_link(edges_file, tmp_path, capsys):
+    """As ``dynten linkpred --n-pos 0`` does, the bench samples every link
+    of the held-out slice for 0, and argparse refuses a negative count."""
+    path = tmp_path / "all.json"
+    run_bench([str(edges_file), "--methods", "adj_last", "--dims", "4", "--n-pos", "0",
+               "--json", str(path)])
+    _, _, n_links = linkpred.holdout_split(load_dynamic_network(edges_file))
+    rows = json.loads(path.read_text())["rows"]
+    assert len(rows) == len(METRICS) and all(row["n_pos"] == n_links for row in rows)
+    with pytest.raises(SystemExit) as refused:
+        run_bench([str(edges_file), "--n-pos", "-1"])
+    assert refused.value.code == 2
+    assert "--n-pos: must be >= 0" in capsys.readouterr().err
 
 
 def test_readme_library_snippet_runs(capsys):
